@@ -173,13 +173,12 @@ def composite_bijection(Q: Polynomial, P: Polynomial,
         composition_square(m_span(P), parts.n_tilde).pairs)}
     table = []
     for z, w, sigma in _ext_elements(n, A):
-        fib = n.m2.fiber(w)
         s_q = parts.pba.r(w)
         sig_q = []
         for e_q in Q.m2.fiber(s_q):
             v = sq.index(w, e_q)
             s_p = parts.pb1.pairs[parts.pba.p(v)][0]
-            sig_p = tuple(sigma[fib.index(e_pairs[(v, e_p)])]
+            sig_p = tuple(sigma[n.m2.fiber_position(e_pairs[(v, e_p)])]
                           for e_p in P.m2.fiber(s_p))
             sig_q.append(idx_p[(Q.m1(e_q), s_p, sig_p)])
         table.append(idx_q[(z, s_q, tuple(sig_q))])

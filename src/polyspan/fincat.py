@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .errors import require
@@ -313,11 +314,19 @@ class Comma:
     objects_data: tuple[tuple[int, int, int], ...]
     morphisms_data: tuple[tuple[int, int, int, int], ...]
 
+    @cached_property
+    def _object_positions(self) -> dict[tuple[int, int, int], int]:
+        return {o: i for i, o in enumerate(self.objects_data)}
+
+    @cached_property
+    def _morphism_positions(self) -> dict[tuple[int, int, int, int], int]:
+        return {m: i for i, m in enumerate(self.morphisms_data)}
+
     def object_index(self, a: int, b: int, phi: int) -> int:
-        return self.objects_data.index((a, b, phi))
+        return self._object_positions[(a, b, phi)]
 
     def morphism_index(self, si: int, ti: int, u: int, v: int) -> int:
-        return self.morphisms_data.index((si, ti, u, v))
+        return self._morphism_positions[(si, ti, u, v)]
 
 
 def comma(f: Functor, g: Functor, iso_only: bool = False) -> Comma:
@@ -518,8 +527,12 @@ class ElementsCat:
     def cat(self) -> FinCat:
         return self.proj.dom
 
+    @cached_property
+    def _object_positions(self) -> dict[tuple[int, int], int]:
+        return {o: i for i, o in enumerate(self.objects_data)}
+
     def object_index(self, b: int, t: int) -> int:
-        return self.objects_data.index((b, t))
+        return self._object_positions[(b, t)]
 
 
 def elements(p: Presheaf) -> ElementsCat:

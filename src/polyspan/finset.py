@@ -4,12 +4,20 @@ A finite set is its size: elements are the indices 0..size-1 and a map is a
 full lookup table.  Every derived set built here (pullback pairs, section
 sets, images) comes with a documented canonical element order, so identical
 inputs always yield identical tables.
+
+Each map carries one fiber index, built lazily in a single pass over its
+table the first time a fiber is asked for and kept with the map: every fiber
+in increasing order and, when asked for, each element's position within its
+own fiber.  ``fiber`` is a lookup in it, and ``pullback`` is a hash join
+over it that costs O(|A| + |pairs|).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import require
 
@@ -45,9 +53,11 @@ class FinSetMap:
     def __post_init__(self) -> None:
         require(len(self.table) == self.dom.size, "map-total",
                 f"table length {len(self.table)} != domain size {self.dom.size}")
-        for i, j in enumerate(self.table):
-            require(0 <= j < self.cod.size, "map-range",
-                    f"entry {i} -> {j} lands outside a codomain of size {self.cod.size}")
+        if self.table and not (0 <= min(self.table)
+                               and max(self.table) < self.cod.size):
+            for i, j in enumerate(self.table):
+                require(0 <= j < self.cod.size, "map-range",
+                        f"entry {i} -> {j} lands outside a codomain of size {self.cod.size}")
 
     def __call__(self, i: int) -> int:
         return self.table[i]
@@ -56,9 +66,33 @@ class FinSetMap:
         """Diagrammatic composite: first self, then other."""
         return compose(other, self)
 
+    # The fiber index.  Cached properties are not fields, so equality and
+    # hashing still see only the table.
+    @cached_property
+    def _fibers(self) -> tuple[tuple[int, ...], ...]:
+        """Every fiber, indexed by codomain point, built in one pass."""
+        fibers: list[list[int]] = [[] for _ in self.cod.elements]
+        for i, j in enumerate(self.table):
+            fibers[j].append(i)
+        return tuple(map(tuple, fibers))
+
+    @cached_property
+    def _positions(self) -> tuple[int, ...]:
+        """The position of each domain element within its own fiber."""
+        positions = [0] * self.dom.size
+        for fib in self._fibers:
+            for k, i in enumerate(fib):
+                positions[i] = k
+        return tuple(positions)
+
     def fiber(self, j: int) -> tuple[int, ...]:
-        """The preimage of j, in increasing order."""
-        return tuple(i for i in self.dom.elements if self.table[i] == j)
+        """The preimage of j, in increasing order; empty for j outside the
+        codomain."""
+        return self._fibers[j] if 0 <= j < self.cod.size else ()
+
+    def fiber_position(self, i: int) -> int:
+        """The position of i within fiber(self(i))."""
+        return self._positions[i]
 
     @property
     def is_injective(self) -> bool:
@@ -110,7 +144,8 @@ class Subset:
                 "subset-order", "members must be strictly increasing")
 
     def __contains__(self, i: int) -> bool:
-        return i in self.members
+        k = bisect_left(self.members, i)
+        return k < len(self.members) and self.members[k] == i
 
     def as_object(self) -> FinSetObj:
         return FinSetObj(len(self.members))
@@ -144,9 +179,9 @@ class Pullback:
                     f"({a}, {b}) is not a pullback pair")
             raise AssertionError  # unreachable
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_lookup",
-                           {pair: i for i, pair in enumerate(self.pairs)})
+    @cached_property
+    def _lookup(self) -> dict[tuple[int, int], int]:
+        return {pair: i for i, pair in enumerate(self.pairs)}
 
     def mediate(self, h1: FinSetMap, h2: FinSetMap) -> FinSetMap:
         """The unique map u with pr1∘u = h1 and pr2∘u = h2, given a cone."""
@@ -162,8 +197,8 @@ class Pullback:
 
 def pullback(f: FinSetMap, g: FinSetMap) -> Pullback:
     require(f.cod == g.cod, "pullback-boundary", "maps must share a codomain")
-    pairs = tuple((a, b) for a in f.dom.elements for b in g.dom.elements
-                  if f(a) == g(b))
+    over = g._fibers
+    pairs = tuple((a, b) for a, j in enumerate(f.table) for b in over[j])
     apex = FinSetObj(len(pairs))
     pr1 = FinSetMap(apex, f.dom, tuple(a for a, _ in pairs))
     pr2 = FinSetMap(apex, g.dom, tuple(b for _, b in pairs))
@@ -192,19 +227,14 @@ class Pi:
 
 def pi_f(f: FinSetMap, x: FinSetMap) -> Pi:
     require(x.cod == f.dom, "pi-boundary", "family must live over the domain of f")
-    fibers = tuple(f.fiber(b) for b in f.cod.elements)
-    elements: list[tuple[int, tuple[int, ...]]] = []
-    for b in f.cod.elements:
-        for sigma in itertools.product(*(x.fiber(a) for a in fibers[b])):
-            elements.append((b, sigma))
+    fibers, over, position = f._fibers, x._fibers, f._positions
+    elements = [(b, sigma) for b, fib in enumerate(fibers)
+                for sigma in itertools.product(*(over[a] for a in fib))]
     obj = FinSetObj(len(elements))
     proj = FinSetMap(obj, f.cod, tuple(b for b, _ in elements))
     square = pullback(proj, f)
-    table = []
-    for s, a in square.pairs:
-        b, sigma = elements[s]
-        table.append(sigma[fibers[b].index(a)])
-    ev = FinSetMap(square.apex, x.dom, tuple(table))
+    ev = FinSetMap(square.apex, x.dom, tuple(elements[s][1][position[a]]
+                                             for s, a in square.pairs))
     return Pi(obj, proj, tuple(elements), fibers, square, ev)
 
 
@@ -248,20 +278,3 @@ def image_factorization(f: FinSetMap) -> tuple[FinSetMap, FinSetMap]:
     mono = FinSetMap(im, f.cod, tuple(sorted(seen, key=seen.__getitem__)))
     return epi, mono
 
-
-@dataclass(frozen=True)
-class Family:
-    """An indexed family over a base set, presented as its total projection."""
-
-    proj: FinSetMap
-
-    @property
-    def total(self) -> FinSetObj:
-        return self.proj.dom
-
-    @property
-    def base(self) -> FinSetObj:
-        return self.proj.cod
-
-    def fiber(self, b: int) -> tuple[int, ...]:
-        return self.proj.fiber(b)

@@ -258,12 +258,12 @@ def polymorph_extension(f: PolyMorphism, a: IndexedFamily) -> FamilyMap:
     for t in f.h.apex.elements:
         left_inv[f.h.left_leg(t)] = t
     sq = composition_square(m_span(f.target), f.h)
+    position = f.source.m2.fiber_position
     table = []
     for y, s, sigma in _ext_elements(f.source, a):
         t = left_inv[s]
         s2 = f.h.right_leg(t)
-        fib = f.source.m2.fiber(s)
-        sig2 = tuple(sigma[fib.index(f.lam.h(sq.index(t, e2)))]
+        sig2 = tuple(sigma[position(f.lam.h(sq.index(t, e2)))]
                      for e2 in f.target.m2.fiber(s2))
         table.append(idx_tgt[(f.target.p(s2), s2, sig2)])
     return FamilyMap(src, tgt,

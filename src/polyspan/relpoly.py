@@ -11,6 +11,7 @@ style.  Both routes are implemented and compared by the tests.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import require
@@ -36,10 +37,14 @@ class Relation:
                 "pairs must be strictly increasing lexicographically")
 
     def __contains__(self, pair: Pair) -> bool:
-        return pair in set(self.pairs)
+        k = bisect_left(self.pairs, pair)
+        return k < len(self.pairs) and self.pairs[k] == pair
 
     def row(self, x: int) -> tuple[int, ...]:
-        return tuple(y for a, y in self.pairs if a == x)
+        """The points related to x, in increasing order."""
+        lo = bisect_left(self.pairs, (x,))
+        hi = bisect_left(self.pairs, (x + 1,))
+        return tuple(y for _, y in self.pairs[lo:hi])
 
 
 def rel(src: FinSetObj, tgt: FinSetObj, pairs) -> Relation:

@@ -16,7 +16,6 @@ from .errors import MultipleMediatorsError, NoMediatorError, require
 from .finset import (
     FinSetMap,
     FinSetObj,
-    Pi,
     Pullback,
     compose,
     identity,
@@ -271,7 +270,7 @@ def rif_span(m: Span, u: Span) -> Rif:
     k_obj, s_obj = u.left_foot, m.left_foot
     elements: list[tuple[int, int, tuple[int, ...]]] = []
     for k in k_obj.elements:
-        over_k = [t for t in u.apex.elements if u.left_leg(t) == k]
+        over_k = u.left_leg.fiber(k)
         for s in s_obj.elements:
             fiber = m.left_leg.fiber(s)
             cand = [[t for t in over_k if u.right_leg(t) == m.right_leg(e)]
@@ -284,11 +283,9 @@ def rif_span(m: Span, u: Span) -> Rif:
                   FinSetMap(apex, s_obj, tuple(s for _, s, _ in elements)))
     comp = compose_spans(m, lifted)
     sq = composition_square(m, lifted)
-    table = []
-    for a, e in sq.pairs:
-        _, s, sigma = elements[a]
-        table.append(sigma[m.left_leg.fiber(s).index(e)])
-    counit = SpanCell(comp, u, FinSetMap(comp.apex, u.apex, tuple(table)))
+    table = tuple(elements[a][2][m.left_leg.fiber_position(e)]
+                  for a, e in sq.pairs)
+    counit = SpanCell(comp, u, FinSetMap(comp.apex, u.apex, table))
     return Rif(lifted, counit, tuple(elements))
 
 
@@ -300,12 +297,13 @@ def rif_paste(m: Span, rif: Rif, cell: SpanCell) -> SpanCell:
 def rif_transpose(m: Span, rif: Rif, v: Span, cell: SpanCell) -> SpanCell:
     """The unique cell v => rif whose pasting recovers cell: m∘v => u."""
     sq = composition_square(m, v)
+    position = {elt: i for i, elt in enumerate(rif.elements)}
     table = []
     for a in v.apex.elements:
         k = v.left_leg(a)
         s = v.right_leg(a)
         sigma = tuple(cell.h(sq.index(a, e)) for e in m.left_leg.fiber(s))
-        table.append(rif.elements.index((k, s, sigma)))
+        table.append(position[(k, s, sigma)])
     return SpanCell(v, rif.span, FinSetMap(v.apex, rif.span.apex, tuple(table)))
 
 
@@ -350,12 +348,6 @@ def distributivity_pullback(f: FinSetMap, g: FinSetMap) -> PBAround:
     require(g.cod == f.dom, "pbaround-pair", "g must land in the domain of f")
     pi = pi_f(f, g)
     return PBAround(f, g, pi.ev, pi.square.pr1, pi.proj)
-
-
-def distributivity_pi(f: FinSetMap, g: FinSetMap) -> Pi:
-    """The section data underlying distributivity_pullback, for callers that
-    need the canonical enumeration of Y."""
-    return pi_f(f, g)
 
 
 def mediate_pb_around(

@@ -42,6 +42,26 @@ def to_map(data) -> FinSetMap:
     return FinSetMap(FinSetObj(len(table)), FinSetObj(c), tuple(table))
 
 
+# Reference implementations the indexed fast paths replaced: a fiber found
+# by scanning the domain, and a pullback found by testing every pair.
+
+def scan_fiber(f: FinSetMap, j: int) -> tuple[int, ...]:
+    return tuple(i for i in f.dom.elements if f.table[i] == j)
+
+
+def nested_loop_pairs(f: FinSetMap,
+                      g: FinSetMap) -> tuple[tuple[int, int], ...]:
+    return tuple((a, b) for a in f.dom.elements for b in g.dom.elements
+                 if f(a) == g(b))
+
+
+cospans = st.integers(1, 6).flatmap(
+    lambda c: st.tuples(
+        st.lists(st.integers(0, c - 1), max_size=12),
+        st.lists(st.integers(0, c - 1), max_size=12),
+        st.just(c)))
+
+
 class TestMaps:
     def test_validation(self):
         with pytest.raises(InvariantViolation) as e:
@@ -116,6 +136,50 @@ class TestPullback:
                 and compose(pb.pr2, FinSetMap(w, pb.apex, t)) == h2
             ]
             assert not others
+
+
+class TestAgainstReference:
+    @given(cospans)
+    def test_pullback_and_fibers_match_the_scans(self, data):
+        ft, gt, c = data
+        f, g = to_map((ft, c)), to_map((gt, c))
+        pb = pullback(f, g)
+        pairs = nested_loop_pairs(f, g)
+        assert pb.pairs == pairs
+        assert pb.pr1.table == tuple(a for a, _ in pairs)
+        assert pb.pr2.table == tuple(b for _, b in pairs)
+        for m in (f, g, pb.pr1, pb.pr2):
+            for j in range(-2, m.cod.size + 2):
+                assert m.fiber(j) == scan_fiber(m, j)
+            for i in m.dom.elements:
+                assert m.fiber(m(i))[m.fiber_position(i)] == i
+
+    def test_range_error_names_the_first_bad_entry(self):
+        for table, entry in [((0, 5, -1, 3), "entry 1 -> 5"),
+                             ((1, 0, -1, 7), "entry 2 -> -1")]:
+            with pytest.raises(InvariantViolation) as e:
+                FinSetMap(FinSetObj(4), FinSetObj(2), table)
+            assert e.value.clause == "map-range"
+            assert entry in str(e.value)
+
+    def test_large_bijections_pull_back_in_linear_time(self):
+        # The nested loop would test 4e8 pairs here; the pullback of two
+        # bijections has exactly one pair per element.
+        n = 20_000
+        x = FinSetObj(n)
+        f = FinSetMap(x, x, tuple(range(n - 1, -1, -1)))
+        g = FinSetMap(x, x, tuple(7 * i % n for i in range(n)))
+        pb = pullback(f, g)
+        assert pb.apex.size == n
+        ginv = g.inverse()
+        assert pb.pairs == tuple((a, ginv(f(a))) for a in range(n))
+
+    @given(st.integers(0, 6), st.integers(0, 2 ** 6 - 1))
+    def test_subset_membership_matches_the_member_list(self, n, bits):
+        members = tuple(i for i in range(n) if bits >> i & 1)
+        s = Subset(FinSetObj(n), members)
+        for i in range(-1, n + 2):
+            assert (i in s) == (i in members)
 
 
 class TestPi:

@@ -95,6 +95,16 @@ class TestRelation:
         r = rel(FinSetObj(nx), FinSetObj(ny), pairs)
         assert reverse_rel(reverse_rel(r)) == r
 
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 16 - 1))
+    def test_membership_and_rows_match_the_pair_list(self, nx, ny, bits):
+        pairs = [(i, j) for i in range(nx) for j in range(ny)
+                 if bits >> (i * ny + j) & 1]
+        r = rel(FinSetObj(nx), FinSetObj(ny), pairs)
+        for x in range(-1, nx + 1):
+            assert r.row(x) == tuple(y for a, y in pairs if a == x)
+            for y in range(-1, ny + 1):
+                assert ((x, y) in r) == ((x, y) in pairs)
+
 
 class TestRelCompose:
     def test_identity_neutral(self):
