@@ -6,7 +6,11 @@ Conventions used throughout:
     is g after f when defined and -1 otherwise;
   - hom-sets are listed in increasing morphism-index order;
   - every constructed category documents its object and morphism order, so
-    rebuilding from equal inputs gives equal tables.
+    rebuilding from equal inputs gives equal tables;
+  - hom-sets and lifts are fibers of cached maps with the fiber index of
+    ``FinSetMap``: a category files each morphism under (src, tgt) and a
+    functor files each morphism under (tgt, image), so ``hom``,
+    ``hom_position`` and ``lifts`` are lookups.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .errors import require
+from .errors import InvariantViolation, require
 from .finset import FinSetMap, FinSetObj, compose, identity, pullback
 from .unionfind import UnionFind
 
@@ -44,42 +48,46 @@ class FinCat:
                 "tgt must map morphisms to objects")
         require(self.ident.dom == o and self.ident.cod == m, "cat-ident-typing",
                 "ident must map objects to morphisms")
+        src, tgt, ident, comp = (self.src.table, self.tgt.table,
+                                 self.ident.table, self.comp)
         for x in o.elements:
-            i = self.ident(x)
-            require(self.src(i) == x and self.tgt(i) == x, "cat-ident-endo",
-                    f"identity of object {x} is not an endomorphism at {x}")
-        require(len(self.comp) == m.size, "cat-comp-shape",
+            i = ident[x]
+            if src[i] != x or tgt[i] != x:
+                raise InvariantViolation("cat-ident-endo", f"identity of object {x} "
+                                         f"is not an endomorphism at {x}")
+        require(len(comp) == m.size, "cat-comp-shape",
                 "composition table needs one row per morphism")
-        by_src: list[list[int]] = [[] for _ in o.elements]
-        for f in m.elements:
-            by_src[self.src(f)].append(f)
         for g in m.elements:
-            row = self.comp[g]
+            row = comp[g]
             require(len(row) == m.size, "cat-comp-shape",
                     "composition table rows must cover all morphisms")
+            sg, tg = src[g], tgt[g]
             for f in m.elements:
                 c = row[f]
-                if self.tgt(f) != self.src(g):
-                    require(c == -1, "cat-comp-partial",
-                            f"composite defined for non-composable pair ({g}, {f})")
-                else:
-                    require(0 <= c < m.size, "cat-comp-total",
-                            f"composable pair ({g}, {f}) has no composite")
-                    require(self.src(c) == self.src(f) and self.tgt(c) == self.tgt(g),
-                            "cat-comp-typing",
-                            f"composite of ({g}, {f}) has wrong boundary")
+                if tgt[f] != sg:
+                    if c != -1:
+                        raise InvariantViolation("cat-comp-partial", "composite defined "
+                                                 f"for non-composable pair ({g}, {f})")
+                elif not 0 <= c < m.size:
+                    raise InvariantViolation("cat-comp-total",
+                                             f"composable pair ({g}, {f}) has no composite")
+                elif src[c] != src[f] or tgt[c] != tg:
+                    raise InvariantViolation("cat-comp-typing",
+                                             f"composite of ({g}, {f}) has wrong boundary")
         for f in m.elements:
-            require(self.comp[self.ident(self.tgt(f))][f] == f, "cat-unit",
-                    f"left unit law fails at morphism {f}")
-            require(self.comp[f][self.ident(self.src(f))] == f, "cat-unit",
-                    f"right unit law fails at morphism {f}")
+            if comp[ident[tgt[f]]][f] != f:
+                raise InvariantViolation("cat-unit", f"left unit law fails at morphism {f}")
+            if comp[f][ident[src[f]]] != f:
+                raise InvariantViolation("cat-unit", f"right unit law fails at morphism {f}")
+        out_of = self.src.fiber
         for f in m.elements:
-            for g in by_src[self.tgt(f)]:
-                gf = self.comp[g][f]
-                for h in by_src[self.tgt(g)]:
-                    require(self.comp[h][gf] == self.comp[self.comp[h][g]][f],
-                            "cat-assoc", f"associativity fails on ({h}, {g}, {f})")
-        object.__setattr__(self, "_by_src", tuple(tuple(r) for r in by_src))
+            for g in out_of(tgt[f]):
+                gf = comp[g][f]
+                for h in out_of(tgt[g]):
+                    row = comp[h]
+                    if row[gf] != comp[row[g]][f]:
+                        raise InvariantViolation("cat-assoc",
+                                                 f"associativity fails on ({h}, {g}, {f})")
 
     @property
     def objs(self) -> range:
@@ -94,11 +102,25 @@ class FinCat:
                 f"morphisms {g} and {f} are not composable")
         return self.comp[g][f]
 
+    # Cached properties are not fields: equality and hashing see the tables.
+    @cached_property
+    def _homs(self) -> FinSetMap:
+        """Each morphism filed under (src, tgt): the fibers are the hom-sets."""
+        n = self.objects.size
+        return FinSetMap(self.morphisms, FinSetObj(n * n), tuple(
+            s * n + t for s, t in zip(self.src.table, self.tgt.table)))
+
     def hom(self, x: int, y: int) -> tuple[int, ...]:
-        return tuple(f for f in self.mors if self.src(f) == x and self.tgt(f) == y)
+        """The morphisms x -> y; empty when x or y is not an object."""
+        n = self.objects.size
+        return self._homs.fiber(x * n + y) if 0 <= x < n and 0 <= y < n else ()
+
+    def hom_position(self, f: int) -> int:
+        """The position of f within hom(src f, tgt f)."""
+        return self._homs.fiber_position(f)
 
     def out_of(self, x: int) -> tuple[int, ...]:
-        return self._by_src[x]
+        return self.src.fiber(x)
 
     def is_identity(self, f: int) -> bool:
         return self.ident(self.src(f)) == f
@@ -202,6 +224,27 @@ class Functor:
     def on_obj(self, x: int) -> int:
         return self.omap[x]
 
+    @cached_property
+    def over(self) -> FinSetMap:
+        """The object map as a map: its fibers are the objects over each."""
+        return FinSetMap(self.dom.objects, self.cod.objects, self.omap)
+
+    @cached_property
+    def _lift_map(self) -> FinSetMap:
+        """Each morphism filed under (tgt, image): the fibers are the lifts."""
+        nm = self.cod.morphisms.size
+        return FinSetMap(self.dom.morphisms,
+                         FinSetObj(self.dom.objects.size * nm),
+                         tuple(t * nm + b
+                               for t, b in zip(self.dom.tgt.table, self.mmap)))
+
+    def lifts(self, e: int, beta: int) -> tuple[int, ...]:
+        """The morphisms into e sent to beta; empty when out of range."""
+        nm = self.cod.morphisms.size
+        if 0 <= e < self.dom.objects.size and 0 <= beta < nm:
+            return self._lift_map.fiber(e * nm + beta)
+        return ()
+
     def on_mor(self, f: int) -> int:
         return self.mmap[f]
 
@@ -282,13 +325,12 @@ class Presheaf:
 
 def representable(c: FinCat, b: int) -> Presheaf:
     """The presheaf x -> hom(x, b), acting by precomposition."""
-    homs = [c.hom(x, b) for x in c.objs]
-    at = tuple(FinSetObj(len(h)) for h in homs)
+    at = tuple(FinSetObj(len(c.hom(x, b))) for x in c.objs)
     act = []
     for m in c.mors:
         x, y = c.src(m), c.tgt(m)
         act.append(FinSetMap(at[y], at[x], tuple(
-            homs[x].index(c.comp[h][m]) for h in homs[y])))
+            c.hom_position(c.comp[h][m]) for h in c.hom(y, b))))
     return Presheaf(c, at, tuple(act))
 
 
@@ -338,7 +380,6 @@ def comma(f: Functor, g: Functor, iso_only: bool = False) -> Comma:
                for a in a_cat.objs for b in b_cat.objs
                for phi in c_cat.hom(f.omap[a], g.omap[b])
                if not iso_only or c_cat.is_iso(phi)]
-    obj_index = {o: i for i, o in enumerate(objects)}
     morphisms = []
     for si, (a, b, phi) in enumerate(objects):
         for ti, (a2, b2, phi2) in enumerate(objects):
@@ -401,53 +442,45 @@ def is_cartesian(p: Functor, chi: int) -> bool:
         o_bot1 = FinSetObj(len(bot1))
         o_bot0 = FinSetObj(len(bot0))
         post = FinSetMap(o_bot1, o_bot0, tuple(
-            bot0.index(b_cat.comp[p.mmap[chi]][gamma]) for gamma in bot1))
+            b_cat.hom_position(b_cat.comp[p.mmap[chi]][gamma]) for gamma in bot1))
         down = FinSetMap(o_right, o_bot0, tuple(
-            bot0.index(p.mmap[phi]) for phi in right))
+            b_cat.hom_position(p.mmap[phi]) for phi in right))
         pb = pullback(post, down)
         c1 = FinSetMap(o_top, o_bot1, tuple(
-            bot1.index(p.mmap[psi]) for psi in top))
+            b_cat.hom_position(p.mmap[psi]) for psi in top))
         c2 = FinSetMap(o_top, o_right, tuple(
-            right.index(e_cat.comp[chi][psi]) for psi in top))
+            e_cat.hom_position(e_cat.comp[chi][psi]) for psi in top))
         if not pb.mediate(c1, c2).is_bijective:
             return False
     return True
 
 
-def _lifts(p: Functor, e: int, beta: int, up_to_iso: bool) -> bool:
+def _groupoid_fibration(p: Functor, up_to_iso: bool) -> bool:
     e_cat, b_cat = p.dom, p.cod
-    for chi in e_cat.mors:
-        if e_cat.tgt(chi) != e:
-            continue
-        if up_to_iso:
-            for iota in b_cat.hom(b_cat.src(beta), p.omap[e_cat.src(chi)]):
-                if b_cat.is_iso(iota) and b_cat.comp[p.mmap[chi]][iota] == beta:
-                    return True
-        elif p.mmap[chi] == beta:
-            return True
-    return False
+    for e in e_cat.objs:
+        for beta in b_cat.tgt.fiber(p.omap[e]):
+            if up_to_iso:
+                lifted = any(
+                    b_cat.comp[p.mmap[chi]][iota] == beta and b_cat.is_iso(iota)
+                    for chi in e_cat.tgt.fiber(e)
+                    for iota in b_cat.hom(b_cat.src(beta), p.omap[e_cat.src(chi)]))
+            else:
+                lifted = bool(p.lifts(e, beta))
+            if not lifted:
+                return False
+    return all(is_cartesian(p, chi) for chi in e_cat.mors)
 
 
 def is_groupoid_fibration(p: Functor) -> bool:
     """Every morphism downstairs lifts up to isomorphism, and every morphism
     upstairs is cartesian."""
-    b_cat = p.cod
-    for e in p.dom.objs:
-        for beta in b_cat.mors:
-            if b_cat.tgt(beta) == p.omap[e] and not _lifts(p, e, beta, True):
-                return False
-    return all(is_cartesian(p, chi) for chi in p.dom.mors)
+    return _groupoid_fibration(p, up_to_iso=True)
 
 
 def is_groupoid_fibration_strict(p: Functor) -> bool:
     """The variant demanding on-the-nose lifts p(chi) = beta; differs from the
     canonical predicate only through non-skeletal bases."""
-    b_cat = p.cod
-    for e in p.dom.objs:
-        for beta in b_cat.mors:
-            if b_cat.tgt(beta) == p.omap[e] and not _lifts(p, e, beta, False):
-                return False
-    return all(is_cartesian(p, chi) for chi in p.dom.mors)
+    return _groupoid_fibration(p, up_to_iso=False)
 
 
 def is_er_fibration(p: Functor) -> bool:
@@ -464,16 +497,9 @@ def is_er_fibration(p: Functor) -> bool:
 def is_discrete_fibration(p: Functor) -> bool:
     """Unique lifts: each morphism downstairs with a given codomain object
     upstairs lifts to exactly one morphism."""
-    e_cat, b_cat = p.dom, p.cod
-    for e in e_cat.objs:
-        for beta in b_cat.mors:
-            if b_cat.tgt(beta) != p.omap[e]:
-                continue
-            lifts = [chi for chi in e_cat.mors
-                     if e_cat.tgt(chi) == e and p.mmap[chi] == beta]
-            if len(lifts) != 1:
-                return False
-    return True
+    b_cat = p.cod
+    return all(len(p.lifts(e, beta)) == 1
+               for e in p.dom.objs for beta in b_cat.tgt.fiber(p.omap[e]))
 
 
 def are_isomorphic_objects(c: FinCat, x: int, y: int) -> bool:
@@ -571,24 +597,30 @@ def fibers(p: Functor) -> Presheaf:
     the source of its unique lift."""
     require(is_discrete_fibration(p), "not-discrete-fibration",
             "fibers only exist for a discrete fibration")
-    e_cat, b_cat = p.dom, p.cod
-    fiber_objs = [tuple(e for e in e_cat.objs if p.omap[e] == b)
-                  for b in b_cat.objs]
-    position = {}
-    for b in b_cat.objs:
-        for i, e in enumerate(fiber_objs[b]):
-            position[e] = i
-    at = tuple(FinSetObj(len(f)) for f in fiber_objs)
+    e_cat, b_cat, over = p.dom, p.cod, p.over
+    at = tuple(FinSetObj(len(over.fiber(b))) for b in b_cat.objs)
     act = []
     for beta in b_cat.mors:
         b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
-        table = []
-        for e2 in fiber_objs[b2]:
-            lift = [chi for chi in e_cat.mors
-                    if e_cat.tgt(chi) == e2 and p.mmap[chi] == beta]
-            table.append(position[e_cat.src(lift[0])])
-        act.append(FinSetMap(at[b2], at[b1], tuple(table)))
+        act.append(FinSetMap(at[b2], at[b1], tuple(
+            over.fiber_position(e_cat.src(p.lifts(e2, beta)[0]))
+            for e2 in over.fiber(b2))))
     return Presheaf(b_cat, at, tuple(act))
+
+
+def _components_under(g: Functor, x: int) -> list[list[tuple[int, int]]]:
+    """Connected components of the comma of x under g, whose objects are the
+    pairs (e, psi: x -> g e), by union-find."""
+    f_cat, x_cat = g.dom, g.cod
+    uf = UnionFind()
+    for e in f_cat.objs:
+        for psi in x_cat.hom(x, g.omap[e]):
+            uf.add((e, psi))
+    for phi in f_cat.mors:
+        e1, e2 = f_cat.src(phi), f_cat.tgt(phi)
+        for psi in x_cat.hom(x, g.omap[e1]):
+            uf.unite((e1, psi), (e2, x_cat.comp[g.mmap[phi]][psi]))
+    return uf.classes()
 
 
 def comprehensive_factorization(g: Functor) -> tuple[Functor, Functor]:
@@ -598,20 +630,9 @@ def comprehensive_factorization(g: Functor) -> tuple[Functor, Functor]:
     x under g, computed by union-find and ordered by smallest member (e, psi).
     """
     f_cat, x_cat = g.dom, g.cod
-    classes_at: list[list[list[tuple[int, int]]]] = []
-    class_index: list[dict[tuple[int, int], int]] = []
-    for x in x_cat.objs:
-        uf = UnionFind()
-        for e in f_cat.objs:
-            for psi in x_cat.hom(x, g.omap[e]):
-                uf.add((e, psi))
-        for phi in f_cat.mors:
-            e1, e2 = f_cat.src(phi), f_cat.tgt(phi)
-            for psi in x_cat.hom(x, g.omap[e1]):
-                uf.unite((e1, psi), (e2, x_cat.comp[g.mmap[phi]][psi]))
-        cls = uf.classes()
-        classes_at.append(cls)
-        class_index.append({member: i for i, c in enumerate(cls) for member in c})
+    classes_at = [_components_under(g, x) for x in x_cat.objs]
+    class_index = [{member: i for i, c in enumerate(cls) for member in c}
+                   for cls in classes_at]
     at = tuple(FinSetObj(len(c)) for c in classes_at)
     act = []
     for gamma in x_cat.mors:
@@ -642,23 +663,7 @@ def comprehensive_factorization(g: Functor) -> tuple[Functor, Functor]:
 def is_final(j: Functor) -> bool:
     """Whether every comma of an object of the codomain under j is nonempty
     and connected."""
-    f_cat, x_cat = j.dom, j.cod
-    for x in x_cat.objs:
-        uf = UnionFind()
-        count = 0
-        for e in f_cat.objs:
-            for psi in x_cat.hom(x, j.omap[e]):
-                uf.add((e, psi))
-                count += 1
-        if count == 0:
-            return False
-        for phi in f_cat.mors:
-            e1, e2 = f_cat.src(phi), f_cat.tgt(phi)
-            for psi in x_cat.hom(x, j.omap[e1]):
-                uf.unite((e1, psi), (e2, x_cat.comp[j.mmap[phi]][psi]))
-        if len(uf.classes()) != 1:
-            return False
-    return True
+    return all(len(_components_under(j, x)) == 1 for x in j.cod.objs)
 
 
 def presheaf_iso(p: Presheaf, q: Presheaf) -> tuple[FinSetMap, ...] | None:

@@ -4,6 +4,8 @@ A profunctor from A to B assigns a finite set to every pair (object of B,
 object of A), with a contravariant B-action and a covariant A-action.
 Composition is computed as a coend: a sum over middle objects quotiented
 by the zigzag relation, carried out with union-find on concrete triples.
+Every map out of a coend descends through one helper, which moves every
+member of each class and requires a single image.
 Right liftings are computed as ends: sets of naturally varying families
 of maps.  A polynomial has a profunctor as its lifter leg and a discrete
 fibration as its neat leg; composition of polynomials follows the
@@ -146,24 +148,23 @@ def graph_module(f: Functor) -> Profunctor:
     """The covariant embedding of a functor: value at (b, a) is the
     hom-set from b to the image of a."""
     a_cat, b_cat = f.dom, f.cod
-    homs = tuple(tuple(b_cat.hom(b, f.omap[a]) for a in a_cat.objs)
-                 for b in b_cat.objs)
-    at = tuple(tuple(FinSetObj(len(h)) for h in row) for row in homs)
+    at = tuple(tuple(FinSetObj(len(b_cat.hom(b, f.omap[a]))) for a in a_cat.objs)
+               for b in b_cat.objs)
     lact = []
     for beta in b_cat.mors:
         b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
         lact.append(tuple(
             FinSetMap(at[b2][a], at[b1][a],
-                      tuple(homs[b1][a].index(b_cat.comp[g][beta])
-                            for g in homs[b2][a]))
+                      tuple(b_cat.hom_position(b_cat.comp[g][beta])
+                            for g in b_cat.hom(b2, f.omap[a])))
             for a in a_cat.objs))
     ract = []
     for alpha in a_cat.mors:
         a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
         ract.append(tuple(
             FinSetMap(at[b][a1], at[b][a2],
-                      tuple(homs[b][a2].index(b_cat.comp[f.mmap[alpha]][g])
-                            for g in homs[b][a1]))
+                      tuple(b_cat.hom_position(b_cat.comp[f.mmap[alpha]][g])
+                            for g in b_cat.hom(b, f.omap[a1])))
             for b in b_cat.objs))
     return Profunctor(a_cat, b_cat, at, tuple(lact), tuple(ract))
 
@@ -172,24 +173,23 @@ def cograph_module(f: Functor) -> Profunctor:
     """The contravariant embedding: a module from the codomain back to the
     domain, valued in hom-sets out of the image."""
     a_cat, b_cat = f.dom, f.cod
-    homs = tuple(tuple(b_cat.hom(f.omap[a], b) for b in b_cat.objs)
-                 for a in a_cat.objs)
-    at = tuple(tuple(FinSetObj(len(h)) for h in row) for row in homs)
+    at = tuple(tuple(FinSetObj(len(b_cat.hom(f.omap[a], b))) for b in b_cat.objs)
+               for a in a_cat.objs)
     lact = []
     for alpha in a_cat.mors:
         a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
         lact.append(tuple(
             FinSetMap(at[a2][b], at[a1][b],
-                      tuple(homs[a1][b].index(b_cat.comp[g][f.mmap[alpha]])
-                            for g in homs[a2][b]))
+                      tuple(b_cat.hom_position(b_cat.comp[g][f.mmap[alpha]])
+                            for g in b_cat.hom(f.omap[a2], b)))
             for b in b_cat.objs))
     ract = []
     for beta in b_cat.mors:
         b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
         ract.append(tuple(
             FinSetMap(at[a][b1], at[a][b2],
-                      tuple(homs[a][b2].index(b_cat.comp[beta][g])
-                            for g in homs[a][b1]))
+                      tuple(b_cat.hom_position(b_cat.comp[beta][g])
+                            for g in b_cat.hom(f.omap[a], b1)))
             for a in a_cat.objs))
     return Profunctor(b_cat, a_cat, at, tuple(lact), tuple(ract))
 
@@ -269,7 +269,8 @@ def prof_invert(c: ProfMorphism) -> ProfMorphism:
 
 def _coend_cell(n: Profunctor, m: Profunctor, c: int, a: int):
     """Classes of triples (middle object, element of m, element of n) at
-    one value cell, with the zigzag quotient; returns (reps, index)."""
+    one value cell, with the zigzag quotient; returns the classes (members
+    listed, smallest first) and the index from member to class."""
     b_cat = m.tgt
     uf = UnionFind()
     for b in b_cat.objs:
@@ -283,9 +284,19 @@ def _coend_cell(n: Profunctor, m: Profunctor, c: int, a: int):
                 uf.unite((b1, m.lact[beta][a](x2), y1),
                          (b2, x2, n.ract[beta][c](y1)))
     classes = uf.classes()
-    reps = [cls[0] for cls in classes]
     index = {member: i for i, cls in enumerate(classes) for member in cls}
-    return reps, index
+    return classes, index
+
+
+def _descend(classes, move, message: str) -> tuple[int, ...]:
+    """The table of a map out of coend classes: each class goes to the one
+    image of all its members under ``move``, or ``coend-welldef`` fails."""
+    table = []
+    for cls in classes:
+        images = {move(t) for t in cls}
+        require(len(images) == 1, "coend-welldef", message)
+        table.append(images.pop())
+    return tuple(table)
 
 
 def prof_compose(n: Profunctor, m: Profunctor) -> Profunctor:
@@ -294,37 +305,29 @@ def prof_compose(n: Profunctor, m: Profunctor) -> Profunctor:
     require(m.tgt == n.src, "prof-compose-boundary",
             "middle categories do not match")
     a_cat, b_cat, c_cat = m.src, m.tgt, n.tgt
-    cells = {}
-    for c in c_cat.objs:
-        for a in a_cat.objs:
-            cells[(c, a)] = _coend_cell(n, m, c, a)
+    cells = {(c, a): _coend_cell(n, m, c, a)
+             for c in c_cat.objs for a in a_cat.objs}
     at = tuple(tuple(FinSetObj(len(cells[(c, a)][0])) for a in a_cat.objs)
                for c in c_cat.objs)
 
-    def push(table_of, c_from, a_from, c_to, a_to, move):
-        reps, index = cells[(c_from, a_from)]
-        _, index_to = cells[(c_to, a_to)]
-        table = []
-        for i, rep in enumerate(reps):
-            images = {index_to[move(t)]
-                      for t, j in index.items() if j == i}
-            require(len(images) == 1, "coend-welldef",
-                    "induced action depends on the representative")
-            table.append(images.pop())
-        return FinSetMap(at[c_from][a_from], at[c_to][a_to], tuple(table))
+    def push(c_from, a_from, c_to, a_to, move):
+        index_to = cells[(c_to, a_to)][1]
+        return FinSetMap(at[c_from][a_from], at[c_to][a_to], _descend(
+            cells[(c_from, a_from)][0], lambda t: index_to[move(t)],
+            "induced action depends on the representative"))
 
     lact = []
     for gamma in c_cat.mors:
         c1, c2 = c_cat.src(gamma), c_cat.tgt(gamma)
         lact.append(tuple(
-            push(None, c2, a, c1, a,
+            push(c2, a, c1, a,
                  lambda t, g=gamma: (t[0], t[1], n.lact[g][t[0]](t[2])))
             for a in a_cat.objs))
     ract = []
     for alpha in a_cat.mors:
         a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
         ract.append(tuple(
-            push(None, c, a1, c, a2,
+            push(c, a1, c, a2,
                  lambda t, al=alpha: (t[0], m.ract[al][t[0]](t[1]), t[2]))
             for c in c_cat.objs))
     return Profunctor(a_cat, c_cat, at, tuple(lact), tuple(ract))
@@ -341,8 +344,8 @@ class CoendElement:
 
 def coend_elements(n: Profunctor, m: Profunctor,
                    c: int, a: int) -> tuple[CoendElement, ...]:
-    reps, _ = _coend_cell(n, m, c, a)
-    return tuple(CoendElement(rep, i) for i, rep in enumerate(reps))
+    classes, _ = _coend_cell(n, m, c, a)
+    return tuple(CoendElement(cls[0], i) for i, cls in enumerate(classes))
 
 
 def prof_whisker_left(n: Profunctor, cell: ProfMorphism) -> ProfMorphism:
@@ -357,16 +360,13 @@ def prof_whisker_left(n: Profunctor, cell: ProfMorphism) -> ProfMorphism:
     for c in c_cat.objs:
         row = []
         for a in a_cat.objs:
-            reps, index = _coend_cell(n, v, c, a)
+            classes, _ = _coend_cell(n, v, c, a)
             _, index2 = _coend_cell(n, v2, c, a)
-            table = []
-            for i, rep in enumerate(reps):
-                images = {index2[(t[0], cell.h[t[0]][a](t[1]), t[2])]
-                          for t, j in index.items() if j == i}
-                require(len(images) == 1, "coend-welldef",
-                        "whiskered map depends on the representative")
-                table.append(images.pop())
-            row.append(FinSetMap(left.at[c][a], right.at[c][a], tuple(table)))
+            table = _descend(
+                classes,
+                lambda t: index2[(t[0], cell.h[t[0]][a](t[1]), t[2])],
+                "whiskered map depends on the representative")
+            row.append(FinSetMap(left.at[c][a], right.at[c][a], table))
         h.append(tuple(row))
     return ProfMorphism(left, right, tuple(h))
 
@@ -494,27 +494,41 @@ def prof_iso(m: Profunctor, n: Profunctor) -> ProfMorphism | None:
                     return False
         return True
 
-    def rec(start):
-        x = start
+    def undo(trail):
+        for v in trail:
+            used[assign[v]] = False
+            assign[v] = -1
+        trail.clear()
+
+    # Depth first over the first unassigned element, its cell's candidates
+    # in order; the stack holds (element, candidates left, trail of the
+    # current guess), so the depth is not bounded by the recursion limit.
+    stack, x = [], 0
+    while True:
         while x < total and assign[x] != -1:
             x += 1
         if x == total:
-            return True
-        for y in by_cell_n[cell_m[x]]:
-            if used[y]:
+            break
+        stack.append((x, iter(by_cell_n[cell_m[x]]), []))
+        while stack:
+            x, candidates, trail = stack[-1]
+            if trail:
+                undo(trail)
+            for y in candidates:
+                if used[y]:
+                    continue
+                assign[x], used[y] = y, True
+                trail.append(x)
+                if close(x, trail):
+                    break
+                undo(trail)
+            else:
+                stack.pop()  # no candidate left: back up to the previous guess
                 continue
-            trail = [x]
-            assign[x] = y
-            used[y] = True
-            if close(x, trail) and rec(x + 1):
-                return True
-            for v in trail:
-                used[assign[v]] = False
-                assign[v] = -1
-        return False
-
-    if not rec(0):
-        return None
+            break
+        else:
+            return None
+        x += 1
     h = []
     for b in m.tgt.objs:
         row = []
@@ -634,15 +648,11 @@ def rif_mod_counit(n: Profunctor, u: Profunctor,
     for y in y_cat.objs:
         row = []
         for k in k_cat.objs:
-            reps, index = _coend_cell(n, data.prof, y, k)
-            values = []
-            for i, rep in enumerate(reps):
-                images = {data.families[t[0]][k][t[1]][y][t[2]]
-                          for t, j in index.items() if j == i}
-                require(len(images) == 1, "coend-welldef",
-                        "counit depends on the representative")
-                values.append(images.pop())
-            row.append(FinSetMap(comp.at[y][k], u.at[y][k], tuple(values)))
+            classes, _ = _coend_cell(n, data.prof, y, k)
+            values = _descend(
+                classes, lambda t: data.families[t[0]][k][t[1]][y][t[2]],
+                "counit depends on the representative")
+            row.append(FinSetMap(comp.at[y][k], u.at[y][k], values))
         h.append(tuple(row))
     return ProfMorphism(comp, u, tuple(h))
 
@@ -695,6 +705,22 @@ def identity_polymod(x: FinCat) -> ModPolynomial:
     return ModPolynomial(x, x, x, identity_module(x), identity_functor(x))
 
 
+def _fiber_cells(p: Functor, v: Profunctor):
+    """The elements of the fiberwise sum: ``cells[(y, k)]`` lists the pairs
+    (s, i) with s over y in object order and i in v(s, k); the pair sits at
+    position ``start[s][k] + i`` of its cell."""
+    cells = {}
+    start = [[0] * v.src.objects.size for _ in p.dom.objs]
+    for y in p.cod.objs:
+        for k in v.src.objs:
+            cell = []
+            for s in p.over.fiber(y):
+                start[s][k] = len(cell)
+                cell.extend((s, i) for i in v.at[s][k].elements)
+            cells[(y, k)] = cell
+    return cells, start
+
+
 def fiberwise_module(p: Functor, v: Profunctor) -> Profunctor:
     """Sum of v's values over the fibers of a discrete fibration, with the
     left action through unique lifts.  This is the closed form that the
@@ -704,33 +730,18 @@ def fiberwise_module(p: Functor, v: Profunctor) -> Profunctor:
     require(v.tgt == p.dom, "fiberwise-boundary",
             "module must land in the domain of the fibration")
     s_cat, y_cat, k_cat = p.dom, p.cod, v.src
-    fiber_objs = tuple(tuple(s for s in s_cat.objs if p.omap[s] == y)
-                       for y in y_cat.objs)
-    elems = {}
-    for y in y_cat.objs:
-        for k in k_cat.objs:
-            elems[(y, k)] = [(s, i) for s in fiber_objs[y]
-                             for i in v.at[s][k].elements]
-    at = tuple(tuple(FinSetObj(len(elems[(y, k)])) for k in k_cat.objs)
+    cells, start = _fiber_cells(p, v)
+    at = tuple(tuple(FinSetObj(len(cells[(y, k)])) for k in k_cat.objs)
                for y in y_cat.objs)
-
-    def lift(psi, s2):
-        for sigma in s_cat.mors:
-            if p.mmap[sigma] == psi and s_cat.tgt(sigma) == s2:
-                return sigma
-        raise AssertionError("discrete fibration without a lift")
-
     lact = []
     for psi in y_cat.mors:
         y1, y2 = y_cat.src(psi), y_cat.tgt(psi)
         row = []
         for k in k_cat.objs:
             table = []
-            for s2, i in elems[(y2, k)]:
-                sigma = lift(psi, s2)
-                s1 = s_cat.src(sigma)
-                table.append(elems[(y1, k)].index(
-                    (s1, v.lact[sigma][k](i))))
+            for s2, i in cells[(y2, k)]:
+                sigma = p.lifts(s2, psi)[0]
+                table.append(start[s_cat.src(sigma)][k] + v.lact[sigma][k](i))
             row.append(FinSetMap(at[y2][k], at[y1][k], tuple(table)))
         lact.append(tuple(row))
     ract = []
@@ -738,8 +749,8 @@ def fiberwise_module(p: Functor, v: Profunctor) -> Profunctor:
         k1, k2 = k_cat.src(kappa), k_cat.tgt(kappa)
         row = []
         for y in y_cat.objs:
-            table = [elems[(y, k2)].index((s, v.ract[kappa][s](i)))
-                     for s, i in elems[(y, k1)]]
+            table = [start[s][k2] + v.ract[kappa][s](i)
+                     for s, i in cells[(y, k1)]]
             row.append(FinSetMap(at[y][k1], at[y][k2], tuple(table)))
         ract.append(tuple(row))
     return Profunctor(k_cat, y_cat, at, tuple(lact), tuple(ract))
@@ -756,39 +767,23 @@ class DfibCollapse:
 
 def dfib_collapse(p: Functor, v: Profunctor) -> DfibCollapse:
     fw = fiberwise_module(p, v)
-    composite = prof_compose(graph_module(p), v)
-    s_cat, y_cat, k_cat = p.dom, p.cod, v.src
-    fiber_objs = tuple(tuple(s for s in s_cat.objs if p.omap[s] == y)
-                       for y in y_cat.objs)
-    elems = {(y, k): [(s, i) for s in fiber_objs[y]
-                      for i in v.at[s][k].elements]
-             for y in y_cat.objs for k in k_cat.objs}
     gm = graph_module(p)
-    h = []
-    for y in y_cat.objs:
-        row = []
-        for k in k_cat.objs:
-            reps, index = _coend_cell(gm, v, y, k)
-            table = []
-            for i, rep in enumerate(reps):
-                images = set()
-                for t, j in index.items():
-                    if j != i:
-                        continue
-                    s, x, gpos = t
-                    gamma = y_cat.hom(y, p.omap[s])[gpos]
-                    sigma = next(sg for sg in s_cat.mors
-                                 if p.mmap[sg] == gamma
-                                 and s_cat.tgt(sg) == s)
-                    images.add(elems[(y, k)].index(
-                        (s_cat.src(sigma), v.lact[sigma][k](x))))
-                require(len(images) == 1, "coend-welldef",
-                        "collapse depends on the representative")
-                table.append(images.pop())
-            row.append(FinSetMap(composite.at[y][k], fw.at[y][k],
-                                 tuple(table)))
-        h.append(tuple(row))
-    compare = ProfMorphism(composite, fw, tuple(h))
+    composite = prof_compose(gm, v)
+    s_cat, y_cat, k_cat = p.dom, p.cod, v.src
+    _, start = _fiber_cells(p, v)
+
+    def collapse(t, y, k):
+        s, x, gpos = t
+        sigma = p.lifts(s, y_cat.hom(y, p.omap[s])[gpos])[0]
+        return start[s_cat.src(sigma)][k] + v.lact[sigma][k](x)
+
+    h = tuple(
+        tuple(FinSetMap(composite.at[y][k], fw.at[y][k], _descend(
+            _coend_cell(gm, v, y, k)[0], lambda t: collapse(t, y, k),
+            "collapse depends on the representative"))
+            for k in k_cat.objs)
+        for y in y_cat.objs)
+    compare = ProfMorphism(composite, fw, h)
     require(compare.is_invertible, "dfib-collapse-iso",
             "coend route must collapse bijectively onto the fiberwise sum")
     return DfibCollapse(fw, compare)
@@ -818,29 +813,25 @@ def polymod_parts(q: ModPolynomial, p: ModPolynomial) -> PolymodParts:
     rd = rif_mod_data(q.m, presheaf_as_module(z))
     tab = tabulate_mod(module_as_presheaf(rd.prof))
     y_cat = tab.el.cat
-    fiber_pos = {}
-    for c in c_cat.objs:
-        for i, zo in enumerate(s for s in z_cat.objs if p.p.omap[s] == c):
-            fiber_pos[zo] = i
-    cell_elems = {}
-    for zo in z_cat.objs:
-        c = p.p.omap[zo]
-        for yo, (t, xi_i) in enumerate(tab.el.objects_data):
-            xi = rd.families[t][0]
-            cell_elems[(zo, yo)] = [
-                mu for mu in q.m.at[c][t].elements
-                if xi[xi_i][c][mu] == fiber_pos[zo]]
-    at = tuple(tuple(FinSetObj(len(cell_elems[(zo, yo)]))
+    # the family of an object (t, xi) of y_cat, at c, as a map from q.m(c, t)
+    # to the fiber of p over c: its fibers are the value sets of n
+    split = [[FinSetMap(q.m.at[c][t], z.at[c], rd.families[t][0][xi_i][c])
+              for c in c_cat.objs] for t, xi_i in tab.el.objects_data]
+
+    def cell(zo, yo):
+        return split[yo][p.p.omap[zo]].fiber(p.p.over.fiber_position(zo))
+
+    at = tuple(tuple(FinSetObj(len(cell(zo, yo)))
                      for yo in range(y_cat.objects.size))
                for zo in z_cat.objs)
     lact = []
     for zeta in z_cat.mors:
         z1, z2 = z_cat.src(zeta), z_cat.tgt(zeta)
-        gamma = p.p.mmap[zeta]
+        gamma, c1 = p.p.mmap[zeta], p.p.omap[z1]
         row = []
         for yo, (t, _) in enumerate(tab.el.objects_data):
-            table = [cell_elems[(z1, yo)].index(q.m.lact[gamma][t](mu))
-                     for mu in cell_elems[(z2, yo)]]
+            table = [split[yo][c1].fiber_position(q.m.lact[gamma][t](mu))
+                     for mu in cell(z2, yo)]
             row.append(FinSetMap(at[z2][yo], at[z1][yo], tuple(table)))
         lact.append(tuple(row))
     ract = []
@@ -850,8 +841,8 @@ def polymod_parts(q: ModPolynomial, p: ModPolynomial) -> PolymodParts:
         row = []
         for zo in z_cat.objs:
             c = p.p.omap[zo]
-            table = [cell_elems[(zo, yo2)].index(q.m.ract[phi][c](mu))
-                     for mu in cell_elems[(zo, yo1)]]
+            table = [split[yo2][c].fiber_position(q.m.ract[phi][c](mu))
+                     for mu in cell(zo, yo1)]
             row.append(FinSetMap(at[zo][yo1], at[zo][yo2], tuple(table)))
         ract.append(tuple(row))
     n = Profunctor(y_cat, z_cat, at, tuple(lact), tuple(ract))

@@ -370,23 +370,20 @@ def hcompose_polymorph(k: PolyMorphism, f: PolyMorphism) -> PolyMorphism:
     return PolyMorphism(parts.poly, parts2.poly, h, lam, rho)
 
 
+def _canonical_form(P: Polynomial) -> tuple:
+    """For each y, the sorted tuple over the positions s over y of the
+    sorted m1-labels of the directions over s: it forgets exactly the
+    names of positions and directions."""
+    return tuple(
+        tuple(sorted(tuple(sorted(P.m1(e) for e in P.m2.fiber(s)))
+                     for s in P.p.fiber(y)))
+        for y in P.Y.elements)
+
+
 def are_isomorphic_poly(P: Polynomial, Q: Polynomial) -> bool:
-    """Search for bijections of E and S commuting with m1, m2, p."""
-    if (P.X, P.Y) != (Q.X, Q.Y) or P.E.size != Q.E.size \
-            or P.S.size != Q.S.size:
-        return False
-    s_cands = [[s2 for s2 in Q.S.elements if Q.p(s2) == P.p(s)]
-               for s in P.S.elements]
-    for s_table in itertools.product(*s_cands):
-        if len(set(s_table)) != P.S.size:
-            continue
-        e_cands = [[e2 for e2 in Q.E.elements
-                    if Q.m1(e2) == P.m1(e) and Q.m2(e2) == s_table[P.m2(e)]]
-                   for e in P.E.elements]
-        for e_table in itertools.product(*e_cands):
-            if len(set(e_table)) == P.E.size:
-                return True
-    return False
+    """Whether bijections of E and S commute with m1, m2 and p: the
+    canonical forms agree."""
+    return (P.X, P.Y) == (Q.X, Q.Y) and _canonical_form(P) == _canonical_form(Q)
 
 
 def hK_span(K: FinSetObj, P: Polynomial, u: Span) -> Span:

@@ -174,6 +174,21 @@ class TestProcessEntry:
         assert proc.returncode == 0
         assert parse(proc.stdout).kind == "relation"
 
+    def test_long_monomial_mod_composition_exits_zero(self, tmp_path):
+        """y^1200 after y over discrete categories, in a fresh interpreter
+        at the default recursion limit: this once ended in a
+        RecursionError traceback and exit code 1."""
+        qf = write_doc(tmp_path / "q.json", "mod-polynomial",
+                       checks_mod.embed_poly(checks_mod._monomial(1200)))
+        pf = write_doc(tmp_path / "p.json", "mod-polynomial",
+                       checks_mod.embed_poly(checks_mod._monomial(1)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyspan.cli", "compose", "--kind",
+             "mod", qf, pf], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        comp = parse(proc.stdout).payload
+        assert comp.S.objects.size == 1 and comp.m.at[0][0].size == 1200
+
     def test_missing_file_is_an_input_error(self, capsys):
         assert main(["eval", "/nonexistent/p.json",
                      "/nonexistent/a.json"]) == 2

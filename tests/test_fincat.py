@@ -44,6 +44,7 @@ from polyspan.fincat import (
     terminal_cat,
 )
 from polyspan.finset import FinSetMap, FinSetObj, identity
+from polyspan.gen import rand_dfib, rand_fincat, rand_functor
 
 
 def z2() -> FinCat:
@@ -326,3 +327,179 @@ class TestSearchHelpers:
         assert is_equivalence(p)  # indiscrete pair collapses to a point
         q = Functor(ordinal2(), terminal_cat(), (0, 0), (0, 0, 0))
         assert not is_equivalence(q)
+
+
+# Reference implementations: the scans that the hom and lift indexes
+# replaced, kept as a differential oracle.
+
+def scan_hom(c, x, y):
+    return tuple(f for f in c.mors if c.src(f) == x and c.tgt(f) == y)
+
+
+def scan_lifts(p, e, beta):
+    return tuple(chi for chi in p.dom.mors
+                 if p.dom.tgt(chi) == e and p.mmap[chi] == beta)
+
+
+def scan_is_discrete_fibration(p):
+    e_cat, b_cat = p.dom, p.cod
+    for e in e_cat.objs:
+        for beta in b_cat.mors:
+            if b_cat.tgt(beta) != p.omap[e]:
+                continue
+            if len(scan_lifts(p, e, beta)) != 1:
+                return False
+    return True
+
+
+def scan_fibers(p):
+    e_cat, b_cat = p.dom, p.cod
+    fiber_objs = [tuple(e for e in e_cat.objs if p.omap[e] == b)
+                  for b in b_cat.objs]
+    position = {e: i for fib in fiber_objs for i, e in enumerate(fib)}
+    at = tuple(FinSetObj(len(f)) for f in fiber_objs)
+    act = []
+    for beta in b_cat.mors:
+        b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
+        act.append(FinSetMap(at[b2], at[b1], tuple(
+            position[e_cat.src(scan_lifts(p, e2, beta)[0])]
+            for e2 in fiber_objs[b2])))
+    return Presheaf(b_cat, at, tuple(act))
+
+
+def scan_cat_violation(c, comp):
+    """The first (clause, message) the per-check validation of a category
+    with c's other tables and this composition table raises, or None."""
+    m = c.morphisms.size
+    for g in c.mors:
+        for f in c.mors:
+            x = comp[g][f]
+            if c.tgt(f) != c.src(g):
+                if x != -1:
+                    return ("cat-comp-partial",
+                            f"composite defined for non-composable pair ({g}, {f})")
+            elif not 0 <= x < m:
+                return ("cat-comp-total",
+                        f"composable pair ({g}, {f}) has no composite")
+            elif c.src(x) != c.src(f) or c.tgt(x) != c.tgt(g):
+                return ("cat-comp-typing",
+                        f"composite of ({g}, {f}) has wrong boundary")
+    for f in c.mors:
+        if comp[c.ident(c.tgt(f))][f] != f:
+            return ("cat-unit", f"left unit law fails at morphism {f}")
+        if comp[f][c.ident(c.src(f))] != f:
+            return ("cat-unit", f"right unit law fails at morphism {f}")
+    for f in c.mors:
+        for g in c.mors:
+            if c.src(g) != c.tgt(f):
+                continue
+            for h in c.mors:
+                if c.src(h) == c.tgt(g) and (
+                        comp[h][comp[g][f]] != comp[comp[h][g]][f]):
+                    return ("cat-assoc",
+                            f"associativity fails on ({h}, {g}, {f})")
+    return None
+
+
+def drawn_functors(seed, count):
+    """Seeded functors: random ones between random categories, which are
+    seldom discrete fibrations, alternating with projections of element
+    categories, which always are."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        y = rand_fincat(rng)
+        if len(out) % 2:
+            out.append(rand_dfib(rng, y))
+            continue
+        f = rand_functor(rng, rand_fincat(rng), y)
+        if f is not None:
+            out.append(f)
+    return out
+
+
+class TestAgainstReference:
+    """The hom and lift indexes answer exactly as the scans they replaced;
+    the validation of a category raises the same first clause and message
+    as the per-check loop."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hom_and_positions(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            c = rand_fincat(rng)
+            n = c.objects.size
+            for x in range(-1, n + 1):
+                for y in range(-1, n + 1):
+                    assert c.hom(x, y) == scan_hom(c, x, y)
+            for f in c.mors:
+                assert (c.hom_position(f)
+                        == scan_hom(c, c.src(f), c.tgt(f)).index(f))
+            for x in range(-1, n + 1):
+                want = tuple(f for f in c.mors if c.src(f) == x)
+                assert c.out_of(x) == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lifts_dfib_and_fibers(self, seed):
+        for p in drawn_functors(100 + seed, 16):
+            ne, nm = p.dom.objects.size, p.cod.morphisms.size
+            for e in range(-1, ne + 1):
+                for beta in range(-1, nm + 1):
+                    assert p.lifts(e, beta) == scan_lifts(p, e, beta)
+            dfib = scan_is_discrete_fibration(p)
+            assert is_discrete_fibration(p) == dfib
+            if dfib:
+                assert fibers(p) == scan_fibers(p)
+            else:
+                with pytest.raises(InvariantViolation) as e:
+                    fibers(p)
+                assert e.value.clause == "not-discrete-fibration"
+
+    def test_draws_include_both_kinds(self):
+        kinds = {scan_is_discrete_fibration(p)
+                 for p in drawn_functors(100, 16)}
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_corrupted_tables_raise_the_same_violation(self, seed):
+        rng = random.Random(200 + seed)
+        checked = 0
+        while checked < 40:
+            c = rand_fincat(rng)
+            m = c.morphisms.size
+            comp = [list(row) for row in c.comp]
+            for _ in range(rng.randint(1, 2)):
+                g, f = rng.randrange(m), rng.randrange(m)
+                if comp[g][f] >= 0 and rng.random() < 0.5:
+                    # keep the boundary, so the unit and associativity
+                    # checks are the ones reached
+                    comp[g][f] = rng.choice(c.hom(c.src(f), c.tgt(g)))
+                else:
+                    comp[g][f] = rng.randint(-1, m - 1)
+            comp = tuple(map(tuple, comp))
+            want = scan_cat_violation(c, comp)
+            if want is None:
+                FinCat(c.objects, c.morphisms, c.src, c.tgt, c.ident, comp)
+            else:
+                with pytest.raises(InvariantViolation) as e:
+                    FinCat(c.objects, c.morphisms, c.src, c.tgt, c.ident, comp)
+                assert (e.value.clause, str(e.value)) == (
+                    want[0], f"{want[0]}: {want[1]}")
+            checked += 1
+
+    def test_changed_products_in_a_monoid_raise_the_same_violation(self):
+        # one object, so every change keeps the boundary: these tables
+        # reach the unit and associativity checks
+        c = monoid_cat(((0, 1, 2), (1, 2, 0), (2, 0, 1)), 0)
+        seen = set()
+        for g, f, x in itertools.product(c.mors, repeat=3):
+            comp = tuple(tuple(x if (g2, f2) == (g, f) else c.comp[g2][f2]
+                               for f2 in c.mors) for g2 in c.mors)
+            want = scan_cat_violation(c, comp)
+            if want is None:
+                continue
+            seen.add(want[0])
+            with pytest.raises(InvariantViolation) as e:
+                FinCat(c.objects, c.morphisms, c.src, c.tgt, c.ident, comp)
+            assert str(e.value) == f"{want[0]}: {want[1]}"
+        assert seen == {"cat-unit", "cat-assoc"}

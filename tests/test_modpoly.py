@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -45,6 +46,9 @@ from polyspan.modpoly import (
     ModPolynomial,
     Profunctor,
     ProfMorphism,
+    _coend_cell,
+    _descend,
+    _prof_element_ops,
     build_cotensor_module,
     coend_elements,
     cograph_module,
@@ -330,6 +334,152 @@ class TestProfCompose:
         assert w.is_invertible
 
 
+def quadratic_compose_actions(n, m):
+    """The composite's action tables by the push loop the descent helper
+    replaced: for each class, the whole member index is rescanned."""
+    a_cat, c_cat = m.src, n.tgt
+    cells = {(c, a): _coend_cell(n, m, c, a)
+             for c in c_cat.objs for a in a_cat.objs}
+
+    def push(c_from, a_from, c_to, a_to, move):
+        classes, index = cells[(c_from, a_from)]
+        _, index_to = cells[(c_to, a_to)]
+        table = []
+        for i in range(len(classes)):
+            images = {index_to[move(t)] for t, j in index.items() if j == i}
+            assert len(images) == 1
+            table.append(images.pop())
+        return tuple(table)
+
+    lact = tuple(tuple(
+        push(c_cat.tgt(g), a, c_cat.src(g), a,
+             lambda t, g=g: (t[0], t[1], n.lact[g][t[0]](t[2])))
+        for a in a_cat.objs) for g in c_cat.mors)
+    ract = tuple(tuple(
+        push(c, a_cat.src(al), c, a_cat.tgt(al),
+             lambda t, al=al: (t[0], m.ract[al][t[0]](t[1]), t[2]))
+        for c in c_cat.objs) for al in a_cat.mors)
+    return lact, ract
+
+
+class TestCoendDescent:
+    """Maps out of coend classes: the one helper agrees with the loop it
+    replaced, and it still checks every member of every class."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_quadratic_push(self, seed):
+        rng = random.Random(300 + seed)
+        for _ in range(8):
+            a, b, c = rand_fincat(rng), rand_fincat(rng), rand_fincat(rng)
+            m = small_profunctor(rng, a, b)
+            n = small_profunctor(rng, b, c)
+            comp = prof_compose(n, m)
+            lact, ract = quadratic_compose_actions(n, m)
+            assert tuple(tuple(f.table for f in row)
+                         for row in comp.lact) == lact
+            assert tuple(tuple(f.table for f in row)
+                         for row in comp.ract) == ract
+
+    def test_every_member_is_moved(self):
+        classes = [[(0, 0, 0)], [(0, 1, 0), (1, 0, 0), (1, 1, 1)]]
+        assert _descend(classes, lambda t: int(t != (0, 0, 0)),
+                        "unused") == (0, 1)
+        # only the last member of the second class disagrees
+        with pytest.raises(InvariantViolation) as e:
+            _descend(classes, lambda t: 7 if t == (1, 1, 1) else 0,
+                     "induced action depends on the representative")
+        assert str(e.value) == ("coend-welldef: induced action depends on "
+                                "the representative")
+
+
+def recursive_prof_iso(m, n):
+    """The element-by-element search with one recursive call per guess,
+    as prof_iso ran before its search kept its own stack."""
+    if m.src != n.src or m.tgt != n.tgt:
+        return None
+    if cell_sizes(m) != cell_sizes(n):
+        return None
+    ids_m, cell_m, ops_m = _prof_element_ops(m)
+    ids_n, cell_n, ops_n = _prof_element_ops(n)
+    total = len(cell_m)
+    by_cell_n = [[] for _ in range(m.tgt.objects.size * m.src.objects.size)]
+    for g in range(total):
+        by_cell_n[cell_n[g]].append(g)
+    assign, used = [-1] * total, [False] * total
+
+    def close(x, trail):
+        stack = [x]
+        while stack:
+            v = stack.pop()
+            w = assign[v]
+            for om, on in zip(ops_m, ops_n):
+                if v not in om:
+                    continue
+                v2, w2 = om[v], on[w]
+                if assign[v2] == -1:
+                    if used[w2]:
+                        return False
+                    assign[v2], used[w2] = w2, True
+                    trail.append(v2)
+                    stack.append(v2)
+                elif assign[v2] != w2:
+                    return False
+        return True
+
+    def rec(x):
+        while x < total and assign[x] != -1:
+            x += 1
+        if x == total:
+            return True
+        for y in by_cell_n[cell_m[x]]:
+            if used[y]:
+                continue
+            trail = [x]
+            assign[x], used[y] = y, True
+            if close(x, trail) and rec(x + 1):
+                return True
+            for v in trail:
+                used[assign[v]] = False
+                assign[v] = -1
+        return False
+
+    if not rec(0):
+        return None
+    h = []
+    for b in m.tgt.objs:
+        row = []
+        for a in m.src.objs:
+            local_n = {ids_n[(b, a, i)]: i for i in n.at[b][a].elements}
+            row.append(FinSetMap(m.at[b][a], n.at[b][a], tuple(
+                local_n[assign[ids_m[(b, a, i)]]]
+                for i in m.at[b][a].elements)))
+        h.append(tuple(row))
+    return ProfMorphism(m, n, tuple(h))
+
+
+class TestProfIsoSearch:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_morphism_as_recursive_search(self, seed):
+        """The search keeps its candidate order, so it returns the very
+        morphism the recursive search found, or None with it."""
+        rng = random.Random(400 + seed)
+        found = 0
+        for _ in range(12):
+            a, b, c = rand_fincat(rng), rand_fincat(rng), rand_fincat(rng)
+            m = small_profunctor(rng, a, b)
+            n = small_profunctor(rng, b, c)
+            o = small_profunctor(rng, b, c)
+            comp = prof_compose(n, m)
+            for left, right in ((comp, prof_compose(n, prof_compose(
+                    identity_module(b), m))),
+                    (m, prof_compose(identity_module(b), m)),
+                    (n, o)):
+                got = prof_iso(left, right)
+                assert got == recursive_prof_iso(left, right)
+                found += got is not None
+        assert found >= 24
+
+
 class TestRifMod:
     def test_identity_lifter_recovers_target(self):
         """Lifting through the identity module is the target itself."""
@@ -503,6 +653,27 @@ class TestComposePolymod:
         lhs = prof_compose(graph_module(p.p), parts.n)
         rhs = prof_compose(q.m, graph_module(parts.r))
         assert prof_iso(lhs, rhs) is not None
+
+    @pytest.mark.parametrize("d,k", [(1200, 1), (40, 3)])
+    def test_long_monomial_at_the_default_recursion_limit(self, d, k):
+        """y^d after y^k is y^(dk): one position with d·k directions
+        (Gambino & Kock's |S'| = Σ_s Π_{e over s} |p⁻¹(m1 e)| = 1).  At
+        d = 1200 the square check's isomorphism search once recursed once
+        per element and overflowed the stack."""
+        def monomial(n):
+            one, e = FinSetObj(1), FinSetObj(n)
+            return Polynomial(one, e, one, one, FinSetMap(e, one, (0,) * n),
+                              FinSetMap(e, one, (0,) * n), identity(one))
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # CPython's default
+        try:
+            comp = compose_polymod(embed_poly(monomial(d)),
+                                   embed_poly(monomial(k)))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert comp.S.objects.size == 1
+        assert comp.m.at[0][0].size == d * k
 
     def test_discrete_reduction_matches_set_composition(self):
         rng = random.Random(53)

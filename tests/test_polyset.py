@@ -1,9 +1,10 @@
 """Polynomial extension semantics, composition, and morphisms."""
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyspan.errors import InvariantViolation
@@ -547,3 +548,91 @@ class TestHK:
             lhs = hK_span(k, compose_poly(q, p), u)
             rhs = hK_span(k, q, hK_span(k, p, u))
             assert span_matrix(lhs) == span_matrix(rhs)
+
+
+def search_isomorphic_poly(P, Q):
+    """The product search that the canonical form replaced: bijections of
+    S over Y, then of E over X and the chosen S-bijection."""
+    if (P.X, P.Y) != (Q.X, Q.Y) or P.E.size != Q.E.size \
+            or P.S.size != Q.S.size:
+        return False
+    s_cands = [[s2 for s2 in Q.S.elements if Q.p(s2) == P.p(s)]
+               for s in P.S.elements]
+    for s_table in itertools.product(*s_cands):
+        if len(set(s_table)) != P.S.size:
+            continue
+        e_cands = [[e2 for e2 in Q.E.elements
+                    if Q.m1(e2) == P.m1(e) and Q.m2(e2) == s_table[P.m2(e)]]
+                   for e in P.E.elements]
+        for e_table in itertools.product(*e_cands):
+            if len(set(e_table)) == P.E.size:
+                return True
+    return False
+
+
+def relabel_poly(rng, P):
+    """An isomorphic copy: E and S renamed by random permutations."""
+    ps = list(P.S.elements)
+    pe = list(P.E.elements)
+    rng.shuffle(ps)
+    rng.shuffle(pe)
+    inv_s = {new: old for old, new in enumerate(ps)}
+    inv_e = {new: old for old, new in enumerate(pe)}
+    return Polynomial(
+        P.X, P.E, P.S, P.Y,
+        FinSetMap(P.E, P.X, tuple(P.m1(inv_e[e]) for e in P.E.elements)),
+        FinSetMap(P.E, P.S, tuple(ps[P.m2(inv_e[e])] for e in P.E.elements)),
+        FinSetMap(P.S, P.Y, tuple(P.p(inv_s[s]) for s in P.S.elements)))
+
+
+def perturb_poly(rng, P):
+    """A copy with one entry of m1, m2 or p redrawn; often not isomorphic."""
+    legs = {"m1": (P.E, P.X), "m2": (P.E, P.S), "p": (P.S, P.Y)}
+    name = rng.choice([n for n, (d, c) in legs.items() if d.size and c.size]
+                      or ["m1"])
+    dom, cod = legs[name]
+    tables = {"m1": P.m1.table, "m2": P.m2.table, "p": P.p.table}
+    if dom.size and cod.size:
+        t = list(tables[name])
+        t[rng.randrange(dom.size)] = rng.randrange(cod.size)
+        tables[name] = tuple(t)
+    return Polynomial(P.X, P.E, P.S, P.Y, FinSetMap(P.E, P.X, tables["m1"]),
+                      FinSetMap(P.E, P.S, tables["m2"]),
+                      FinSetMap(P.S, P.Y, tables["p"]))
+
+
+class TestIsomorphismAgainstSearch:
+    """The canonical form answers exactly as the product search."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 3))
+    def test_same_answer_as_search(self, seed, nx, ny):
+        rng = random.Random(seed)
+        x, y = FinSetObj(nx), FinSetObj(ny)
+        P = rand_poly(rng, x, y, emax=4, smax=4)
+        for Q in (relabel_poly(rng, P), perturb_poly(rng, P),
+                  perturb_poly(rng, relabel_poly(rng, P)),
+                  rand_poly(rng, x, y, emax=4, smax=4),
+                  rand_poly(rng, FinSetObj(nx + 1), y, emax=4, smax=4)):
+            assert are_isomorphic_poly(P, Q) == search_isomorphic_poly(P, Q)
+            assert are_isomorphic_poly(Q, P) == search_isomorphic_poly(Q, P)
+
+    def test_relabelled_copies_are_isomorphic(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            P = rand_poly(rng, FinSetObj(2), FinSetObj(2))
+            assert are_isomorphic_poly(P, relabel_poly(rng, P))
+
+    def test_positions_differing_only_in_label_multiset(self):
+        # two positions over one y with directions labelled {0, 0} and
+        # {1, 1}, against {0, 1} and {0, 1}: same label counts per y
+        two = FinSetObj(2)
+        e, s = FinSetObj(4), FinSetObj(2)
+        P = Polynomial(two, e, s, ONE, FinSetMap(e, two, (0, 0, 1, 1)),
+                       FinSetMap(e, s, (0, 0, 1, 1)),
+                       FinSetMap(s, ONE, (0, 0)))
+        Q = Polynomial(two, e, s, ONE, FinSetMap(e, two, (0, 1, 0, 1)),
+                       FinSetMap(e, s, (0, 0, 1, 1)),
+                       FinSetMap(s, ONE, (0, 0)))
+        assert not search_isomorphic_poly(P, Q)
+        assert not are_isomorphic_poly(P, Q)
