@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .documents import _ENCODERS, Document, document, serialize
+from .documents import _CODECS, Document, document, serialize
 from .fincat import (
     FinCat,
     Functor,
@@ -103,7 +103,8 @@ class CheckReport:
 
 
 def _compact(kind: str, payload: object) -> str:
-    return json.dumps(_ENCODERS[kind](payload), sort_keys=True,
+    _, encode, _ = _CODECS[kind]
+    return json.dumps(encode(payload), sort_keys=True,
                       separators=(",", ":"))
 
 
@@ -124,9 +125,9 @@ def embed_poly(p: Polynomial) -> ModPolynomial:
     """A set-level polynomial as a polynomial over discrete categories."""
     x, s = discrete_cat(p.X.size), discrete_cat(p.S.size)
     y = discrete_cat(p.Y.size)
-    cells = [[sum(1 for e in p.E.elements
-                  if p.m1(e) == xo and p.m2(e) == so)
-              for so in range(p.S.size)] for xo in range(p.X.size)]
+    cells = [[0] * p.S.size for _ in range(p.X.size)]
+    for xo, so in zip(p.m1.table, p.m2.table):
+        cells[xo][so] += 1
     m = _discrete_prof(p.S.size, p.X.size, cells)
     neat = Functor(s, y, tuple(p.p.table), tuple(p.p.table))
     return ModPolynomial(x, y, s, m, neat)
@@ -153,10 +154,9 @@ def decode_poly(mp: ModPolynomial) -> Polynomial:
 
 def span_as_prof(s: Span) -> Profunctor:
     """A span of sets as a profunctor between discrete categories."""
-    sizes = [[sum(1 for v in s.apex.elements
-                  if s.left_leg(v) == ko and s.right_leg(v) == xo)
-              for ko in range(s.left_foot.size)]
-             for xo in range(s.right_foot.size)]
+    sizes = [[0] * s.left_foot.size for _ in range(s.right_foot.size)]
+    for ko, xo in zip(s.left_leg.table, s.right_leg.table):
+        sizes[xo][ko] += 1
     return _discrete_prof(s.left_foot.size, s.right_foot.size, sizes)
 
 
@@ -362,17 +362,11 @@ def _dfib_comparison(r: Functor) -> tuple[Functor, Functor]:
     """The canonical functor from elements(fibers(r)) to the domain of r,
     together with the elements projection it should commute with."""
     el2 = elements(fibers(r))
-    fiber_seen = {b: [] for b in r.cod.objs}
-    for e in r.dom.objs:
-        fiber_seen[r.omap[e]].append(e)
-    h_omap = [fiber_seen[b][t] for b, t in el2.objects_data]
-    h_mmap = []
-    for beta, t2 in el2.morphisms_data:
-        e2 = fiber_seen[r.cod.tgt(beta)][t2]
-        lifts = [chi for chi in r.dom.mors
-                 if r.dom.tgt(chi) == e2 and r.mmap[chi] == beta]
-        h_mmap.append(lifts[0])
-    h = Functor(el2.cat, r.dom, tuple(h_omap), tuple(h_mmap))
+    fiber = r.over.fiber
+    h_omap = tuple(fiber(b)[t] for b, t in el2.objects_data)
+    h_mmap = tuple(r.lifts(fiber(r.cod.tgt(beta))[t2], beta)[0]
+                   for beta, t2 in el2.morphisms_data)
+    h = Functor(el2.cat, r.dom, h_omap, h_mmap)
     return h, el2.proj
 
 

@@ -25,19 +25,6 @@ from .spans import Span
 
 VERSION = "1"
 
-KINDS = (
-    "finset-map",
-    "span",
-    "polynomial",
-    "relation",
-    "rel-polynomial",
-    "fincat",
-    "functor",
-    "profunctor",
-    "mod-polynomial",
-    "family",
-)
-
 
 class ParseError(Exception):
     """A document that could not be read: bad JSON, a missing or extra
@@ -317,51 +304,28 @@ def _dec_modpoly(d: object, ctx: str) -> ModPolynomial:
     return ModPolynomial(x, y, s, m, p)
 
 
-_ENCODERS = {
-    "finset-map": _enc_map,
-    "span": _enc_span,
-    "polynomial": _enc_poly,
-    "relation": _enc_rel,
-    "rel-polynomial": _enc_relpoly,
-    "fincat": _enc_cat,
-    "functor": _enc_functor,
-    "profunctor": _enc_prof,
-    "mod-polynomial": _enc_modpoly,
-    "family": _enc_family,
+# Each document kind with its (payload type, encoder, decoder).
+_CODECS = {
+    "finset-map": (FinSetMap, _enc_map, _dec_map),
+    "span": (Span, _enc_span, _dec_span),
+    "polynomial": (Polynomial, _enc_poly, _dec_poly),
+    "relation": (Relation, _enc_rel, _dec_rel),
+    "rel-polynomial": (RelPolynomial, _enc_relpoly, _dec_relpoly),
+    "fincat": (FinCat, _enc_cat, _dec_cat),
+    "functor": (Functor, _enc_functor, _dec_functor),
+    "profunctor": (Profunctor, _enc_prof, _dec_prof),
+    "mod-polynomial": (ModPolynomial, _enc_modpoly, _dec_modpoly),
+    "family": (IndexedFamily, _enc_family, _dec_family),
 }
 
-_DECODERS = {
-    "finset-map": _dec_map,
-    "span": _dec_span,
-    "polynomial": _dec_poly,
-    "relation": _dec_rel,
-    "rel-polynomial": _dec_relpoly,
-    "fincat": _dec_cat,
-    "functor": _dec_functor,
-    "profunctor": _dec_prof,
-    "mod-polynomial": _dec_modpoly,
-    "family": _dec_family,
-}
-
-_PAYLOAD_TYPES = {
-    "finset-map": FinSetMap,
-    "span": Span,
-    "polynomial": Polynomial,
-    "relation": Relation,
-    "rel-polynomial": RelPolynomial,
-    "fincat": FinCat,
-    "functor": Functor,
-    "profunctor": Profunctor,
-    "mod-polynomial": ModPolynomial,
-    "family": IndexedFamily,
-}
+KINDS = tuple(_CODECS)
 
 
 def document(kind: str, payload: object) -> Document:
     """Wrap an in-memory value as a current-version document."""
-    if kind not in _PAYLOAD_TYPES:
+    if kind not in _CODECS:
         raise ParseError(f"unknown document kind {kind!r}")
-    if not isinstance(payload, _PAYLOAD_TYPES[kind]):
+    if not isinstance(payload, _CODECS[kind][0]):
         raise ParseError(f"payload is not a {kind}")
     return Document(VERSION, kind, payload)
 
@@ -376,19 +340,21 @@ def parse(text: str) -> Document:
     if version != VERSION:
         raise ParseError(f"unsupported version {version!r}")
     kind = data["kind"]
-    if kind not in _DECODERS:
+    if kind not in _CODECS:
         raise ParseError(f"unknown document kind {kind!r}")
-    payload = _DECODERS[kind](data["payload"], kind)
+    _, _, decode = _CODECS[kind]
+    payload = decode(data["payload"], kind)
     return Document(VERSION, kind, payload)
 
 
 def serialize(doc: Document) -> str:
     if doc.version != VERSION:
         raise ParseError(f"unsupported version {doc.version!r}")
-    if doc.kind not in _ENCODERS:
+    if doc.kind not in _CODECS:
         raise ParseError(f"unknown document kind {doc.kind!r}")
-    if not isinstance(doc.payload, _PAYLOAD_TYPES[doc.kind]):
+    payload_type, encode, _ = _CODECS[doc.kind]
+    if not isinstance(doc.payload, payload_type):
         raise ParseError(f"payload is not a {doc.kind}")
     body = {"version": doc.version, "kind": doc.kind,
-            "payload": _ENCODERS[doc.kind](doc.payload)}
+            "payload": encode(doc.payload)}
     return json.dumps(body, sort_keys=True, indent=2) + "\n"

@@ -10,7 +10,13 @@ Conventions used throughout:
   - hom-sets and lifts are fibers of cached maps with the fiber index of
     ``FinSetMap``: a category files each morphism under (src, tgt) and a
     functor files each morphism under (tgt, image), so ``hom``,
-    ``hom_position`` and ``lifts`` are lookups.
+    ``hom_position`` and ``lifts`` are lookups;
+  - laws of functors into sets (presheaves here, modules in ``modpoly``)
+    are checked on tables, and a message is formatted only when one fails;
+  - every search for natural maps (presheaf isomorphisms here; module
+    morphisms, isomorphisms and right liftings in ``modpoly``) is one
+    search, ``_natural_maps``, over the elements of both sides laid out
+    cell by cell, with one naturality square per non-identity action.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import InvariantViolation, require
-from .finset import FinSetMap, FinSetObj, compose, identity, pullback
+from .finset import FinSetMap, FinSetObj, identity, pullback
 from .unionfind import UnionFind
 
 
@@ -221,9 +227,6 @@ class Functor:
                 require(self.mmap[a.comp[g][f]] == b.comp[self.mmap[g]][self.mmap[f]],
                         "functor-comp", f"composition not preserved on ({g}, {f})")
 
-    def on_obj(self, x: int) -> int:
-        return self.omap[x]
-
     @cached_property
     def over(self) -> FinSetMap:
         """The object map as a map: its fibers are the objects over each."""
@@ -244,9 +247,6 @@ class Functor:
         if 0 <= e < self.dom.objects.size and 0 <= beta < nm:
             return self._lift_map.fiber(e * nm + beta)
         return ()
-
-    def on_mor(self, f: int) -> int:
-        return self.mmap[f]
 
 
 def identity_functor(c: FinCat) -> Functor:
@@ -309,18 +309,33 @@ class Presheaf:
                 "one value set per object required")
         require(len(self.act) == c.morphisms.size, "presheaf-act",
                 "one action per morphism required")
+        at, act = self.at, self.act
         for m in c.mors:
-            require(self.act[m].dom == self.at[c.tgt(m)]
-                    and self.act[m].cod == self.at[c.src(m)],
-                    "presheaf-boundary", f"action of morphism {m} mistyped")
+            if act[m].dom != at[c.tgt(m)] or act[m].cod != at[c.src(m)]:
+                raise InvariantViolation("presheaf-boundary",
+                                         f"action of morphism {m} mistyped")
         for x in c.objs:
-            require(self.act[c.ident(x)] == identity(self.at[x]),
-                    "presheaf-ident", f"identity action at {x} not the identity")
+            if not _is_identity_table(act[c.ident(x)].table):
+                raise InvariantViolation("presheaf-ident", f"identity action "
+                                         f"at {x} not the identity")
         for f in c.mors:
             for g in c.out_of(c.tgt(f)):
-                require(self.act[c.comp[g][f]] == compose(self.act[f], self.act[g]),
+                if act[c.comp[g][f]].table != _after(act[f], act[g]):
+                    raise InvariantViolation(
                         "presheaf-comp",
                         f"contravariant functoriality fails on ({g}, {f})")
+
+
+# Laws are checked once the boundaries are, and two maps with equal
+# boundaries are equal exactly when their tables are: these compare tables.
+
+def _after(g: FinSetMap, f: FinSetMap) -> tuple[int, ...]:
+    """The table of g after f, without building or checking a map."""
+    return tuple(map(g.table.__getitem__, f.table))
+
+
+def _is_identity_table(table: tuple[int, ...]) -> bool:
+    return table == tuple(range(len(table)))
 
 
 def representable(c: FinCat, b: int) -> Presheaf:
@@ -666,39 +681,118 @@ def is_final(j: Functor) -> bool:
     return all(len(_components_under(j, x)) == 1 for x in j.cod.objs)
 
 
+def _natural_maps(sizes_m: list[int], sizes_n: list[int], squares,
+                  bijective: bool):
+    """Every natural family of maps between two functors into sets, as one
+    table per cell, in lexicographic order of the tables.
+
+    Both sides are laid out cell by cell: cell c holds ``sizes_m[c]``
+    elements on the first side and ``sizes_n[c]`` on the second, and an
+    element goes to an element of its own cell.  Each square
+    ``(c1, c2, f, g)`` is one non-identity action, f on the first side and g
+    on the second, from cell c1 to cell c2: it asks that h_c2(f(i)) =
+    g(h_c1(i)).  With ``bijective`` no two elements share an image.
+
+    Each guess assigns the first unassigned element and is closed under the
+    squares, so every value it forces is set at once.  The guesses sit on
+    an explicit stack, so the depth is not bounded by the recursion limit.
+    """
+    start_m = list(itertools.accumulate(sizes_m, initial=0))
+    start_n = list(itertools.accumulate(sizes_n, initial=0))
+    total = start_m[-1]
+    cell_of = [c for c, k in enumerate(sizes_m) for _ in range(k)]
+    # moves[v]: per square out of v's cell, where v goes on the first side,
+    # and the square's map on the second side with the starts of its cells
+    moves: list[list] = [[] for _ in range(total)]
+    for c1, c2, f, g in squares:
+        o1, o2 = start_m[c1], start_m[c2]
+        for i, j in enumerate(f):
+            moves[o1 + i].append((o2 + j, g, start_n[c1], start_n[c2]))
+    assign = [-1] * total
+    # Read only when bijective: used targets, and free_from[c], below
+    # which no target of cell c is free.
+    used = [False] * start_n[-1]
+    free_from = start_n[:-1]
+
+    def close(x, trail):
+        stack = [x]
+        while stack:
+            v = stack.pop()
+            w = assign[v]
+            for v2, g, n1, n2 in moves[v]:
+                w2 = n2 + g[w - n1]
+                if assign[v2] == -1:
+                    if bijective and used[w2]:
+                        return False
+                    assign[v2], used[w2] = w2, True
+                    trail.append(v2)
+                    stack.append(v2)
+                elif assign[v2] != w2:
+                    return False
+        return True
+
+    def undo(trail):
+        for v in trail:
+            w, c = assign[v], cell_of[v]
+            used[w] = False
+            free_from[c] = min(free_from[c], w)
+            assign[v] = -1
+        trail.clear()
+
+    # The stack holds (element, candidates left, trail of the current guess).
+    stack, x = [], 0
+    while True:
+        while x < total and assign[x] != -1:
+            x += 1
+        if x == total:
+            yield tuple(tuple(w - start_n[c]
+                              for w in assign[start_m[c]:start_m[c + 1]])
+                        for c in range(len(sizes_m)))
+        else:
+            c = cell_of[x]
+            first, end = start_n[c], start_n[c + 1]
+            if bijective:  # skip the used run at the start of the cell
+                first = free_from[c]
+                while first < end and used[first]:
+                    first += 1
+                free_from[c] = first
+            stack.append((x, iter(range(first, end)), []))
+        while stack:  # the next guess at the deepest element that has one
+            x, candidates, trail = stack[-1]
+            undo(trail)
+            for y in candidates:
+                if bijective and used[y]:
+                    continue
+                assign[x], used[y] = y, True
+                trail.append(x)
+                if close(x, trail):
+                    break
+                undo(trail)
+            else:
+                stack.pop()
+                continue
+            break
+        else:
+            return
+        x += 1
+
+
 def presheaf_iso(p: Presheaf, q: Presheaf) -> tuple[FinSetMap, ...] | None:
-    """Search for a natural isomorphism between presheaves on the same base;
-    returns its components or None."""
+    """The first natural isomorphism between presheaves on the same base,
+    in lexicographic order of its component tables; returns its components
+    or None."""
     require(p.base == q.base, "presheaf-iso-base",
             "presheaves must share a base category")
     base = p.base
     if any(p.at[x].size != q.at[x].size for x in base.objs):
         return None
-    components: list[FinSetMap | None] = [None] * base.objects.size
-
-    def natural_so_far(upto: int) -> bool:
-        for m in base.mors:
-            x, y = base.src(m), base.tgt(m)
-            if x <= upto and y <= upto:
-                lhs = compose(components[x], p.act[m])
-                rhs = compose(q.act[m], components[y])
-                if lhs != rhs:
-                    return False
-        return True
-
-    def assign(x: int) -> bool:
-        if x == base.objects.size:
-            return True
-        for perm in itertools.permutations(q.at[x].elements):
-            components[x] = FinSetMap(p.at[x], q.at[x], perm)
-            if natural_so_far(x) and assign(x + 1):
-                return True
-        components[x] = None
-        return False
-
-    if assign(0):
-        return tuple(components)  # type: ignore[arg-type]
-    return None
+    sizes = [v.size for v in p.at]
+    squares = [(base.tgt(m), base.src(m), p.act[m].table, q.act[m].table)
+               for m in base.mors if not base.is_identity(m)]
+    tables = next(_natural_maps(sizes, sizes, squares, True), None)
+    if tables is None:
+        return None
+    return tuple(FinSetMap(p.at[x], q.at[x], t) for x, t in enumerate(tables))
 
 
 def all_functors(a: FinCat, b: FinCat,

@@ -7,24 +7,30 @@ by the zigzag relation, carried out with union-find on concrete triples.
 Every map out of a coend descends through one helper, which moves every
 member of each class and requires a single image.
 Right liftings are computed as ends: sets of naturally varying families
-of maps.  A polynomial has a profunctor as its lifter leg and a discrete
-fibration as its neat leg; composition of polynomials follows the
-tabulation of the lifted presheaf of fibers, with the induced connecting
-module given by an explicit splitting-family formula that the
-construction re-validates on every run.
+of maps.  Those families, the morphisms between two modules and the
+isomorphisms between them all come from the one search for natural maps
+in ``fincat``, with a module laid out cell by cell (tgt-major).  A
+polynomial has a profunctor as its lifter leg and a discrete fibration as
+its neat leg; composition of polynomials follows the tabulation of the
+lifted presheaf of fibers, whose witness is the identity because the
+fibers of the elements projection are the presheaf table for table, with
+the induced connecting module given by an explicit splitting-family
+formula that the construction re-validates on every run.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import require
+from .errors import InvariantViolation, require
 from .fincat import (
     ElementsCat,
     FinCat,
     Functor,
     Presheaf,
+    _after,
+    _is_identity_table,
+    _natural_maps,
     compose_functors,
     comprehensive_factorization,
     elements,
@@ -33,7 +39,6 @@ from .fincat import (
     is_discrete_fibration,
     opposite_cat,
     ordinal2,
-    presheaf_iso,
     product_cat,
     terminal_cat,
 )
@@ -66,53 +71,54 @@ class Profunctor:
         require(len(self.ract) == a_cat.morphisms.size
                 and all(len(row) == nb for row in self.ract),
                 "prof-shape", "one right action per src morphism and object")
+        at, lact, ract = self.at, self.lact, self.ract
         for beta in b_cat.mors:
             b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
             for a in a_cat.objs:
-                f = self.lact[beta][a]
-                require(f.dom == self.at[b2][a] and f.cod == self.at[b1][a],
-                        "prof-typing",
-                        f"left action of {beta} at {a} mistyped")
+                f = lact[beta][a]
+                if f.dom != at[b2][a] or f.cod != at[b1][a]:
+                    raise InvariantViolation(
+                        "prof-typing", f"left action of {beta} at {a} mistyped")
         for alpha in a_cat.mors:
             a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
             for b in b_cat.objs:
-                f = self.ract[alpha][b]
-                require(f.dom == self.at[b][a1] and f.cod == self.at[b][a2],
-                        "prof-typing",
-                        f"right action of {alpha} at {b} mistyped")
+                f = ract[alpha][b]
+                if f.dom != at[b][a1] or f.cod != at[b][a2]:
+                    raise InvariantViolation(
+                        "prof-typing", f"right action of {alpha} at {b} mistyped")
         for b in b_cat.objs:
             for a in a_cat.objs:
-                require(self.lact[b_cat.ident(b)][a] == identity(self.at[b][a]),
+                if not _is_identity_table(lact[b_cat.ident(b)][a].table):
+                    raise InvariantViolation(
                         "prof-ident", f"left identity action fails at ({b}, {a})")
-                require(self.ract[a_cat.ident(a)][b] == identity(self.at[b][a]),
+                if not _is_identity_table(ract[a_cat.ident(a)][b].table):
+                    raise InvariantViolation(
                         "prof-ident", f"right identity action fails at ({b}, {a})")
         for b1 in b_cat.mors:
             for b2 in b_cat.out_of(b_cat.tgt(b1)):
-                comp = b_cat.comp[b2][b1]
+                row, l1, l2 = lact[b_cat.comp[b2][b1]], lact[b1], lact[b2]
                 for a in a_cat.objs:
-                    require(self.lact[comp][a]
-                            == compose(self.lact[b1][a], self.lact[b2][a]),
+                    if row[a].table != _after(l1[a], l2[a]):
+                        raise InvariantViolation(
                             "prof-comp",
                             f"left action not functorial on ({b2}, {b1})")
         for a1 in a_cat.mors:
             for a2 in a_cat.out_of(a_cat.tgt(a1)):
-                comp = a_cat.comp[a2][a1]
+                row, r1, r2 = ract[a_cat.comp[a2][a1]], ract[a1], ract[a2]
                 for b in b_cat.objs:
-                    require(self.ract[comp][b]
-                            == compose(self.ract[a2][b], self.ract[a1][b]),
+                    if row[b].table != _after(r2[b], r1[b]):
+                        raise InvariantViolation(
                             "prof-comp",
                             f"right action not functorial on ({a2}, {a1})")
         for beta in b_cat.mors:
             b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
             for alpha in a_cat.mors:
                 a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
-                require(compose(self.ract[alpha][b1], self.lact[beta][a1])
-                        == compose(self.lact[beta][a2], self.ract[alpha][b2]),
+                if (_after(ract[alpha][b1], lact[beta][a1])
+                        != _after(lact[beta][a2], ract[alpha][b2])):
+                    raise InvariantViolation(
                         "prof-interchange",
                         f"actions of {beta} and {alpha} do not commute")
-
-    def value(self, b: int, a: int) -> FinSetObj:
-        return self.at[b][a]
 
 
 def prof_from_presheaf(a: FinCat, b: FinCat, psh: Presheaf) -> Profunctor:
@@ -212,23 +218,27 @@ class ProfMorphism:
         require(m.src == n.src and m.tgt == n.tgt, "profmor-parallel",
                 "profunctor morphisms need parallel boundaries")
         a_cat, b_cat = m.src, m.tgt
+        h = self.h
         for b in b_cat.objs:
             for a in a_cat.objs:
-                f = self.h[b][a]
-                require(f.dom == m.at[b][a] and f.cod == n.at[b][a],
+                f = h[b][a]
+                if f.dom != m.at[b][a] or f.cod != n.at[b][a]:
+                    raise InvariantViolation(
                         "profmor-typing", f"component at ({b}, {a}) mistyped")
         for beta in b_cat.mors:
             b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
             for a in a_cat.objs:
-                require(compose(self.h[b1][a], m.lact[beta][a])
-                        == compose(n.lact[beta][a], self.h[b2][a]),
+                if (_after(h[b1][a], m.lact[beta][a])
+                        != _after(n.lact[beta][a], h[b2][a])):
+                    raise InvariantViolation(
                         "profmor-natural",
                         f"left naturality fails at ({beta}, {a})")
         for alpha in a_cat.mors:
             a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
             for b in b_cat.objs:
-                require(compose(self.h[b][a2], m.ract[alpha][b])
-                        == compose(n.ract[alpha][b], self.h[b][a1]),
+                if (_after(h[b][a2], m.ract[alpha][b])
+                        != _after(n.ract[alpha][b], h[b][a1])):
+                    raise InvariantViolation(
                         "profmor-natural",
                         f"right naturality fails at ({alpha}, {b})")
 
@@ -371,212 +381,59 @@ def prof_whisker_left(n: Profunctor, cell: ProfMorphism) -> ProfMorphism:
     return ProfMorphism(left, right, tuple(h))
 
 
-def _search_prof_maps(m: Profunctor, n: Profunctor):
-    """Backtracking over value cells in tgt-major order; each candidate
-    component is checked against every naturality equation whose other
-    cell is already assigned."""
+def _prof_maps(m: Profunctor, n: Profunctor, bijective: bool):
+    """The morphisms m => n of parallel modules, in lexicographic order of
+    their component tables (cells tgt-major), from the search of
+    ``fincat``: one square per non-identity morphism of either boundary
+    and object of the other."""
     a_cat, b_cat = m.src, m.tgt
-    order = [(b, a) for b in b_cat.objs for a in a_cat.objs]
-    pos = {cell: i for i, cell in enumerate(order)}
-    checks = [[] for _ in order]
-    for beta in b_cat.mors:
-        b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
-        for a in a_cat.objs:
-            later = max(pos[(b1, a)], pos[(b2, a)])
-            checks[later].append(("l", beta, a))
-    for alpha in a_cat.mors:
-        a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
-        for b in b_cat.objs:
-            later = max(pos[(b, a1)], pos[(b, a2)])
-            checks[later].append(("r", alpha, b))
-    assigned: dict[tuple[int, int], FinSetMap] = {}
-
-    def ok(i):
-        for kind, mor, other in checks[i]:
-            if kind == "l":
-                b1, b2, a = m.tgt.src(mor), m.tgt.tgt(mor), other
-                h1, h2 = assigned[(b1, a)], assigned[(b2, a)]
-                if compose(h1, m.lact[mor][a]) != compose(n.lact[mor][a], h2):
-                    return False
-            else:
-                a1, a2, b = m.src.src(mor), m.src.tgt(mor), other
-                h1, h2 = assigned[(b, a1)], assigned[(b, a2)]
-                if compose(h2, m.ract[mor][b]) != compose(n.ract[mor][b], h1):
-                    return False
-        return True
-
-    def rec(i):
-        if i == len(order):
-            yield tuple(tuple(assigned[(b, a)] for a in a_cat.objs)
-                        for b in b_cat.objs)
-            return
-        b, a = order[i]
-        dom, cod = m.at[b][a], n.at[b][a]
-        for table in itertools.product(range(cod.size), repeat=dom.size):
-            assigned[order[i]] = FinSetMap(dom, cod, table)
-            if ok(i):
-                yield from rec(i + 1)
-        assigned.pop(order[i], None)
-
-    yield from rec(0)
+    na = a_cat.objects.size
+    squares = [(b_cat.tgt(beta) * na + a, b_cat.src(beta) * na + a,
+                m.lact[beta][a].table, n.lact[beta][a].table)
+               for beta in b_cat.mors if not b_cat.is_identity(beta)
+               for a in a_cat.objs]
+    squares += [(b * na + a_cat.src(alpha), b * na + a_cat.tgt(alpha),
+                 m.ract[alpha][b].table, n.ract[alpha][b].table)
+                for alpha in a_cat.mors if not a_cat.is_identity(alpha)
+                for b in b_cat.objs]
+    for tables in _natural_maps(
+            [v.size for row in m.at for v in row],
+            [v.size for row in n.at for v in row], squares, bijective):
+        yield ProfMorphism(m, n, tuple(
+            tuple(FinSetMap(m.at[b][a], n.at[b][a], tables[b * na + a])
+                  for a in a_cat.objs)
+            for b in b_cat.objs))
 
 
 def enumerate_prof_morphisms(m: Profunctor, n: Profunctor):
-    for h in _search_prof_maps(m, n):
-        yield ProfMorphism(m, n, h)
-
-
-def _prof_element_ops(m: Profunctor):
-    """Flatten a profunctor into one element set with a partial unary
-    operation per non-identity morphism of either boundary."""
-    ids = {}
-    cell_of = []
-    ncells = 0
-    for b in m.tgt.objs:
-        for a in m.src.objs:
-            for i in m.at[b][a].elements:
-                ids[(b, a, i)] = len(cell_of)
-                cell_of.append(ncells)
-            ncells += 1
-    ops = []
-    for beta in m.tgt.mors:
-        if m.tgt.is_identity(beta):
-            continue
-        b1, b2 = m.tgt.src(beta), m.tgt.tgt(beta)
-        ops.append({ids[(b2, a, i)]: ids[(b1, a, m.lact[beta][a](i))]
-                    for a in m.src.objs for i in m.at[b2][a].elements})
-    for alpha in m.src.mors:
-        if m.src.is_identity(alpha):
-            continue
-        a1, a2 = m.src.src(alpha), m.src.tgt(alpha)
-        ops.append({ids[(b, a1, i)]: ids[(b, a2, m.ract[alpha][b](i))]
-                    for b in m.tgt.objs for i in m.at[b][a1].elements})
-    return ids, cell_of, ops
+    """Every morphism m => n, in lexicographic order of its tables."""
+    require(m.src == n.src and m.tgt == n.tgt, "profmor-parallel",
+            "profunctor morphisms need parallel boundaries")
+    return _prof_maps(m, n, False)
 
 
 def prof_iso(m: Profunctor, n: Profunctor) -> ProfMorphism | None:
-    """Search for an invertible morphism by assigning elements one at a
-    time and closing under both actions, so each guess propagates through
-    every equation it touches."""
+    """The first invertible morphism m => n, in lexicographic order of its
+    tables, or None."""
     if m.src != n.src or m.tgt != n.tgt:
         return None
     for b in m.tgt.objs:
         for a in m.src.objs:
             if m.at[b][a].size != n.at[b][a].size:
                 return None
-    ids_m, cell_m, ops_m = _prof_element_ops(m)
-    ids_n, cell_n, ops_n = _prof_element_ops(n)
-    total = len(cell_m)
-    ncells = m.tgt.objects.size * m.src.objects.size
-    by_cell_n: list[list[int]] = [[] for _ in range(ncells)]
-    for g in range(total):
-        by_cell_n[cell_n[g]].append(g)
-    assign = [-1] * total
-    used = [False] * total
-
-    def close(x, trail):
-        stack = [x]
-        while stack:
-            v = stack.pop()
-            w = assign[v]
-            for om, on in zip(ops_m, ops_n):
-                if v not in om:
-                    continue
-                v2, w2 = om[v], on[w]
-                if assign[v2] == -1:
-                    if used[w2]:
-                        return False
-                    assign[v2] = w2
-                    used[w2] = True
-                    trail.append(v2)
-                    stack.append(v2)
-                elif assign[v2] != w2:
-                    return False
-        return True
-
-    def undo(trail):
-        for v in trail:
-            used[assign[v]] = False
-            assign[v] = -1
-        trail.clear()
-
-    # Depth first over the first unassigned element, its cell's candidates
-    # in order; the stack holds (element, candidates left, trail of the
-    # current guess), so the depth is not bounded by the recursion limit.
-    stack, x = [], 0
-    while True:
-        while x < total and assign[x] != -1:
-            x += 1
-        if x == total:
-            break
-        stack.append((x, iter(by_cell_n[cell_m[x]]), []))
-        while stack:
-            x, candidates, trail = stack[-1]
-            if trail:
-                undo(trail)
-            for y in candidates:
-                if used[y]:
-                    continue
-                assign[x], used[y] = y, True
-                trail.append(x)
-                if close(x, trail):
-                    break
-                undo(trail)
-            else:
-                stack.pop()  # no candidate left: back up to the previous guess
-                continue
-            break
-        else:
-            return None
-        x += 1
-    h = []
-    for b in m.tgt.objs:
-        row = []
-        for a in m.src.objs:
-            local_n = {ids_n[(b, a, i)]: i for i in n.at[b][a].elements}
-            row.append(FinSetMap(m.at[b][a], n.at[b][a],
-                                 tuple(local_n[assign[ids_m[(b, a, i)]]]
-                                       for i in m.at[b][a].elements)))
-        h.append(tuple(row))
-    return ProfMorphism(m, n, tuple(h))
+    return next(_prof_maps(m, n, True), None)
 
 
 def _natural_families(n: Profunctor, u: Profunctor, s: int, k: int):
-    """All families of maps n(y, s) -> u(y, k) natural in y, in
-    lexicographic order of their tables."""
+    """All families of maps n(y, s) -> u(y, k) natural in y, as per-y
+    tables, in lexicographic order."""
     y_cat = n.tgt
-    yobjs = list(y_cat.objs)
-    mors_at = [[] for _ in yobjs]
-    for psi in y_cat.mors:
-        if y_cat.is_identity(psi):
-            continue
-        mors_at[max(y_cat.src(psi), y_cat.tgt(psi))].append(psi)
-    acc: list[tuple[int, ...]] = []
-
-    def rec(i):
-        if i == len(yobjs):
-            yield tuple(acc)
-            return
-        y = yobjs[i]
-        dom = n.at[y][s].size
-        cod = u.at[y][k].size
-        for table in itertools.product(range(cod), repeat=dom):
-            acc.append(table)
-            good = True
-            for psi in mors_at[y]:
-                y1, y2 = y_cat.src(psi), y_cat.tgt(psi)
-                t1, t2 = acc[y1], acc[y2]
-                for v in range(n.at[y2][s].size):
-                    if t1[n.lact[psi][s](v)] != u.lact[psi][k](t2[v]):
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                yield from rec(i + 1)
-            acc.pop()
-
-    yield from rec(0)
+    squares = [(y_cat.tgt(psi), y_cat.src(psi),
+                n.lact[psi][s].table, u.lact[psi][k].table)
+               for psi in y_cat.mors if not y_cat.is_identity(psi)]
+    return _natural_maps([n.at[y][s].size for y in y_cat.objs],
+                         [u.at[y][k].size for y in y_cat.objs],
+                         squares, False)
 
 
 @dataclass(frozen=True)
@@ -669,16 +526,13 @@ class ModTabulation:
 
 
 def tabulate_mod(u: Presheaf) -> ModTabulation:
+    """The elements of u with their projection.  The fibers of the
+    projection are u itself, table for table, so the witness is the
+    identity."""
     el = elements(u)
-    rho = presheaf_iso(fibers(el.proj), u)
-    require(rho is not None, "tabulate-comma",
+    require(fibers(el.proj) == u, "tabulate-comma",
             "projection fibers must realize the presheaf")
-    return ModTabulation(el, el.proj, rho)
-
-
-def fiber_presheaf(p: Functor) -> Presheaf:
-    """The presheaf a discrete fibration classifies, fiber by fiber."""
-    return fibers(p)
+    return ModTabulation(el, el.proj, tuple(identity(v) for v in u.at))
 
 
 @dataclass(frozen=True)
@@ -809,7 +663,7 @@ def polymod_parts(q: ModPolynomial, p: ModPolynomial) -> PolymodParts:
     require(p.Y == q.X, "polymod-compose-boundary",
             "middle categories do not match")
     c_cat, t_cat, z_cat = q.X, q.S, p.S
-    z = fiber_presheaf(p.p)
+    z = fibers(p.p)
     rd = rif_mod_data(q.m, presheaf_as_module(z))
     tab = tabulate_mod(module_as_presheaf(rd.prof))
     y_cat = tab.el.cat

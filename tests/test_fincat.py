@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -43,8 +44,8 @@ from polyspan.fincat import (
     representable,
     terminal_cat,
 )
-from polyspan.finset import FinSetMap, FinSetObj, identity
-from polyspan.gen import rand_dfib, rand_fincat, rand_functor
+from polyspan.finset import FinSetMap, FinSetObj, compose, identity
+from polyspan.gen import rand_dfib, rand_fincat, rand_functor, rand_presheaf
 
 
 def z2() -> FinCat:
@@ -503,3 +504,139 @@ class TestAgainstReference:
                 FinCat(c.objects, c.morphisms, c.src, c.tgt, c.ident, comp)
             assert str(e.value) == f"{want[0]}: {want[1]}"
         assert seen == {"cat-unit", "cat-assoc"}
+
+
+# Reference implementations: the permutation search presheaf_iso ran and
+# the per-equation checks of Presheaf, kept as a differential oracle.
+
+def permutation_presheaf_iso(p, q):
+    """Object by object over the permutations of each value set, checking
+    every naturality square whose ends are both assigned."""
+    base = p.base
+    if any(p.at[x].size != q.at[x].size for x in base.objs):
+        return None
+    components = [None] * base.objects.size
+
+    def natural_so_far(upto):
+        for m in base.mors:
+            x, y = base.src(m), base.tgt(m)
+            if x <= upto and y <= upto and (
+                    compose(components[x], p.act[m])
+                    != compose(q.act[m], components[y])):
+                return False
+        return True
+
+    def assign(x):
+        if x == base.objects.size:
+            return True
+        for perm in itertools.permutations(q.at[x].elements):
+            components[x] = FinSetMap(p.at[x], q.at[x], perm)
+            if natural_so_far(x) and assign(x + 1):
+                return True
+        components[x] = None
+        return False
+
+    return tuple(components) if assign(0) else None
+
+
+def reference_presheaf_violation(base, at, act):
+    """The first (clause, message) the per-equation checks of a presheaf
+    with these tables raise, or None."""
+    for m in base.mors:
+        if act[m].dom != at[base.tgt(m)] or act[m].cod != at[base.src(m)]:
+            return ("presheaf-boundary", f"action of morphism {m} mistyped")
+    for x in base.objs:
+        if act[base.ident(x)] != identity(at[x]):
+            return ("presheaf-ident",
+                    f"identity action at {x} not the identity")
+    for f in base.mors:
+        for g in base.out_of(base.tgt(f)):
+            if act[base.comp[g][f]] != compose(act[f], act[g]):
+                return ("presheaf-comp",
+                        f"contravariant functoriality fails on ({g}, {f})")
+    return None
+
+
+def relabelled(rng, p):
+    """p with every value set permuted at random: isomorphic to p."""
+    perms = [rng.sample(range(v.size), v.size) for v in p.at]
+    act = []
+    for m in p.base.mors:
+        x, y = p.base.src(m), p.base.tgt(m)
+        table = [0] * p.at[y].size
+        for i in p.at[y].elements:
+            table[perms[y][i]] = perms[x][p.act[m](i)]
+        act.append(FinSetMap(p.at[y], p.at[x], tuple(table)))
+    return Presheaf(p.base, p.at, tuple(act))
+
+
+def corrupted_presheaf_tables(rng, p):
+    """p's tables with one value set grown by a point or one entry of one
+    action changed, or None when p has nothing to change."""
+    at, act = list(p.at), list(p.act)
+    if at and rng.random() < 0.2:
+        x = rng.randrange(len(at))
+        at[x] = FinSetObj(at[x].size + 1)
+        return tuple(at), tuple(act)
+    movable = [m for m, f in enumerate(act) if f.dom.size and f.cod.size > 1]
+    if not movable:
+        return None
+    m = rng.choice(movable)
+    table = list(act[m].table)
+    i = rng.randrange(len(table))
+    table[i] = rng.choice([v for v in act[m].cod.elements if v != table[i]])
+    act[m] = FinSetMap(act[m].dom, act[m].cod, tuple(table))
+    return tuple(at), tuple(act)
+
+
+class TestPresheafAgainstReference:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_iso_matches_permutation_search(self, seed):
+        """The same components or None, on relabelled copies both ways
+        round, unrelated presheaves and the fibers of the elements."""
+        rng = random.Random(300 + seed)
+        found = 0
+        for _ in range(40):
+            c = rand_fincat(rng)
+            p = rand_presheaf(rng, c)
+            q = relabelled(rng, p)
+            for left, right in ((p, q), (q, p), (p, rand_presheaf(rng, c)),
+                                (fibers(elements(p).proj), p)):
+                got = presheaf_iso(left, right)
+                assert got == permutation_presheaf_iso(left, right)
+                found += got is not None
+        assert found >= 120
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_corrupted_tables_raise_the_same_violation(self, seed):
+        rng = random.Random(500 + seed)
+        seen, checked = set(), 0
+        while checked < 60:
+            c = rand_fincat(rng)
+            tables = corrupted_presheaf_tables(rng, rand_presheaf(rng, c))
+            if tables is None:
+                continue
+            want = reference_presheaf_violation(c, *tables)
+            if want is None:
+                Presheaf(c, *tables)
+            else:
+                with pytest.raises(InvariantViolation) as e:
+                    Presheaf(c, *tables)
+                assert (e.value.clause, str(e.value)) == (
+                    want[0], f"{want[0]}: {want[1]}")
+                seen.add(want[0])
+            checked += 1
+        assert seen == {"presheaf-boundary", "presheaf-ident",
+                        "presheaf-comp"}
+
+    def test_iso_at_the_default_recursion_limit(self):
+        """1200 objects: the permutation search made one nested call per
+        object and overflowed the stack."""
+        p = constant_presheaf(discrete_cat(1200), 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # CPython's default
+        try:
+            got = presheaf_iso(p, p)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == tuple(identity(v) for v in p.at)

@@ -28,7 +28,7 @@ from polyspan.fincat import (
     representable,
     terminal_cat,
 )
-from polyspan.finset import FinSetMap, FinSetObj, identity
+from polyspan.finset import FinSetMap, FinSetObj, compose, identity
 from polyspan.gen import (
     preorder_cat,
     rand_composable_modpolys,
@@ -48,7 +48,6 @@ from polyspan.modpoly import (
     ProfMorphism,
     _coend_cell,
     _descend,
-    _prof_element_ops,
     build_cotensor_module,
     coend_elements,
     cograph_module,
@@ -57,7 +56,6 @@ from polyspan.modpoly import (
     decompose_cotensor_module,
     dfib_collapse,
     enumerate_prof_morphisms,
-    fiber_presheaf,
     fiberwise_module,
     graph_module,
     hK_mod,
@@ -392,6 +390,34 @@ class TestCoendDescent:
                                 "the representative")
 
 
+def reference_element_ops(m):
+    """Flatten a profunctor into one element set with a partial unary
+    operation per non-identity morphism of either boundary."""
+    ids = {}
+    cell_of = []
+    ncells = 0
+    for b in m.tgt.objs:
+        for a in m.src.objs:
+            for i in m.at[b][a].elements:
+                ids[(b, a, i)] = len(cell_of)
+                cell_of.append(ncells)
+            ncells += 1
+    ops = []
+    for beta in m.tgt.mors:
+        if m.tgt.is_identity(beta):
+            continue
+        b1, b2 = m.tgt.src(beta), m.tgt.tgt(beta)
+        ops.append({ids[(b2, a, i)]: ids[(b1, a, m.lact[beta][a](i))]
+                    for a in m.src.objs for i in m.at[b2][a].elements})
+    for alpha in m.src.mors:
+        if m.src.is_identity(alpha):
+            continue
+        a1, a2 = m.src.src(alpha), m.src.tgt(alpha)
+        ops.append({ids[(b, a1, i)]: ids[(b, a2, m.ract[alpha][b](i))]
+                    for b in m.tgt.objs for i in m.at[b][a1].elements})
+    return ids, cell_of, ops
+
+
 def recursive_prof_iso(m, n):
     """The element-by-element search with one recursive call per guess,
     as prof_iso ran before its search kept its own stack."""
@@ -399,8 +425,8 @@ def recursive_prof_iso(m, n):
         return None
     if cell_sizes(m) != cell_sizes(n):
         return None
-    ids_m, cell_m, ops_m = _prof_element_ops(m)
-    ids_n, cell_n, ops_n = _prof_element_ops(n)
+    ids_m, cell_m, ops_m = reference_element_ops(m)
+    ids_n, cell_n, ops_n = reference_element_ops(n)
     total = len(cell_m)
     by_cell_n = [[] for _ in range(m.tgt.objects.size * m.src.objects.size)]
     for g in range(total):
@@ -478,6 +504,325 @@ class TestProfIsoSearch:
                 assert got == recursive_prof_iso(left, right)
                 found += got is not None
         assert found >= 24
+
+
+# Reference implementations: the product searches that enumerated module
+# morphisms and the families of a right lifting, and the per-equation
+# checks of Profunctor and ProfMorphism, kept as a differential oracle.
+
+def product_prof_maps(m, n):
+    """Backtracking over value cells in tgt-major order; each candidate
+    component is checked against every naturality equation whose other
+    cell is already assigned."""
+    a_cat, b_cat = m.src, m.tgt
+    order = [(b, a) for b in b_cat.objs for a in a_cat.objs]
+    pos = {cell: i for i, cell in enumerate(order)}
+    checks = [[] for _ in order]
+    for beta in b_cat.mors:
+        b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
+        for a in a_cat.objs:
+            checks[max(pos[(b1, a)], pos[(b2, a)])].append(("l", beta, a))
+    for alpha in a_cat.mors:
+        a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
+        for b in b_cat.objs:
+            checks[max(pos[(b, a1)], pos[(b, a2)])].append(("r", alpha, b))
+    assigned = {}
+
+    def ok(i):
+        for kind, mor, other in checks[i]:
+            if kind == "l":
+                b1, b2, a = b_cat.src(mor), b_cat.tgt(mor), other
+                h1, h2 = assigned[(b1, a)], assigned[(b2, a)]
+                if compose(h1, m.lact[mor][a]) != compose(n.lact[mor][a], h2):
+                    return False
+            else:
+                a1, a2, b = a_cat.src(mor), a_cat.tgt(mor), other
+                h1, h2 = assigned[(b, a1)], assigned[(b, a2)]
+                if compose(h2, m.ract[mor][b]) != compose(n.ract[mor][b], h1):
+                    return False
+        return True
+
+    def rec(i):
+        if i == len(order):
+            yield tuple(tuple(assigned[(b, a)] for a in a_cat.objs)
+                        for b in b_cat.objs)
+            return
+        b, a = order[i]
+        dom, cod = m.at[b][a], n.at[b][a]
+        for table in itertools.product(range(cod.size), repeat=dom.size):
+            assigned[order[i]] = FinSetMap(dom, cod, table)
+            if ok(i):
+                yield from rec(i + 1)
+        assigned.pop(order[i], None)
+
+    yield from rec(0)
+
+
+def product_natural_families(n, u, s, k):
+    """All families of maps n(y, s) -> u(y, k) natural in y, object by
+    object over the product of each object's tables."""
+    y_cat = n.tgt
+    mors_at = [[] for _ in y_cat.objs]
+    for psi in y_cat.mors:
+        if not y_cat.is_identity(psi):
+            mors_at[max(y_cat.src(psi), y_cat.tgt(psi))].append(psi)
+    acc = []
+
+    def rec(y):
+        if y == y_cat.objects.size:
+            yield tuple(acc)
+            return
+        for table in itertools.product(range(u.at[y][k].size),
+                                       repeat=n.at[y][s].size):
+            acc.append(table)
+            if all(acc[y_cat.src(psi)][n.lact[psi][s](v)]
+                   == u.lact[psi][k](acc[y_cat.tgt(psi)][v])
+                   for psi in mors_at[y]
+                   for v in n.at[y_cat.tgt(psi)][s].elements):
+                yield from rec(y + 1)
+            acc.pop()
+
+    yield from rec(0)
+
+
+def reference_prof_violation(a_cat, b_cat, at, lact, ract):
+    """The first (clause, message) the per-equation checks of a profunctor
+    with these (well-shaped) tables raise, or None."""
+    for beta in b_cat.mors:
+        b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
+        for a in a_cat.objs:
+            f = lact[beta][a]
+            if not (f.dom == at[b2][a] and f.cod == at[b1][a]):
+                return ("prof-typing", f"left action of {beta} at {a} mistyped")
+    for alpha in a_cat.mors:
+        a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
+        for b in b_cat.objs:
+            f = ract[alpha][b]
+            if not (f.dom == at[b][a1] and f.cod == at[b][a2]):
+                return ("prof-typing",
+                        f"right action of {alpha} at {b} mistyped")
+    for b in b_cat.objs:
+        for a in a_cat.objs:
+            if lact[b_cat.ident(b)][a] != identity(at[b][a]):
+                return ("prof-ident",
+                        f"left identity action fails at ({b}, {a})")
+            if ract[a_cat.ident(a)][b] != identity(at[b][a]):
+                return ("prof-ident",
+                        f"right identity action fails at ({b}, {a})")
+    for b1 in b_cat.mors:
+        for b2 in b_cat.out_of(b_cat.tgt(b1)):
+            for a in a_cat.objs:
+                if (lact[b_cat.comp[b2][b1]][a]
+                        != compose(lact[b1][a], lact[b2][a])):
+                    return ("prof-comp",
+                            f"left action not functorial on ({b2}, {b1})")
+    for a1 in a_cat.mors:
+        for a2 in a_cat.out_of(a_cat.tgt(a1)):
+            for b in b_cat.objs:
+                if (ract[a_cat.comp[a2][a1]][b]
+                        != compose(ract[a2][b], ract[a1][b])):
+                    return ("prof-comp",
+                            f"right action not functorial on ({a2}, {a1})")
+    for beta in b_cat.mors:
+        b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
+        for alpha in a_cat.mors:
+            a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
+            if (compose(ract[alpha][b1], lact[beta][a1])
+                    != compose(lact[beta][a2], ract[alpha][b2])):
+                return ("prof-interchange",
+                        f"actions of {beta} and {alpha} do not commute")
+    return None
+
+
+def reference_profmor_violation(m, n, h):
+    """The first (clause, message) the per-equation checks of a morphism
+    of parallel modules with these components raise, or None."""
+    a_cat, b_cat = m.src, m.tgt
+    for b in b_cat.objs:
+        for a in a_cat.objs:
+            if not (h[b][a].dom == m.at[b][a] and h[b][a].cod == n.at[b][a]):
+                return ("profmor-typing", f"component at ({b}, {a}) mistyped")
+    for beta in b_cat.mors:
+        b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
+        for a in a_cat.objs:
+            if (compose(h[b1][a], m.lact[beta][a])
+                    != compose(n.lact[beta][a], h[b2][a])):
+                return ("profmor-natural",
+                        f"left naturality fails at ({beta}, {a})")
+    for alpha in a_cat.mors:
+        a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
+        for b in b_cat.objs:
+            if (compose(h[b][a2], m.ract[alpha][b])
+                    != compose(n.ract[alpha][b], h[b][a1])):
+                return ("profmor-natural",
+                        f"right naturality fails at ({alpha}, {b})")
+    return None
+
+
+def rich_profunctor(rng, src, tgt):
+    """A module with cells of up to four elements, most of them moved by
+    the actions."""
+    return rand_profunctor(rng, src, tgt, parts_max=3, const_max=3,
+                           max_cell=4)
+
+
+def family_space(n, u, s, k):
+    """Size of the full product search for families n(-, s) -> u(-, k)."""
+    total = 1
+    for y in n.tgt.objs:
+        total *= u.at[y][k].size ** n.at[y][s].size
+    return total
+
+
+def changed_entry(rng, f):
+    """f with one entry moved to another point of its codomain."""
+    table = list(f.table)
+    i = rng.randrange(len(table))
+    table[i] = rng.choice([v for v in f.cod.elements if v != table[i]])
+    return FinSetMap(f.dom, f.cod, tuple(table))
+
+
+def corrupted_prof_tables(rng, m):
+    """m's tables with one value set grown by a point or one entry of one
+    action changed, or None when m has nothing to change."""
+    at = [list(row) for row in m.at]
+    acts = [[list(row) for row in m.lact], [list(row) for row in m.ract]]
+    if at and at[0] and rng.random() < 0.2:
+        b, a = rng.randrange(len(at)), rng.randrange(len(at[0]))
+        at[b][a] = FinSetObj(at[b][a].size + 1)
+    else:
+        movable = [(side, i, j) for side, rows in enumerate(acts)
+                   for i, row in enumerate(rows) for j, f in enumerate(row)
+                   if f.dom.size and f.cod.size > 1]
+        if not movable:
+            return None
+        side, i, j = rng.choice(movable)
+        acts[side][i][j] = changed_entry(rng, acts[side][i][j])
+    return (tuple(map(tuple, at)), tuple(map(tuple, acts[0])),
+            tuple(map(tuple, acts[1])))
+
+
+def expect_violation(want, build):
+    """``build()`` raises exactly the clause and message ``want`` names,
+    or succeeds when ``want`` is None."""
+    if want is None:
+        build()
+        return
+    with pytest.raises(InvariantViolation) as e:
+        build()
+    assert (e.value.clause, str(e.value)) == (want[0], f"{want[0]}: {want[1]}")
+
+
+class TestNaturalMapsAgainstReference:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_enumerated_morphisms_match_product_search(self, seed):
+        """The same morphisms in the same order, between unrelated
+        parallel modules and from a module to itself."""
+        rng = random.Random(600 + seed)
+        counts = []
+        while len(counts) < 30:
+            a, b = rand_fincat(rng, max_objs=3), rand_fincat(rng, max_objs=3)
+            m = rich_profunctor(rng, a, b)
+            for n in (rich_profunctor(rng, a, b), m):
+                if morphism_space(m, n) > 5000:
+                    continue
+                got = [mo.h for mo in enumerate_prof_morphisms(m, n)]
+                assert got == list(product_prof_maps(m, n))
+                counts.append(len(got))
+        assert sum(c > 1 for c in counts) >= 5
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lifting_families_match_product_search(self, seed):
+        rng = random.Random(700 + seed)
+        counts = []
+        while len(counts) < 40:
+            y = rand_fincat(rng)
+            s, k = rand_fincat(rng, max_objs=2), rand_fincat(rng, max_objs=2)
+            n, u = rich_profunctor(rng, s, y), rich_profunctor(rng, k, y)
+            if any(family_space(n, u, so, ko) > 30000
+                   for so in s.objs for ko in k.objs):
+                continue
+            fams = rif_mod_data(n, u).families
+            for so in s.objs:
+                for ko in k.objs:
+                    want = tuple(product_natural_families(n, u, so, ko))
+                    assert fams[so][ko] == want
+                    counts.append(len(want))
+        assert sum(c > 1 for c in counts) >= 5
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_corrupted_profunctor_raises_the_same_violation(self, seed):
+        rng = random.Random(800 + seed)
+        seen, checked = set(), 0
+        while checked < 60:
+            a, b = rand_fincat(rng, max_objs=3), rand_fincat(rng, max_objs=3)
+            tables = corrupted_prof_tables(rng, small_profunctor(rng, a, b))
+            if tables is None:
+                continue
+            want = reference_prof_violation(a, b, *tables)
+            expect_violation(want, lambda: Profunctor(a, b, *tables))
+            seen.add(want and want[0])
+            checked += 1
+        assert seen >= {"prof-typing", "prof-ident", "prof-comp",
+                        "prof-interchange"}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_corrupted_morphism_raises_the_same_violation(self, seed):
+        """One component of an identity morphism grown by a point or
+        with one entry changed."""
+        rng = random.Random(900 + seed)
+        seen, checked = set(), 0
+        while checked < 40:
+            a, b = rand_fincat(rng, max_objs=3), rand_fincat(rng, max_objs=3)
+            m = small_profunctor(rng, a, b)
+            h = [list(row) for row in prof_id(m).h]
+            cells = [(bo, ao) for bo in b.objs for ao in a.objs
+                     if m.at[bo][ao].size > 1]
+            if not cells:
+                continue
+            bo, ao = rng.choice(cells)
+            f = h[bo][ao]
+            if rng.random() < 0.2:
+                grown = FinSetObj(f.dom.size + 1)
+                h[bo][ao] = FinSetMap(grown, f.cod, f.table + (0,))
+            else:
+                h[bo][ao] = changed_entry(rng, f)
+            h = tuple(map(tuple, h))
+            want = reference_profmor_violation(m, m, h)
+            expect_violation(want, lambda: ProfMorphism(m, m, h))
+            seen.add(want and want[0])
+            checked += 1
+        assert seen >= {"profmor-typing", "profmor-natural"}
+
+
+@pytest.fixture(scope="module")
+def wide_point():
+    """The one-point presheaf on a discrete category of 1200 objects."""
+    return constant_presheaf(discrete_cat(1200), 1)
+
+
+def at_default_recursion_limit(fn, *args):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestWideBaseAtTheDefaultRecursionLimit:
+    """Over 1200 objects each of these once searched with one nested call
+    per object and overflowed the stack."""
+
+    def test_tabulate_mod(self, wide_point):
+        tab = at_default_recursion_limit(tabulate_mod, wide_point)
+        assert tab.el.cat.objects.size == 1200
+        assert tab.rho == tuple(identity(v) for v in wide_point.at)
+
+    def test_rif_mod(self, wide_point):
+        m = presheaf_as_module(wide_point)
+        r = at_default_recursion_limit(rif_mod, m, m)
+        assert cell_sizes(r) == ((1,),)
 
 
 class TestRifMod:
@@ -603,11 +948,6 @@ class TestFiberwise:
             want = sum(v.at[s][0].size for s in p.dom.objs
                        if p.omap[s] == yo)
             assert fw.at[yo][0].size == want
-
-    def test_fiber_presheaf_delegates(self):
-        rng = random.Random(64)
-        p = rand_dfib(rng, rand_fincat(rng))
-        assert fiber_presheaf(p) == fibers(p)
 
 
 class TestComposePolymod:
