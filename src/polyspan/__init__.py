@@ -1,165 +1,53 @@
 """Polynomials as spans: composition and evaluation of polynomial
 functors over finite sets, relations, and finite categories, with the
-span calculus, right liftings, and fibration machinery underneath."""
+span calculus, right liftings, and fibration machinery underneath.
 
-from .errors import (
-    InvariantViolation,
-    MultipleMediatorsError,
-    NoMediatorError,
-)
-from .finset import FinSetMap, FinSetObj, Subset, compose, identity
-from .spans import (
-    PBAround,
-    Span,
-    SpanCell,
-    compose_spans,
-    distributivity_pullback,
-    graph,
-    identity_span,
-    is_map,
-    mediate_pb_around,
-    pullback,
-    reverse_span,
-    triangle_identities_hold,
-)
-from .polyset import (
-    FamilyMap,
-    IndexedFamily,
-    PolyMorphism,
-    Polynomial,
-    are_isomorphic_poly,
-    compose_poly,
-    extension_eval,
-    extension_on_map,
-    hK_span,
-    identity_poly,
-)
-from .relpoly import (
-    PartialMapToPower,
-    Relation,
-    RelPolynomial,
-    compose_polyrel,
-    from_partial_map,
-    hK_rel,
-    identity_polyrel,
-    kleisli_compose,
-    rel,
-    rel_compose,
-    rel_rif,
-    to_partial_map,
-)
-from .fincat import (
-    FinCat,
-    Functor,
-    NatTrans,
-    Presheaf,
-    comprehensive_factorization,
-    constant_presheaf,
-    discrete_cat,
-    elements,
-    fibers,
-    is_discrete_fibration,
-    is_final,
-    is_groupoid_fibration,
-    opposite_cat,
-    product_cat,
-    representable,
-    terminal_cat,
-)
-from .modpoly import (
-    ModPolynomial,
-    ProfMorphism,
-    Profunctor,
-    compose_polymod,
-    graph_module,
-    hK_mod,
-    identity_module,
-    identity_polymod,
-    prof_compose,
-    prof_iso,
-    rif_mod,
-    tabulate_mod,
-)
-from .documents import Document, ParseError, document, parse, serialize
-from .checks import CheckReport, SUITES, run_suite
+Importing the package loads none of its layers.  Each exported name is
+looked up in its defining module on every access (PEP 562), so a
+program pays only for the layers it touches, and a name rebound in its
+module is what the package returns."""
 
-__all__ = [
-    "CheckReport",
-    "Document",
-    "FamilyMap",
-    "FinCat",
-    "FinSetMap",
-    "FinSetObj",
-    "Functor",
-    "IndexedFamily",
-    "InvariantViolation",
-    "ModPolynomial",
-    "MultipleMediatorsError",
-    "NatTrans",
-    "NoMediatorError",
-    "PBAround",
-    "ParseError",
-    "PartialMapToPower",
-    "PolyMorphism",
-    "Polynomial",
-    "Presheaf",
-    "ProfMorphism",
-    "Profunctor",
-    "RelPolynomial",
-    "Relation",
-    "SUITES",
-    "Span",
-    "SpanCell",
-    "Subset",
-    "are_isomorphic_poly",
-    "compose",
-    "compose_poly",
-    "compose_polymod",
-    "compose_polyrel",
-    "compose_spans",
-    "comprehensive_factorization",
-    "constant_presheaf",
-    "discrete_cat",
-    "distributivity_pullback",
-    "document",
-    "elements",
-    "extension_eval",
-    "extension_on_map",
-    "fibers",
-    "from_partial_map",
-    "graph",
-    "graph_module",
-    "hK_mod",
-    "hK_rel",
-    "hK_span",
-    "identity",
-    "identity_module",
-    "identity_poly",
-    "identity_polymod",
-    "identity_polyrel",
-    "identity_span",
-    "is_discrete_fibration",
-    "is_final",
-    "is_groupoid_fibration",
-    "is_map",
-    "kleisli_compose",
-    "mediate_pb_around",
-    "opposite_cat",
-    "parse",
-    "product_cat",
-    "prof_compose",
-    "prof_iso",
-    "pullback",
-    "rel",
-    "rel_compose",
-    "rel_rif",
-    "representable",
-    "reverse_span",
-    "rif_mod",
-    "run_suite",
-    "serialize",
-    "tabulate_mod",
-    "terminal_cat",
-    "to_partial_map",
-    "triangle_identities_hold",
-]
+from importlib import import_module as _import
+
+# Each layer module with the names it exports through the package.
+_EXPORTS = {
+    "errors": ("InvariantViolation", "MultipleMediatorsError",
+               "NoMediatorError"),
+    "finset": ("FinSetMap", "FinSetObj", "Subset", "compose", "identity"),
+    "spans": ("PBAround", "Span", "SpanCell", "compose_spans",
+              "distributivity_pullback", "graph", "identity_span", "is_map",
+              "mediate_pb_around", "pullback", "reverse_span",
+              "triangle_identities_hold"),
+    "polyset": ("FamilyMap", "IndexedFamily", "PolyMorphism", "Polynomial",
+                "are_isomorphic_poly", "compose_poly", "extension_eval",
+                "extension_on_map", "hK_span", "identity_poly"),
+    "relpoly": ("PartialMapToPower", "Relation", "RelPolynomial",
+                "compose_polyrel", "from_partial_map", "hK_rel",
+                "identity_polyrel", "kleisli_compose", "rel", "rel_compose",
+                "rel_rif", "to_partial_map"),
+    "fincat": ("FinCat", "Functor", "NatTrans", "Presheaf",
+               "comprehensive_factorization", "constant_presheaf",
+               "discrete_cat", "elements", "fibers", "is_discrete_fibration",
+               "is_final", "is_groupoid_fibration", "opposite_cat",
+               "product_cat", "representable", "terminal_cat"),
+    "modpoly": ("ModPolynomial", "ProfMorphism", "Profunctor",
+                "compose_polymod", "graph_module", "hK_mod",
+                "identity_module", "identity_polymod", "prof_compose",
+                "prof_iso", "rif_mod", "tabulate_mod"),
+    "documents": ("Document", "ParseError", "document", "parse", "serialize"),
+    "checks": ("CheckReport", "SUITES", "run_suite"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(_import(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys())

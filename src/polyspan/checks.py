@@ -12,7 +12,6 @@ import importlib.resources
 import itertools
 import json
 import random
-from dataclasses import dataclass
 
 from .documents import _CODECS, Document, document, serialize
 from .fincat import (
@@ -69,6 +68,7 @@ from .polyset import (
     hK_span,
     m_span,
 )
+from .record import Record
 from .relpoly import (
     compose_polyrel,
     graph_rel,
@@ -91,8 +91,7 @@ from .spans import (
 )
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     name: str
     count: int
     failures: tuple[str, ...]

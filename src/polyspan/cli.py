@@ -12,19 +12,26 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 
-from .checks import SUITES, random_document, run_suite
 from .documents import KINDS, ParseError, document, parse, serialize
 from .errors import InvariantViolation
-from .modpoly import compose_polymod
-from .polyset import compose_poly, extension_eval
-from .relpoly import compose_polyrel
 
+# Each command imports the layer it uses when it runs, so a call pays
+# only for its own setting: --kind -> (document kind, module, function).
 _COMPOSE = {
-    "set": ("polynomial", compose_poly),
-    "rel": ("rel-polynomial", compose_polyrel),
-    "mod": ("mod-polynomial", compose_polymod),
+    "set": ("polynomial", "polyset", "compose_poly"),
+    "rel": ("rel-polynomial", "relpoly", "compose_polyrel"),
+    "mod": ("mod-polynomial", "modpoly", "compose_polymod"),
 }
+
+# The names of checks.SUITES, kept here so that building the parser does
+# not import the suites; a test holds the two equal.
+_SUITE_NAMES = (
+    "cli-determinism", "comprehensive-factorization", "discrete-reduction",
+    "distributivity-terminality", "extension-oracle", "grothendieck-roundtrip",
+    "groupoid-criterion", "map-characterization", "mod-h-pseudofunctor",
+    "rel-h-formula", "rel-kleisli")
 
 
 def _load(path: str, kind: str):
@@ -49,7 +56,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    kind, compose = _COMPOSE[args.kind]
+    kind, module, name = _COMPOSE[args.kind]
+    compose = getattr(import_module(f".{module}", __package__), name)
     outer = _load(args.lhs, kind)
     inner = _load(args.rhs, kind)
     composite = compose(outer, inner)
@@ -58,6 +66,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .polyset import extension_eval
     poly = _load(args.poly, "polynomial")
     fam = _load(args.family, "family")
     if fam.base != poly.X:
@@ -68,6 +77,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .checks import SUITES, run_suite
     names = list(SUITES) if args.suite == "all" else [args.suite]
     status = 0
     for name in names:
@@ -88,6 +98,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
+    from .checks import random_document
     _emit(serialize(random_document(args.kind, args.seed)), args.out)
     return 0
 
@@ -115,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(fn=_cmd_eval)
 
     p_check = sub.add_parser("check", help="run a property suite")
-    p_check.add_argument("suite", choices=sorted(SUITES) + ["all"],
+    p_check.add_argument("suite", choices=sorted(_SUITE_NAMES) + ["all"],
                          help="suite name, or all of them")
     p_check.add_argument("--seed", type=int, default=0,
                          help="generator seed (default 0)")

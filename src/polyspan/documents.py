@@ -13,15 +13,20 @@ raise InvariantViolation naming the violated clause.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from .errors import InvariantViolation
-from .fincat import FinCat, Functor
 from .finset import FinSetMap, FinSetObj, Subset
-from .modpoly import ModPolynomial, Profunctor
-from .polyset import IndexedFamily, Polynomial
-from .relpoly import Relation, RelPolynomial
-from .spans import Span
+from .record import Record
+
+# The layer of a kind is imported by its decoder, or by _check_payload,
+# on first use: reading a rel-polynomial never loads the categories.
+if TYPE_CHECKING:
+    from .fincat import FinCat, Functor
+    from .modpoly import ModPolynomial, Profunctor
+    from .polyset import IndexedFamily, Polynomial
+    from .relpoly import Relation, RelPolynomial
+    from .spans import Span
 
 VERSION = "1"
 
@@ -39,8 +44,9 @@ class ParseError(Exception):
         super().__init__(message + where)
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record):
+    """A versioned, kind-tagged payload: what one document file holds."""
+
     version: str
     kind: str
     payload: object
@@ -58,23 +64,32 @@ def _expect_keys(d: object, keys: set[str], ctx: str) -> dict:
     return d
 
 
+# JSON numbers arrive as int or float and true/false as bool, so
+# ``type(x) is int`` accepts exactly the integers; whole lists are
+# checked at once, by the set of their element types and their minimum.
+
 def _nat(v: object, ctx: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+    if type(v) is not int or v < 0:
         raise ParseError(f"{ctx}: expected a nonnegative integer")
     return v
+
+
+def _int_list(v: list, low: int) -> bool:
+    """Whether every entry of v is an int of at least ``low``."""
+    return not v or {*map(type, v)} == {int} and min(v) >= low
 
 
 def _ints(v: object, ctx: str) -> tuple[int, ...]:
     if not isinstance(v, list):
         raise ParseError(f"{ctx}: expected a list of integers")
-    return tuple(_nat(x, ctx) for x in v)
+    if not _int_list(v, 0):
+        raise ParseError(f"{ctx}: expected a nonnegative integer")
+    return tuple(v)
 
 
 def _comp_row(v: object, ctx: str) -> tuple[int, ...]:
     # composition tables hold -1 at non-composable pairs
-    if not isinstance(v, list) or any(
-            isinstance(x, bool) or not isinstance(x, int) or x < -1
-            for x in v):
+    if not isinstance(v, list) or not _int_list(v, -1):
         raise ParseError(f"{ctx}: expected a list of integers >= -1")
     return tuple(v)
 
@@ -105,6 +120,7 @@ def _enc_span(s: Span) -> dict:
 
 
 def _dec_span(d: object, ctx: str) -> Span:
+    from .spans import Span
     d = _expect_keys(d, {"left_foot", "right_foot", "apex", "left_leg",
                          "right_leg"}, ctx)
     left = FinSetObj(_nat(d["left_foot"], ctx))
@@ -122,6 +138,7 @@ def _enc_poly(p: Polynomial) -> dict:
 
 
 def _dec_poly(d: object, ctx: str) -> Polynomial:
+    from .polyset import Polynomial
     d = _expect_keys(d, {"x", "e", "s", "y", "m1", "m2", "p"}, ctx)
     x = FinSetObj(_nat(d["x"], ctx))
     e = FinSetObj(_nat(d["e"], ctx))
@@ -139,6 +156,7 @@ def _enc_family(a: IndexedFamily) -> dict:
 
 
 def _dec_family(d: object, ctx: str) -> IndexedFamily:
+    from .polyset import IndexedFamily
     d = _expect_keys(d, {"base", "total", "proj"}, ctx)
     base = FinSetObj(_nat(d["base"], ctx))
     total = FinSetObj(_nat(d["total"], ctx))
@@ -164,6 +182,7 @@ def _enc_rel(r: Relation) -> dict:
 
 
 def _dec_rel(d: object, ctx: str) -> Relation:
+    from .relpoly import Relation
     d = _expect_keys(d, {"src", "tgt", "pairs"}, ctx)
     return Relation(FinSetObj(_nat(d["src"], ctx)),
                     FinSetObj(_nat(d["tgt"], ctx)),
@@ -176,6 +195,7 @@ def _enc_relpoly(p: RelPolynomial) -> dict:
 
 
 def _dec_relpoly(d: object, ctx: str) -> RelPolynomial:
+    from .relpoly import Relation, RelPolynomial
     d = _expect_keys(d, {"x", "c", "neat", "lifter"}, ctx)
     x = FinSetObj(_nat(d["x"], ctx))
     c = FinSetObj(_nat(d["c"], ctx))
@@ -195,6 +215,7 @@ def _enc_cat(c: FinCat) -> dict:
 
 
 def _dec_cat(d: object, ctx: str) -> FinCat:
+    from .fincat import FinCat
     d = _expect_keys(d, {"objects", "morphisms", "src", "tgt", "ident",
                          "comp"}, ctx)
     o = FinSetObj(_nat(d["objects"], ctx))
@@ -212,6 +233,7 @@ def _enc_functor_tables(f: Functor) -> dict:
 
 def _dec_functor_tables(d: object, dom: FinCat, cod: FinCat,
                         ctx: str) -> Functor:
+    from .fincat import Functor
     d = _expect_keys(d, {"omap", "mmap"}, ctx)
     return Functor(dom, cod, _ints(d["omap"], ctx), _ints(d["mmap"], ctx))
 
@@ -242,6 +264,7 @@ def _enc_prof_tables(m: Profunctor) -> dict:
 
 def _dec_prof_tables(d: object, src: FinCat, tgt: FinCat,
                      ctx: str) -> Profunctor:
+    from .modpoly import Profunctor
     d = _expect_keys(d, {"at", "lact", "ract"}, ctx)
     at_rows = [_ints(row, ctx) for row in _rows(d["at"], ctx)]
     if len(at_rows) != tgt.objects.size or any(
@@ -295,6 +318,7 @@ def _enc_modpoly(p: ModPolynomial) -> dict:
 
 
 def _dec_modpoly(d: object, ctx: str) -> ModPolynomial:
+    from .modpoly import ModPolynomial
     d = _expect_keys(d, {"x", "y", "s", "m", "p"}, ctx)
     x = _dec_cat(d["x"], ctx + ".x")
     y = _dec_cat(d["y"], ctx + ".y")
@@ -304,29 +328,36 @@ def _dec_modpoly(d: object, ctx: str) -> ModPolynomial:
     return ModPolynomial(x, y, s, m, p)
 
 
-# Each document kind with its (payload type, encoder, decoder).
+# Each document kind with its (payload type as "module.Class", encoder,
+# decoder).
 _CODECS = {
-    "finset-map": (FinSetMap, _enc_map, _dec_map),
-    "span": (Span, _enc_span, _dec_span),
-    "polynomial": (Polynomial, _enc_poly, _dec_poly),
-    "relation": (Relation, _enc_rel, _dec_rel),
-    "rel-polynomial": (RelPolynomial, _enc_relpoly, _dec_relpoly),
-    "fincat": (FinCat, _enc_cat, _dec_cat),
-    "functor": (Functor, _enc_functor, _dec_functor),
-    "profunctor": (Profunctor, _enc_prof, _dec_prof),
-    "mod-polynomial": (ModPolynomial, _enc_modpoly, _dec_modpoly),
-    "family": (IndexedFamily, _enc_family, _dec_family),
+    "finset-map": ("finset.FinSetMap", _enc_map, _dec_map),
+    "span": ("spans.Span", _enc_span, _dec_span),
+    "polynomial": ("polyset.Polynomial", _enc_poly, _dec_poly),
+    "relation": ("relpoly.Relation", _enc_rel, _dec_rel),
+    "rel-polynomial": ("relpoly.RelPolynomial", _enc_relpoly, _dec_relpoly),
+    "fincat": ("fincat.FinCat", _enc_cat, _dec_cat),
+    "functor": ("fincat.Functor", _enc_functor, _dec_functor),
+    "profunctor": ("modpoly.Profunctor", _enc_prof, _dec_prof),
+    "mod-polynomial": ("modpoly.ModPolynomial", _enc_modpoly, _dec_modpoly),
+    "family": ("polyset.IndexedFamily", _enc_family, _dec_family),
 }
 
 KINDS = tuple(_CODECS)
 
 
-def document(kind: str, payload: object) -> Document:
-    """Wrap an in-memory value as a current-version document."""
+def _check_payload(kind: str, payload: object) -> None:
     if kind not in _CODECS:
         raise ParseError(f"unknown document kind {kind!r}")
-    if not isinstance(payload, _CODECS[kind][0]):
+    module, _, name = _CODECS[kind][0].partition(".")
+    if not isinstance(payload,
+                      getattr(import_module(f".{module}", __package__), name)):
         raise ParseError(f"payload is not a {kind}")
+
+
+def document(kind: str, payload: object) -> Document:
+    """Wrap an in-memory value as a current-version document."""
+    _check_payload(kind, payload)
     return Document(VERSION, kind, payload)
 
 
@@ -347,14 +378,38 @@ def parse(text: str) -> Document:
     return Document(VERSION, kind, payload)
 
 
+# The C encoder formats the scalars that are not ints; keys are strings,
+# which it quotes with this function.
+_scalar = json.JSONEncoder(sort_keys=True).encode
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _canonical(v: object, pad: str) -> str:
+    """``json.dumps(v, sort_keys=True, indent=2)`` for a value of a
+    document body (string keys) that starts on a line indented by
+    ``pad``.  A list of ints is one join, each int on its own line."""
+    if type(v) is int:
+        return str(v)
+    if type(v) is list and v:
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if {*map(type, v)} == {int}:
+            items = sep.join(map(str, v))
+        else:
+            items = sep.join([_canonical(x, inner) for x in v])
+        return f"[\n{inner}{items}\n{pad}]"
+    if type(v) is dict and v:
+        inner = pad + "  "
+        items = (",\n" + inner).join(
+            [f"{_quote(k)}: {_canonical(v[k], inner)}" for k in sorted(v)])
+        return f"{{\n{inner}{items}\n{pad}}}"
+    return _scalar(v)
+
+
 def serialize(doc: Document) -> str:
     if doc.version != VERSION:
         raise ParseError(f"unsupported version {doc.version!r}")
-    if doc.kind not in _CODECS:
-        raise ParseError(f"unknown document kind {doc.kind!r}")
-    payload_type, encode, _ = _CODECS[doc.kind]
-    if not isinstance(doc.payload, payload_type):
-        raise ParseError(f"payload is not a {doc.kind}")
+    _check_payload(doc.kind, doc.payload)
     body = {"version": doc.version, "kind": doc.kind,
-            "payload": encode(doc.payload)}
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+            "payload": _CODECS[doc.kind][1](doc.payload)}
+    return _canonical(body, "") + "\n"

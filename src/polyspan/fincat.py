@@ -22,17 +22,16 @@ Conventions used throughout:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
 from .errors import InvariantViolation, require
 from .finset import FinSetMap, FinSetObj, identity, pullback
+from .record import Record
 from .unionfind import UnionFind
 
 
-@dataclass(frozen=True)
-class FinCat:
+class FinCat(Record):
     """A finite category with eagerly checked laws.
 
     Invalid tables are a construction error, so downstream operations may
@@ -131,6 +130,14 @@ class FinCat:
     def is_identity(self, f: int) -> bool:
         return self.ident(self.src(f)) == f
 
+    @cached_property
+    def non_identities(self) -> tuple[int, ...]:
+        """The morphisms that are not identities, in increasing order.
+        Once identities are checked to act as identities, every law of an
+        action or a natural map holds along them: law loops run over these."""
+        ids = set(self.ident.table)
+        return tuple(f for f in self.mors if f not in ids)
+
     def inverse_of(self, f: int) -> int | None:
         for g in self.hom(self.tgt(f), self.src(f)):
             if (self.comp[g][f] == self.ident(self.src(f))
@@ -198,8 +205,7 @@ def product_cat(a: FinCat, b: FinCat) -> FinCat:
     return FinCat(o, m, src, tgt, ident, tuple(comp))
 
 
-@dataclass(frozen=True)
-class Functor:
+class Functor(Record):
     dom: FinCat
     cod: FinCat
     omap: tuple[int, ...]
@@ -270,8 +276,7 @@ def is_functor_iso(f: Functor) -> bool:
             and len(set(f.mmap)) == f.cod.morphisms.size == len(f.mmap))
 
 
-@dataclass(frozen=True)
-class NatTrans:
+class NatTrans(Record):
     dom: Functor
     cod: Functor
     components: tuple[int, ...]
@@ -294,8 +299,7 @@ class NatTrans:
                     "nat-square", f"naturality fails at morphism {m}")
 
 
-@dataclass(frozen=True)
-class Presheaf:
+class Presheaf(Record):
     """Contravariant Set-valued functor: ``act[m]`` maps the value at tgt(m)
     to the value at src(m)."""
 
@@ -318,8 +322,11 @@ class Presheaf:
             if not _is_identity_table(act[c.ident(x)].table):
                 raise InvariantViolation("presheaf-ident", f"identity action "
                                          f"at {x} not the identity")
-        for f in c.mors:
-            for g in c.out_of(c.tgt(f)):
+        for f in c.non_identities:
+            x = c.tgt(f)
+            for g in c.out_of(x):
+                if g == c.ident.table[x]:
+                    continue
                 if act[c.comp[g][f]].table != _after(act[f], act[g]):
                     raise InvariantViolation(
                         "presheaf-comp",
@@ -355,8 +362,7 @@ def constant_presheaf(c: FinCat, size: int) -> Presheaf:
                     (identity(v),) * c.morphisms.size)
 
 
-@dataclass(frozen=True)
-class Comma:
+class Comma(Record):
     """A comma category with its projections and the connecting transformation.
 
     Objects are triples (a, b, phi: F a -> G b) ordered lexicographically;
@@ -551,8 +557,7 @@ def gfib_via_cotensor(p: Functor) -> bool:
     return is_equivalence(Functor(e2.cat, bp.cat, omap, mmap))
 
 
-@dataclass(frozen=True)
-class ElementsCat:
+class ElementsCat(Record):
     """The category of elements of a presheaf with its projection functor.
 
     Objects are pairs (base object, element) listed base-major; morphisms are
@@ -788,7 +793,7 @@ def presheaf_iso(p: Presheaf, q: Presheaf) -> tuple[FinSetMap, ...] | None:
         return None
     sizes = [v.size for v in p.at]
     squares = [(base.tgt(m), base.src(m), p.act[m].table, q.act[m].table)
-               for m in base.mors if not base.is_identity(m)]
+               for m in base.non_identities]
     tables = next(_natural_maps(sizes, sizes, squares, True), None)
     if tables is None:
         return None
@@ -800,7 +805,7 @@ def all_functors(a: FinCat, b: FinCat,
     """Enumerate functors a -> b in a deterministic order, by backtracking
     over object images and then morphism images."""
     produced = 0
-    non_ident = [f for f in a.mors if not a.is_identity(f)]
+    non_ident = a.non_identities
     for omap in itertools.product(b.objs, repeat=a.objects.size):
         mmap: list[int | None] = [None] * a.morphisms.size
         for x in a.objs:

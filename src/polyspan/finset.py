@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import require
+from .record import Record
 
 
-@dataclass(frozen=True)
-class FinSetObj:
+class FinSetObj(Record):
     """A finite set: a size plus optional distinct element labels."""
 
     size: int
@@ -42,8 +41,7 @@ class FinSetObj:
         return range(self.size)
 
 
-@dataclass(frozen=True)
-class FinSetMap:
+class FinSetMap(Record):
     """A function between finite sets, tabulated on every element."""
 
     dom: FinSetObj
@@ -129,8 +127,7 @@ def constant(dom: FinSetObj, cod: FinSetObj, value: int) -> FinSetMap:
     return FinSetMap(dom, cod, (value,) * dom.size)
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(Record):
     """A subset of a finite set, members kept in strictly increasing order."""
 
     ambient: FinSetObj
@@ -158,8 +155,7 @@ def full_subset(x: FinSetObj) -> Subset:
     return Subset(x, tuple(x.elements))
 
 
-@dataclass(frozen=True)
-class Pullback:
+class Pullback(Record):
     """Pullback of a cospan (f, g): pairs (a, b) with f(a) = g(b), in
     lexicographic order.  ``pr1``/``pr2`` project a pair to its components."""
 
@@ -205,8 +201,7 @@ def pullback(f: FinSetMap, g: FinSetMap) -> Pullback:
     return Pullback(f, g, apex, pr1, pr2, pairs)
 
 
-@dataclass(frozen=True)
-class Pi:
+class Pi(Record):
     """Dependent product of a family x: X→A along f: A→B.
 
     Elements of ``obj`` are pairs (b, sigma): a point of B together with a

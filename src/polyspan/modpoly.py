@@ -20,8 +20,6 @@ formula that the construction re-validates on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvariantViolation, require
 from .fincat import (
     ElementsCat,
@@ -43,11 +41,11 @@ from .fincat import (
     terminal_cat,
 )
 from .finset import FinSetMap, FinSetObj, compose, identity
+from .record import Record
 from .unionfind import UnionFind
 
 
-@dataclass(frozen=True)
-class Profunctor:
+class Profunctor(Record):
     """A two-sided module: ``at[b][a]`` is the value set, ``lact[beta][a]``
     restricts along a tgt-category morphism (contravariantly) and
     ``ract[alpha][b]`` pushes along a src-category morphism (covariantly).
@@ -94,25 +92,33 @@ class Profunctor:
                 if not _is_identity_table(ract[a_cat.ident(a)][b].table):
                     raise InvariantViolation(
                         "prof-ident", f"right identity action fails at ({b}, {a})")
-        for b1 in b_cat.mors:
-            for b2 in b_cat.out_of(b_cat.tgt(b1)):
+        # With the identity actions checked, every equation along an
+        # identity holds: only pairs of non-identities are computed.
+        for b1 in b_cat.non_identities:
+            b = b_cat.tgt(b1)
+            for b2 in b_cat.out_of(b):
+                if b2 == b_cat.ident.table[b]:
+                    continue
                 row, l1, l2 = lact[b_cat.comp[b2][b1]], lact[b1], lact[b2]
                 for a in a_cat.objs:
                     if row[a].table != _after(l1[a], l2[a]):
                         raise InvariantViolation(
                             "prof-comp",
                             f"left action not functorial on ({b2}, {b1})")
-        for a1 in a_cat.mors:
-            for a2 in a_cat.out_of(a_cat.tgt(a1)):
+        for a1 in a_cat.non_identities:
+            a = a_cat.tgt(a1)
+            for a2 in a_cat.out_of(a):
+                if a2 == a_cat.ident.table[a]:
+                    continue
                 row, r1, r2 = ract[a_cat.comp[a2][a1]], ract[a1], ract[a2]
                 for b in b_cat.objs:
                     if row[b].table != _after(r2[b], r1[b]):
                         raise InvariantViolation(
                             "prof-comp",
                             f"right action not functorial on ({a2}, {a1})")
-        for beta in b_cat.mors:
+        for beta in b_cat.non_identities:
             b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
-            for alpha in a_cat.mors:
+            for alpha in a_cat.non_identities:
                 a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
                 if (_after(ract[alpha][b1], lact[beta][a1])
                         != _after(lact[beta][a2], ract[alpha][b2])):
@@ -204,8 +210,7 @@ def identity_module(c: FinCat) -> Profunctor:
     return graph_module(identity_functor(c))
 
 
-@dataclass(frozen=True)
-class ProfMorphism:
+class ProfMorphism(Record):
     """A morphism of parallel profunctors: one map per value set, natural
     for both actions."""
 
@@ -225,7 +230,7 @@ class ProfMorphism:
                 if f.dom != m.at[b][a] or f.cod != n.at[b][a]:
                     raise InvariantViolation(
                         "profmor-typing", f"component at ({b}, {a}) mistyped")
-        for beta in b_cat.mors:
+        for beta in b_cat.non_identities:
             b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
             for a in a_cat.objs:
                 if (_after(h[b1][a], m.lact[beta][a])
@@ -233,7 +238,7 @@ class ProfMorphism:
                     raise InvariantViolation(
                         "profmor-natural",
                         f"left naturality fails at ({beta}, {a})")
-        for alpha in a_cat.mors:
+        for alpha in a_cat.non_identities:
             a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
             for b in b_cat.objs:
                 if (_after(h[b][a2], m.ract[alpha][b])
@@ -287,7 +292,8 @@ def _coend_cell(n: Profunctor, m: Profunctor, c: int, a: int):
         for x in m.at[b][a].elements:
             for y in n.at[c][b].elements:
                 uf.add((b, x, y))
-    for beta in b_cat.mors:
+    # an identity would unite each triple with itself
+    for beta in b_cat.non_identities:
         b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
         for x2 in m.at[b2][a].elements:
             for y1 in n.at[c][b1].elements:
@@ -343,8 +349,7 @@ def prof_compose(n: Profunctor, m: Profunctor) -> Profunctor:
     return Profunctor(a_cat, c_cat, at, tuple(lact), tuple(ract))
 
 
-@dataclass(frozen=True)
-class CoendElement:
+class CoendElement(Record):
     """One class of the coend at a value cell: the smallest member as the
     canonical representative, and the class id."""
 
@@ -390,12 +395,10 @@ def _prof_maps(m: Profunctor, n: Profunctor, bijective: bool):
     na = a_cat.objects.size
     squares = [(b_cat.tgt(beta) * na + a, b_cat.src(beta) * na + a,
                 m.lact[beta][a].table, n.lact[beta][a].table)
-               for beta in b_cat.mors if not b_cat.is_identity(beta)
-               for a in a_cat.objs]
+               for beta in b_cat.non_identities for a in a_cat.objs]
     squares += [(b * na + a_cat.src(alpha), b * na + a_cat.tgt(alpha),
                  m.ract[alpha][b].table, n.ract[alpha][b].table)
-                for alpha in a_cat.mors if not a_cat.is_identity(alpha)
-                for b in b_cat.objs]
+                for alpha in a_cat.non_identities for b in b_cat.objs]
     for tables in _natural_maps(
             [v.size for row in m.at for v in row],
             [v.size for row in n.at for v in row], squares, bijective):
@@ -430,14 +433,13 @@ def _natural_families(n: Profunctor, u: Profunctor, s: int, k: int):
     y_cat = n.tgt
     squares = [(y_cat.tgt(psi), y_cat.src(psi),
                 n.lact[psi][s].table, u.lact[psi][k].table)
-               for psi in y_cat.mors if not y_cat.is_identity(psi)]
+               for psi in y_cat.non_identities]
     return _natural_maps([n.at[y][s].size for y in y_cat.objs],
                          [u.at[y][k].size for y in y_cat.objs],
                          squares, False)
 
 
-@dataclass(frozen=True)
-class RifModData:
+class RifModData(Record):
     """A right lifting together with its concrete elements: families[s][k]
     lists the natural families the value set at (s, k) enumerates."""
 
@@ -514,8 +516,7 @@ def rif_mod_counit(n: Profunctor, u: Profunctor,
     return ProfMorphism(comp, u, tuple(h))
 
 
-@dataclass(frozen=True)
-class ModTabulation:
+class ModTabulation(Record):
     """The category of elements of a presheaf with projection and the
     witnessing isomorphism between the fibers of the projection and the
     presheaf itself."""
@@ -535,8 +536,7 @@ def tabulate_mod(u: Presheaf) -> ModTabulation:
     return ModTabulation(el, el.proj, tuple(identity(v) for v in u.at))
 
 
-@dataclass(frozen=True)
-class ModPolynomial:
+class ModPolynomial(Record):
     """A polynomial between finite categories: profunctor lifter leg out
     of the apex, discrete fibration neat leg."""
 
@@ -610,8 +610,7 @@ def fiberwise_module(p: Functor, v: Profunctor) -> Profunctor:
     return Profunctor(k_cat, y_cat, at, tuple(lact), tuple(ract))
 
 
-@dataclass(frozen=True)
-class DfibCollapse:
+class DfibCollapse(Record):
     """The fiberwise sum together with the canonical comparison from the
     coend route, verified invertible."""
 
@@ -643,8 +642,7 @@ def dfib_collapse(p: Functor, v: Profunctor) -> DfibCollapse:
     return DfibCollapse(fw, compare)
 
 
-@dataclass(frozen=True)
-class PolymodParts:
+class PolymodParts(Record):
     """Composite polynomial with the intermediate construction data."""
 
     poly: ModPolynomial

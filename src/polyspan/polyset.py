@@ -12,10 +12,10 @@ pullback so that extensions compose (checked by the oracle tests).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import require
 from .finset import FinSetMap, FinSetObj, Pullback, compose, identity, pullback
+from .record import Record
 from .spans import (
     Bipullback,
     PBAround,
@@ -43,8 +43,7 @@ from .spans import (
 )
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     X: FinSetObj
     E: FinSetObj
     S: FinSetObj
@@ -72,8 +71,7 @@ def p_span(P: Polynomial) -> Span:
     return graph(P.p)
 
 
-@dataclass(frozen=True)
-class IndexedFamily:
+class IndexedFamily(Record):
     base: FinSetObj
     total: FinSetObj
     proj: FinSetMap
@@ -90,8 +88,7 @@ def family_of(proj: FinSetMap) -> IndexedFamily:
     return IndexedFamily(proj.cod, proj.dom, proj)
 
 
-@dataclass(frozen=True)
-class FamilyMap:
+class FamilyMap(Record):
     """A map of families over a shared base."""
 
     src: IndexedFamily
@@ -149,8 +146,7 @@ def identity_poly(x: FinSetObj) -> Polynomial:
     return Polynomial(x, x, x, x, identity(x), identity(x), identity(x))
 
 
-@dataclass(frozen=True)
-class CompositeParts:
+class CompositeParts(Record):
     """Everything produced while composing two polynomials, kept so that
     horizontal composition of morphisms can reuse the same squares."""
 
@@ -189,8 +185,7 @@ def compose_poly(Q: Polynomial, P: Polynomial) -> Polynomial:
     return composite_parts(Q, P).poly
 
 
-@dataclass(frozen=True)
-class PolyMorphism:
+class PolyMorphism(Record):
     """A morphism of parallel polynomials: a span h between the S objects
     with a bijective left leg, a lax cell lam: m'∘h => m, and an invertible
     cell rho: p => p'∘h."""

@@ -12,16 +12,15 @@ style.  Both routes are implemented and compared by the tests.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .errors import require
 from .finset import FinSetMap, FinSetObj, Subset, full_subset
+from .record import Record
 
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """Pairs (x, y) meaning x is related to y, sorted lexicographically."""
 
     src: FinSetObj
@@ -108,8 +107,7 @@ def rel_rif(n: Relation, u: Relation) -> Relation:
     return rel(u.src, n.src, out)
 
 
-@dataclass(frozen=True)
-class Tabulation:
+class Tabulation(Record):
     """A relation out of a one-point set presented as a subset inclusion
     together with its graph relation as the witnessing leg."""
 
@@ -126,8 +124,7 @@ def tabulate_rel(u: Relation) -> Tabulation:
     return Tabulation(p, graph_rel(p))
 
 
-@dataclass(frozen=True)
-class RelPolynomial:
+class RelPolynomial(Record):
     """A polynomial from X to C in the relational world: the neat leg is
     a subset Z of C and the lifter leg is a relation from X to Z."""
 
@@ -169,8 +166,7 @@ def compose_polyrel(q: RelPolynomial, p: RelPolynomial) -> RelPolynomial:
     return RelPolynomial(p.X, q.C, z_new, rel_compose(restriction, p.A))
 
 
-@dataclass(frozen=True)
-class PartialMapToPower:
+class PartialMapToPower(Record):
     """A partial map from D to the power set of X: defined on the subset
     B, with one sorted tuple of X-indices per member of B."""
 

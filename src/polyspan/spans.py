@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .errors import MultipleMediatorsError, NoMediatorError, require
 from .finset import (
@@ -22,10 +21,10 @@ from .finset import (
     pi_f,
     pullback,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Record):
     left_foot: FinSetObj
     right_foot: FinSetObj
     apex: FinSetObj
@@ -41,8 +40,7 @@ class Span:
                 "right leg must land in the right foot")
 
 
-@dataclass(frozen=True)
-class SpanCell:
+class SpanCell(Record):
     """A morphism of parallel spans: an apex map commuting with both legs."""
 
     source: Span
@@ -203,8 +201,7 @@ def post_graph_cell(f: FinSetMap, s: Span) -> SpanCell:
                               tuple(a for a, _ in sq.pairs)))
 
 
-@dataclass(frozen=True)
-class MapWitness:
+class MapWitness(Record):
     """Right adjoint data for a span whose left leg is a bijection."""
 
     right_adjoint: Span
@@ -247,8 +244,7 @@ def is_map(s: Span) -> MapWitness | None:
     return w
 
 
-@dataclass(frozen=True)
-class Rif:
+class Rif(Record):
     """A right lifting: the lifted span together with its counit 2-cell
     (from lifter∘lifted to the given morphism)."""
 
@@ -307,8 +303,7 @@ def rif_transpose(m: Span, rif: Rif, v: Span, cell: SpanCell) -> SpanCell:
     return SpanCell(v, rif.span, FinSetMap(v.apex, rif.span.apex, tuple(table)))
 
 
-@dataclass(frozen=True)
-class PBAround:
+class PBAround(Record):
     """A pullback (p, q, r) around the composable pair (f, g): the square
     f∘g∘p = r∘q commutes and (q, g∘p) exhibits the inner object as the
     pullback of r against f."""
@@ -427,8 +422,7 @@ def random_pb_around(f: FinSetMap, g: FinSetMap, seed: int) -> PBAround:
     return PBAround(f, g, p, pb.pr1, r)
 
 
-@dataclass(frozen=True)
-class Bipullback:
+class Bipullback(Record):
     """A bipullback square over a cospan whose right side is the graph span
     of a function (the groupoid-fibration side).
 
@@ -492,8 +486,7 @@ def distributivity_bipullback(pba: PBAround) -> Bipullback:
     return Bipullback("distributivity", d, c, n, pba.g, theta, pba)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """A cone factored through a bipullback: h into the vertex, lam the cell
     c∘h => v on the function side, rho the invertible cell d∘h => u."""
 

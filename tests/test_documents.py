@@ -4,7 +4,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyspan import documents
+from polyspan.checks import random_document
 from polyspan.documents import (
     KINDS,
     Document,
@@ -141,3 +145,115 @@ class TestInvariantSurfacing:
         doc = sample_documents(12, rounds=1)[0]
         with pytest.raises(ParseError, match="unsupported version"):
             serialize(Document("0", doc.kind, doc.payload))
+
+
+class TestCanonicalEmitter:
+    """serialize writes the canonical text itself; json.dumps with
+    indent=2 (the pure-Python encoder it replaced) is the reference."""
+
+    @staticmethod
+    def reference(doc):
+        body = {"version": doc.version, "kind": doc.kind,
+                "payload": documents._CODECS[doc.kind][1](doc.payload)}
+        return json.dumps(body, sort_keys=True, indent=2) + "\n"
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(documents._CODECS)),
+           st.integers(0, 2 ** 32))
+    def test_every_kind_matches_json_dumps(self, kind, seed):
+        doc = random_document(kind, seed)
+        assert serialize(doc) == self.reference(doc)
+
+    def test_sample_documents_match_json_dumps(self):
+        docs = sample_documents(13)
+        assert {d.kind for d in docs} == set(KINDS)
+        for doc in docs:
+            assert serialize(doc) == self.reference(doc)
+
+    def test_empty_tables_match_json_dumps(self):
+        docs = [parse('{"version": "1", "kind": "relation", "payload": '
+                      '{"src": 0, "tgt": 0, "pairs": []}}'),
+                parse('{"version": "1", "kind": "fincat", "payload": '
+                      '{"objects": 0, "morphisms": 0, "src": [], "tgt": [], '
+                      '"ident": [], "comp": []}}')]
+        for doc in docs:
+            assert serialize(doc) == self.reference(doc)
+            assert "[]" in serialize(doc)
+
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text()
+        | st.floats(allow_nan=False, allow_infinity=False),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        max_leaves=20)
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values)
+    def test_any_json_tree_matches_json_dumps(self, tree):
+        # empty lists and objects, bools among ints, non-ASCII keys
+        assert (documents._canonical(tree, "")
+                == json.dumps(tree, sort_keys=True, indent=2))
+
+
+# The per-element checks that _nat, _ints and _comp_row replaced.
+
+def reference_nat(v, ctx):
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ParseError(f"{ctx}: expected a nonnegative integer")
+    return v
+
+
+def reference_ints(v, ctx):
+    if not isinstance(v, list):
+        raise ParseError(f"{ctx}: expected a list of integers")
+    return tuple(reference_nat(x, ctx) for x in v)
+
+
+def reference_comp_row(v, ctx):
+    if not isinstance(v, list) or any(
+            isinstance(x, bool) or not isinstance(x, int) or x < -1
+            for x in v):
+        raise ParseError(f"{ctx}: expected a list of integers >= -1")
+    return tuple(v)
+
+
+def outcome(fn, v):
+    try:
+        result = fn(v, "ctx")
+    except ParseError as e:
+        return "error", str(e)
+    return "value", result, tuple(map(type, result)) if isinstance(
+        result, tuple) else type(result)
+
+
+class TestIntegerChecksAgainstReference:
+    scalars = (st.integers(-3, 5) | st.booleans() | st.floats(-2, 2)
+               | st.text(max_size=2) | st.none())
+    values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=6),
+                          max_leaves=12)
+    mostly_ints = st.lists(st.integers(-2, 9) | scalars, max_size=8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(values)
+    def test_nat(self, v):
+        assert outcome(documents._nat, v) == outcome(reference_nat, v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(values | mostly_ints)
+    def test_ints(self, v):
+        assert outcome(documents._ints, v) == outcome(reference_ints, v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(values | mostly_ints)
+    def test_comp_row(self, v):
+        assert (outcome(documents._comp_row, v)
+                == outcome(reference_comp_row, v))
+
+    def test_each_error_is_reached(self):
+        assert outcome(documents._ints, 3)[0] == "error"
+        assert "nonnegative" in outcome(documents._ints, [0, True])[1]
+        assert "nonnegative" in outcome(documents._ints, [0, -1])[1]
+        assert "nonnegative" in outcome(documents._ints, [1.0])[1]
+        assert outcome(documents._comp_row, [-1, 0, 2])[0] == "value"
+        assert ">= -1" in outcome(documents._comp_row, [0, -2])[1]
+        assert ">= -1" in outcome(documents._comp_row, [[0]])[1]
