@@ -15,7 +15,6 @@ import random
 
 from .documents import _CODECS, Document, document, serialize
 from .fincat import (
-    FinCat,
     Functor,
     compose_functors,
     comprehensive_factorization,
@@ -35,24 +34,26 @@ from .gen import (
     rand_dfib,
     rand_family,
     rand_fincat,
-    rand_finset,
     rand_functor,
     rand_hk_case,
     rand_map,
-    rand_modpoly,
     rand_poly,
     rand_presheaf,
-    rand_profunctor,
     rand_relation,
     rand_relpoly,
     rand_span,
+    random_document,
 )
 from .modpoly import (
     ModPolynomial,
+    PolymodParts,
     Profunctor,
-    compose_polymod,
+    graph_module,
     hK_mod,
     hK_mod_via_lifting,
+    module_as_presheaf,
+    polymod_parts,
+    prof_compose,
     prof_iso,
 )
 from .polyset import (
@@ -310,27 +311,20 @@ def check_map_characterization(seed: int,
     del seed, count
     failures = []
     examined = 0
-    for lsize in range(4):
-        for rsize in range(4):
-            for esize in range(4):
-                apex = FinSetObj(esize)
-                left = FinSetObj(lsize)
-                right = FinSetObj(rsize)
-                for ltab in itertools.product(range(lsize), repeat=esize):
-                    for rtab in itertools.product(range(rsize), repeat=esize):
-                        s = Span(left, right, apex,
-                                 FinSetMap(apex, left, ltab),
-                                 FinSetMap(apex, right, rtab))
-                        examined += 1
-                        w = is_map(s)
-                        if (w is not None) != s.left_leg.is_bijective:
-                            failures.append(
-                                "adjoint witness disagrees with left-leg "
-                                f"bijectivity on {_compact('span', s)}")
-                        if w is not None and not triangle_identities_hold(s, w):
-                            failures.append(
-                                "triangle identities fail on "
-                                f"{_compact('span', s)}")
+    for lsize, rsize, esize in itertools.product(range(4), repeat=3):
+        apex, left, right = (FinSetObj(n) for n in (esize, lsize, rsize))
+        for ltab in itertools.product(range(lsize), repeat=esize):
+            for rtab in itertools.product(range(rsize), repeat=esize):
+                s = Span(left, right, apex, FinSetMap(apex, left, ltab),
+                         FinSetMap(apex, right, rtab))
+                examined += 1
+                w = is_map(s)
+                if (w is not None) != s.left_leg.is_bijective:
+                    failures.append("adjoint witness disagrees with left-leg "
+                                    f"bijectivity on {_compact('span', s)}")
+                if w is not None and not triangle_identities_hold(s, w):
+                    failures.append("triangle identities fail on "
+                                    f"{_compact('span', s)}")
     return CheckReport("map-characterization", examined, tuple(failures))
 
 
@@ -450,6 +444,24 @@ def check_groupoid_criterion(seed: int,
     return CheckReport("groupoid-criterion", count, tuple(failures))
 
 
+# -- suites 8 and 10: module composites, with what they hold by construction
+
+def witnessed_parts(q: ModPolynomial,
+                    p: ModPolynomial) -> tuple[PolymodParts, list[str]]:
+    """``polymod_parts(q, p)`` and which of the facts it holds by
+    construction fail: n fills the square (p.p)_*∘n ≅ q.m∘r_*, and the
+    tabulation's fibers are the lifted presheaf, table for table."""
+    parts = polymod_parts(q, p)
+    wrong = []
+    if prof_iso(prof_compose(graph_module(p.p), parts.n),
+                prof_compose(q.m, graph_module(parts.r))) is None:
+        wrong.append("the induced module does not fill the square with "
+                     "the graph modules")
+    if fibers(parts.tab.p) != module_as_presheaf(parts.rif.prof):
+        wrong.append("the tabulation's fibers are not the lifted presheaf")
+    return parts, wrong
+
+
 # -- suite 8: module-level hom action ---------------------------------------
 
 def check_mod_h_pseudofunctor(seed: int,
@@ -463,19 +475,16 @@ def check_mod_h_pseudofunctor(seed: int,
         if case is None:
             continue
         k, p, q, u = case
-        qp = compose_polymod(q, p)
-        heavy = False
-        for kk in k.objs:
-            u_sizes = [u.at[xo][kk].size for xo in p.X.objs]
-            work, _ = _lift_bounds(qp.m, u_sizes)
-            if work > 40000:
-                heavy = True
-        if heavy:
-            continue
         i = done
         where = (f"p={_compact('mod-polynomial', p)} "
                  f"q={_compact('mod-polynomial', q)} "
                  f"u={_compact('profunctor', u)}")
+        parts, wrong = witnessed_parts(q, p)
+        failures += [f"case {i}: {w}; {where}" for w in wrong]
+        qp = parts.poly
+        if any(_lift_bounds(qp.m, [u.at[xo][kk].size for xo in p.X.objs])[0]
+               > 40000 for kk in k.objs):
+            continue
         step = hK_mod(k, p, u)
         evals = [
             ("first action", step, hK_mod_via_lifting(k, p, u)),
@@ -484,12 +493,10 @@ def check_mod_h_pseudofunctor(seed: int,
             ("composite action", hK_mod(k, qp, u),
              hK_mod_via_lifting(k, qp, u)),
         ]
-        bad = False
-        for label, left, right in evals:
-            if prof_iso(left, right) is None:
-                failures.append(f"case {i}: the two formulas disagree on "
-                                f"the {label}; {where}")
-                bad = True
+        bad = [label for label, left, right in evals
+               if prof_iso(left, right) is None]
+        failures += [f"case {i}: the two formulas disagree on the {label}; "
+                     f"{where}" for label in bad]
         if not bad and prof_iso(evals[2][1], evals[1][1]) is None:
             failures.append(f"case {i}: action through the composite is "
                             f"not the composite of actions; {where}")
@@ -542,8 +549,9 @@ def check_discrete_reduction(seed: int,
         where = (f"p={_compact('polynomial', p)} "
                  f"q={_compact('polynomial', q)}")
         direct = compose_poly(q, p)
-        lifted = compose_polymod(embed_poly(q), embed_poly(p))
-        if not are_isomorphic_poly(decode_poly(lifted), direct):
+        parts, wrong = witnessed_parts(embed_poly(q), embed_poly(p))
+        failures += [f"case {i}: {w}; {where}" for w in wrong]
+        if not are_isomorphic_poly(decode_poly(parts.poly), direct):
             failures.append(f"case {i}: categorical composite decodes to a "
                             f"different polynomial; {where}")
             continue
@@ -565,47 +573,6 @@ def check_discrete_reduction(seed: int,
 
 
 # -- suite 11: golden documents ---------------------------------------------
-
-def random_document(kind: str, seed: int) -> Document:
-    """The seeded random document behind the ``random`` command; a fixed
-    kind and seed always produce the same bytes."""
-    rng = random.Random(seed)
-    if kind == "finset-map":
-        a, b = rand_finset(rng, 1, 5), rand_finset(rng, 1, 5)
-        return document(kind, rand_map(rng, a, b))
-    if kind == "span":
-        a, b = rand_finset(rng, 1, 4), rand_finset(rng, 1, 4)
-        return document(kind, rand_span(rng, a, b))
-    if kind == "polynomial":
-        a, b = rand_finset(rng, 1, 3), rand_finset(rng, 1, 3)
-        return document(kind, rand_poly(rng, a, b))
-    if kind == "relation":
-        a, b = rand_finset(rng, 1, 5), rand_finset(rng, 1, 5)
-        return document(kind, rand_relation(rng, a, b))
-    if kind == "rel-polynomial":
-        a, b = rand_finset(rng, 1, 4), rand_finset(rng, 1, 4)
-        return document(kind, rand_relpoly(rng, a, b))
-    if kind == "family":
-        return document(kind, rand_family(rng, rand_finset(rng, 1, 4)))
-    if kind == "fincat":
-        return document(kind, rand_fincat(rng, max_objs=3, max_mors=10))
-    if kind == "functor":
-        f = None
-        while f is None:
-            a = rand_fincat(rng, max_mors=8)
-            b = rand_fincat(rng, max_mors=8)
-            f = rand_functor(rng, a, b)
-        return document(kind, f)
-    if kind == "profunctor":
-        a = rand_fincat(rng, max_mors=8)
-        b = rand_fincat(rng, max_mors=8)
-        return document(kind, rand_profunctor(rng, a, b, max_cell=3))
-    if kind == "mod-polynomial":
-        a = rand_fincat(rng, max_mors=8)
-        b = rand_fincat(rng, max_mors=8)
-        return document(kind, rand_modpoly(rng, a, b, max_cell=3))
-    raise ValueError(f"unknown document kind {kind!r}")
-
 
 def _monomial(exponent: int) -> Polynomial:
     one = FinSetObj(1)

@@ -98,7 +98,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
-    from .checks import random_document
+    from .gen import random_document
     _emit(serialize(random_document(args.kind, args.seed)), args.out)
     return 0
 

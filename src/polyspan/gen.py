@@ -5,7 +5,8 @@ fixed seed rebuilds identical structures on every run.  Categories come
 from three stock shapes (discrete, finite preorders, small monoids),
 presheaves are sums of representables with an optional constant summand,
 discrete fibrations are projections of element categories, and modules
-are presheaves on a product with the opposite, unpacked.
+are presheaves on a product with the opposite, unpacked.  The seeded
+random document of each kind (the ``random`` command) is drawn here too.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from .documents import Document, document
 from .fincat import (
     FinCat,
     Functor,
@@ -265,3 +267,40 @@ def rand_hk_case(rng: random.Random, work_cap: int = 20000):
         if work2 > work_cap:
             return None
     return k, p, q, u
+
+
+def _between_sets(gen, hi: int):
+    return lambda rng: gen(rng, rand_finset(rng, 1, hi),
+                           rand_finset(rng, 1, hi))
+
+
+def _between_cats(gen, **kw):
+    return lambda rng: gen(rng, rand_fincat(rng, max_mors=8),
+                           rand_fincat(rng, max_mors=8), **kw)
+
+
+# The payload of each kind's random document, drawn from the seeded rng.
+_RANDOM_PAYLOADS = {
+    "finset-map": _between_sets(rand_map, 5),
+    "span": _between_sets(rand_span, 4),
+    "polynomial": _between_sets(rand_poly, 3),
+    "relation": _between_sets(rand_relation, 5),
+    "rel-polynomial": _between_sets(rand_relpoly, 4),
+    "family": lambda rng: rand_family(rng, rand_finset(rng, 1, 4)),
+    "fincat": lambda rng: rand_fincat(rng, max_objs=3, max_mors=10),
+    "functor": _between_cats(rand_functor),
+    "profunctor": _between_cats(rand_profunctor, max_cell=3),
+    "mod-polynomial": _between_cats(rand_modpoly, max_cell=3),
+}
+
+
+def random_document(kind: str, seed: int) -> Document:
+    """The seeded random document behind the ``random`` command; a fixed
+    kind and seed always produce the same bytes."""
+    if kind not in _RANDOM_PAYLOADS:
+        raise ValueError(f"unknown document kind {kind!r}")
+    rng = random.Random(seed)
+    payload = None
+    while payload is None:  # two categories may have no functor: redraw
+        payload = _RANDOM_PAYLOADS[kind](rng)
+    return document(kind, payload)

@@ -57,6 +57,7 @@ class TestCompose:
         assert got == serialize(golden_documents()["monomial-compose"])
         assert json.loads(got)["payload"]["e"] == 6
 
+    @pytest.mark.usefixtures("witnessed_composites")
     def test_mod_composition_roundtrips(self, tmp_path, capsys):
         rng = random.Random(3)
         x = rand_fincat(rng, max_mors=6)

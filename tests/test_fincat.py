@@ -593,15 +593,18 @@ class TestPresheafAgainstReference:
     @pytest.mark.parametrize("seed", range(3))
     def test_iso_matches_permutation_search(self, seed):
         """The same components or None, on relabelled copies both ways
-        round, unrelated presheaves and the fibers of the elements."""
+        round, unrelated presheaves and the fibers of the elements, which
+        are the presheaf itself, table for table."""
         rng = random.Random(300 + seed)
         found = 0
         for _ in range(40):
             c = rand_fincat(rng)
             p = rand_presheaf(rng, c)
             q = relabelled(rng, p)
+            tabulated = fibers(elements(p).proj)
+            assert tabulated == p
             for left, right in ((p, q), (q, p), (p, rand_presheaf(rng, c)),
-                                (fibers(elements(p).proj), p)):
+                                (tabulated, p)):
                 got = presheaf_iso(left, right)
                 assert got == permutation_presheaf_iso(left, right)
                 found += got is not None

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from polyspan import checks
 from polyspan.errors import InvariantViolation
 from polyspan.fincat import (
     FinCat,
@@ -63,7 +64,6 @@ from polyspan.modpoly import (
     identity_module,
     identity_polymod,
     module_as_presheaf,
-    polymod_parts,
     presheaf_as_module,
     prof_compose,
     prof_from_presheaf,
@@ -817,6 +817,7 @@ class TestWideBaseAtTheDefaultRecursionLimit:
     def test_tabulate_mod(self, wide_point):
         tab = at_default_recursion_limit(tabulate_mod, wide_point)
         assert tab.el.cat.objects.size == 1200
+        assert fibers(tab.p) == wide_point
         assert tab.rho == tuple(identity(v) for v in wide_point.at)
 
     def test_rif_mod(self, wide_point):
@@ -897,21 +898,27 @@ class TestRifMod:
 class TestTabulate:
     def test_representable_tabulates_to_slice(self):
         o2 = ordinal2()
-        tab = tabulate_mod(representable(o2, 1))
+        u = representable(o2, 1)
+        tab = tabulate_mod(u)
         # two points over the base: the arrow and the upper identity
         assert tab.el.cat.objects.size == 2
         assert is_discrete_fibration(tab.p)
+        assert fibers(tab.p) == u
 
     def test_constant_singleton_recovers_base(self):
         c = preorder_cat(3, [(0, 1), (1, 2)])
-        tab = tabulate_mod(constant_presheaf(c, 1))
+        u = constant_presheaf(c, 1)
+        tab = tabulate_mod(u)
         assert tab.el.cat.objects.size == c.objects.size
         assert tab.el.cat.morphisms.size == c.morphisms.size
+        assert fibers(tab.p) == u
 
     def test_empty_presheaf(self):
         o2 = ordinal2()
-        tab = tabulate_mod(constant_presheaf(o2, 0))
+        u = constant_presheaf(o2, 0)
+        tab = tabulate_mod(u)
         assert tab.el.cat.objects.size == 0
+        assert fibers(tab.p) == u
 
     def test_witness_matches_fibers(self):
         rng = random.Random(48)
@@ -920,6 +927,7 @@ class TestTabulate:
             u = rand_presheaf(rng, c)
             tab = tabulate_mod(u)
             assert presheaf_iso(fibers(tab.p), u) is not None
+            assert fibers(tab.p) == u
 
 
 class TestFiberwise:
@@ -953,7 +961,9 @@ class TestFiberwise:
 class TestComposePolymod:
     def test_identity_composite_is_identity_shaped(self):
         o2 = ordinal2()
-        parts = polymod_parts(identity_polymod(o2), identity_polymod(o2))
+        one = identity_polymod(o2)
+        parts, wrong = checks.witnessed_parts(one, one)
+        assert wrong == []
         assert prof_iso(parts.poly.m, identity_module(o2)) is not None
         assert parts.poly.p.omap == (0, 1)
 
@@ -962,6 +972,7 @@ class TestComposePolymod:
             compose_polymod(identity_polymod(ordinal2()),
                             identity_polymod(terminal_cat()))
 
+    @pytest.mark.usefixtures("witnessed_composites")
     def test_identity_absorbs_on_either_side(self):
         """Composing with the identity polynomial changes nothing that the
         hom-action can see."""
@@ -989,11 +1000,24 @@ class TestComposePolymod:
         while pair is None:
             pair = rand_composable_modpolys(rng)
         p, q = pair
-        parts = polymod_parts(q, p)
+        parts, wrong = checks.witnessed_parts(q, p)
+        assert wrong == []
         lhs = prof_compose(graph_module(p.p), parts.n)
         rhs = prof_compose(q.m, graph_module(parts.r))
         assert prof_iso(lhs, rhs) is not None
 
+    def test_a_failed_witness_is_reported_with_its_case(self, monkeypatch):
+        """The module suites report a composite that fails its square as
+        a failure naming the case and its data; they do not raise."""
+        monkeypatch.setattr(checks, "prof_iso", lambda m, n: None)
+        for suite in ("mod-h-pseudofunctor", "discrete-reduction"):
+            report = checks.run_suite(suite, seed=0, count=2)
+            square = [f for f in report.failures if "square" in f]
+            assert report.count == 2 and len(square) >= 2, report
+            assert square[0].startswith("case 0: the induced module")
+            assert "p={" in square[0] and "q={" in square[0]
+
+    @pytest.mark.usefixtures("witnessed_composites")
     @pytest.mark.parametrize("d,k", [(1200, 1), (40, 3)])
     def test_long_monomial_at_the_default_recursion_limit(self, d, k):
         """y^d after y^k is y^(dk): one position with d·k directions
@@ -1015,6 +1039,7 @@ class TestComposePolymod:
         assert comp.S.objects.size == 1
         assert comp.m.at[0][0].size == d * k
 
+    @pytest.mark.usefixtures("witnessed_composites")
     def test_discrete_reduction_matches_set_composition(self):
         rng = random.Random(53)
         for _ in range(10):
@@ -1051,6 +1076,7 @@ class TestHKMod:
             assert prof_iso(a, b) is not None
             done += 1
 
+    @pytest.mark.usefixtures("witnessed_composites")
     def test_pseudofunctorial_through_composites(self):
         rng = random.Random(56)
         done = 0

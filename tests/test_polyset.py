@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyspan import polyset
 from polyspan.errors import InvariantViolation
 from polyspan.finset import FinSetMap, FinSetObj, compose, identity, pullback
 from polyspan.polyset import (
@@ -36,8 +37,10 @@ from polyspan.spans import (
     SpanCell,
     compose_spans,
     composition_square,
+    factor_through_bipullback,
     graph,
     identity_span,
+    paste_factorization,
     vcomp,
     whisker_left,
 )
@@ -446,6 +449,21 @@ class TestPolyMorphism:
 
 
 class TestHCompose:
+    @pytest.fixture(autouse=True)
+    def factorizations_paste_back(self, monkeypatch):
+        """Each factorization a horizontal composite makes through a
+        bipullback pastes back to the cone it factors."""
+        calls = []
+
+        def spy(bp, u, v, psi):
+            fac = factor_through_bipullback(bp, u, v, psi)
+            assert paste_factorization(bp, fac) == psi
+            calls.append(psi)
+            return fac
+        monkeypatch.setattr(polyset, "factor_through_bipullback", spy)
+        yield
+        assert calls
+
     def test_identities_give_identity_class(self):
         p, q = monomial(2), monomial(3)
         hc = hcompose_polymorph(identity_polymorph(q), identity_polymorph(p))

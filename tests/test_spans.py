@@ -183,6 +183,7 @@ class TestIsMap:
         x = FinSetObj(3)
         w = is_map(identity_span(x))
         assert w is not None
+        assert triangle_identities_hold(identity_span(x), w)
         assert w.unit.h == identity(x)
         assert w.counit.h == identity(x)
 
@@ -199,6 +200,7 @@ class TestIsMap:
                      rand_map(rng, apex, right))
             w = is_map(s)
             assert (w is not None) == s.left_leg.is_bijective
+            assert w is None or triangle_identities_hold(s, w)
 
 
 class TestRif:
@@ -384,6 +386,7 @@ class TestBipullbacks:
         bp = pullback_bipullback(f, g)
         fac = factor_through_bipullback(bp, bp.d, bp.c, bp.theta)
         assert fac.h.left_leg.is_bijective and fac.h.right_leg.is_bijective
+        assert paste_factorization(bp, fac) == bp.theta
 
     def test_random_cones_over_pullback_bipullback(self):
         rng = random.Random(41)
@@ -417,6 +420,7 @@ class TestBipullbacks:
             cone = distributivity_bipullback(other)
             fac = factor_through_bipullback(bp, cone.d, cone.c, cone.theta)
             assert fac.h.right_leg == mediate_pb_around(pba, other)
+            assert paste_factorization(bp, fac) == cone.theta
 
     def test_factorizations_connected_by_unique_invertible_cell(self):
         f = FinSetMap(FinSetObj(2), FinSetObj(2), (0, 1))

@@ -73,9 +73,15 @@ class TestCommandsImportTheirLayerOnly:
         assert "polyspan.polyset" in loaded
         assert not loaded & NEVER
 
-    def test_the_probe_sees_a_command_that_loads_everything(self, tmp_path):
-        proc, loaded = run_cli(tmp_path, ["random", "--kind", "fincat",
+    def test_random(self, tmp_path):
+        proc, loaded = run_cli(tmp_path, ["random", "--kind", "relation",
                                           "--seed", "1"])
+        assert proc.returncode == 0, proc.stderr
+        assert "polyspan.gen" in loaded
+        assert not loaded & {"polyspan.checks", "dataclasses"}
+
+    def test_the_probe_sees_a_command_that_loads_everything(self, tmp_path):
+        proc, loaded = run_cli(tmp_path, ["check", "cli-determinism"])
         assert proc.returncode == 0, proc.stderr
         assert NEVER - {"dataclasses"} <= loaded
 
