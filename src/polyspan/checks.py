@@ -12,6 +12,7 @@ import importlib.resources
 import itertools
 import json
 import random
+from collections.abc import Callable
 
 from .documents import _CODECS, Document, document, serialize
 from .fincat import (
@@ -160,29 +161,45 @@ def span_as_prof(s: Span) -> Profunctor:
     return _discrete_prof(s.left_foot.size, s.right_foot.size, sizes)
 
 
-def composite_bijection(Q: Polynomial, P: Polynomial,
-                        A: IndexedFamily) -> list[int]:
-    """The element-level bijection ext(Q o P)(A) -> ext(Q)(ext(P)(A))."""
+def composite_bijection(
+        Q: Polynomial, P: Polynomial,
+) -> Callable[[IndexedFamily, IndexedFamily], list[int]]:
+    """The element-level bijection ext(Q o P)(A) -> ext(Q)(ext(P)(A)), as
+    a function of A and ext(P)(A).
+
+    The plan is built once per (Q, P), from one ``composite_parts``: for
+    each position w of Q o P, the position s_q of Q under it and, for each
+    direction e_q over s_q, its label Q.m1(e_q), the position s_p of P it
+    picks and the positions in the m2-fiber of w of the directions over
+    s_p.  Each family then only indexes sigma and looks its pieces up."""
     parts = composite_parts(Q, P)
     n = parts.poly
-    ext_p = extension_eval(P, A)
-    idx_p = {e: i for i, e in enumerate(_ext_elements(P, A))}
-    idx_q = {e: i for i, e in enumerate(_ext_elements(Q, ext_p))}
     sq = pullback(parts.pba.r, Q.m2)
-    e_pairs = {pair: i for i, pair in enumerate(
-        composition_square(m_span(P), parts.n_tilde).pairs)}
-    table = []
-    for z, w, sigma in _ext_elements(n, A):
+    e_pairs = composition_square(m_span(P), parts.n_tilde)
+    position = n.m2.fiber_position
+    plan = []
+    for w in n.S.elements:
         s_q = parts.pba.r(w)
-        sig_q = []
+        steps = []
         for e_q in Q.m2.fiber(s_q):
             v = sq.index(w, e_q)
-            s_p = parts.pb1.pairs[parts.pba.p(v)][0]
-            sig_p = tuple(sigma[n.m2.fiber_position(e_pairs[(v, e_p)])]
-                          for e_p in P.m2.fiber(s_p))
-            sig_q.append(idx_p[(Q.m1(e_q), s_p, sig_p)])
-        table.append(idx_q[(z, s_q, tuple(sig_q))])
-    return table
+            s_p = parts.pb1.pr1(parts.pba.p(v))
+            steps.append((Q.m1(e_q), s_p,
+                          tuple(position(e_pairs.index(v, e_p))
+                                for e_p in P.m2.fiber(s_p))))
+        plan.append((s_q, steps))
+
+    def bijection(A: IndexedFamily, ext_p: IndexedFamily) -> list[int]:
+        idx_p = {e: i for i, e in enumerate(_ext_elements(P, A))}
+        idx_q = {e: i for i, e in enumerate(_ext_elements(Q, ext_p))}
+        table = []
+        for z, w, sigma in _ext_elements(n, A):
+            s_q, steps = plan[w]
+            sig_q = [idx_p[(x, s_p, tuple([sigma[k] for k in ks]))]
+                     for x, s_p, ks in steps]
+            table.append(idx_q[(z, s_q, tuple(sig_q))])
+        return table
+    return bijection
 
 
 def _fiber_sizes(fam: IndexedFamily) -> tuple[int, ...]:
@@ -225,33 +242,37 @@ def check_extension_oracle(seed: int, count: int | None = None) -> CheckReport:
         q = _bounded_poly(rng, y, z)
         n = compose_poly(q, p)
         fams = [rand_family(rng, x) for _ in range(5)]
-        where = (f"p={_compact('polynomial', p)} "
-                 f"q={_compact('polynomial', q)}")
+        compare = composite_bijection(q, p)
+
+        def where() -> str:
+            return (f"p={_compact('polynomial', p)} "
+                    f"q={_compact('polynomial', q)}")
         for a in fams:
+            ext_p = extension_eval(p, a)
             direct = extension_eval(n, a)
-            nested = extension_eval(q, extension_eval(p, a))
+            nested = extension_eval(q, ext_p)
             if _fiber_sizes(direct) != _fiber_sizes(nested):
                 failures.append(f"case {i}: extension fiber counts differ; "
-                                f"{where} family={_compact('family', a)}")
+                                f"{where()} family={_compact('family', a)}")
                 continue
-            table = composite_bijection(q, p, a)
+            table = compare(a, ext_p)
             if sorted(table) != list(range(nested.total.size)) or any(
                     direct.proj(j) != nested.proj(table[j])
                     for j in range(len(table))):
                 failures.append(f"case {i}: comparison map is not a "
-                                f"fiberwise bijection; {where} "
+                                f"fiberwise bijection; {where()} "
                                 f"family={_compact('family', a)}")
         a = fams[0]
+        phi_src = compare(a, extension_eval(p, a))
         for _ in range(2):
             fm = _rand_family_map(rng, a)
-            phi_src = composite_bijection(q, p, fm.src)
-            phi_tgt = composite_bijection(q, p, fm.tgt)
+            phi_tgt = compare(fm.tgt, extension_eval(p, fm.tgt))
             down = extension_on_map(n, fm).h
             across = extension_on_map(q, extension_on_map(p, fm)).h
             if any(phi_tgt[down(j)] != across(phi_src[j])
                    for j in range(len(phi_src))):
                 failures.append(f"case {i}: comparison map not natural; "
-                                f"{where} map into "
+                                f"{where()} map into "
                                 f"{_compact('family', fm.tgt)}")
     return CheckReport("extension-oracle", count, tuple(failures))
 
@@ -286,19 +307,21 @@ def check_distributivity_terminality(seed: int,
         f = rand_map(rng, FinSetObj(a), FinSetObj(b))
         g = rand_map(rng, FinSetObj(c), FinSetObj(a))
         target = distributivity_pullback(f, g)
-        where = (f"f={_compact('finset-map', f)} "
-                 f"g={_compact('finset-map', g)}")
+
+        def where() -> str:
+            return (f"f={_compact('finset-map', f)} "
+                    f"g={_compact('finset-map', g)}")
         for _ in range(5):
             other = random_pb_around(f, g, rng.randrange(10 ** 9))
             found = _exhaustive_mediators(target, other)
             if len(found) != 1:
                 failures.append(f"case {i}: {len(found)} mediators into the "
-                                f"sections square; {where} "
+                                f"sections square; {where()} "
                                 f"r'={_compact('finset-map', other.r)}")
                 continue
             if mediate_pb_around(target, other).table != found[0]:
                 failures.append(f"case {i}: computed mediator differs from "
-                                f"the search result; {where}")
+                                f"the search result; {where()}")
     return CheckReport("distributivity-terminality", count, tuple(failures))
 
 
@@ -407,19 +430,21 @@ def check_comprehensive_factorization(seed: int,
                 a = rand_fincat(rng)
                 g = rand_functor(rng, a, b)
         j, s = comprehensive_factorization(g)
-        where = f"g={_compact('functor', g)}"
+
+        def where() -> str:
+            return f"g={_compact('functor', g)}"
         if compose_functors(s, j) != g:
             failures.append(f"case {i}: factors do not compose to the "
-                            f"input; {where}")
+                            f"input; {where()}")
             continue
         if not is_discrete_fibration(s):
             failures.append(f"case {i}: second factor is not a discrete "
-                            f"fibration; {where}")
+                            f"fibration; {where()}")
         if not is_final(j):
-            failures.append(f"case {i}: first factor is not final; {where}")
+            failures.append(f"case {i}: first factor is not final; {where()}")
         if is_discrete_fibration(g) and not is_functor_iso(j):
             failures.append(f"case {i}: discrete fibration input did not "
-                            f"factor through an isomorphism; {where}")
+                            f"factor through an isomorphism; {where()}")
     return CheckReport("comprehensive-factorization", count, tuple(failures))
 
 
@@ -476,11 +501,13 @@ def check_mod_h_pseudofunctor(seed: int,
             continue
         k, p, q, u = case
         i = done
-        where = (f"p={_compact('mod-polynomial', p)} "
-                 f"q={_compact('mod-polynomial', q)} "
-                 f"u={_compact('profunctor', u)}")
+
+        def where() -> str:
+            return (f"p={_compact('mod-polynomial', p)} "
+                    f"q={_compact('mod-polynomial', q)} "
+                    f"u={_compact('profunctor', u)}")
         parts, wrong = witnessed_parts(q, p)
-        failures += [f"case {i}: {w}; {where}" for w in wrong]
+        failures += [f"case {i}: {w}; {where()}" for w in wrong]
         qp = parts.poly
         if any(_lift_bounds(qp.m, [u.at[xo][kk].size for xo in p.X.objs])[0]
                > 40000 for kk in k.objs):
@@ -496,10 +523,10 @@ def check_mod_h_pseudofunctor(seed: int,
         bad = [label for label, left, right in evals
                if prof_iso(left, right) is None]
         failures += [f"case {i}: the two formulas disagree on the {label}; "
-                     f"{where}" for label in bad]
+                     f"{where()}" for label in bad]
         if not bad and prof_iso(evals[2][1], evals[1][1]) is None:
             failures.append(f"case {i}: action through the composite is "
-                            f"not the composite of actions; {where}")
+                            f"not the composite of actions; {where()}")
         done += 1
     return CheckReport("mod-h-pseudofunctor", count, tuple(failures))
 
@@ -520,16 +547,18 @@ def check_rel_h_formula(seed: int, count: int | None = None) -> CheckReport:
         direct = hK_rel(k, p, s)
         factored = rel_compose(graph_rel(p.Z.inclusion()),
                                rel_rif(reverse_rel(p.A), s))
-        where = (f"p={_compact('rel-polynomial', p)} "
-                 f"s={_compact('relation', s)}")
+
+        def where() -> str:
+            return (f"p={_compact('rel-polynomial', p)} "
+                    f"s={_compact('relation', s)}")
         if direct != factored:
             failures.append(f"case {i}: pointwise formula differs from "
-                            f"lift-then-compose; {where}")
+                            f"lift-then-compose; {where()}")
             continue
         q = rand_relpoly(rng, c, d)
         if hK_rel(k, compose_polyrel(q, p), s) != hK_rel(k, q, direct):
             failures.append(f"case {i}: action not strictly functorial; "
-                            f"{where} q={_compact('rel-polynomial', q)}")
+                            f"{where()} q={_compact('rel-polynomial', q)}")
     return CheckReport("rel-h-formula", count, tuple(failures))
 
 
@@ -546,14 +575,16 @@ def check_discrete_reduction(seed: int,
         z = FinSetObj(rng.randint(1, 3))
         p = rand_poly(rng, x, y, smax=3, emax=2)
         q = rand_poly(rng, y, z, smax=3, emax=2)
-        where = (f"p={_compact('polynomial', p)} "
-                 f"q={_compact('polynomial', q)}")
+
+        def where() -> str:
+            return (f"p={_compact('polynomial', p)} "
+                    f"q={_compact('polynomial', q)}")
         direct = compose_poly(q, p)
         parts, wrong = witnessed_parts(embed_poly(q), embed_poly(p))
-        failures += [f"case {i}: {w}; {where}" for w in wrong]
+        failures += [f"case {i}: {w}; {where()}" for w in wrong]
         if not are_isomorphic_poly(decode_poly(parts.poly), direct):
             failures.append(f"case {i}: categorical composite decodes to a "
-                            f"different polynomial; {where}")
+                            f"different polynomial; {where()}")
             continue
         kset = FinSetObj(rng.randint(1, 2))
         u_span = rand_span(rng, kset, x, emax=4)
@@ -567,7 +598,7 @@ def check_discrete_reduction(seed: int,
                            and out_span.right_leg(v) == yo)
                 if out_mod.at[yo][ko].size != want:
                     failures.append(f"case {i}: hom action matrices differ "
-                                    f"at ({ko}, {yo}); {where} "
+                                    f"at ({ko}, {yo}); {where()} "
                                     f"u={_compact('span', u_span)}")
     return CheckReport("discrete-reduction", count, tuple(failures))
 

@@ -11,8 +11,9 @@ Conventions used throughout:
     ``FinSetMap``: a category files each morphism under (src, tgt) and a
     functor files each morphism under (tgt, image), so ``hom``,
     ``hom_position`` and ``lifts`` are lookups;
-  - laws of functors into sets (presheaves here, modules in ``modpoly``)
-    are checked on tables, and a message is formatted only when one fails;
+  - laws of functors, natural transformations and functors into sets
+    (presheaves here, modules in ``modpoly``) are checked on tables, and
+    a message is formatted only when one fails;
   - every search for natural maps (presheaf isomorphisms here; module
     morphisms, isomorphisms and right liftings in ``modpoly``) is one
     search, ``_natural_maps``, over the elements of both sides laid out
@@ -213,25 +214,35 @@ class Functor(Record):
 
     def __post_init__(self) -> None:
         a, b = self.dom, self.cod
-        require(len(self.omap) == a.objects.size, "functor-omap",
+        omap, mmap = self.omap, self.mmap
+        require(len(omap) == a.objects.size, "functor-omap",
                 "object table length mismatch")
-        require(len(self.mmap) == a.morphisms.size, "functor-mmap",
+        require(len(mmap) == a.morphisms.size, "functor-mmap",
                 "morphism table length mismatch")
-        require(all(0 <= x < b.objects.size for x in self.omap), "functor-omap",
-                "object image out of range")
-        require(all(0 <= f < b.morphisms.size for f in self.mmap), "functor-mmap",
-                "morphism image out of range")
+        require(not omap or 0 <= min(omap) and max(omap) < b.objects.size,
+                "functor-omap", "object image out of range")
+        require(not mmap or 0 <= min(mmap) and max(mmap) < b.morphisms.size,
+                "functor-mmap", "morphism image out of range")
+        asrc, atgt, bsrc, btgt = (a.src.table, a.tgt.table, b.src.table,
+                                  b.tgt.table)
         for f in a.mors:
-            require(b.src(self.mmap[f]) == self.omap[a.src(f)]
-                    and b.tgt(self.mmap[f]) == self.omap[a.tgt(f)],
-                    "functor-boundary", f"image of morphism {f} has wrong boundary")
-        for x in a.objs:
-            require(self.mmap[a.ident(x)] == b.ident(self.omap[x]),
-                    "functor-ident", f"identity at {x} not preserved")
+            mf = mmap[f]
+            if bsrc[mf] != omap[asrc[f]] or btgt[mf] != omap[atgt[f]]:
+                raise InvariantViolation("functor-boundary", f"image of "
+                                         f"morphism {f} has wrong boundary")
+        bident = b.ident.table
+        for x, i in enumerate(a.ident.table):
+            if mmap[i] != bident[omap[x]]:
+                raise InvariantViolation("functor-ident",
+                                         f"identity at {x} not preserved")
+        acomp, bcomp, out_of = a.comp, b.comp, a.src.fiber
         for f in a.mors:
-            for g in a.out_of(a.tgt(f)):
-                require(self.mmap[a.comp[g][f]] == b.comp[self.mmap[g]][self.mmap[f]],
-                        "functor-comp", f"composition not preserved on ({g}, {f})")
+            mf = mmap[f]
+            for g in out_of(atgt[f]):
+                if mmap[acomp[g][f]] != bcomp[mmap[g]][mf]:
+                    raise InvariantViolation(
+                        "functor-comp",
+                        f"composition not preserved on ({g}, {f})")
 
     @cached_property
     def over(self) -> FinSetMap:
@@ -286,17 +297,18 @@ class NatTrans(Record):
         require(f.dom == g.dom and f.cod == g.cod, "nat-parallel",
                 "natural transformations live between parallel functors")
         a, b = f.dom, f.cod
-        require(len(self.components) == a.objects.size, "nat-components",
+        comps = self.components
+        require(len(comps) == a.objects.size, "nat-components",
                 "one component per object required")
-        for x in a.objs:
-            c = self.components[x]
-            require(b.src(c) == f.omap[x] and b.tgt(c) == g.omap[x],
-                    "nat-typing", f"component at {x} has wrong boundary")
-        for m in a.mors:
-            x, y = a.src(m), a.tgt(m)
-            require(b.comp[self.components[y]][f.mmap[m]]
-                    == b.comp[g.mmap[m]][self.components[x]],
-                    "nat-square", f"naturality fails at morphism {m}")
+        bsrc, btgt, bcomp = b.src.table, b.tgt.table, b.comp
+        for x, c in enumerate(comps):
+            if bsrc[c] != f.omap[x] or btgt[c] != g.omap[x]:
+                raise InvariantViolation("nat-typing", f"component at {x} "
+                                         "has wrong boundary")
+        for m, (x, y) in enumerate(zip(a.src.table, a.tgt.table)):
+            if bcomp[comps[y]][f.mmap[m]] != bcomp[g.mmap[m]][comps[x]]:
+                raise InvariantViolation("nat-square",
+                                         f"naturality fails at morphism {m}")
 
 
 class Presheaf(Record):

@@ -18,7 +18,7 @@ import itertools
 from bisect import bisect_left
 from functools import cached_property
 
-from .errors import require
+from .errors import InvariantViolation, require
 from .record import Record
 
 
@@ -29,7 +29,9 @@ class FinSetObj(Record):
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        require(self.size >= 0, "object-size", f"size {self.size} is negative")
+        if not self.size >= 0:
+            raise InvariantViolation("object-size",
+                                     f"size {self.size} is negative")
         if self.labels is not None:
             require(len(self.labels) == self.size, "object-labels",
                     "label count differs from size")
@@ -49,8 +51,10 @@ class FinSetMap(Record):
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        require(len(self.table) == self.dom.size, "map-total",
-                f"table length {len(self.table)} != domain size {self.dom.size}")
+        if len(self.table) != self.dom.size:
+            raise InvariantViolation("map-total", f"table length "
+                                     f"{len(self.table)} != domain size "
+                                     f"{self.dom.size}")
         if self.table and not (0 <= min(self.table)
                                and max(self.table) < self.cod.size):
             for i, j in enumerate(self.table):
@@ -135,7 +139,9 @@ class Subset(Record):
 
     def __post_init__(self) -> None:
         for m in self.members:
-            require(0 <= m < self.ambient.size, "subset-range",
+            if not 0 <= m < self.ambient.size:
+                raise InvariantViolation(
+                    "subset-range",
                     f"member {m} outside ambient of size {self.ambient.size}")
         require(all(a < b for a, b in zip(self.members, self.members[1:])),
                 "subset-order", "members must be strictly increasing")

@@ -13,25 +13,19 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import TYPE_CHECKING
 
 from .documents import Document, document
-from .fincat import (
-    FinCat,
-    Functor,
-    Presheaf,
-    all_functors,
-    discrete_cat,
-    elements,
-    monoid_cat,
-    opposite_cat,
-    product_cat,
-    representable,
-)
 from .finset import FinSetMap, FinSetObj, Subset, identity
-from .modpoly import ModPolynomial, Profunctor, prof_from_presheaf
-from .polyset import IndexedFamily, Polynomial
-from .relpoly import Relation, RelPolynomial, rel
-from .spans import Span
+
+# Each generator imports the layer it builds when it runs, so drawing a
+# document of one kind loads only that kind's layer.
+if TYPE_CHECKING:
+    from .fincat import FinCat, Functor, Presheaf
+    from .modpoly import ModPolynomial, Profunctor
+    from .polyset import IndexedFamily, Polynomial
+    from .relpoly import Relation, RelPolynomial
+    from .spans import Span
 
 
 def rand_finset(rng: random.Random, lo: int = 0, hi: int = 4) -> FinSetObj:
@@ -47,6 +41,7 @@ def rand_map(rng: random.Random, dom: FinSetObj, cod: FinSetObj) -> FinSetMap:
 
 def rand_span(rng: random.Random, left: FinSetObj, right: FinSetObj,
               emax: int = 6) -> Span:
+    from .spans import Span
     apex = FinSetObj(0 if not (left.size and right.size)
                      else rng.randint(0, emax))
     return Span(left, right, apex,
@@ -55,6 +50,7 @@ def rand_span(rng: random.Random, left: FinSetObj, right: FinSetObj,
 
 def rand_poly(rng: random.Random, x: FinSetObj, y: FinSetObj,
               smax: int = 4, emax: int = 3) -> Polynomial:
+    from .polyset import Polynomial
     s = FinSetObj(0 if not y.size else rng.randint(0, smax))
     p = rand_map(rng, s, y)
     sizes = [rng.randint(0, emax) if x.size else 0 for _ in s.elements]
@@ -69,12 +65,14 @@ def rand_poly(rng: random.Random, x: FinSetObj, y: FinSetObj,
 
 def rand_family(rng: random.Random, base: FinSetObj,
                 tmax: int = 3) -> IndexedFamily:
+    from .polyset import IndexedFamily
     total = FinSetObj(0 if not base.size else rng.randint(0, tmax * base.size))
     return IndexedFamily(base, total, rand_map(rng, total, base))
 
 
 def rand_relation(rng: random.Random, src: FinSetObj, tgt: FinSetObj,
                   density: float = 0.45) -> Relation:
+    from .relpoly import rel
     pairs = [(i, j) for i in src.elements for j in tgt.elements
              if rng.random() < density]
     return rel(src, tgt, pairs)
@@ -88,6 +86,7 @@ def rand_subset(rng: random.Random, ambient: FinSetObj,
 
 def rand_relpoly(rng: random.Random, x: FinSetObj,
                  c: FinSetObj) -> RelPolynomial:
+    from .relpoly import RelPolynomial
     z = rand_subset(rng, c)
     return RelPolynomial(x, c, z, rand_relation(rng, x, z.as_object()))
 
@@ -95,6 +94,7 @@ def rand_relpoly(rng: random.Random, x: FinSetObj,
 def preorder_cat(n: int, pairs) -> FinCat:
     """The category of a preorder on n points: at most one morphism per
     ordered pair, closed under reflexivity and transitivity."""
+    from .fincat import FinCat
     hold = {(i, i) for i in range(n)} | set(pairs)
     changed = True
     while changed:
@@ -126,6 +126,7 @@ _MONOID_TABLES = (
 
 def rand_fincat(rng: random.Random, max_objs: int = 3,
                 max_mors: int = 12) -> FinCat:
+    from .fincat import discrete_cat, monoid_cat
     while True:
         kind = rng.random()
         if kind < 0.35:
@@ -145,6 +146,7 @@ def rand_functor(rng: random.Random, a: FinCat, b: FinCat,
                  pool: int = 60) -> Functor | None:
     """A uniform choice from the first ``pool`` functors in enumeration
     order; None when there are no functors at all."""
+    from .fincat import all_functors
     choices = list(itertools.islice(all_functors(a, b), pool))
     if not choices:
         return None
@@ -153,6 +155,7 @@ def rand_functor(rng: random.Random, a: FinCat, b: FinCat,
 
 def presheaf_sum(base: FinCat, parts: tuple[Presheaf, ...]) -> Presheaf:
     """Coproduct of presheaves, blocks ordered as given."""
+    from .fincat import Presheaf
     at = tuple(FinSetObj(sum(p.at[x].size for p in parts)) for x in base.objs)
     act = []
     for m in base.mors:
@@ -168,6 +171,7 @@ def presheaf_sum(base: FinCat, parts: tuple[Presheaf, ...]) -> Presheaf:
 
 def rand_presheaf(rng: random.Random, c: FinCat, parts_max: int = 2,
                   const_max: int = 1) -> Presheaf:
+    from .fincat import Presheaf, representable
     parts = []
     if c.objects.size:
         for _ in range(rng.randint(0, parts_max)):
@@ -181,6 +185,7 @@ def rand_presheaf(rng: random.Random, c: FinCat, parts_max: int = 2,
 
 
 def rand_dfib(rng: random.Random, y: FinCat) -> Functor:
+    from .fincat import elements
     return elements(rand_presheaf(rng, y)).proj
 
 
@@ -192,6 +197,8 @@ def _max_cell(m: Profunctor) -> int:
 def rand_profunctor(rng: random.Random, src: FinCat, tgt: FinCat,
                     parts_max: int = 2, const_max: int = 1,
                     max_cell: int | None = None) -> Profunctor:
+    from .fincat import opposite_cat, product_cat
+    from .modpoly import prof_from_presheaf
     base = product_cat(tgt, opposite_cat(src))
     for _ in range(40):
         m = prof_from_presheaf(src, tgt,
@@ -204,6 +211,8 @@ def rand_profunctor(rng: random.Random, src: FinCat, tgt: FinCat,
 def rand_modpoly(rng: random.Random, x: FinCat, y: FinCat,
                  base_parts: int = 2, lifter_parts: int = 2,
                  max_cell: int | None = None) -> ModPolynomial:
+    from .fincat import elements
+    from .modpoly import ModPolynomial
     el = elements(rand_presheaf(rng, y, parts_max=base_parts))
     return ModPolynomial(x, y, el.cat,
                          rand_profunctor(rng, el.cat, x,

@@ -136,7 +136,8 @@ def extension_on_map(P: Polynomial, fm: FamilyMap) -> FamilyMap:
     src_elements = _ext_elements(P, fm.src)
     tgt_elements = _ext_elements(P, fm.tgt)
     index = {elt: i for i, elt in enumerate(tgt_elements)}
-    table = tuple(index[(y, s, tuple(fm.h(a) for a in sigma))]
+    h = fm.h.table
+    table = tuple(index[(y, s, tuple([h[a] for a in sigma]))]
                   for y, s, sigma in src_elements)
     ea, eb = extension_eval(P, fm.src), extension_eval(P, fm.tgt)
     return FamilyMap(ea, eb, FinSetMap(ea.total, eb.total, table))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .errors import require
+from .errors import InvariantViolation, require
 from .finset import FinSetMap, FinSetObj, Subset, full_subset
 from .record import Record
 
@@ -29,8 +29,9 @@ class Relation(Record):
 
     def __post_init__(self) -> None:
         for x, y in self.pairs:
-            require(0 <= x < self.src.size and 0 <= y < self.tgt.size,
-                    "relation-range", f"pair ({x}, {y}) out of range")
+            if not (0 <= x < self.src.size and 0 <= y < self.tgt.size):
+                raise InvariantViolation("relation-range",
+                                         f"pair ({x}, {y}) out of range")
         require(all(a < b for a, b in zip(self.pairs, self.pairs[1:])),
                 "relation-order",
                 "pairs must be strictly increasing lexicographically")

@@ -8,11 +8,12 @@ import sys
 
 import pytest
 
-from polyspan.errors import InvariantViolation
+from polyspan.errors import InvariantViolation, require
 from polyspan.fincat import (
     Comma,
     FinCat,
     Functor,
+    NatTrans,
     Presheaf,
     all_functors,
     arrow_category,
@@ -504,6 +505,145 @@ class TestAgainstReference:
                 FinCat(c.objects, c.morphisms, c.src, c.tgt, c.ident, comp)
             assert str(e.value) == f"{want[0]}: {want[1]}"
         assert seen == {"cat-unit", "cat-assoc"}
+
+
+# Reference implementations: the per-check require loops Functor and
+# NatTrans ran, kept as a differential oracle.
+
+def reference_functor_check(a, b, omap, mmap):
+    require(len(omap) == a.objects.size, "functor-omap",
+            "object table length mismatch")
+    require(len(mmap) == a.morphisms.size, "functor-mmap",
+            "morphism table length mismatch")
+    require(all(0 <= x < b.objects.size for x in omap), "functor-omap",
+            "object image out of range")
+    require(all(0 <= f < b.morphisms.size for f in mmap), "functor-mmap",
+            "morphism image out of range")
+    for f in a.mors:
+        require(b.src(mmap[f]) == omap[a.src(f)]
+                and b.tgt(mmap[f]) == omap[a.tgt(f)],
+                "functor-boundary",
+                f"image of morphism {f} has wrong boundary")
+    for x in a.objs:
+        require(mmap[a.ident(x)] == b.ident(omap[x]),
+                "functor-ident", f"identity at {x} not preserved")
+    for f in a.mors:
+        for g in a.out_of(a.tgt(f)):
+            require(mmap[a.comp[g][f]] == b.comp[mmap[g]][mmap[f]],
+                    "functor-comp", f"composition not preserved on ({g}, {f})")
+
+
+def reference_nat_check(f, g, components):
+    require(f.dom == g.dom and f.cod == g.cod, "nat-parallel",
+            "natural transformations live between parallel functors")
+    a, b = f.dom, f.cod
+    require(len(components) == a.objects.size, "nat-components",
+            "one component per object required")
+    for x in a.objs:
+        c = components[x]
+        require(b.src(c) == f.omap[x] and b.tgt(c) == g.omap[x],
+                "nat-typing", f"component at {x} has wrong boundary")
+    for m in a.mors:
+        x, y = a.src(m), a.tgt(m)
+        require(b.comp[components[y]][f.mmap[m]]
+                == b.comp[g.mmap[m]][components[x]],
+                "nat-square", f"naturality fails at morphism {m}")
+
+
+def violation(build, *args):
+    """The (clause, message) build(*args) raises, or None."""
+    try:
+        build(*args)
+    except InvariantViolation as e:
+        return e.clause, str(e)
+    return None
+
+
+def corrupted_functor_tables(rng, f):
+    """f's tables with one entry moved (anywhere, or within its hom-set)
+    or one table grown or shrunk by an entry."""
+    omap, mmap = list(f.omap), list(f.mmap)
+    b = f.cod
+    kind = rng.randrange(6)
+    if kind == 0 and omap:
+        omap[rng.randrange(len(omap))] = rng.randint(-1, b.objects.size)
+    elif kind == 1 and mmap:
+        mmap[rng.randrange(len(mmap))] = rng.randint(-1, b.morphisms.size)
+    elif kind < 5 and mmap:
+        # keep the boundary, so the identity and composition checks are
+        # the ones reached
+        homs = [b.hom(b.src(m), b.tgt(m)) for m in mmap]
+        i = rng.choice([i for i, h in enumerate(homs) if len(h) > 1]
+                       or range(len(mmap)))
+        mmap[i] = rng.choice([m for m in homs[i] if m != mmap[i]]
+                             or homs[i])
+    else:
+        table = rng.choice((omap, mmap))
+        if table and rng.random() < 0.5:
+            table.pop()
+        else:
+            table.append(0)
+    return f.dom, b, tuple(omap), tuple(mmap)
+
+
+def corrupted_transformation(rng, t):
+    """t's functors and components with one component moved (anywhere, or
+    within its hom-set), the component table grown or shrunk by one, or
+    the target functor replaced by an identity."""
+    f, g, comps = t.dom, t.cod, list(t.components)
+    b = f.cod
+    kind = rng.randrange(4)
+    if kind == 0 and comps:
+        comps[rng.randrange(len(comps))] = rng.randrange(b.morphisms.size)
+    elif kind == 1 and comps:
+        x = rng.randrange(len(comps))
+        c = comps[x]
+        comps[x] = rng.choice(b.hom(b.src(c), b.tgt(c)))
+    elif kind == 2:
+        if comps and rng.random() < 0.5:
+            comps.pop()
+        else:
+            comps.append(b.ident(0))
+    else:
+        g = identity_functor(rng.choice((f.dom, f.cod)))
+    return f, g, tuple(comps)
+
+
+class TestFunctorChecksAgainstReference:
+    """Functor and NatTrans check their laws on tables and format a
+    message only on failure: the same first clause and message as the
+    per-check loops."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_corrupted_functors_raise_the_same_violation(self, seed):
+        rng = random.Random(700 + seed)
+        seen, checked = set(), 0
+        for f in drawn_functors(750 + seed, 40):
+            for _ in range(3):
+                tables = corrupted_functor_tables(rng, f)
+                want = violation(reference_functor_check, *tables)
+                assert violation(Functor, *tables) == want
+                seen.add(want and want[0])
+                checked += 1
+        assert checked >= 120
+        assert seen >= {"functor-omap", "functor-mmap", "functor-boundary",
+                        "functor-ident", "functor-comp"}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_corrupted_transformations_raise_the_same_violation(self, seed):
+        rng = random.Random(800 + seed)
+        seen, checked = set(), 0
+        for f in drawn_functors(900 + seed, 40):
+            t = comma(f, identity_functor(f.cod)).transform
+            for _ in range(3):
+                args = corrupted_transformation(rng, t)
+                want = violation(reference_nat_check, *args)
+                assert violation(NatTrans, *args) == want
+                seen.add(want and want[0])
+                checked += 1
+        assert checked >= 120
+        assert seen >= {"nat-parallel", "nat-components", "nat-typing",
+                        "nat-square"}
 
 
 # Reference implementations: the permutation search presheaf_iso ran and

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyspan import polyset
+from polyspan import checks, gen, polyset
 from polyspan.errors import InvariantViolation
 from polyspan.finset import FinSetMap, FinSetObj, compose, identity, pullback
 from polyspan.polyset import (
@@ -334,6 +334,37 @@ class TestComposePoly:
             a = rand_family(rng, x)
             assert fiber_sizes(extension_eval(left, a)) \
                 == fiber_sizes(extension_eval(right, a))
+
+
+class TestComparisonPlanAgainstReference:
+    """The suite's comparison, planned once per (q, p), is the reference
+    bijection above on every family and on both ends of family maps."""
+
+    def test_same_tables_as_the_reference(self):
+        rng = random.Random(71)
+        triples, filled, empty = 0, 0, set()
+        for i in range(100):
+            lo = 0 if i % 4 == 0 else 1  # a quarter may have empty sets
+            x, y, z = (FinSetObj(rng.randint(lo, 3)) for _ in range(3))
+            empty |= {name for name, o in zip("XYZ", (x, y, z)) if not o.size}
+            p = gen.rand_poly(rng, x, y, smax=3, emax=2)
+            q = gen.rand_poly(rng, y, z, smax=3, emax=2)
+            n = compose_poly(q, p)
+            compare = checks.composite_bijection(q, p)
+            for _ in range(2):
+                a = gen.rand_family(rng, x, tmax=2)
+                table = compare(a, extension_eval(p, a))
+                assert table == composite_bijection(q, p, a)
+                triples, filled = triples + 1, filled + bool(table)
+            fm = rand_family_map(rng, a)
+            phi_tgt = compare(fm.tgt, extension_eval(p, fm.tgt))
+            assert phi_tgt == composite_bijection(q, p, fm.tgt)
+            triples, filled = triples + 1, filled + bool(phi_tgt)
+            down = extension_on_map(n, fm).h
+            across = extension_on_map(q, extension_on_map(p, fm)).h
+            assert all(phi_tgt[down(j)] == across(table[j])
+                       for j in range(len(table)))
+        assert triples == 300 and filled >= 150 and empty == set("XYZ")
 
 
 class TestPolyMorphism:

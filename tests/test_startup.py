@@ -79,6 +79,8 @@ class TestCommandsImportTheirLayerOnly:
         assert proc.returncode == 0, proc.stderr
         assert "polyspan.gen" in loaded
         assert not loaded & {"polyspan.checks", "dataclasses"}
+        # a relation needs finset and relpoly only
+        assert not loaded & {"polyspan.fincat", "polyspan.modpoly"}
 
     def test_the_probe_sees_a_command_that_loads_everything(self, tmp_path):
         proc, loaded = run_cli(tmp_path, ["check", "cli-determinism"])
