@@ -103,11 +103,6 @@ class FinCat(Record):
     def mors(self) -> range:
         return self.morphisms.elements
 
-    def compose(self, g: int, f: int) -> int:
-        require(self.tgt(f) == self.src(g), "cat-compose-boundary",
-                f"morphisms {g} and {f} are not composable")
-        return self.comp[g][f]
-
     # Cached properties are not fields: equality and hashing see the tables.
     @cached_property
     def _homs(self) -> FinSetMap:
@@ -152,8 +147,11 @@ class FinCat(Record):
 
 def discrete_cat(n: int) -> FinCat:
     o = FinSetObj(n)
-    table = tuple(tuple(i if i == j else -1 for j in range(n)) for i in range(n))
-    return FinCat(o, FinSetObj(n), identity(o), identity(o), identity(o), table)
+    rows = [[-1] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = i
+    return FinCat(o, FinSetObj(n), identity(o), identity(o), identity(o),
+                  tuple(map(tuple, rows)))
 
 
 def terminal_cat() -> FinCat:
@@ -608,16 +606,16 @@ def elements(p: Presheaf) -> ElementsCat:
         obj_index[(base.tgt(beta), t2)] for beta, t2 in morphisms))
     ident = FinSetMap(o, m, tuple(
         mor_index[(base.ident(b), t)] for b, t in objects))
-    comp_rows = []
-    for beta2, t2 in morphisms:
-        row = []
-        for beta1, t1 in morphisms:
-            if base.tgt(beta1) != base.src(beta2) or t1 != p.act[beta2](t2):
-                row.append(-1)
-            else:
-                row.append(mor_index[(base.comp[beta2][beta1], t2)])
-        comp_rows.append(tuple(row))
-    cat = FinCat(o, m, src, tgt, ident, tuple(comp_rows))
+    # (beta2, t2) after (beta1, t1) is defined when beta2 leaves the
+    # target of beta1 and t2 restricts along beta2 to t1
+    comp_rows = [[-1] * m.size for _ in morphisms]
+    for j, (beta1, t1) in enumerate(morphisms):
+        for beta2 in base.out_of(base.tgt(beta1)):
+            composite = base.comp[beta2][beta1]
+            for t2 in p.act[beta2].fiber(t1):
+                comp_rows[mor_index[(beta2, t2)]][j] = \
+                    mor_index[(composite, t2)]
+    cat = FinCat(o, m, src, tgt, ident, tuple(map(tuple, comp_rows)))
     proj = Functor(cat, base, tuple(b for b, _ in objects),
                    tuple(beta for beta, _ in morphisms))
     return ElementsCat(proj, tuple(objects), tuple(morphisms))

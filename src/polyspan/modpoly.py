@@ -2,10 +2,12 @@
 
 A profunctor from A to B assigns a finite set to every pair (object of B,
 object of A), with a contravariant B-action and a covariant A-action.
-Composition is computed as a coend: a sum over middle objects quotiented
-by the zigzag relation, carried out with union-find on concrete triples.
-Every map out of a coend descends through one helper, which moves every
-member of each class and requires a single image.
+Composition is computed as a coend in one pass over all cells: the join of
+the elements of both modules over each middle object, and one quotient of
+the resulting triples by the zigzag relation, with union-find.  Every map
+out of a coend (the composite's actions, whiskering, the counit of a
+right lifting, the collapse onto a fiberwise sum) reads one representative
+per class, which is well defined for valid modules.
 Right liftings are computed as ends: sets of naturally varying families
 of maps.  Those families, the morphisms between two modules and the
 isomorphisms between them all come from the one search for natural maps
@@ -284,108 +286,87 @@ def prof_invert(c: ProfMorphism) -> ProfMorphism:
     return ProfMorphism(c.target, c.source, tuple(inv))
 
 
-def _coend_cell(n: Profunctor, m: Profunctor, c: int, a: int):
-    """Classes of triples (middle object, element of m, element of n) at
-    one value cell, with the zigzag quotient; returns the classes (members
-    listed, smallest first) and the index from member to class."""
-    b_cat = m.tgt
+def _coend(n: Profunctor, m: Profunctor):
+    """The coend composite of n after m, with its classes: ``cells[(c, a)]``
+    lists the classes of triples (middle object b, element of m(b, a),
+    element of n(c, b)), members sorted and classes ordered by their
+    smallest member, and ``index[(c, a)]`` takes a triple to its class.
+
+    The triples are the join of the elements of m and n over each middle
+    object; one union-find quotients them along the non-identity middle
+    morphisms (an identity would unite each triple with itself).  For
+    valid modules every map out of a class is independent of the member
+    it reads, so the actions move each class's first member."""
+    a_cat, b_cat, c_cat = m.src, m.tgt, n.tgt
     uf = UnionFind()
     for b in b_cat.objs:
-        for x in m.at[b][a].elements:
-            for y in n.at[c][b].elements:
-                uf.add((b, x, y))
-    # an identity would unite each triple with itself
+        over_m = [(a, x) for a in a_cat.objs for x in m.at[b][a].elements]
+        over_n = [(c, y) for c in c_cat.objs for y in n.at[c][b].elements]
+        for a, x in over_m:
+            for c, y in over_n:
+                uf.add(((c, a), (b, x, y)))
     for beta in b_cat.non_identities:
         b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
-        for x2 in m.at[b2][a].elements:
-            for y1 in n.at[c][b1].elements:
-                uf.unite((b1, m.lact[beta][a](x2), y1),
-                         (b2, x2, n.ract[beta][c](y1)))
-    classes = uf.classes()
-    index = {member: i for i, cls in enumerate(classes) for member in cls}
-    return classes, index
-
-
-def _descend(classes, move, message: str) -> tuple[int, ...]:
-    """The table of a map out of coend classes: each class goes to the one
-    image of all its members under ``move``, or ``coend-welldef`` fails."""
-    table = []
-    for cls in classes:
-        images = {move(t) for t in cls}
-        require(len(images) == 1, "coend-welldef", message)
-        table.append(images.pop())
-    return tuple(table)
-
-
-def prof_compose(n: Profunctor, m: Profunctor) -> Profunctor:
-    """Coend composite.  Actions are computed on class representatives and
-    checked to be independent of the choice on every member."""
-    require(m.tgt == n.src, "prof-compose-boundary",
-            "middle categories do not match")
-    a_cat, b_cat, c_cat = m.src, m.tgt, n.tgt
-    cells = {(c, a): _coend_cell(n, m, c, a)
-             for c in c_cat.objs for a in a_cat.objs}
-    at = tuple(tuple(FinSetObj(len(cells[(c, a)][0])) for a in a_cat.objs)
+        lact, ract = m.lact[beta], n.ract[beta]
+        for a in a_cat.objs:
+            for x2 in m.at[b2][a].elements:
+                x1 = lact[a](x2)
+                for c in c_cat.objs:
+                    for y1 in n.at[c][b1].elements:
+                        uf.unite(((c, a), (b1, x1, y1)),
+                                 ((c, a), (b2, x2, ract[c](y1))))
+    cells = {(c, a): [] for c in c_cat.objs for a in a_cat.objs}
+    for cls in uf.classes():
+        cells[cls[0][0]].append([t for _, t in cls])
+    index = {cell: {t: i for i, cls in enumerate(classes) for t in cls}
+             for cell, classes in cells.items()}
+    at = tuple(tuple(FinSetObj(len(cells[(c, a)])) for a in a_cat.objs)
                for c in c_cat.objs)
 
     def push(c_from, a_from, c_to, a_to, move):
-        index_to = cells[(c_to, a_to)][1]
-        return FinSetMap(at[c_from][a_from], at[c_to][a_to], _descend(
-            cells[(c_from, a_from)][0], lambda t: index_to[move(t)],
-            "induced action depends on the representative"))
+        to = index[(c_to, a_to)]
+        return FinSetMap(at[c_from][a_from], at[c_to][a_to], tuple(
+            to[move(*cls[0])] for cls in cells[(c_from, a_from)]))
 
     lact = []
     for gamma in c_cat.mors:
         c1, c2 = c_cat.src(gamma), c_cat.tgt(gamma)
         lact.append(tuple(
             push(c2, a, c1, a,
-                 lambda t, g=gamma: (t[0], t[1], n.lact[g][t[0]](t[2])))
+                 lambda b, x, y, g=n.lact[gamma]: (b, x, g[b](y)))
             for a in a_cat.objs))
     ract = []
     for alpha in a_cat.mors:
         a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
         ract.append(tuple(
             push(c, a1, c, a2,
-                 lambda t, al=alpha: (t[0], m.ract[al][t[0]](t[1]), t[2]))
+                 lambda b, x, y, r=m.ract[alpha]: (b, r[b](x), y))
             for c in c_cat.objs))
-    return Profunctor(a_cat, c_cat, at, tuple(lact), tuple(ract))
+    return Profunctor(a_cat, c_cat, at, tuple(lact), tuple(ract)), cells, index
 
 
-class CoendElement(Record):
-    """One class of the coend at a value cell: the smallest member as the
-    canonical representative, and the class id."""
-
-    rep: tuple[int, int, int]
-    class_id: int
-
-
-def coend_elements(n: Profunctor, m: Profunctor,
-                   c: int, a: int) -> tuple[CoendElement, ...]:
-    classes, _ = _coend_cell(n, m, c, a)
-    return tuple(CoendElement(cls[0], i) for i, cls in enumerate(classes))
+def prof_compose(n: Profunctor, m: Profunctor) -> Profunctor:
+    """Coend composite; its actions move class representatives."""
+    require(m.tgt == n.src, "prof-compose-boundary",
+            "middle categories do not match")
+    return _coend(n, m)[0]
 
 
 def prof_whisker_left(n: Profunctor, cell: ProfMorphism) -> ProfMorphism:
-    """Compose a morphism of modules with n on the outside: descends to
-    coend classes."""
+    """Compose a morphism of modules with n on the outside: each coend class
+    goes to the class of its representative moved by the morphism."""
     v, v2 = cell.source, cell.target
     require(v.tgt == n.src, "profmor-whisker",
             "whiskering requires composable boundaries")
-    left, right = prof_compose(n, v), prof_compose(n, v2)
-    a_cat, c_cat = v.src, n.tgt
-    h = []
-    for c in c_cat.objs:
-        row = []
-        for a in a_cat.objs:
-            classes, _ = _coend_cell(n, v, c, a)
-            _, index2 = _coend_cell(n, v2, c, a)
-            table = _descend(
-                classes,
-                lambda t: index2[(t[0], cell.h[t[0]][a](t[1]), t[2])],
-                "whiskered map depends on the representative")
-            row.append(FinSetMap(left.at[c][a], right.at[c][a], table))
-        h.append(tuple(row))
-    return ProfMorphism(left, right, tuple(h))
+    left, cells, _ = _coend(n, v)
+    right, _, index2 = _coend(n, v2)
+    h = tuple(
+        tuple(FinSetMap(left.at[c][a], right.at[c][a], tuple(
+            index2[(c, a)][(b, cell.h[b][a](x), y)]
+            for b, x, y in (cls[0] for cls in cells[(c, a)])))
+            for a in v.src.objs)
+        for c in n.tgt.objs)
+    return ProfMorphism(left, right, h)
 
 
 def _prof_maps(m: Profunctor, n: Profunctor, bijective: bool):
@@ -503,19 +484,15 @@ def rif_mod_counit(n: Profunctor, u: Profunctor,
     lifting down to the target."""
     if data is None:
         data = rif_mod_data(n, u)
-    comp = prof_compose(n, data.prof)
-    k_cat, y_cat = u.src, u.tgt
-    h = []
-    for y in y_cat.objs:
-        row = []
-        for k in k_cat.objs:
-            classes, _ = _coend_cell(n, data.prof, y, k)
-            values = _descend(
-                classes, lambda t: data.families[t[0]][k][t[1]][y][t[2]],
-                "counit depends on the representative")
-            row.append(FinSetMap(comp.at[y][k], u.at[y][k], values))
-        h.append(tuple(row))
-    return ProfMorphism(comp, u, tuple(h))
+    comp, cells, _ = _coend(n, data.prof)
+    fams = data.families
+    h = tuple(
+        tuple(FinSetMap(comp.at[y][k], u.at[y][k], tuple(
+            fams[s][k][x][y][t]
+            for s, x, t in (cls[0] for cls in cells[(y, k)])))
+            for k in u.src.objs)
+        for y in u.tgt.objs)
+    return ProfMorphism(comp, u, h)
 
 
 class ModTabulation(Record):
@@ -612,7 +589,7 @@ def fiberwise_module(p: Functor, v: Profunctor) -> Profunctor:
 
 class DfibCollapse(Record):
     """The fiberwise sum together with the canonical comparison from the
-    coend route, verified invertible."""
+    coend route (invertible for a discrete fibration)."""
 
     fiberwise: Profunctor
     compare: ProfMorphism
@@ -620,26 +597,20 @@ class DfibCollapse(Record):
 
 def dfib_collapse(p: Functor, v: Profunctor) -> DfibCollapse:
     fw = fiberwise_module(p, v)
-    gm = graph_module(p)
-    composite = prof_compose(gm, v)
-    s_cat, y_cat, k_cat = p.dom, p.cod, v.src
+    composite, cells, _ = _coend(graph_module(p), v)
+    s_cat, y_cat = p.dom, p.cod
     _, start = _fiber_cells(p, v)
 
-    def collapse(t, y, k):
-        s, x, gpos = t
+    def collapse(y, k, s, x, gpos):
         sigma = p.lifts(s, y_cat.hom(y, p.omap[s])[gpos])[0]
         return start[s_cat.src(sigma)][k] + v.lact[sigma][k](x)
 
     h = tuple(
-        tuple(FinSetMap(composite.at[y][k], fw.at[y][k], _descend(
-            _coend_cell(gm, v, y, k)[0], lambda t: collapse(t, y, k),
-            "collapse depends on the representative"))
-            for k in k_cat.objs)
+        tuple(FinSetMap(composite.at[y][k], fw.at[y][k], tuple(
+            collapse(y, k, *cls[0]) for cls in cells[(y, k)]))
+            for k in v.src.objs)
         for y in y_cat.objs)
-    compare = ProfMorphism(composite, fw, h)
-    require(compare.is_invertible, "dfib-collapse-iso",
-            "coend route must collapse bijectively onto the fiberwise sum")
-    return DfibCollapse(fw, compare)
+    return DfibCollapse(fw, ProfMorphism(composite, fw, h))
 
 
 class PolymodParts(Record):

@@ -117,16 +117,20 @@ def _ext_elements(P: Polynomial, A: IndexedFamily):
     return out
 
 
+def _ext_family(P: Polynomial, elements) -> IndexedFamily:
+    """The family over Y of enumerated extension elements."""
+    total = FinSetObj(len(elements))
+    return IndexedFamily(P.Y, total,
+                         FinSetMap(total, P.Y,
+                                   tuple(y for y, _, _ in elements)))
+
+
 def extension_eval(P: Polynomial, A: IndexedFamily) -> IndexedFamily:
     """The sum-of-products family over Y: the fiber over y collects pairs of
     a point s of the p-fiber with a section of A over the m2-fiber of s."""
     require(A.base == P.X, "extension-base",
             "family must be indexed by the polynomial's source")
-    elements = _ext_elements(P, A)
-    total = FinSetObj(len(elements))
-    return IndexedFamily(P.Y, total,
-                         FinSetMap(total, P.Y,
-                                   tuple(y for y, _, _ in elements)))
+    return _ext_family(P, _ext_elements(P, A))
 
 
 def extension_on_map(P: Polynomial, fm: FamilyMap) -> FamilyMap:
@@ -139,7 +143,7 @@ def extension_on_map(P: Polynomial, fm: FamilyMap) -> FamilyMap:
     h = fm.h.table
     table = tuple(index[(y, s, tuple([h[a] for a in sigma]))]
                   for y, s, sigma in src_elements)
-    ea, eb = extension_eval(P, fm.src), extension_eval(P, fm.tgt)
+    ea, eb = _ext_family(P, src_elements), _ext_family(P, tgt_elements)
     return FamilyMap(ea, eb, FinSetMap(ea.total, eb.total, table))
 
 

@@ -26,9 +26,6 @@ class UnionFind:
         if ra != rb:
             self._parent[ra] = rb
 
-    def together(self, a: Hashable, b: Hashable) -> bool:
-        return self.find(a) == self.find(b)
-
     def classes(self) -> list[list]:
         """Members sorted inside each class; classes ordered by smallest member."""
         groups: dict[Hashable, list] = {}

@@ -11,6 +11,7 @@ import pytest
 from polyspan.errors import InvariantViolation, require
 from polyspan.fincat import (
     Comma,
+    ElementsCat,
     FinCat,
     Functor,
     NatTrans,
@@ -218,6 +219,23 @@ class TestGroupoidFibration:
                         assert is_groupoid_fibration_strict(f)
 
 
+def pairwise_elements_comp(p, el):
+    """Reference: the composition table of the elements of p, one test per
+    pair of morphisms."""
+    base, morphisms = p.base, el.morphisms_data
+    mor_index = {m: i for i, m in enumerate(morphisms)}
+    rows = []
+    for beta2, t2 in morphisms:
+        row = []
+        for beta1, t1 in morphisms:
+            if base.tgt(beta1) != base.src(beta2) or t1 != p.act[beta2](t2):
+                row.append(-1)
+            else:
+                row.append(mor_index[(base.comp[beta2][beta1], t2)])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 class TestElements:
     def test_constant_singleton(self):
         c = ordinal2()
@@ -263,6 +281,27 @@ class TestElements:
         h = Functor(el2.cat, src.dom, tuple(h_omap), tuple(h_mmap))
         assert is_functor_iso(h)
         assert compose_functors(src, h) == el2.proj
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_composition_matches_pairwise_fill(self, seed):
+        """The composable entries set from fibers, against the loop over
+        every pair of morphisms they replaced."""
+        rng = random.Random(600 + seed)
+        for _ in range(40):
+            p = rand_presheaf(rng, rand_fincat(rng))
+            el = elements(p)
+            assert el.cat.comp == pairwise_elements_comp(p, el)
+            rebuilt = FinCat(el.cat.objects, el.cat.morphisms, el.cat.src,
+                             el.cat.tgt, el.cat.ident,
+                             pairwise_elements_comp(p, el))
+            assert el == ElementsCat(
+                Functor(rebuilt, p.base, el.proj.omap, el.proj.mmap),
+                el.objects_data, el.morphisms_data)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_discrete_diagonal(self, n):
+        assert discrete_cat(n).comp == tuple(
+            tuple(i if i == j else -1 for j in range(n)) for i in range(n))
 
     def test_fibers_requires_dfib(self):
         p = Functor(z2(), terminal_cat(), (0,), (0, 0))

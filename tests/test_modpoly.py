@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from polyspan import checks
+from polyspan import checks, modpoly
 from polyspan.errors import InvariantViolation
 from polyspan.fincat import (
     FinCat,
@@ -43,14 +43,12 @@ from polyspan.gen import (
     rand_profunctor,
 )
 from polyspan.modpoly import (
-    CoendElement,
     ModPolynomial,
     Profunctor,
     ProfMorphism,
-    _coend_cell,
-    _descend,
+    _coend,
+    _fiber_cells,
     build_cotensor_module,
-    coend_elements,
     cograph_module,
     compose_polymod,
     cotensor2_mod,
@@ -80,6 +78,7 @@ from polyspan.modpoly import (
 )
 from polyspan.polyset import Polynomial, compose_poly, are_isomorphic_poly, hK_span
 from polyspan.spans import Span
+from polyspan.unionfind import UnionFind
 
 
 def max_cell(m):
@@ -276,10 +275,10 @@ class TestProfCompose:
                        ((identity(one), identity(one)),),
                        ((identity(one),), (identity(one),),
                         (FinSetMap(one, one, (0,)),)))
-        comp = prof_compose(n, m)
+        comp, cells, _ = _coend(n, m)
+        assert comp == prof_compose(n, m)
         assert comp.at[0][0].size == 1
-        els = coend_elements(n, m, 0, 0)
-        assert els == (CoendElement((0, 0, 0), 0),)
+        assert cells[(0, 0)] == [[(0, 0, 0), (1, 0, 0)]]
 
     def test_unit_laws(self):
         rng = random.Random(42)
@@ -332,6 +331,116 @@ class TestProfCompose:
         assert w.is_invertible
 
 
+def _coend_cell(n, m, c, a):
+    """Reference: the classes of one value cell of the coend, built on their
+    own by a loop over every middle object and non-identity middle morphism;
+    returns the classes (members sorted, smallest first) and the index from
+    member to class."""
+    b_cat = m.tgt
+    uf = UnionFind()
+    for b in b_cat.objs:
+        for x in m.at[b][a].elements:
+            for y in n.at[c][b].elements:
+                uf.add((b, x, y))
+    for beta in b_cat.non_identities:
+        b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
+        for x2 in m.at[b2][a].elements:
+            for y1 in n.at[c][b1].elements:
+                uf.unite((b1, m.lact[beta][a](x2), y1),
+                         (b2, x2, n.ract[beta][c](y1)))
+    classes = uf.classes()
+    index = {member: i for i, cls in enumerate(classes) for member in cls}
+    return classes, index
+
+
+def _descend(classes, move, message):
+    """Reference: the table of a map out of coend classes, moving every
+    member of each class and requiring a single image."""
+    table = []
+    for cls in classes:
+        images = {move(t) for t in cls}
+        if len(images) != 1:
+            raise InvariantViolation("coend-welldef", message)
+        table.append(images.pop())
+    return tuple(table)
+
+
+def reference_prof_compose(n, m):
+    """The composite cell by cell, each action checked on every member."""
+    a_cat, c_cat = m.src, n.tgt
+    cells = {(c, a): _coend_cell(n, m, c, a)
+             for c in c_cat.objs for a in a_cat.objs}
+    at = tuple(tuple(FinSetObj(len(cells[(c, a)][0])) for a in a_cat.objs)
+               for c in c_cat.objs)
+
+    def push(c_from, a_from, c_to, a_to, move):
+        index_to = cells[(c_to, a_to)][1]
+        return FinSetMap(at[c_from][a_from], at[c_to][a_to], _descend(
+            cells[(c_from, a_from)][0], lambda t: index_to[move(t)],
+            "induced action depends on the representative"))
+
+    lact = tuple(tuple(
+        push(c_cat.tgt(g), a, c_cat.src(g), a,
+             lambda t, g=g: (t[0], t[1], n.lact[g][t[0]](t[2])))
+        for a in a_cat.objs) for g in c_cat.mors)
+    ract = tuple(tuple(
+        push(c, a_cat.src(al), c, a_cat.tgt(al),
+             lambda t, al=al: (t[0], m.ract[al][t[0]](t[1]), t[2]))
+        for c in c_cat.objs) for al in a_cat.mors)
+    return Profunctor(a_cat, c_cat, at, lact, ract)
+
+
+def reference_whisker_left(n, cell):
+    v, v2 = cell.source, cell.target
+    left, right = reference_prof_compose(n, v), reference_prof_compose(n, v2)
+    h = []
+    for c in n.tgt.objs:
+        row = []
+        for a in v.src.objs:
+            classes, _ = _coend_cell(n, v, c, a)
+            _, index2 = _coend_cell(n, v2, c, a)
+            row.append(FinSetMap(left.at[c][a], right.at[c][a], _descend(
+                classes,
+                lambda t: index2[(t[0], cell.h[t[0]][a](t[1]), t[2])],
+                "whiskered map depends on the representative")))
+        h.append(tuple(row))
+    return ProfMorphism(left, right, tuple(h))
+
+
+def reference_counit(n, u, data):
+    comp = reference_prof_compose(n, data.prof)
+    h = []
+    for y in u.tgt.objs:
+        row = []
+        for k in u.src.objs:
+            classes, _ = _coend_cell(n, data.prof, y, k)
+            row.append(FinSetMap(comp.at[y][k], u.at[y][k], _descend(
+                classes,
+                lambda t: data.families[t[0]][k][t[1]][y][t[2]],
+                "counit depends on the representative")))
+        h.append(tuple(row))
+    return ProfMorphism(comp, u, tuple(h))
+
+
+def reference_collapse(p, v):
+    gm = graph_module(p)
+    composite = reference_prof_compose(gm, v)
+    fw = fiberwise_module(p, v)
+    _, start = _fiber_cells(p, v)
+
+    def collapse(t, y, k):
+        s, x, gpos = t
+        sigma = p.lifts(s, p.cod.hom(y, p.omap[s])[gpos])[0]
+        return start[p.dom.src(sigma)][k] + v.lact[sigma][k](x)
+
+    return ProfMorphism(composite, fw, tuple(
+        tuple(FinSetMap(composite.at[y][k], fw.at[y][k], _descend(
+            _coend_cell(gm, v, y, k)[0], lambda t: collapse(t, y, k),
+            "collapse depends on the representative"))
+            for k in v.src.objs)
+        for y in p.cod.objs))
+
+
 def quadratic_compose_actions(n, m):
     """The composite's action tables by the push loop the descent helper
     replaced: for each class, the whole member index is rescanned."""
@@ -360,9 +469,103 @@ def quadratic_compose_actions(n, m):
     return lact, ract
 
 
+def coend_pairs(seed):
+    """Seeded composable pairs (n, m): twelve over random middle
+    categories, then six over discrete middles, whose size matrices have
+    zeros, so some cells are empty."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        a, b, c = rand_fincat(rng), rand_fincat(rng), rand_fincat(rng)
+        yield small_profunctor(rng, b, c), small_profunctor(rng, a, b)
+    for _ in range(6):
+        na, nb, nc = (rng.randint(1, 4) for _ in range(3))
+        m = discrete_prof(na, nb, [[rng.randint(0, 2) for _ in range(na)]
+                                   for _ in range(nb)])
+        n = discrete_prof(nb, nc, [[rng.randint(0, 2) for _ in range(nb)]
+                                   for _ in range(nc)])
+        yield n, m
+
+
+class TestCoendAgainstReference:
+    """The one-pass coend against the cell-by-cell construction it
+    replaced, and every map out of it against the member-by-member
+    descent, which must find a single image for every class."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_classes_and_composite(self, seed):
+        kinds = set()
+        for n, m in coend_pairs(310 + seed):
+            comp, cells, index = _coend(n, m)
+            for c in n.tgt.objs:
+                for a in m.src.objs:
+                    classes, ref_index = _coend_cell(n, m, c, a)
+                    assert cells[(c, a)] == classes
+                    assert index[(c, a)] == ref_index
+                    if not classes:
+                        kinds.add("empty cell")
+            assert comp == reference_prof_compose(n, m)
+            assert prof_compose(n, m) == comp
+            kinds.add("non-discrete middle" if m.tgt.non_identities
+                      else "discrete middle")
+            if any(len(cls) > 1 for classes in cells.values()
+                   for cls in classes):
+                kinds.add("merged class")
+        assert kinds == {"empty cell", "non-discrete middle",
+                         "discrete middle", "merged class"}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_whisker_left(self, seed):
+        rng = random.Random(320 + seed)
+        done = moved = 0
+        while done < 6:
+            a, b, c = rand_fincat(rng), rand_fincat(rng), rand_fincat(rng)
+            n = small_profunctor(rng, b, c)
+            v, v2 = small_profunctor(rng, a, b), small_profunctor(rng, a, b)
+            if morphism_space(v, v2) > 5000:
+                continue
+            for cell in itertools.islice(enumerate_prof_morphisms(v, v2), 4):
+                assert prof_whisker_left(n, cell) == \
+                    reference_whisker_left(n, cell)
+                moved += not cell.is_invertible
+            done += 1
+        assert moved
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counit(self, seed):
+        rng = random.Random(330 + seed)
+        done = 0
+        while done < 4:
+            y = rand_fincat(rng, max_objs=2, max_mors=6)
+            s = rand_fincat(rng, max_objs=2, max_mors=6)
+            k = rand_fincat(rng, max_objs=2, max_mors=4)
+            n = small_profunctor(rng, s, y, cap=2)
+            u = small_profunctor(rng, k, y, cap=2)
+            if max_cell(n) < 2:
+                continue
+            data = rif_mod_data(n, u)
+            if max_cell(data.prof) > 4:
+                continue
+            assert rif_mod_counit(n, u, data) == reference_counit(n, u, data)
+            done += 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_collapse(self, seed):
+        rng = random.Random(340 + seed)
+        for _ in range(6):
+            y = rand_fincat(rng)
+            k = rand_fincat(rng, max_objs=2)
+            p = rand_dfib(rng, y)
+            v = small_profunctor(rng, k, p.dom)
+            dc = dfib_collapse(p, v)
+            assert dc.fiberwise == fiberwise_module(p, v)
+            assert dc.compare == reference_collapse(p, v)
+            assert dc.compare.is_invertible
+
+
 class TestCoendDescent:
-    """Maps out of coend classes: the one helper agrees with the loop it
-    replaced, and it still checks every member of every class."""
+    """The composite's actions against the loop that rescanned every
+    member index, and the reference descent against a class whose members
+    disagree."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_quadratic_push(self, seed):
@@ -388,6 +591,49 @@ class TestCoendDescent:
                      "induced action depends on the representative")
         assert str(e.value) == ("coend-welldef: induced action depends on "
                                 "the representative")
+
+
+class TestOneCoendPerMap:
+    """Each map out of a coend builds its coends once, never through
+    ``prof_compose``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = modpoly._coend
+
+        def counted(n, m):
+            calls.append((n, m))
+            return real(n, m)
+
+        def refused(n, m):
+            raise AssertionError("prof_compose ran inside a map out of a "
+                                 "coend")
+
+        monkeypatch.setattr(modpoly, "_coend", counted)
+        monkeypatch.setattr(modpoly, "prof_compose", refused)
+        return calls
+
+    def test_whisker_builds_each_side_once(self, calls):
+        o2 = ordinal2()
+        n = identity_module(o2)
+        u = presheaf_as_module(representable(o2, 1))
+        prof_whisker_left(n, prof_id(u))
+        assert calls == [(n, u), (n, u)]
+
+    def test_counit_builds_one_coend(self, calls):
+        o2 = ordinal2()
+        n = identity_module(o2)
+        u = presheaf_as_module(representable(o2, 1))
+        data = rif_mod_data(n, u)
+        rif_mod_counit(n, u, data)
+        assert calls == [(n, data.prof)]
+
+    def test_collapse_builds_one_coend(self, calls):
+        p = rand_dfib(random.Random(7), ordinal2())
+        v = small_profunctor(random.Random(8), terminal_cat(), p.dom)
+        dfib_collapse(p, v)
+        assert calls == [(graph_module(p), v)]
 
 
 def reference_element_ops(m):
@@ -1283,12 +1529,12 @@ class TestKleisliCorrespondence:
                 tuple((m.at[co][b0],) for co in c.objs),
                 tuple((m.lact[gamma][b0],) for gamma in c.mors),
                 (tuple(identity(m.at[co][b0]) for co in c.objs),))
+            _, cells, _ = _coend(m, graph_module(t))
             cy_h = []
             for co in c.objs:
-                els = coend_elements(m, graph_module(t), co, 0)
                 table = []
-                for el in els:
-                    bmid, gpos, xval = el.rep
+                for cls in cells[(co, 0)]:
+                    bmid, gpos, xval = cls[0]
                     gamma = b.hom(bmid, b0)[gpos]
                     table.append(m.ract[gamma][co](xval))
                 cy_h.append((FinSetMap(a1.at[co][0], b1_prof.at[co][0],

@@ -257,6 +257,29 @@ class TestExtensionOnMap:
                 == compose(extension_on_map(p, fm2).h,
                            extension_on_map(p, fm1).h)
 
+    def test_each_extension_is_enumerated_once(self, monkeypatch):
+        """The families of the image are the extensions of both ends, built
+        from the one enumeration of each side."""
+        calls = []
+        real = polyset._ext_elements
+
+        def counted(P, A):
+            calls.append(A)
+            return real(P, A)
+
+        rng = random.Random(13)
+        for _ in range(20):
+            x = FinSetObj(rng.randint(1, 3))
+            p = rand_poly(rng, x, FinSetObj(rng.randint(1, 2)), 4, 3)
+            fm = rand_family_map(rng, rand_family(rng, x))
+            monkeypatch.setattr(polyset, "_ext_elements", counted)
+            out = extension_on_map(p, fm)
+            monkeypatch.undo()
+            assert calls == [fm.src, fm.tgt]
+            calls.clear()
+            assert out.src == extension_eval(p, fm.src)
+            assert out.tgt == extension_eval(p, fm.tgt)
+
 
 class TestComposePoly:
     def test_monomial_six(self):
