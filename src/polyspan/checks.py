@@ -15,6 +15,7 @@ import random
 from collections.abc import Callable
 
 from .documents import _CODECS, Document, document, serialize
+from .errors import InvariantViolation
 from .fincat import (
     Functor,
     compose_functors,
@@ -311,6 +312,11 @@ def check_distributivity_terminality(seed: int,
         def where() -> str:
             return (f"f={_compact('finset-map', f)} "
                     f"g={_compact('finset-map', g)}")
+        try:  # distributivity_pullback builds the square unchecked
+            target.__post_init__()
+        except InvariantViolation as e:
+            failures.append(f"case {i}: the sections square: {e}; {where()}")
+            continue
         for _ in range(5):
             other = random_pb_around(f, g, rng.randrange(10 ** 9))
             found = _exhaustive_mediators(target, other)

@@ -367,6 +367,9 @@ def parse(text: str) -> Document:
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno) from None
     data = _expect_keys(data, {"version", "kind", "payload"}, "document")
+    for key in ("version", "kind"):
+        if not isinstance(data[key], str):
+            raise ParseError(f"document: expected a string for {key!r}")
     version = data["version"]
     if version != VERSION:
         raise ParseError(f"unsupported version {version!r}")

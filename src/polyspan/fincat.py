@@ -33,11 +33,9 @@ from .unionfind import UnionFind
 
 
 class FinCat(Record):
-    """A finite category with eagerly checked laws.
-
-    Invalid tables are a construction error, so downstream operations may
-    assume lawfulness.
-    """
+    """A finite category.  Tables from a caller or a document are checked
+    at construction; the categories built here from lawful ones hold the
+    laws by construction (``_trusted``) and are checked in the tests."""
 
     objects: FinSetObj
     morphisms: FinSetObj
@@ -150,8 +148,8 @@ def discrete_cat(n: int) -> FinCat:
     rows = [[-1] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = i
-    return FinCat(o, FinSetObj(n), identity(o), identity(o), identity(o),
-                  tuple(map(tuple, rows)))
+    return FinCat._trusted(o, FinSetObj(n), identity(o), identity(o),
+                           identity(o), tuple(map(tuple, rows)))
 
 
 def terminal_cat() -> FinCat:
@@ -177,8 +175,8 @@ def monoid_cat(table: tuple[tuple[int, ...], ...], unit: int) -> FinCat:
 
 
 def opposite_cat(c: FinCat) -> FinCat:
-    comp = tuple(tuple(c.comp[f][g] for f in c.mors) for g in c.mors)
-    return FinCat(c.objects, c.morphisms, c.tgt, c.src, c.ident, comp)
+    return FinCat._trusted(c.objects, c.morphisms, c.tgt, c.src, c.ident,
+                           tuple(zip(*c.comp)))
 
 
 def product_cat(a: FinCat, b: FinCat) -> FinCat:
@@ -192,16 +190,10 @@ def product_cat(a: FinCat, b: FinCat) -> FinCat:
                                 for f in a.mors for g in b.mors))
     ident = FinSetMap(o, m, tuple(a.ident(x) * nm + b.ident(y)
                                   for x in a.objs for y in b.objs))
-    comp = []
-    for f1 in a.mors:
-        for g1 in b.mors:
-            row = []
-            for f2 in a.mors:
-                for g2 in b.mors:
-                    c1, c2 = a.comp[f1][f2], b.comp[g1][g2]
-                    row.append(-1 if c1 < 0 or c2 < 0 else c1 * nm + c2)
-            comp.append(tuple(row))
-    return FinCat(o, m, src, tgt, ident, tuple(comp))
+    comp = tuple(tuple(-1 if c1 < 0 or c2 < 0 else c1 * nm + c2
+                       for c1 in row_a for c2 in row_b)
+                 for row_a in a.comp for row_b in b.comp)
+    return FinCat._trusted(o, m, src, tgt, ident, comp)
 
 
 class Functor(Record):
@@ -437,7 +429,7 @@ def comma(f: Functor, g: Functor, iso_only: bool = False) -> Comma:
                 row.append(mor_index[(s1, t2, a_cat.comp[u2][u1],
                                       b_cat.comp[v2][v1])])
         comp_rows.append(tuple(row))
-    cat = FinCat(o, m, src, tgt, ident, tuple(comp_rows))
+    cat = FinCat._trusted(o, m, src, tgt, ident, tuple(comp_rows))
     proj1 = Functor(cat, a_cat, tuple(a for a, _, _ in objects),
                     tuple(u for _, _, u, _ in morphisms))
     proj2 = Functor(cat, b_cat, tuple(b for _, b, _ in objects),
@@ -615,7 +607,7 @@ def elements(p: Presheaf) -> ElementsCat:
             for t2 in p.act[beta2].fiber(t1):
                 comp_rows[mor_index[(beta2, t2)]][j] = \
                     mor_index[(composite, t2)]
-    cat = FinCat(o, m, src, tgt, ident, tuple(map(tuple, comp_rows)))
+    cat = FinCat._trusted(o, m, src, tgt, ident, tuple(map(tuple, comp_rows)))
     proj = Functor(cat, base, tuple(b for b, _ in objects),
                    tuple(beta for beta, _ in morphisms))
     return ElementsCat(proj, tuple(objects), tuple(morphisms))

@@ -53,7 +53,8 @@ class Profunctor(Record):
     """A two-sided module: ``at[b][a]`` is the value set, ``lact[beta][a]``
     restricts along a tgt-category morphism (contravariantly) and
     ``ract[alpha][b]`` pushes along a src-category morphism (covariantly).
-    All bifunctoriality equations are checked at construction."""
+    Modules from callers and documents have every bifunctoriality equation
+    checked at construction; those computed here are checked in the tests."""
 
     src: FinCat
     tgt: FinCat
@@ -150,7 +151,7 @@ def presheaf_as_module(p: Presheaf) -> Profunctor:
     at = tuple((p.at[c],) for c in p.base.objs)
     lact = tuple((p.act[gamma],) for gamma in p.base.mors)
     ract = (tuple(identity(p.at[c]) for c in p.base.objs),)
-    return Profunctor(one, p.base, at, lact, ract)
+    return Profunctor._trusted(one, p.base, at, lact, ract)
 
 
 def module_as_presheaf(m: Profunctor) -> Presheaf:
@@ -342,7 +343,8 @@ def _coend(n: Profunctor, m: Profunctor):
             push(c, a1, c, a2,
                  lambda b, x, y, r=m.ract[alpha]: (b, r[b](x), y))
             for c in c_cat.objs))
-    return Profunctor(a_cat, c_cat, at, tuple(lact), tuple(ract)), cells, index
+    return (Profunctor._trusted(a_cat, c_cat, at, tuple(lact), tuple(ract)),
+            cells, index)
 
 
 def prof_compose(n: Profunctor, m: Profunctor) -> Profunctor:
@@ -470,8 +472,8 @@ def rif_mod_data(n: Profunctor, u: Profunctor) -> RifModData:
                 table.append(index[s][k2][moved])
             row.append(FinSetMap(at[s][k1], at[s][k2], tuple(table)))
         ract.append(tuple(row))
-    return RifModData(Profunctor(k_cat, s_cat, at, tuple(lact), tuple(ract)),
-                      fams)
+    return RifModData(
+        Profunctor._trusted(k_cat, s_cat, at, tuple(lact), tuple(ract)), fams)
 
 
 def rif_mod(n: Profunctor, u: Profunctor) -> Profunctor:
@@ -641,12 +643,9 @@ def polymod_parts(q: ModPolynomial, p: ModPolynomial) -> PolymodParts:
     split = [[FinSetMap(q.m.at[c][t], z.at[c], rd.families[t][0][xi_i][c])
               for c in c_cat.objs] for t, xi_i in tab.el.objects_data]
 
-    def cell(zo, yo):
-        return split[yo][p.p.omap[zo]].fiber(p.p.over.fiber_position(zo))
-
-    at = tuple(tuple(FinSetObj(len(cell(zo, yo)))
-                     for yo in range(y_cat.objects.size))
-               for zo in z_cat.objs)
+    cells = [[split[yo][p.p.omap[zo]].fiber(p.p.over.fiber_position(zo))
+              for yo in range(y_cat.objects.size)] for zo in z_cat.objs]
+    at = tuple(tuple(FinSetObj(len(cell)) for cell in row) for row in cells)
     lact = []
     for zeta in z_cat.mors:
         z1, z2 = z_cat.src(zeta), z_cat.tgt(zeta)
@@ -654,7 +653,7 @@ def polymod_parts(q: ModPolynomial, p: ModPolynomial) -> PolymodParts:
         row = []
         for yo, (t, _) in enumerate(tab.el.objects_data):
             table = [split[yo][c1].fiber_position(q.m.lact[gamma][t](mu))
-                     for mu in cell(z2, yo)]
+                     for mu in cells[z2][yo]]
             row.append(FinSetMap(at[z2][yo], at[z1][yo], tuple(table)))
         lact.append(tuple(row))
     ract = []
@@ -665,10 +664,10 @@ def polymod_parts(q: ModPolynomial, p: ModPolynomial) -> PolymodParts:
         for zo in z_cat.objs:
             c = p.p.omap[zo]
             table = [split[yo2][c].fiber_position(q.m.ract[phi][c](mu))
-                     for mu in cell(zo, yo1)]
+                     for mu in cells[zo][yo1]]
             row.append(FinSetMap(at[zo][yo1], at[zo][yo2], tuple(table)))
         ract.append(tuple(row))
-    n = Profunctor(y_cat, z_cat, at, tuple(lact), tuple(ract))
+    n = Profunctor._trusted(y_cat, z_cat, at, tuple(lact), tuple(ract))
     r = tab.p
     poly = ModPolynomial(p.X, q.Y, y_cat, prof_compose(p.m, n),
                          compose_functors(q.p, r))

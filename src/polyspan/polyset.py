@@ -17,7 +17,6 @@ from .errors import require
 from .finset import FinSetMap, FinSetObj, Pullback, compose, identity, pullback
 from .record import Record
 from .spans import (
-    Bipullback,
     PBAround,
     Span,
     SpanCell,
@@ -158,28 +157,21 @@ class CompositeParts(Record):
     poly: Polynomial
     pb1: Pullback
     pba: PBAround
-    d: Span
-    c: Span
     n_tilde: Span
-    bp: Bipullback
 
 
 def composite_parts(Q: Polynomial, P: Polynomial) -> CompositeParts:
     require(P.Y == Q.X, "poly-compose-boundary",
             "codomain of the first factor must match the second's domain")
     pb1 = pullback(P.p, Q.m1)
-    g_mid = pb1.pr2
-    pba = distributivity_pullback(Q.m2, g_mid)
+    pba = distributivity_pullback(Q.m2, pb1.pr2)
     w_obj = pba.r.dom
-    d = graph(pba.r)
-    c = Span(w_obj, pb1.apex, pba.p.dom, pba.q, pba.p)
     n_tilde = Span(w_obj, P.S, pba.p.dom, pba.q, compose(pb1.pr1, pba.p))
     mspan = compose_spans(m_span(P), n_tilde)
     poly = Polynomial(P.X, mspan.apex, w_obj, Q.Y,
                       mspan.right_leg, mspan.left_leg,
                       compose(Q.p, pba.r))
-    return CompositeParts(poly, pb1, pba, d, c, n_tilde,
-                          distributivity_bipullback(pba))
+    return CompositeParts(poly, pb1, pba, n_tilde)
 
 
 def compose_poly(Q: Polynomial, P: Polynomial) -> Polynomial:
@@ -303,7 +295,9 @@ def hcompose_polymorph(k: PolyMorphism, f: PolyMorphism) -> PolyMorphism:
     Q, Q2 = k.source, k.target
     parts = composite_parts(Q, P)
     parts2 = composite_parts(Q2, P2)
-    d, c = parts.d, parts.c
+    bp = distributivity_bipullback(parts.pba)
+    bp2 = distributivity_bipullback(parts2.pba)
+    d, c = bp.d, bp.c
     # inner cone over the pullback bipullback of (Q'.m1, P'.p)
     bp0 = pullback_bipullback(Q2.m1, P2.p)
     w0 = compose_spans(cograph(Q2.m2), k.h)
@@ -315,7 +309,7 @@ def hcompose_polymorph(k: PolyMorphism, f: PolyMorphism) -> PolyMorphism:
     z3 = whisker_right(k.lam, d)
     z4 = invert_cell(whisker_right(post_graph_cell(Q.m1, cograph(Q.m2)), d))
     z5 = associator(graph(Q.m1), cograph(Q.m2), d)
-    z6 = whisker_left(graph(Q.m1), parts.bp.theta)
+    z6 = whisker_left(graph(Q.m1), bp.theta)
     z7 = invert_cell(associator(graph(Q.m1), graph(parts.pb1.pr2), c))
     z8 = whisker_right(graph_compose_cell(Q.m1, parts.pb1.pr2), c)
     z9 = invert_cell(whisker_right(graph_compose_cell(P.p, parts.pb1.pr1), c))
@@ -334,19 +328,18 @@ def hcompose_polymorph(k: PolyMorphism, f: PolyMorphism) -> PolyMorphism:
     v = compose_spans(graph(swap), fac0.h)
     # outer cone over the distributivity bipullback of the primed composite
     u = compose_spans(k.h, d)
-    y1 = invert_cell(associator(parts2.bp.n, k.h, d))
+    y1 = invert_cell(associator(bp2.n, k.h, d))
     y2 = invert_cell(fac0.rho)
     y3 = invert_cell(whisker_right(graph_compose_cell(parts2.pb1.pr2, swap),
                                    fac0.h))
     y4 = associator(graph(parts2.pb1.pr2), graph(swap), fac0.h)
     psi = vcomp(y4, vcomp(y3, vcomp(y2, y1)))
-    fach = factor_through_bipullback(parts2.bp, u, v, psi)
+    fach = factor_through_bipullback(bp2, u, v, psi)
     # structure cells of the composite morphism
     h = fach.h
     x1 = associator(m_span(P2), parts2.n_tilde, h)
-    x2a = whisker_right(invert_cell(post_graph_cell(parts2.pb1.pr1,
-                                                    parts2.c)), h)
-    x2b = associator(graph(parts2.pb1.pr1), parts2.c, h)
+    x2a = whisker_right(invert_cell(post_graph_cell(parts2.pb1.pr1, bp2.c)), h)
+    x2b = associator(graph(parts2.pb1.pr1), bp2.c, h)
     x2c = whisker_left(graph(parts2.pb1.pr1), fach.lam)
     x2d = invert_cell(associator(graph(parts2.pb1.pr1), graph(swap), fac0.h))
     x2e = whisker_right(graph_compose_cell(parts2.pb1.pr1, swap), fac0.h)
@@ -362,7 +355,7 @@ def hcompose_polymorph(k: PolyMorphism, f: PolyMorphism) -> PolyMorphism:
     w2 = whisker_right(k.rho, d)
     w3 = associator(graph(Q2.p), k.h, d)
     w4 = whisker_left(graph(Q2.p), invert_cell(fach.rho))
-    w5 = invert_cell(associator(graph(Q2.p), parts2.d, h))
+    w5 = invert_cell(associator(graph(Q2.p), bp2.d, h))
     w6 = whisker_right(graph_compose_cell(Q2.p, parts2.pba.r), h)
     rho = w1
     for cell in (w2, w3, w4, w5, w6):

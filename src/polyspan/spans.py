@@ -337,10 +337,11 @@ class PBAround(Record):
 
 def distributivity_pullback(f: FinSetMap, g: FinSetMap) -> PBAround:
     """The terminal pullback around (f, g): points of Y are sections of g
-    over the fibers of f, r projects to B, and p evaluates sections."""
+    over the fibers of f, r projects to B, and p evaluates sections.  The
+    square is a pullback by construction (Weber, arXiv:1106.1983)."""
     require(g.cod == f.dom, "pbaround-pair", "g must land in the domain of f")
     pi = pi_f(f, g)
-    return PBAround(f, g, pi.ev, pi.square.pr1, pi.proj)
+    return PBAround._trusted(f, g, pi.ev, pi.square.pr1, pi.proj)
 
 
 def mediate_pb_around(
@@ -460,7 +461,7 @@ def pullback_bipullback(f: FinSetMap, g: FinSetMap) -> Bipullback:
     table = tuple(sq_pc.index(w, pb.pr2(w)) for w, _ in sq_nd.pairs)
     theta = SpanCell(nd, compose_spans(graph(g), c),
                      FinSetMap(nd.apex, sq_pc.apex, table))
-    return Bipullback("pullback", d, c, n, g, theta, pb)
+    return Bipullback._trusted("pullback", d, c, n, g, theta, pb)
 
 
 def distributivity_bipullback(pba: PBAround) -> Bipullback:
@@ -481,7 +482,7 @@ def distributivity_bipullback(pba: PBAround) -> Bipullback:
         table.append(sq_pc.index(x, pba.p(x)))
     theta = SpanCell(nd, compose_spans(graph(pba.g), c),
                      FinSetMap(nd.apex, sq_pc.apex, tuple(table)))
-    return Bipullback("distributivity", d, c, n, pba.g, theta, pba)
+    return Bipullback._trusted("distributivity", d, c, n, pba.g, theta, pba)
 
 
 class Factorization(Record):

@@ -90,6 +90,20 @@ class TestCompose:
         assert main(["compose", "--kind", "set", qf, fam]) == 2
         assert "expected a polynomial" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["kind", "version"])
+    @pytest.mark.parametrize("value", [["polynomial"], {"kind": "polynomial"},
+                                       1], ids=["list", "object", "number"])
+    def test_a_non_string_tag_is_an_input_error(self, tmp_path, capsys,
+                                                field, value):
+        qf, pf, _, _ = rand_poly_files(tmp_path, 7)
+        data = json.loads((tmp_path / "p.json").read_text())
+        data[field] = value
+        (tmp_path / "p.json").write_text(json.dumps(data))
+        assert main(["compose", "--kind", "set", qf, pf]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"expected a string for {field!r}" in err
+
 
 class TestEval:
     def test_matches_library_extension(self, tmp_path, capsys):

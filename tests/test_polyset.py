@@ -1,5 +1,6 @@
 """Polynomial extension semantics, composition, and morphisms."""
 
+import hashlib
 import itertools
 import random
 
@@ -566,6 +567,32 @@ class TestHCompose:
             extension_on_map(q, polymorph_extension(g, a)).h)
         for i in range(down.dom.size):
             assert phi_tgt[down(i)] == across(phi_src[i])
+
+    def test_seeded_composites_keep_their_recorded_output(self):
+        """Horizontal composites of 30 seeded morphisms (relabelings with
+        a conjugated h) hash to what they were before the bipullback of
+        a composite became a cached property."""
+        def seeded_morphism(rng, p):
+            perm = list(range(p.S.size))
+            rng.shuffle(perm)
+            f = relabel_morphism(p, perm)
+            rel = list(range(f.h.apex.size))
+            rng.shuffle(rel)
+            return conjugate_h(f, FinSetMap(f.h.apex, f.h.apex, tuple(rel)))
+
+        rng = random.Random(61)
+        digest = hashlib.sha256()
+        sizes = []
+        for _ in range(30):
+            x, y, z = (FinSetObj(rng.randint(1, 2)) for _ in range(3))
+            p, q = rand_poly(rng, x, y, 3, 3), rand_poly(rng, y, z, 3, 3)
+            hc = hcompose_polymorph(seeded_morphism(rng, q),
+                                    seeded_morphism(rng, p))
+            digest.update(repr(hc).encode())
+            sizes.append(hc.h.apex.size)
+        assert max(sizes) == 27 and sizes.count(0) == 9
+        assert digest.hexdigest() == ("46466ef4d098b8113a8a652c7057805b"
+                                      "a0158ab7cdaba70761b21fabea6eb5a7")
 
     def test_choice_independence_under_h_conjugation(self):
         f = identity_polymorph(a_plus_one())
