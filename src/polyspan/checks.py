@@ -28,7 +28,6 @@ from .fincat import (
     is_functor_iso,
     is_groupoid_fibration,
     gfib_via_cotensor,
-    presheaf_iso,
 )
 from .finset import FinSetMap, FinSetObj, identity
 from .gen import (
@@ -406,7 +405,7 @@ def check_grothendieck_roundtrip(seed: int,
                             "discrete fibration over "
                             f"{_compact('fincat', c)}")
             continue
-        if presheaf_iso(fibers(el.proj), psh) is None:
+        if fibers(el.proj) != psh:
             failures.append(f"case {i}: fibers of elements do not return "
                             f"the presheaf over {_compact('fincat', c)}")
         r = rand_dfib(rng, c)
@@ -720,5 +719,7 @@ def run_suite(name: str, seed: int = 0,
               count: int | None = None) -> CheckReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if count is not None and count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     fn = SUITES[name][0]
     return fn(seed, count)

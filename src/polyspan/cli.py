@@ -103,6 +103,18 @@ def _cmd_random(args: argparse.Namespace) -> int:
     return 0
 
 
+def _non_negative(text: str) -> int:
+    """An argparse type: an integer that is at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyspan",
@@ -130,9 +142,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="suite name, or all of them")
     p_check.add_argument("--seed", type=int, default=0,
                          help="generator seed (default 0)")
-    p_check.add_argument("--count", type=int, default=None,
+    p_check.add_argument("--count", type=_non_negative, default=None,
                          help="override the suite's case count")
-    p_check.add_argument("--max-failures", type=int, default=5,
+    p_check.add_argument("--max-failures", type=_non_negative, default=5,
                          help="failure lines to print per suite")
     p_check.set_defaults(fn=_cmd_check)
 

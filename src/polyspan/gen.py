@@ -246,7 +246,7 @@ def rand_composable_modpolys(rng: random.Random,
     d = rand_fincat(rng, max_mors=8)
     p = rand_modpoly(rng, x, y, max_cell=3)
     q = rand_modpoly(rng, y, d, max_cell=3)
-    fib = [sum(1 for s in p.S.objs if p.p.omap[s] == c) for c in y.objs]
+    fib = [len(p.p.over.fiber(c)) for c in y.objs]
     work, counts = _lift_bounds(q.m, fib)
     if work > work_cap or sum(counts) > tab_cap:
         return None
@@ -270,7 +270,7 @@ def rand_hk_case(rng: random.Random, work_cap: int = 20000):
         work, counts = _lift_bounds(p.m, u_sizes)
         if work > work_cap:
             return None
-        step_sizes = [sum(counts[s] for s in p.S.objs if p.p.omap[s] == c)
+        step_sizes = [sum(counts[s] for s in p.p.over.fiber(c))
                       for c in p.Y.objs]
         work2, _ = _lift_bounds(q.m, step_sizes)
         if work2 > work_cap:

@@ -254,8 +254,7 @@ class ProfMorphism(Record):
 
     @property
     def is_invertible(self) -> bool:
-        return all(len(set(f.table)) == f.cod.size == f.dom.size
-                   for row in self.h for f in row)
+        return all(f.is_bijective for row in self.h for f in row)
 
 
 def prof_id(m: Profunctor) -> ProfMorphism:
@@ -275,16 +274,8 @@ def prof_vcomp(b: ProfMorphism, a: ProfMorphism) -> ProfMorphism:
 def prof_invert(c: ProfMorphism) -> ProfMorphism:
     require(c.is_invertible, "profmor-invert",
             "only componentwise bijections invert")
-    inv = []
-    for row in c.h:
-        out = []
-        for f in row:
-            table = [0] * f.cod.size
-            for i in f.dom.elements:
-                table[f(i)] = i
-            out.append(FinSetMap(f.cod, f.dom, tuple(table)))
-        inv.append(tuple(out))
-    return ProfMorphism(c.target, c.source, tuple(inv))
+    return ProfMorphism(c.target, c.source, tuple(
+        tuple(f.inverse() for f in row) for row in c.h))
 
 
 def _coend(n: Profunctor, m: Profunctor):

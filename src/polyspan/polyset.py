@@ -246,14 +246,12 @@ def polymorph_extension(f: PolyMorphism, a: IndexedFamily) -> FamilyMap:
     src = extension_eval(f.source, a)
     tgt = extension_eval(f.target, a)
     idx_tgt = {e: i for i, e in enumerate(_ext_elements(f.target, a))}
-    left_inv = [0] * f.source.S.size
-    for t in f.h.apex.elements:
-        left_inv[f.h.left_leg(t)] = t
+    left_inv = f.h.left_leg.inverse()
     sq = composition_square(m_span(f.target), f.h)
     position = f.source.m2.fiber_position
     table = []
     for y, s, sigma in _ext_elements(f.source, a):
-        t = left_inv[s]
+        t = left_inv(s)
         s2 = f.h.right_leg(t)
         sig2 = tuple(sigma[position(f.lam.h(sq.index(t, e2)))]
                      for e2 in f.target.m2.fiber(s2))

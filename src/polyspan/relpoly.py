@@ -12,6 +12,7 @@ style.  Both routes are implemented and compared by the tests.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 
 from .errors import InvariantViolation, require
 from .finset import FinSetMap, FinSetObj, Subset, full_subset
@@ -21,7 +22,9 @@ Pair = tuple[int, int]
 
 
 class Relation(Record):
-    """Pairs (x, y) meaning x is related to y, sorted lexicographically."""
+    """Pairs (x, y) meaning x is related to y, sorted lexicographically.
+    Rows come by bisection of the pairs; columns come from one index, built
+    in a single pass the first time it is read and cached like a fiber index."""
 
     src: FinSetObj
     tgt: FinSetObj
@@ -45,6 +48,14 @@ class Relation(Record):
         lo = bisect_left(self.pairs, (x,))
         hi = bisect_left(self.pairs, (x + 1,))
         return tuple(y for _, y in self.pairs[lo:hi])
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The points related to each y, in increasing order, indexed by y."""
+        columns: list[list[int]] = [[] for _ in self.tgt.elements]
+        for x, y in self.pairs:
+            columns[y].append(x)
+        return tuple(map(tuple, columns))
 
 
 def rel(src: FinSetObj, tgt: FinSetObj, pairs) -> Relation:
@@ -80,12 +91,10 @@ def rel_compose(n: Relation, m: Relation) -> Relation:
     """Composite relation: x related to z when some y links them."""
     require(m.tgt == n.src, "rel-compose-boundary",
             "codomain of the first factor must match domain of the second")
-    mid = {}
-    for x, y in m.pairs:
-        mid.setdefault(y, []).append(x)
+    mid = m.columns
     out = set()
     for y, z in n.pairs:
-        for x in mid.get(y, ()):
+        for x in mid[y]:
             out.add((x, z))
     return Relation(m.src, n.tgt, tuple(sorted(out)))
 
@@ -97,13 +106,10 @@ def rel_rif(n: Relation, u: Relation) -> Relation:
     require(n.tgt == u.tgt, "rel-rif-boundary",
             "lifter and target must share their codomain")
     u_set = set(u.pairs)
-    rows = {t: [] for t in n.src.elements}
-    for t, y in n.pairs:
-        rows[t].append(y)
     out = []
     for k in u.src.elements:
         for t in n.src.elements:
-            if all((k, y) in u_set for y in rows[t]):
+            if all((k, y) in u_set for y in n.row(t)):
                 out.append((k, t))
     return rel(u.src, n.src, out)
 
@@ -153,9 +159,7 @@ def compose_polyrel(q: RelPolynomial, p: RelPolynomial) -> RelPolynomial:
     require(p.C == q.X, "relpoly-compose-boundary",
             "middle boundaries do not match")
     in_pz = set(p.Z.members)
-    partners = {j: [] for j in range(len(q.Z.members))}
-    for c, j in q.A.pairs:
-        partners[j].append(c)
+    partners = q.A.columns
     kept = [j for j in range(len(q.Z.members))
             if all(c in in_pz for c in partners[j])]
     z_new = Subset(q.C, tuple(q.Z.members[j] for j in kept))
@@ -190,11 +194,7 @@ class PartialMapToPower(Record):
 def to_partial_map(p: RelPolynomial) -> PartialMapToPower:
     """Reading of a polynomial as the partial map classifying its lifter
     relation pointwise over the neat subset."""
-    rows = [[] for _ in p.Z.members]
-    for x, j in p.A.pairs:
-        rows[j].append(x)
-    return PartialMapToPower(p.X, p.C, p.Z,
-                             tuple(tuple(sorted(r)) for r in rows))
+    return PartialMapToPower(p.X, p.C, p.Z, p.A.columns)
 
 
 def from_partial_map(pm: PartialMapToPower) -> RelPolynomial:
@@ -229,9 +229,7 @@ def hK_rel(k: FinSetObj, p: RelPolynomial, s: Relation) -> Relation:
     require(s.src == k and s.tgt == p.X, "hK-rel-boundary",
             "s must be a relation K -> X")
     s_set = set(s.pairs)
-    partners = {j: [] for j in range(len(p.Z.members))}
-    for x, j in p.A.pairs:
-        partners[j].append(x)
+    partners = p.A.columns
     out = []
     for kk in k.elements:
         for j, c in enumerate(p.Z.members):

@@ -4,12 +4,16 @@ characterization, right liftings, and pullbacks-around with their mediators.
 A span from X to Y is (left_leg, apex, right_leg) with left_leg landing in X.
 Over sets the 2-cells are plain apex maps commuting with both legs, so all
 triangle and pasting conditions are strict equalities checked elementwise.
+A composite comes with its square: ``composite`` returns t∘s with the
+pullback whose pairs index its apex, and each 2-cell between composites reads
+its table from that square instead of pulling the same pair back again.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable
 
 from .errors import MultipleMediatorsError, NoMediatorError, require
 from .finset import (
@@ -89,10 +93,15 @@ def composition_square(t: Span, s: Span) -> Pullback:
     return pullback(s.right_leg, t.left_leg)
 
 
-def compose_spans(t: Span, s: Span) -> Span:
+def composite(t: Span, s: Span) -> tuple[Span, Pullback]:
+    """t∘s together with the square its apex is the pullback of."""
     pb = composition_square(t, s)
     return Span(s.left_foot, t.right_foot, pb.apex,
-                compose(s.left_leg, pb.pr1), compose(t.right_leg, pb.pr2))
+                compose(s.left_leg, pb.pr1), compose(t.right_leg, pb.pr2)), pb
+
+
+def compose_spans(t: Span, s: Span) -> Span:
+    return composite(t, s)[0]
 
 
 def identity_cell(s: Span) -> SpanCell:
@@ -113,50 +122,38 @@ def vcomp(b: SpanCell, a: SpanCell) -> SpanCell:
 
 def whisker_left(t: Span, cell: SpanCell) -> SpanCell:
     """t∘cell: the cell between composites with t applied after."""
-    src = compose_spans(t, cell.source)
-    tgt_sq = composition_square(t, cell.target)
-    table = tuple(tgt_sq.index(cell.h(a), b)
-                  for a, b in composition_square(t, cell.source).pairs)
-    return SpanCell(src, compose_spans(t, cell.target),
-                    FinSetMap(src.apex, tgt_sq.apex, table))
+    src, sq = composite(t, cell.source)
+    tgt, tgt_sq = composite(t, cell.target)
+    table = tuple(tgt_sq.index(cell.h(a), b) for a, b in sq.pairs)
+    return SpanCell(src, tgt, FinSetMap(src.apex, tgt.apex, table))
 
 
 def whisker_right(cell: SpanCell, t: Span) -> SpanCell:
     """cell∘t: the cell between composites with t applied first."""
-    src = compose_spans(cell.source, t)
-    tgt_sq = composition_square(cell.target, t)
-    table = tuple(tgt_sq.index(a, cell.h(b))
-                  for a, b in composition_square(cell.source, t).pairs)
-    return SpanCell(src, compose_spans(cell.target, t),
-                    FinSetMap(src.apex, tgt_sq.apex, table))
+    src, sq = composite(cell.source, t)
+    tgt, tgt_sq = composite(cell.target, t)
+    table = tuple(tgt_sq.index(a, cell.h(b)) for a, b in sq.pairs)
+    return SpanCell(src, tgt, FinSetMap(src.apex, tgt.apex, table))
 
 
 def unitor_dom(s: Span) -> SpanCell:
     """The canonical cell s∘(identity span) => s."""
-    src = compose_spans(s, identity_span(s.left_foot))
-    sq = composition_square(s, identity_span(s.left_foot))
-    return SpanCell(src, s, FinSetMap(src.apex, s.apex,
-                                      tuple(b for _, b in sq.pairs)))
+    src, sq = composite(s, identity_span(s.left_foot))
+    return SpanCell(src, s, sq.pr2)
 
 
 def unitor_cod(s: Span) -> SpanCell:
     """The canonical cell (identity span)∘s => s."""
-    src = compose_spans(identity_span(s.right_foot), s)
-    sq = composition_square(identity_span(s.right_foot), s)
-    return SpanCell(src, s, FinSetMap(src.apex, s.apex,
-                                      tuple(a for a, _ in sq.pairs)))
+    src, sq = composite(identity_span(s.right_foot), s)
+    return SpanCell(src, s, sq.pr1)
 
 
 def associator(t: Span, s: Span, r: Span) -> SpanCell:
     """The canonical invertible cell (t∘s)∘r => t∘(s∘r)."""
-    ts = compose_spans(t, s)
-    sr = compose_spans(s, r)
-    left = compose_spans(ts, r)
-    right = compose_spans(t, sr)
-    sq_ts = composition_square(t, s)
-    sq_sr = composition_square(s, r)
-    sq_left = composition_square(ts, r)
-    sq_right = composition_square(t, sr)
+    ts, sq_ts = composite(t, s)
+    sr, sq_sr = composite(s, r)
+    left, sq_left = composite(ts, r)
+    right, sq_right = composite(t, sr)
     table = []
     for a, m in sq_left.pairs:  # a in r.apex, m indexes a pair (b, c)
         b, c = sq_ts.pairs[m]
@@ -177,11 +174,8 @@ def enumerate_cells(s: Span, t: Span):
 
 def graph_compose_cell(f2: FinSetMap, f1: FinSetMap) -> SpanCell:
     """The canonical invertible cell graph(f2)∘graph(f1) => graph(f2∘f1)."""
-    src = compose_spans(graph(f2), graph(f1))
-    sq = composition_square(graph(f2), graph(f1))
-    return SpanCell(src, graph(compose(f2, f1)),
-                    FinSetMap(src.apex, f1.dom,
-                              tuple(a for a, _ in sq.pairs)))
+    src, sq = composite(graph(f2), graph(f1))
+    return SpanCell(src, graph(compose(f2, f1)), sq.pr1)
 
 
 def postcompose_span(s: Span, f: FinSetMap) -> Span:
@@ -194,11 +188,8 @@ def postcompose_span(s: Span, f: FinSetMap) -> Span:
 
 def post_graph_cell(f: FinSetMap, s: Span) -> SpanCell:
     """The canonical invertible cell graph(f)∘s => postcompose_span(s, f)."""
-    src = compose_spans(graph(f), s)
-    sq = composition_square(graph(f), s)
-    return SpanCell(src, postcompose_span(s, f),
-                    FinSetMap(src.apex, s.apex,
-                              tuple(a for a, _ in sq.pairs)))
+    src, sq = composite(graph(f), s)
+    return SpanCell(src, postcompose_span(s, f), sq.pr1)
 
 
 class MapWitness(Record):
@@ -230,15 +221,14 @@ def is_map(s: Span) -> MapWitness | None:
         return None
     r = reverse_span(s)
     inv = s.left_leg.inverse()
-    rs_sq = composition_square(s, r)   # pairs (a, b) with left(a) = left(b)
-    sr_sq = composition_square(r, s)   # pairs (a, b) with right(a) = right(b)
-    unit = SpanCell(identity_span(s.left_foot), compose_spans(r, s),
-                    FinSetMap(s.left_foot, sr_sq.apex,
+    rs = compose_spans(s, r)   # pairs (a, b) with left(a) = left(b)
+    sr, sr_sq = composite(r, s)   # pairs (a, b) with right(a) = right(b)
+    unit = SpanCell(identity_span(s.left_foot), sr,
+                    FinSetMap(s.left_foot, sr.apex,
                               tuple(sr_sq.index(inv(x), inv(x))
                                     for x in s.left_foot.elements)))
-    counit = SpanCell(compose_spans(s, r), identity_span(s.right_foot),
-                      FinSetMap(rs_sq.apex, s.right_foot,
-                                tuple(s.right_leg(a) for a, _ in rs_sq.pairs)))
+    # the counit sends (a, b) to right(a), which is the left leg of s∘r
+    counit = SpanCell(rs, identity_span(s.right_foot), rs.left_leg)
     return MapWitness(r, unit, counit)
 
 
@@ -275,8 +265,7 @@ def rif_span(m: Span, u: Span) -> Rif:
     lifted = Span(k_obj, s_obj, apex,
                   FinSetMap(apex, k_obj, tuple(k for k, _, _ in elements)),
                   FinSetMap(apex, s_obj, tuple(s for _, s, _ in elements)))
-    comp = compose_spans(m, lifted)
-    sq = composition_square(m, lifted)
+    comp, sq = composite(m, lifted)
     table = tuple(elements[a][2][m.left_leg.fiber_position(e)]
                   for a, e in sq.pairs)
     counit = SpanCell(comp, u, FinSetMap(comp.apex, u.apex, table))
@@ -364,16 +353,13 @@ def mediate_pb_around(
             and p2.cod == target.g.dom and p2.dom == q2.dom,
             "mediate-typing", "other square has mismatched boundaries")
     inner = target.inner_index()
-    over_y = [[] for _ in range(r2.dom.size)]
-    for x2 in p2.dom.elements:
-        over_y[q2(x2)].append(x2)
     # the constraints on t touch one point at a time, so filter per point
     per_point = []
     for y2 in r2.dom.elements:
         cands = []
         for y in target.r.fiber(r2(y2)):
             ok = True
-            for x2 in over_y[y2]:
+            for x2 in q2.fiber(y2):
                 x = inner.get((y, target.g(p2(x2))))
                 if x is None or target.p(x) != p2(x2):
                     ok = False
@@ -455,12 +441,10 @@ def pullback_bipullback(f: FinSetMap, g: FinSetMap) -> Bipullback:
     d = graph(pb.pr1)
     c = graph(pb.pr2)
     n = graph(f)
-    nd = compose_spans(n, d)
-    sq_nd = composition_square(n, d)
-    sq_pc = composition_square(graph(g), c)
+    nd, sq_nd = composite(n, d)
+    pc, sq_pc = composite(graph(g), c)
     table = tuple(sq_pc.index(w, pb.pr2(w)) for w, _ in sq_nd.pairs)
-    theta = SpanCell(nd, compose_spans(graph(g), c),
-                     FinSetMap(nd.apex, sq_pc.apex, table))
+    theta = SpanCell(nd, pc, FinSetMap(nd.apex, pc.apex, table))
     return Bipullback._trusted("pullback", d, c, n, g, theta, pb)
 
 
@@ -472,16 +456,14 @@ def distributivity_bipullback(pba: PBAround) -> Bipullback:
     d = graph(pba.r)
     c = Span(y, pba.g.dom, pba.p.dom, pba.q, pba.p)
     n = cograph(pba.f)
-    nd = compose_spans(n, d)
-    sq_nd = composition_square(n, d)   # pairs (y, a) with r(y) = f(a)
-    sq_pc = composition_square(graph(pba.g), c)  # pairs (x, z) with p(x) = z
+    nd, sq_nd = composite(n, d)   # pairs (y, a) with r(y) = f(a)
+    pc, sq_pc = composite(graph(pba.g), c)  # pairs (x, z) with p(x) = z
     inner = pba.inner_index()
     table = []
     for yy, a in sq_nd.pairs:
         x = inner[(yy, a)]
         table.append(sq_pc.index(x, pba.p(x)))
-    theta = SpanCell(nd, compose_spans(graph(pba.g), c),
-                     FinSetMap(nd.apex, sq_pc.apex, tuple(table)))
+    theta = SpanCell(nd, pc, FinSetMap(nd.apex, pc.apex, tuple(table)))
     return Bipullback._trusted("distributivity", d, c, n, pba.g, theta, pba)
 
 
@@ -505,11 +487,21 @@ def paste_factorization(bp: Bipullback, fac: Factorization) -> SpanCell:
     return vcomp(step5, vcomp(step4, vcomp(step3, vcomp(step2, step1))))
 
 
-def _factor_invertible(bp: Bipullback, u: Span, w: Span,
-                       nu: SpanCell) -> Factorization:
-    """Factor an invertible square nu: n∘u => p_*∘w through the bipullback."""
-    sq_nu = composition_square(bp.n, u)
-    sq_pw = composition_square(graph(bp.p_map), w)
+def _factorization(bp: Bipullback, u: Span, w: Span, h: Span,
+                   lam_at: Callable[[int, int], int]) -> Factorization:
+    """Complete h to a factorization: lam sends each pair (x, xb) of c∘h to
+    lam_at(x, xb) in the apex of w, and rho projects d∘h onto u."""
+    ch, sq_ch = composite(bp.c, h)
+    lam = SpanCell(ch, w, FinSetMap(ch.apex, w.apex, tuple(
+        lam_at(x, xb) for x, xb in sq_ch.pairs)))
+    dh, sq_dh = composite(bp.d, h)
+    return Factorization(h, lam, SpanCell(dh, u, sq_dh.pr1))
+
+
+def _factor_invertible(bp: Bipullback, u: Span, w: Span, nu: SpanCell,
+                       sq_nu: Pullback, sq_pw: Pullback) -> Factorization:
+    """Factor an invertible square nu: n∘u => p_*∘w, whose ends are the
+    composites over sq_nu and sq_pw, through the bipullback."""
     if bp.kind == "pullback":
         pb: Pullback = bp.source  # type: ignore[assignment]
         table = []
@@ -521,42 +513,21 @@ def _factor_invertible(bp: Bipullback, u: Span, w: Span,
             table.append(pb.index(u.right_leg(x), w.right_leg(y2)))
         h = Span(u.left_foot, pb.apex, u.apex, u.left_leg,
                  FinSetMap(u.apex, pb.apex, tuple(table)))
-        sq_ch = composition_square(bp.c, h)
-        lam = SpanCell(compose_spans(bp.c, h), w,
-                       FinSetMap(sq_ch.apex, w.apex,
-                                 tuple(w_of[x] for x, _ in sq_ch.pairs)))
-        sq_dh = composition_square(bp.d, h)
-        rho = SpanCell(compose_spans(bp.d, h), u,
-                       FinSetMap(sq_dh.apex, u.apex,
-                                 tuple(x for x, _ in sq_dh.pairs)))
-        return Factorization(h, lam, rho)
+        return _factorization(bp, u, w, h, lambda x, _: w_of[x])
 
     pba: PBAround = bp.source  # type: ignore[assignment]
     # read the square as a pullback-around (w.right, q'', u.right) and mediate
     nu_inv = invert_cell(nu)
-    q2_table = []
-    a_of = []
-    for y2 in w.apex.elements:
-        j = sq_pw.index(y2, w.right_leg(y2))
-        x, a = sq_nu.pairs[nu_inv.h(j)]
-        q2_table.append(x)
-        a_of.append(a)
-    q2 = FinSetMap(w.apex, u.apex, tuple(q2_table))
+    q2 = FinSetMap(w.apex, u.apex, tuple(
+        sq_nu.pr1(nu_inv.h(sq_pw.index(y2, w.right_leg(y2))))
+        for y2 in w.apex.elements))
     other = PBAround(pba.f, pba.g, w.right_leg, q2, u.right_leg)
     t = mediate_pb_around(pba, other)
     s = induced_inner_map(pba, other, t)
     h = Span(u.left_foot, pba.r.dom, u.apex, u.left_leg, t)
     # c∘h pairs (x in u.apex, xb in X with t(x) = q(xb)) biject with w's apex
     back = {(q2(y2), s(y2)): y2 for y2 in w.apex.elements}
-    sq_ch = composition_square(bp.c, h)
-    lam = SpanCell(compose_spans(bp.c, h), w,
-                   FinSetMap(sq_ch.apex, w.apex,
-                             tuple(back[(x, xb)] for x, xb in sq_ch.pairs)))
-    sq_dh = composition_square(bp.d, h)
-    rho = SpanCell(compose_spans(bp.d, h), u,
-                   FinSetMap(sq_dh.apex, u.apex,
-                             tuple(x for x, _ in sq_dh.pairs)))
-    return Factorization(h, lam, rho)
+    return _factorization(bp, u, w, h, lambda x, xb: back[(x, xb)])
 
 
 def factor_through_bipullback(bp: Bipullback, u: Span, v: Span,
@@ -568,21 +539,21 @@ def factor_through_bipullback(bp: Bipullback, u: Span, v: Span,
     the resulting invertible square is factored by the construction that
     built the bipullback.  The pasting of the returned data equals psi.
     """
-    require(psi.source == compose_spans(bp.n, u)
-            and psi.target == compose_spans(graph(bp.p_map), v),
-            "factor-cone", "psi must connect n∘u to p_*∘v")
-    nu_comp = compose_spans(bp.n, u)
-    sq_pv = composition_square(graph(bp.p_map), v)
+    nu_comp, sq_nu = composite(bp.n, u)
+    require(psi.source == nu_comp, "factor-cone",
+            "psi must connect n∘u to p_*∘v")
+    pv, sq_pv = composite(graph(bp.p_map), v)
+    require(psi.target == pv, "factor-cone", "psi must connect n∘u to p_*∘v")
     chi_table = tuple(sq_pv.pairs[psi.h(i)][0]
                       for i in nu_comp.apex.elements)
     w = Span(u.left_foot, v.right_foot, nu_comp.apex, nu_comp.left_leg,
              FinSetMap(nu_comp.apex, v.right_foot,
                        tuple(v.right_leg(t) for t in chi_table)))
     chi = SpanCell(w, v, FinSetMap(w.apex, v.apex, chi_table))
-    sq_pw = composition_square(graph(bp.p_map), w)
-    nu = SpanCell(nu_comp, compose_spans(graph(bp.p_map), w),
-                  FinSetMap(nu_comp.apex, sq_pw.apex,
+    pw, sq_pw = composite(graph(bp.p_map), w)
+    nu = SpanCell(nu_comp, pw,
+                  FinSetMap(nu_comp.apex, pw.apex,
                             tuple(sq_pw.index(x, w.right_leg(x))
                                   for x in nu_comp.apex.elements)))
-    base = _factor_invertible(bp, u, w, nu)
+    base = _factor_invertible(bp, u, w, nu, sq_nu, sq_pw)
     return Factorization(base.h, vcomp(chi, base.lam), base.rho)

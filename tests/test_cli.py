@@ -170,6 +170,35 @@ class TestCheck:
         assert "FAIL (1 of 3 cases, seed 5)" in out
         assert "case 1: something specific broke" in out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--count", "-3"), ("--count", "-1"), ("--max-failures", "-1"),
+        ("--count", "three")])
+    def test_a_negative_count_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as e:
+            main(["check", "rel-kleisli", flag, value])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-negative integer" in captured.err
+
+    def test_zero_failure_lines_leaves_only_the_tally(self, capsys,
+                                                      monkeypatch):
+        def broken(seed, count=None):
+            return CheckReport("rel-kleisli", 3, ("case 0", "case 1"))
+        monkeypatch.setitem(checks_mod.SUITES, "rel-kleisli",
+                            (broken, "stub"))
+        assert main(["check", "rel-kleisli", "--max-failures", "0"]) == 1
+        assert capsys.readouterr().out == (
+            "rel-kleisli: FAIL (2 of 3 cases, seed 0)\n  ... and 2 more\n")
+
+    def test_a_zero_count_runs_no_case(self, capsys):
+        assert main(["check", "rel-kleisli", "--count", "0"]) == 0
+        assert capsys.readouterr().out == "rel-kleisli: ok (0 cases, seed 0)\n"
+
+    def test_run_suite_refuses_a_negative_count(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            checks_mod.run_suite("rel-kleisli", count=-3)
+
     def test_unknown_suite_is_rejected_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["check", "nonsense"])

@@ -331,6 +331,43 @@ class TestProfCompose:
         assert w.is_invertible
 
 
+def reference_prof_invert(c):
+    """The componentwise inverse, one table loop per component."""
+    inv = []
+    for row in c.h:
+        out = []
+        for f in row:
+            table = [0] * f.cod.size
+            for i in f.dom.elements:
+                table[f(i)] = i
+            out.append(FinSetMap(f.cod, f.dom, tuple(table)))
+        inv.append(tuple(out))
+    return ProfMorphism(c.target, c.source, tuple(inv))
+
+
+class TestProfInvert:
+    def test_matches_the_componentwise_loop(self):
+        rng = random.Random(48)
+        for _ in range(12):
+            a, b = rand_fincat(rng), rand_fincat(rng)
+            m = small_profunctor(rng, a, b)
+            for unit in (prof_compose(identity_module(b), m),
+                         prof_compose(m, identity_module(a))):
+                iso = prof_iso(unit, m)
+                assert iso.is_invertible
+                assert prof_invert(iso) == reference_prof_invert(iso)
+                assert prof_vcomp(prof_invert(iso), iso) == prof_id(unit)
+
+    def test_a_non_bijective_component_is_refused(self):
+        two, one = discrete_prof(1, 1, [[2]]), discrete_prof(1, 1, [[1]])
+        for target, table in ((one, (0, 0)), (two, (1, 1))):
+            c = ProfMorphism(two, target, ((FinSetMap(
+                two.at[0][0], target.at[0][0], table),),))
+            assert not c.is_invertible
+            with pytest.raises(InvariantViolation, match="profmor-invert"):
+                prof_invert(c)
+
+
 def _coend_cell(n, m, c, a):
     """Reference: the classes of one value cell of the coend, built on their
     own by a loop over every middle object and non-identity middle morphism;

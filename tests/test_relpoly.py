@@ -104,6 +104,8 @@ class TestRelation:
             assert r.row(x) == tuple(y for a, y in pairs if a == x)
             for y in range(-1, ny + 1):
                 assert ((x, y) in r) == ((x, y) in pairs)
+        assert r.columns == tuple(tuple(x for x, b in pairs if b == y)
+                                  for y in range(ny))
 
 
 class TestRelCompose:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyspan import checks, finset, spans
 from polyspan.errors import (
     InvariantViolation,
     MultipleMediatorsError,
@@ -26,12 +27,14 @@ from polyspan.spans import (
     distributivity_pullback,
     factor_through_bipullback,
     graph,
+    graph_compose_cell,
     identity_cell,
     identity_span,
     invert_cell,
     is_map,
     mediate_pb_around,
     paste_factorization,
+    post_graph_cell,
     pullback_bipullback,
     random_pb_around,
     reverse_span,
@@ -43,6 +46,7 @@ from polyspan.spans import (
     unitor_dom,
     vcomp,
     whisker_left,
+    whisker_right,
 )
 
 
@@ -493,3 +497,166 @@ GOLDEN_PB_AROUND = {
     202: ((1, 1, 0), (3, 3, 0, 2)),
     303: ((), ()),
 }
+
+
+# References: each cell built from a composite and its square computed
+# apart, so each pair is pulled back twice.  The library reads the cell from
+# the square its composite came with, and the two must agree.
+
+def reference_whisker_left(t, cell):
+    src = compose_spans(t, cell.source)
+    tgt_sq = composition_square(t, cell.target)
+    table = tuple(tgt_sq.index(cell.h(a), b)
+                  for a, b in composition_square(t, cell.source).pairs)
+    return SpanCell(src, compose_spans(t, cell.target),
+                    FinSetMap(src.apex, tgt_sq.apex, table))
+
+
+def reference_whisker_right(cell, t):
+    src = compose_spans(cell.source, t)
+    tgt_sq = composition_square(cell.target, t)
+    table = tuple(tgt_sq.index(a, cell.h(b))
+                  for a, b in composition_square(cell.source, t).pairs)
+    return SpanCell(src, compose_spans(cell.target, t),
+                    FinSetMap(src.apex, tgt_sq.apex, table))
+
+
+def reference_unitor_dom(s):
+    src = compose_spans(s, identity_span(s.left_foot))
+    sq = composition_square(s, identity_span(s.left_foot))
+    return SpanCell(src, s, FinSetMap(src.apex, s.apex,
+                                      tuple(b for _, b in sq.pairs)))
+
+
+def reference_unitor_cod(s):
+    src = compose_spans(identity_span(s.right_foot), s)
+    sq = composition_square(identity_span(s.right_foot), s)
+    return SpanCell(src, s, FinSetMap(src.apex, s.apex,
+                                      tuple(a for a, _ in sq.pairs)))
+
+
+def reference_associator(t, s, r):
+    ts = compose_spans(t, s)
+    sr = compose_spans(s, r)
+    left = compose_spans(ts, r)
+    right = compose_spans(t, sr)
+    sq_ts = composition_square(t, s)
+    sq_sr = composition_square(s, r)
+    sq_left = composition_square(ts, r)
+    sq_right = composition_square(t, sr)
+    table = []
+    for a, m in sq_left.pairs:
+        b, c = sq_ts.pairs[m]
+        table.append(sq_right.index(sq_sr.index(a, b), c))
+    return SpanCell(left, right, FinSetMap(left.apex, right.apex, tuple(table)))
+
+
+def reference_is_map(s):
+    if not s.left_leg.is_bijective:
+        return None
+    r = reverse_span(s)
+    inv = s.left_leg.inverse()
+    rs_sq = composition_square(s, r)
+    sr_sq = composition_square(r, s)
+    unit = SpanCell(identity_span(s.left_foot), compose_spans(r, s),
+                    FinSetMap(s.left_foot, sr_sq.apex,
+                              tuple(sr_sq.index(inv(x), inv(x))
+                                    for x in s.left_foot.elements)))
+    counit = SpanCell(compose_spans(s, r), identity_span(s.right_foot),
+                      FinSetMap(rs_sq.apex, s.right_foot,
+                                tuple(s.right_leg(a) for a, _ in rs_sq.pairs)))
+    return spans.MapWitness(r, unit, counit)
+
+
+def seeded_triples(seed, n=40):
+    """Composable spans r: X -> Y, s: Y -> Z, t: Z -> W on small feet."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        x, y, z, w = (FinSetObj(rng.randint(1, 3)) for _ in range(4))
+        yield rng, rand_span(rng, x, y), rand_span(rng, y, z), \
+            rand_span(rng, z, w)
+
+
+class TestOneSquarePerComposite:
+    def test_cells_equal_the_two_call_references(self):
+        moved = 0
+        for rng, r, s, t in seeded_triples(61):
+            assert associator(t, s, r) == reference_associator(t, s, r)
+            for u in (r, s, t):
+                assert unitor_dom(u) == reference_unitor_dom(u)
+                assert unitor_cod(u) == reference_unitor_cod(u)
+            s2 = rand_span(rng, s.left_foot, s.right_foot)
+            for cell in [identity_cell(s)] + list(
+                    itertools.islice(all_cells(s, s2), 3)):
+                moved += cell.source != cell.target
+                assert whisker_left(t, cell) == reference_whisker_left(t, cell)
+                assert whisker_right(cell, r) == \
+                    reference_whisker_right(cell, r)
+        assert moved
+
+    def test_map_witness_equals_the_two_call_reference(self):
+        found = 0
+        for rng, r, s, t in seeded_triples(67):
+            f = rand_map(rng, r.left_foot, r.right_foot)
+            for u in (r, s, t, graph(f), reverse_span(graph(f))):
+                w = is_map(u)
+                assert w == reference_is_map(u)
+                found += w is not None
+        assert found
+
+
+def count_pullbacks(monkeypatch):
+    """Spy on ``finset.pullback`` wherever the library has imported it;
+    the returned list collects the cospans it is called on."""
+    real = finset.pullback
+    calls = []
+
+    def spy(f, g):
+        calls.append((f, g))
+        return real(f, g)
+    for module in (finset, spans):
+        monkeypatch.setattr(module, "pullback", spy)
+    return calls
+
+
+@pytest.mark.unchecked_trust
+def test_each_cell_pulls_each_pair_back_once(monkeypatch):
+    rng, r, s, t = next(seeded_triples(71))
+    f1 = rand_map(rng, FinSetObj(3), FinSetObj(2))
+    f2 = rand_map(rng, FinSetObj(2), FinSetObj(3))
+    g = FinSetMap(FinSetObj(3), FinSetObj(2), (0, 1, 1))
+    pba = distributivity_pullback(f2, g)
+    calls = count_pullbacks(monkeypatch)
+    pinned = [
+        (lambda: whisker_left(t, identity_cell(s)), 2),
+        (lambda: whisker_right(identity_cell(s), r), 2),
+        (lambda: unitor_dom(s), 1),
+        (lambda: unitor_cod(s), 1),
+        (lambda: associator(t, s, r), 4),
+        (lambda: is_map(graph(f1)), 2),
+        (lambda: graph_compose_cell(f2, f1), 1),
+        (lambda: post_graph_cell(f2, graph(f1)), 1),
+        (lambda: rif_span(s, rand_span(rng, r.left_foot, s.right_foot)), 1),
+        (lambda: pullback_bipullback(f1, f2.then(f1)), 3),
+        (lambda: distributivity_bipullback(pba), 2),
+    ]
+    for build, count in pinned:
+        calls.clear()
+        build()
+        assert len(calls) == count, (build, calls)
+    # a factorization pulls back n∘u, p_*∘v, p_*∘w, c∘h and d∘h once each
+    bp = pullback_bipullback(f1, f2.then(f1))
+    calls.clear()
+    factor_through_bipullback(bp, bp.d, bp.c, bp.theta)
+    assert len(calls) == 5
+
+
+@pytest.mark.unchecked_trust
+def test_map_characterization_halves_its_pullbacks(monkeypatch):
+    """Every cell of the triangle identities reads the squares its
+    composites came with: at most 5588 pullbacks at seed 0, half of what
+    pulling each square back apart from its composite costs."""
+    calls = count_pullbacks(monkeypatch)
+    report = checks.run_suite("map-characterization", seed=0)
+    assert report.ok
+    assert len(calls) <= 5588
