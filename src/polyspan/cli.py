@@ -105,13 +105,13 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 def _non_negative(text: str) -> int:
     """An argparse type: an integer that is at least 0."""
+    message = f"expected a non-negative integer, got {text!r}"
     try:
         value = int(text)
     except ValueError:
-        value = -1
+        raise argparse.ArgumentTypeError(message) from None
     if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(message)
     return value
 
 
