@@ -59,17 +59,16 @@ from .modpoly import (
     prof_iso,
 )
 from .polyset import (
+    ExtensionRank,
     FamilyMap,
     IndexedFamily,
     Polynomial,
-    _ext_elements,
     are_isomorphic_poly,
     compose_poly,
     composite_parts,
     extension_eval,
     extension_on_map,
     hK_span,
-    m_span,
 )
 from .record import Record
 from .relpoly import (
@@ -84,11 +83,9 @@ from .relpoly import (
 )
 from .spans import (
     Span,
-    composition_square,
     distributivity_pullback,
     is_map,
     mediate_pb_around,
-    pullback,
     random_pb_around,
     triangle_identities_hold,
 )
@@ -172,33 +169,40 @@ def composite_bijection(
     each position w of Q o P, the position s_q of Q under it and, for each
     direction e_q over s_q, its label Q.m1(e_q), the position s_p of P it
     picks and the positions in the m2-fiber of w of the directions over
-    s_p.  Each family then only indexes sigma and looks its pieces up."""
+    s_p.  Each family then computes indices from ``ExtensionRank``s: the
+    index in ext(Q)(ext(P)(A)) is linear in the digits of the section
+    over w, so each w gives one constant and one weight per digit."""
     parts = composite_parts(Q, P)
     n = parts.poly
-    sq = pullback(parts.pba.r, Q.m2)
-    e_pairs = composition_square(m_span(P), parts.n_tilde)
+    inner = parts.pba.inner_index()
     position = n.m2.fiber_position
     plan = []
     for w in n.S.elements:
         s_q = parts.pba.r(w)
         steps = []
         for e_q in Q.m2.fiber(s_q):
-            v = sq.index(w, e_q)
+            v = inner[(w, e_q)]
             s_p = parts.pb1.pr1(parts.pba.p(v))
             steps.append((Q.m1(e_q), s_p,
-                          tuple(position(e_pairs.index(v, e_p))
+                          tuple(position(parts.directions.index(v, e_p))
                                 for e_p in P.m2.fiber(s_p))))
         plan.append((s_q, steps))
 
     def bijection(A: IndexedFamily, ext_p: IndexedFamily) -> list[int]:
-        idx_p = {e: i for i, e in enumerate(_ext_elements(P, A))}
-        idx_q = {e: i for i, e in enumerate(_ext_elements(Q, ext_p))}
-        table = []
-        for z, w, sigma in _ext_elements(n, A):
+        rank_n, rank_p = ExtensionRank(n, A), ExtensionRank(P, A)
+        rank_q = ExtensionRank(Q, ext_p)
+        table: list[int] = []
+        for w in rank_n.positions:
             s_q, steps = plan[w]
-            sig_q = [idx_p[(x, s_p, tuple([sigma[k] for k in ks]))]
-                     for x, s_p, ks in steps]
-            table.append(idx_q[(z, s_q, tuple(sig_q))])
+            # the value of the section over s_q at e_q is an element of
+            # ext(P)(A) over x; its digit is its index less start[x]
+            start, weights = rank_q.offset[s_q], [0] * len(n.m2.fiber(w))
+            for e_q, (x, s_p, ks) in zip(Q.m2.fiber(s_q), steps):
+                w_q = rank_q.weight[e_q]
+                start += (rank_p.offset[s_p] - rank_p.start[x]) * w_q
+                for k, e_p in zip(ks, P.m2.fiber(s_p)):
+                    weights[k] = w_q * rank_p.weight[e_p]
+            table += rank_n.ranks(start, w, weights)
         return table
     return bijection
 

@@ -11,9 +11,9 @@ pullback so that extensions compose (checked by the oracle tests).
 
 from __future__ import annotations
 
-import itertools
+import sys
 
-from .errors import require
+from .errors import InvariantViolation, require
 from .finset import FinSetMap, FinSetObj, Pullback, compose, identity, pullback
 from .record import Record
 from .spans import (
@@ -23,6 +23,7 @@ from .spans import (
     associator,
     cograph,
     compose_spans,
+    composite,
     composition_square,
     distributivity_bipullback,
     distributivity_pullback,
@@ -103,47 +104,98 @@ class FamilyMap(Record):
                 "family-map-over", "h must commute with the projections")
 
 
-def _ext_elements(P: Polynomial, A: IndexedFamily):
-    """Elements (y, s, sigma) of the extension, in enumeration order: y
-    ascending, then s within the p-fiber, then sigma lexicographically over
-    the ascending m2-fiber; sigma holds indices into A.total."""
-    out = []
-    for y in P.Y.elements:
-        for s in P.p.fiber(y):
-            cand = [A.fiber(P.m1(e)) for e in P.m2.fiber(s)]
-            for sigma in itertools.product(*cand):
-                out.append((y, s, sigma))
-    return out
+# A count past sys.maxsize stays at sys.maxsize + 1: such an extension is
+# refused, and a huge product then costs no more than a small one.
+_PAST_MAX = sys.maxsize + 1
 
 
-def _ext_family(P: Polynomial, elements) -> IndexedFamily:
-    """The family over Y of enumerated extension elements."""
-    total = FinSetObj(len(elements))
-    return IndexedFamily(P.Y, total,
-                         FinSetMap(total, P.Y,
-                                   tuple(y for y, _, _ in elements)))
+def _numerals(start: int, places) -> list[int]:
+    """start + Σ_i d_i · w_i for every choice of a digit d_i from each
+    place (digits_i, w_i), listed in the order of itertools.product."""
+    sums = [start]
+    for digits, w in places:
+        steps = [d * w for d in digits]
+        sums = [u + v for u in sums for v in steps]
+    return sums
+
+
+class ExtensionRank:
+    """The index of each element of ext(P)(A), from fiber sizes alone.
+
+    Elements (s, sigma) are ordered by p(s), then s, then sigma
+    lexicographically over the ascending m2-fiber e_0 < ... < e_{k-1}: a
+    mixed-radix numeral whose digit at e_i is ``digit(sigma_i)``, the
+    position of sigma_i in A⁻¹(m1 e_i), of radix n_i = |A⁻¹(m1 e_i)| and
+    weight ``weight[e_i]`` = n_{i+1} ⋯ n_{k-1}.  So (s, sigma) has index
+    ``offset[s]`` + Σ_i digit(sigma_i) · weight[e_i].  ``positions`` lists
+    the s in this order, ``start[y]`` is the first index over y, and
+    ``start[-1]`` the size of ext(P)(A).
+    """
+
+    def __init__(self, P: Polynomial, A: IndexedFamily) -> None:
+        require(A.base == P.X, "extension-base",
+                "family must be indexed by the polynomial's source")
+        self.P, self.digit, fiber = P, A.proj.fiber_position, A.proj.fiber
+        # a polynomial without directions reads no fiber of A: skip its index
+        self.radix = radix = ([len(fiber(x)) for x in P.X.elements]
+                              if P.E.size else [])
+        count, self.weight = [1] * P.S.size, [0] * P.E.size
+        m1, m2 = P.m1.table, P.m2.table
+        for e in reversed(P.E.elements):  # each m2-fiber from the top
+            s = m2[e]
+            self.weight[e] = count[s]
+            c = count[s] * radix[m1[e]]
+            count[s] = c if c < _PAST_MAX else _PAST_MAX
+        self.positions, self.offset, self.start = [], [0] * P.S.size, []
+        total = 0
+        for y in P.Y.elements:
+            self.start.append(total)
+            for s in P.p.fiber(y):
+                self.positions.append(s)
+                self.offset[s] = total
+                total += count[s]
+        if total > sys.maxsize:
+            raise InvariantViolation(
+                "extension-size",
+                f"the extension has more than {sys.maxsize} elements")
+        self.start.append(total)
+
+    def ranks(self, start: int, s: int, weights) -> list[int]:
+        """start + Σ_i digit(sigma_i) · weights[i] for each section sigma
+        over s, in the order of the sections."""
+        return _numerals(start, [(range(self.radix[self.P.m1(e)]), w)
+                                 for e, w in zip(self.P.m2.fiber(s), weights)])
+
+    def family(self) -> IndexedFamily:
+        """ext(P)(A) as a family over Y: one run of y per fiber."""
+        table: list[int] = []
+        for y in self.P.Y.elements:
+            table += [y] * (self.start[y + 1] - self.start[y])
+        total = FinSetObj(self.start[-1])
+        return IndexedFamily._trusted(
+            self.P.Y, total, FinSetMap._trusted(total, self.P.Y, tuple(table)))
 
 
 def extension_eval(P: Polynomial, A: IndexedFamily) -> IndexedFamily:
-    """The sum-of-products family over Y: the fiber over y collects pairs of
-    a point s of the p-fiber with a section of A over the m2-fiber of s."""
-    require(A.base == P.X, "extension-base",
-            "family must be indexed by the polynomial's source")
-    return _ext_family(P, _ext_elements(P, A))
+    """The sum-of-products family over Y, counted and not enumerated:
+    ext(P)(A)_y = Σ_{s ∈ p⁻¹(y)} Π_{e ∈ m2⁻¹(s)} |A⁻¹(m1 e)|.  Its elements,
+    pairs of s and a section of A over m2⁻¹(s), are ordered by y, then s,
+    then the section lexicographically (see ``ExtensionRank``)."""
+    return ExtensionRank(P, A).family()
 
 
 def extension_on_map(P: Polynomial, fm: FamilyMap) -> FamilyMap:
     """Functor action: push sections forward along the family map."""
     require(fm.src.base == P.X, "extension-base",
             "family map must live over the polynomial's source")
-    src_elements = _ext_elements(P, fm.src)
-    tgt_elements = _ext_elements(P, fm.tgt)
-    index = {elt: i for i, elt in enumerate(tgt_elements)}
-    h = fm.h.table
-    table = tuple(index[(y, s, tuple([h[a] for a in sigma]))]
-                  for y, s, sigma in src_elements)
-    ea, eb = _ext_family(P, src_elements), _ext_family(P, tgt_elements)
-    return FamilyMap(ea, eb, FinSetMap(ea.total, eb.total, table))
+    src, tgt = ExtensionRank(P, fm.src), ExtensionRank(P, fm.tgt)
+    h, table = fm.h.table, []
+    for s in src.positions:
+        table += _numerals(tgt.offset[s], [
+            ([tgt.digit(h[a]) for a in fm.src.fiber(P.m1(e))], tgt.weight[e])
+            for e in P.m2.fiber(s)])
+    ea, eb = src.family(), tgt.family()
+    return FamilyMap(ea, eb, FinSetMap(ea.total, eb.total, tuple(table)))
 
 
 def identity_poly(x: FinSetObj) -> Polynomial:
@@ -152,12 +204,15 @@ def identity_poly(x: FinSetObj) -> Polynomial:
 
 class CompositeParts(Record):
     """Everything produced while composing two polynomials, kept so that
-    horizontal composition of morphisms can reuse the same squares."""
+    horizontal composition of morphisms and the extension comparison can
+    reuse the same squares; ``directions`` is the square whose apex is the
+    composite's E."""
 
     poly: Polynomial
     pb1: Pullback
     pba: PBAround
     n_tilde: Span
+    directions: Pullback
 
 
 def composite_parts(Q: Polynomial, P: Polynomial) -> CompositeParts:
@@ -167,11 +222,11 @@ def composite_parts(Q: Polynomial, P: Polynomial) -> CompositeParts:
     pba = distributivity_pullback(Q.m2, pb1.pr2)
     w_obj = pba.r.dom
     n_tilde = Span(w_obj, P.S, pba.p.dom, pba.q, compose(pb1.pr1, pba.p))
-    mspan = compose_spans(m_span(P), n_tilde)
+    mspan, directions = composite(m_span(P), n_tilde)
     poly = Polynomial(P.X, mspan.apex, w_obj, Q.Y,
                       mspan.right_leg, mspan.left_leg,
                       compose(Q.p, pba.r))
-    return CompositeParts(poly, pb1, pba, n_tilde)
+    return CompositeParts(poly, pb1, pba, n_tilde, directions)
 
 
 def compose_poly(Q: Polynomial, P: Polynomial) -> Polynomial:
@@ -243,21 +298,22 @@ def polymorph_extension(f: PolyMorphism, a: IndexedFamily) -> FamilyMap:
     back through lam, and rho guarantees the result stays over the same
     base point.
     """
-    src = extension_eval(f.source, a)
-    tgt = extension_eval(f.target, a)
-    idx_tgt = {e: i for i, e in enumerate(_ext_elements(f.target, a))}
+    src, tgt = ExtensionRank(f.source, a), ExtensionRank(f.target, a)
     left_inv = f.h.left_leg.inverse()
     sq = composition_square(m_span(f.target), f.h)
     position = f.source.m2.fiber_position
-    table = []
-    for y, s, sigma in _ext_elements(f.source, a):
+    table: list[int] = []
+    for s in src.positions:
         t = left_inv(s)
         s2 = f.h.right_leg(t)
-        sig2 = tuple(sigma[position(f.lam.h(sq.index(t, e2)))]
-                     for e2 in f.target.m2.fiber(s2))
-        table.append(idx_tgt[(f.target.p(s2), s2, sig2)])
-    return FamilyMap(src, tgt,
-                     FinSetMap(src.total, tgt.total, tuple(table)))
+        # the digit at the k-th direction over s fills each direction over
+        # s2 that lam sends to it, so it weighs the sum of their weights
+        weights = [0] * len(f.source.m2.fiber(s))
+        for e2 in f.target.m2.fiber(s2):
+            weights[position(f.lam.h(sq.index(t, e2)))] += tgt.weight[e2]
+        table += src.ranks(tgt.offset[s2], s, weights)
+    ea, eb = src.family(), tgt.family()
+    return FamilyMap(ea, eb, FinSetMap(ea.total, eb.total, tuple(table)))
 
 
 def are_isomorphic_polymorph(f: PolyMorphism, g: PolyMorphism) -> bool:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from polyspan import checks, polyset
+from polyspan import checks, finset, polyset, spans
 from polyspan.documents import _CODECS
 
 
@@ -28,6 +28,27 @@ def test_composite_parts_is_built_at_most_twice_per_case(monkeypatch):
     report = checks.run_suite("extension-oracle", seed=0, count=3)
     assert report.ok and report.count == 3
     assert 3 <= len(calls) <= 2 * 3
+
+
+@pytest.mark.unchecked_trust
+def test_the_comparison_reads_the_squares_of_its_composite(monkeypatch):
+    """Each case pulls back three squares per composite, one composite for
+    ``compose_poly`` and one for the comparison's plan, which reads the
+    distributivity pullback's inner index and the square of the
+    composite's E instead of pulling them back again: 1 200 pullbacks at
+    seed 0, not 1 600."""
+    real = finset.pullback
+    calls = []
+
+    def spy(f, g):
+        calls.append((f, g))
+        return real(f, g)
+    for module in (finset, spans, polyset, checks):
+        if hasattr(module, "pullback"):
+            monkeypatch.setattr(module, "pullback", spy)
+    report = checks.run_suite("extension-oracle", seed=0)
+    assert report.ok and report.count == 200
+    assert len(calls) == 6 * 200
 
 
 def test_a_non_bijective_comparison_is_reported_with_its_case(monkeypatch):

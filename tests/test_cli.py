@@ -2,6 +2,7 @@
 
 import json
 import random
+import resource
 import subprocess
 import sys
 
@@ -11,9 +12,16 @@ from polyspan import checks as checks_mod
 from polyspan.checks import GOLDEN_SEEDS, CheckReport, golden_documents
 from polyspan.cli import main
 from polyspan.documents import document, parse, serialize
-from polyspan.finset import FinSetObj
+from polyspan.finset import FinSetMap, FinSetObj
 from polyspan.gen import rand_family, rand_fincat, rand_modpoly, rand_poly
-from polyspan.polyset import compose_poly, extension_eval
+from polyspan.polyset import IndexedFamily, compose_poly, extension_eval
+
+
+ONE = FinSetObj(1)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def write_doc(path, kind, payload):
@@ -232,6 +240,25 @@ class TestProcessEntry:
         assert proc.returncode == 0, proc.stderr
         comp = parse(proc.stdout).payload
         assert comp.S.objects.size == 1 and comp.m.at[0][0].size == 1200
+
+    @pytest.mark.parametrize("directions", [63, 70])
+    def test_an_extension_past_sys_maxsize_is_an_input_error(self, tmp_path,
+                                                             directions):
+        """y^k on a family with 2 points has 2^k elements: from k = 63 on
+        that is more than sys.maxsize, and enumerating them once ran until
+        memory ran out.  The child runs under a 1 GiB address space limit
+        and a timeout, so a regression cannot take the host's memory."""
+        pf = write_doc(tmp_path / "p.json", "polynomial",
+                       checks_mod._monomial(directions))
+        af = write_doc(tmp_path / "a.json", "family", IndexedFamily(
+            ONE, FinSetObj(2), FinSetMap(FinSetObj(2), ONE, (0, 0))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyspan.cli", "eval", pf, af],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=_limit_address_space)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: extension-size: ")
 
     def test_missing_file_is_an_input_error(self, capsys):
         assert main(["eval", "/nonexistent/p.json",

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyspan import checks, gen, polyset
+from polyspan.documents import document, serialize
 from polyspan.errors import InvariantViolation
 from polyspan.finset import FinSetMap, FinSetObj, compose, identity, pullback
 from polyspan.polyset import (
     FamilyMap,
     PolyMorphism,
     Polynomial,
-    _ext_elements,
     are_isomorphic_poly,
     are_isomorphic_polymorph,
     compose_poly,
@@ -113,6 +113,51 @@ def span_matrix(s):
         key = (s.left_leg(a), s.right_leg(a))
         m[key] = m.get(key, 0) + 1
     return m
+
+
+def _ext_elements(P, A):
+    """The reference enumeration of ext(P)(A): elements (y, s, sigma) with
+    y ascending, then s within the p-fiber, then sigma lexicographically
+    over the ascending m2-fiber; sigma holds indices into A.total."""
+    out = []
+    for y in P.Y.elements:
+        for s in P.p.fiber(y):
+            cand = [A.fiber(P.m1(e)) for e in P.m2.fiber(s)]
+            for sigma in itertools.product(*cand):
+                out.append((y, s, sigma))
+    return out
+
+
+def _ext_family(P, elements):
+    """The family over Y of enumerated extension elements."""
+    total = FinSetObj(len(elements))
+    return family_of(FinSetMap(total, P.Y, tuple(y for y, _, _ in elements)))
+
+
+def ref_extension_on_map(P, fm):
+    """The enumerating action on maps: each pushed-forward element is
+    looked up among the enumerated elements of the target."""
+    index = {elt: i for i, elt in enumerate(_ext_elements(P, fm.tgt))}
+    h = fm.h.table
+    return tuple(index[(y, s, tuple(h[a] for a in sigma))]
+                 for y, s, sigma in _ext_elements(P, fm.src))
+
+
+def ref_polymorph_extension(f, a):
+    """The enumerating action of a morphism: each section pulled back
+    through lam is looked up among the enumerated target elements."""
+    index = {e: i for i, e in enumerate(_ext_elements(f.target, a))}
+    left_inv = f.h.left_leg.inverse()
+    sq = composition_square(m_span(f.target), f.h)
+    table = []
+    for y, s, sigma in _ext_elements(f.source, a):
+        t = left_inv(s)
+        s2 = f.h.right_leg(t)
+        fib = f.source.m2.fiber(s)
+        sig2 = tuple(sigma[fib.index(f.lam.h(sq.index(t, e2)))]
+                     for e2 in f.target.m2.fiber(s2))
+        table.append(index[(f.target.p(s2), s2, sig2)])
+    return tuple(table)
 
 
 def composite_bijection(Q, P, A):
@@ -258,11 +303,11 @@ class TestExtensionOnMap:
                 == compose(extension_on_map(p, fm2).h,
                            extension_on_map(p, fm1).h)
 
-    def test_each_extension_is_enumerated_once(self, monkeypatch):
-        """The families of the image are the extensions of both ends, built
-        from the one enumeration of each side."""
+    def test_each_extension_is_counted_once(self, monkeypatch):
+        """The families of the image are the extensions of both ends, each
+        from the one rank of its side."""
         calls = []
-        real = polyset._ext_elements
+        real = polyset.ExtensionRank
 
         def counted(P, A):
             calls.append(A)
@@ -273,7 +318,7 @@ class TestExtensionOnMap:
             x = FinSetObj(rng.randint(1, 3))
             p = rand_poly(rng, x, FinSetObj(rng.randint(1, 2)), 4, 3)
             fm = rand_family_map(rng, rand_family(rng, x))
-            monkeypatch.setattr(polyset, "_ext_elements", counted)
+            monkeypatch.setattr(polyset, "ExtensionRank", counted)
             out = extension_on_map(p, fm)
             monkeypatch.undo()
             assert calls == [fm.src, fm.tgt]
@@ -358,6 +403,164 @@ class TestComposePoly:
             a = rand_family(rng, x)
             assert fiber_sizes(extension_eval(left, a)) \
                 == fiber_sizes(extension_eval(right, a))
+
+
+def rand_lax_morphism(rng, x, y):
+    """A morphism P -> P' whose h is the graph of a map g over Y from the
+    positions of P to those of P', and whose lam sends each direction
+    over g(s) to a random direction over s with its label: lam may fold
+    several directions onto one, or leave some out, so it is often not
+    strong."""
+    target = rand_poly(rng, x, y, 4, 3) if y.size else gen.rand_poly(rng, x, y)
+    s = FinSetObj(rng.randint(0, 3) if target.S.size else 0)
+    g = rand_map(rng, s, target.S)
+    m1, m2 = [], []
+    for si in s.elements:
+        labels = sorted({target.m1(e2) for e2 in target.m2.fiber(g(si))})
+        labels += [rng.randrange(x.size) for _ in range(rng.randint(0, 2))
+                   if x.size]
+        m1 += labels
+        m2 += [si] * len(labels)
+    order = list(range(len(m1)))
+    rng.shuffle(order)  # interleave the m2-fibers
+    e = FinSetObj(len(m1))
+    source = Polynomial(x, e, s, y,
+                        FinSetMap(e, x, tuple(m1[i] for i in order)),
+                        FinSetMap(e, s, tuple(m2[i] for i in order)),
+                        compose(target.p, g))
+    h = graph(g)
+    lam_src = compose_spans(m_span(target), h)
+    lam = tuple(rng.choice([d for d in source.m2.fiber(t)
+                            if source.m1(d) == target.m1(e2)])
+                for t, e2 in composition_square(m_span(target), h).pairs)
+    rho_tgt = compose_spans(p_span(target), h)
+    back = {t: i for i, (t, _) in
+            enumerate(composition_square(p_span(target), h).pairs)}
+    return PolyMorphism(
+        source, target, h,
+        SpanCell(lam_src, m_span(source), FinSetMap(lam_src.apex, e, lam)),
+        SpanCell(p_span(source), rho_tgt,
+                 FinSetMap(s, rho_tgt.apex,
+                           tuple(back[t] for t in s.elements))))
+
+
+def seeded_draws(seed, count):
+    """Seeded polynomials and families, both generators' shapes: ``gen``
+    keeps each m2-fiber contiguous, the local ``rand_poly`` interleaves
+    them.  Every fourth draw may have empty X or Y, and families are
+    small enough to leave fibers empty."""
+    rng = random.Random(seed)
+    for i in range(count):
+        lo = 0 if i % 4 == 0 else 1
+        x, y = FinSetObj(rng.randint(lo, 3)), FinSetObj(rng.randint(lo, 3))
+        p = (rand_poly(rng, x, y, 4, 4) if i % 2 and y.size
+             else gen.rand_poly(rng, x, y, smax=4, emax=3))
+        yield rng, p, gen.rand_family(rng, x, tmax=2)
+
+
+class TestCountingAgainstEnumeration:
+    """Ranks from fiber sizes give what enumerating every element gave:
+    the same families, the same tables and the same element order."""
+
+    def test_eval_is_the_enumerated_family(self):
+        edges = {"empty X": 0, "empty Y": 0, "a position with no directions": 0,
+                 "an empty fiber in a product": 0}
+        for _, p, a in seeded_draws(81, 300):
+            assert extension_eval(p, a) == _ext_family(p, _ext_elements(p, a))
+            edges["empty X"] += not p.X.size
+            edges["empty Y"] += not p.Y.size
+            edges["a position with no directions"] += any(
+                not p.m2.fiber(s) for s in p.S.elements)
+            edges["an empty fiber in a product"] += any(
+                not a.fiber(p.m1(e)) for e in p.E.elements)
+        assert min(edges.values()) >= 10, edges
+
+    def test_the_rank_of_the_kth_element_is_k(self):
+        for _, p, a in seeded_draws(83, 300):
+            rank = polyset.ExtensionRank(p, a)
+            elements = _ext_elements(p, a)
+            assert rank.start[-1] == len(elements)
+            for k, (y, s, sigma) in enumerate(elements):
+                assert rank.start[y] <= k < rank.start[y + 1]
+                assert rank.offset[s] + sum(
+                    rank.digit(t) * rank.weight[e]
+                    for t, e in zip(sigma, p.m2.fiber(s))) == k
+
+    def test_empty_conventions_count(self):
+        """An empty fiber of A in a product gives 0 sections, an empty
+        m2-fiber gives the one empty section."""
+        two = FinSetObj(2)
+        e, s = FinSetObj(3), FinSetObj(3)
+        # s0 has a direction labelled 1 and one labelled 0, s1 one labelled
+        # 0, s2 none; the family has 3 points over 0 and none over 1
+        p = Polynomial(two, e, s, ONE, FinSetMap(e, two, (1, 0, 0)),
+                       FinSetMap(e, s, (0, 0, 1)), FinSetMap(s, ONE, (0, 0, 0)))
+        a = family_of(FinSetMap(FinSetObj(3), two, (0, 0, 0)))
+        rank = polyset.ExtensionRank(p, a)
+        assert rank.start == [0, 4] and rank.offset == [0, 0, 3]
+        assert extension_eval(p, a) == _ext_family(p, _ext_elements(p, a))
+
+    def test_on_map_is_the_enumerated_table(self):
+        for rng, p, a in seeded_draws(85, 200):
+            fm = rand_family_map(rng, a)
+            out = extension_on_map(p, fm)
+            assert out.h.table == ref_extension_on_map(p, fm)
+            assert out.src == extension_eval(p, fm.src)
+            assert out.tgt == extension_eval(p, fm.tgt)
+
+    def test_polymorph_extension_is_the_enumerated_table(self):
+        rng = random.Random(87)
+        folded = 0
+        for i in range(200):
+            lo = 0 if i % 4 == 0 else 1
+            x, y = FinSetObj(rng.randint(lo, 3)), FinSetObj(rng.randint(lo, 2))
+            f = rand_lax_morphism(rng, x, y)
+            folded += not is_strong(f)
+            for a in (gen.rand_family(rng, x, tmax=2), rand_family(rng, x)):
+                act = polymorph_extension(f, a)
+                assert act.h.table == ref_polymorph_extension(f, a)
+                assert act.src == extension_eval(f.source, a)
+                assert act.tgt == extension_eval(f.target, a)
+        assert folded >= 50
+        g = collapse_morphism()
+        a = family_of(FinSetMap(FinSetObj(3), ONE, (0, 0, 0)))
+        assert polymorph_extension(g, a).h.table \
+            == ref_polymorph_extension(g, a)
+
+    def test_composite_bijection_on_edge_cases(self):
+        """The comparison against the reference where X, Y or Z is empty,
+        where a family leaves a fiber empty and where a position has no
+        directions."""
+        empty = FinSetObj(0)
+        rng = random.Random(89)
+        for x, y, z in ((empty, ONE, ONE), (ONE, empty, ONE),
+                        (ONE, ONE, empty), (FinSetObj(2), FinSetObj(2), ONE)):
+            for _ in range(20):
+                p, q = (rand_poly(rng, c, d, 3, 3) if d.size
+                        else gen.rand_poly(rng, c, d, smax=3, emax=3)
+                        for c, d in ((x, y), (y, z)))
+                compare = checks.composite_bijection(q, p)
+                for a in (gen.rand_family(rng, x, tmax=1),
+                          family_of(FinSetMap(empty, x, ()))):
+                    assert compare(a, extension_eval(p, a)) \
+                        == composite_bijection(q, p, a)
+
+    def test_seeded_extensions_keep_their_recorded_output(self):
+        """The document bytes of ext(P)(A) and the table of ext(P) on a
+        family map, over 200 seeded cases, hash to what enumerating every
+        element produced."""
+        digest = hashlib.sha256()
+        total = 0
+        for rng, p, a in seeded_draws(91, 200):
+            digest.update(serialize(document("family",
+                                             extension_eval(p, a))).encode())
+            fm = rand_family_map(rng, a)
+            table = extension_on_map(p, fm).h.table
+            digest.update(repr(table).encode())
+            total += len(table)
+        assert total == 514
+        assert digest.hexdigest() == ("c34c8f5ad392aeab48fb947402cdffac"
+                                      "d1e29174b191db6d2f23d5b1cf6bb3a3")
 
 
 class TestComparisonPlanAgainstReference:
