@@ -8,19 +8,29 @@ newline), so equal documents always produce identical bytes and
 Malformed text raises ParseError with a line and column when the JSON
 layer can supply one; well-formed payloads that break a structural law
 raise InvariantViolation naming the violated clause.
+
+Each fact of a document is checked once.  Categories are hash-consed
+among live values: a category table equal to one that is still alive
+parses to that same ``FinCat``, neither rebuilt nor re-checked, with the
+indices it has cached.  The action maps of a module are typed by
+construction, their ends read from the value table, so the module's
+check runs only its identity, composition and interchange equations.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from importlib import import_module
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 from .finset import FinSetMap, FinSetObj, Subset
 from .record import Record
 
-# The layer of a kind is imported by its decoder, or by _check_payload,
-# on first use: reading a rel-polynomial never loads the categories.
+# The classes a decoder builds are globals of this module, bound by
+# _bind when parse first meets a kind of their layer: reading a
+# rel-polynomial never loads the categories.
 if TYPE_CHECKING:
     from .fincat import FinCat, Functor
     from .modpoly import ModPolynomial, Profunctor
@@ -55,6 +65,8 @@ class Document(Record):
 def _expect_keys(d: object, keys: set[str], ctx: str) -> dict:
     if not isinstance(d, dict):
         raise ParseError(f"{ctx}: expected an object")
+    if d.keys() == keys:
+        return d
     missing = keys - d.keys()
     if missing:
         raise ParseError(f"{ctx}: missing field {min(missing)!r}")
@@ -77,6 +89,13 @@ def _nat(v: object, ctx: str) -> int:
 def _int_list(v: list, low: int) -> bool:
     """Whether every entry of v is an int of at least ``low``."""
     return not v or {*map(type, v)} == {int} and min(v) >= low
+
+
+def _int_tables(tables: list, low: int) -> bool:
+    """Whether every entry of tables is a list of ints of at least
+    ``low``: the checks of many lists in one pass."""
+    return ({*map(type, tables)} <= {list}
+            and _int_list([*chain.from_iterable(tables)], low))
 
 
 def _ints(v: object, ctx: str) -> tuple[int, ...]:
@@ -120,7 +139,6 @@ def _enc_span(s: Span) -> dict:
 
 
 def _dec_span(d: object, ctx: str) -> Span:
-    from .spans import Span
     d = _expect_keys(d, {"left_foot", "right_foot", "apex", "left_leg",
                          "right_leg"}, ctx)
     left = FinSetObj(_nat(d["left_foot"], ctx))
@@ -138,7 +156,6 @@ def _enc_poly(p: Polynomial) -> dict:
 
 
 def _dec_poly(d: object, ctx: str) -> Polynomial:
-    from .polyset import Polynomial
     d = _expect_keys(d, {"x", "e", "s", "y", "m1", "m2", "p"}, ctx)
     x = FinSetObj(_nat(d["x"], ctx))
     e = FinSetObj(_nat(d["e"], ctx))
@@ -156,7 +173,6 @@ def _enc_family(a: IndexedFamily) -> dict:
 
 
 def _dec_family(d: object, ctx: str) -> IndexedFamily:
-    from .polyset import IndexedFamily
     d = _expect_keys(d, {"base", "total", "proj"}, ctx)
     base = FinSetObj(_nat(d["base"], ctx))
     total = FinSetObj(_nat(d["total"], ctx))
@@ -182,7 +198,6 @@ def _enc_rel(r: Relation) -> dict:
 
 
 def _dec_rel(d: object, ctx: str) -> Relation:
-    from .relpoly import Relation
     d = _expect_keys(d, {"src", "tgt", "pairs"}, ctx)
     return Relation(FinSetObj(_nat(d["src"], ctx)),
                     FinSetObj(_nat(d["tgt"], ctx)),
@@ -195,7 +210,6 @@ def _enc_relpoly(p: RelPolynomial) -> dict:
 
 
 def _dec_relpoly(d: object, ctx: str) -> RelPolynomial:
-    from .relpoly import Relation, RelPolynomial
     d = _expect_keys(d, {"x", "c", "neat", "lifter"}, ctx)
     x = FinSetObj(_nat(d["x"], ctx))
     c = FinSetObj(_nat(d["c"], ctx))
@@ -214,17 +228,43 @@ def _enc_cat(c: FinCat) -> dict:
             "comp": [list(row) for row in c.comp]}
 
 
+# Live categories by their int-checked tables (objects, morphisms, src,
+# tgt, ident, comp).  Only tables whose every entry passed ``type(x) is
+# int`` make a key, since True == 1 and 1.0 == 1 hash alike, and a table
+# is stored only once its category passed every check.
+_CATS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def _dec_cat(d: object, ctx: str) -> FinCat:
-    from .fincat import FinCat
     d = _expect_keys(d, {"objects", "morphisms", "src", "tgt", "ident",
                          "comp"}, ctx)
-    o = FinSetObj(_nat(d["objects"], ctx))
-    m = FinSetObj(_nat(d["morphisms"], ctx))
-    comp = tuple(_comp_row(row, ctx) for row in _rows(d["comp"], ctx))
-    return FinCat(o, m,
-                  FinSetMap(m, o, _ints(d["src"], ctx)),
-                  FinSetMap(m, o, _ints(d["tgt"], ctx)),
-                  FinSetMap(o, m, _ints(d["ident"], ctx)), comp)
+    o = _nat(d["objects"], ctx)
+    m = _nat(d["morphisms"], ctx)
+    src, tgt, ident, comp = d["src"], d["tgt"], d["ident"], d["comp"]
+    if (type(comp) is list and _int_tables(comp, -1)
+            and _int_tables([src, tgt, ident], 0)
+            and len(src) == len(tgt) == m and len(ident) == o
+            and max(chain(src, tgt), default=-1) < o
+            and max(ident, default=-1) < m):
+        key = (o, m, tuple(src), tuple(tgt), tuple(ident),
+               tuple(map(tuple, comp)))
+    else:
+        # one table at a time, as the maps check them, so that the error
+        # raised is the first in document order
+        comp = tuple(_comp_row(row, ctx) for row in _rows(comp, ctx))
+        objects, morphisms = FinSetObj(o), FinSetObj(m)
+        key = (o, m, FinSetMap(morphisms, objects, _ints(src, ctx)).table,
+               FinSetMap(morphisms, objects, _ints(tgt, ctx)).table,
+               FinSetMap(objects, morphisms, _ints(ident, ctx)).table, comp)
+    cat = _CATS.get(key)
+    if cat is None:
+        objects, morphisms = FinSetObj(o), FinSetObj(m)
+        cat = FinCat(objects, morphisms,
+                     FinSetMap._trusted(morphisms, objects, key[2]),
+                     FinSetMap._trusted(morphisms, objects, key[3]),
+                     FinSetMap._trusted(objects, morphisms, key[4]), key[5])
+        _CATS[key] = cat
+    return cat
 
 
 def _enc_functor_tables(f: Functor) -> dict:
@@ -233,7 +273,6 @@ def _enc_functor_tables(f: Functor) -> dict:
 
 def _dec_functor_tables(d: object, dom: FinCat, cod: FinCat,
                         ctx: str) -> Functor:
-    from .fincat import Functor
     d = _expect_keys(d, {"omap", "mmap"}, ctx)
     return Functor(dom, cod, _ints(d["omap"], ctx), _ints(d["mmap"], ctx))
 
@@ -262,41 +301,62 @@ def _enc_prof_tables(m: Profunctor) -> dict:
                      for alpha in m.src.mors]}
 
 
+def _dec_action(rows: list, values: tuple, dom_end: tuple[int, ...],
+                cod_end: tuple[int, ...], width: int, ctx: str,
+                side: str) -> tuple[tuple[FinSetMap, ...], ...]:
+    """One action table of a module: the map in row r, column i runs from
+    ``values[dom_end[r]][i]`` to ``values[cod_end[r]][i]``.  Every leaf is
+    checked in one pass; when that pass fails, the rows are read one by
+    one, so the error raised is the first in row, then column order."""
+    leaves, doms, cods = [], [], []
+    for r, row in enumerate(rows):
+        if type(row) is not list or len(row) != width:
+            break
+        leaves += row
+        doms += values[dom_end[r]]
+        cods += values[cod_end[r]]
+    else:
+        if (_int_tables(leaves, 0)
+                and all(len(t) == x.size and (not t or max(t) < y.size)
+                        for t, x, y in zip(leaves, doms, cods))):
+            maps = map(FinSetMap._trusted, doms, cods, map(tuple, leaves))
+            return tuple(tuple(islice(maps, width)) for _ in rows)
+    out = []
+    for r, row in enumerate(rows):
+        row = _rows(row, ctx)
+        if len(row) != width:
+            raise ParseError(f"{ctx}: {side} row {r} has wrong length")
+        dom, cod = values[dom_end[r]], values[cod_end[r]]
+        out.append(tuple(FinSetMap(dom[i], cod[i], _ints(row[i], ctx))
+                         for i in range(width)))
+    return tuple(out)
+
+
 def _dec_prof_tables(d: object, src: FinCat, tgt: FinCat,
                      ctx: str) -> Profunctor:
-    from .modpoly import Profunctor
     d = _expect_keys(d, {"at", "lact", "ract"}, ctx)
     at_rows = [_ints(row, ctx) for row in _rows(d["at"], ctx)]
-    if len(at_rows) != tgt.objects.size or any(
-            len(row) != src.objects.size for row in at_rows):
+    na, nb = src.objects.size, tgt.objects.size
+    if len(at_rows) != nb or any(len(row) != na for row in at_rows):
         raise ParseError(f"{ctx}: value table must be indexed by "
                          "target then source objects")
-    at = tuple(tuple(FinSetObj(n) for n in row) for row in at_rows)
+    at = tuple(tuple(map(FinSetObj, row)) for row in at_rows)
     lact_rows = _rows(d["lact"], ctx)
     ract_rows = _rows(d["ract"], ctx)
     if len(lact_rows) != tgt.morphisms.size:
         raise ParseError(f"{ctx}: one lact row per target morphism required")
     if len(ract_rows) != src.morphisms.size:
         raise ParseError(f"{ctx}: one ract row per source morphism required")
-    lact = []
-    for beta, row in enumerate(lact_rows):
-        row = _rows(row, ctx)
-        if len(row) != src.objects.size:
-            raise ParseError(f"{ctx}: lact row {beta} has wrong length")
-        lact.append(tuple(
-            FinSetMap(at[tgt.tgt(beta)][a], at[tgt.src(beta)][a],
-                      _ints(row[a], ctx))
-            for a in src.objs))
-    ract = []
-    for alpha, row in enumerate(ract_rows):
-        row = _rows(row, ctx)
-        if len(row) != tgt.objects.size:
-            raise ParseError(f"{ctx}: ract row {alpha} has wrong length")
-        ract.append(tuple(
-            FinSetMap(at[b][src.src(alpha)], at[b][src.tgt(alpha)],
-                      _ints(row[b], ctx))
-            for b in tgt.objs))
-    return Profunctor(src, tgt, at, tuple(lact), tuple(ract))
+    # lact[beta][a] restricts at[tgt beta][a] to at[src beta][a], and
+    # ract[alpha][b] pushes at[b][src alpha] to at[b][tgt alpha]
+    by_src = tuple(tuple(row[a] for row in at) for a in src.objs)
+    lact = _dec_action(lact_rows, at, tgt.tgt.table, tgt.src.table, na,
+                       ctx, "lact")
+    ract = _dec_action(ract_rows, by_src, src.src.table, src.tgt.table, nb,
+                       ctx, "ract")
+    m = Profunctor._trusted(src, tgt, at, lact, ract)
+    m._check_laws()
+    return m
 
 
 def _enc_prof(m: Profunctor) -> dict:
@@ -318,7 +378,6 @@ def _enc_modpoly(p: ModPolynomial) -> dict:
 
 
 def _dec_modpoly(d: object, ctx: str) -> ModPolynomial:
-    from .modpoly import ModPolynomial
     d = _expect_keys(d, {"x", "y", "s", "m", "p"}, ctx)
     x = _dec_cat(d["x"], ctx + ".x")
     y = _dec_cat(d["y"], ctx + ".y")
@@ -344,6 +403,29 @@ _CODECS = {
 }
 
 KINDS = tuple(_CODECS)
+
+# The classes that the decoders of each payload layer build; the
+# decoders of modules build their categories too.
+_BUILDS = {
+    "finset": (),
+    "spans": ("spans.Span",),
+    "polyset": ("polyset.IndexedFamily", "polyset.Polynomial"),
+    "relpoly": ("relpoly.Relation", "relpoly.RelPolynomial"),
+    "fincat": ("fincat.FinCat", "fincat.Functor"),
+    "modpoly": ("fincat.FinCat", "fincat.Functor", "modpoly.Profunctor",
+                "modpoly.ModPolynomial"),
+}
+_bound: set[str] = set()
+
+
+def _bind(kind: str) -> None:
+    """Import the layers the decoder of kind builds from, and bind the
+    classes it builds as globals of this module."""
+    for path in _BUILDS[_CODECS[kind][0].partition(".")[0]]:
+        module, _, name = path.partition(".")
+        globals()[name] = getattr(import_module(f".{module}", __package__),
+                                  name)
+    _bound.add(kind)
 
 
 def _check_payload(kind: str, payload: object) -> None:
@@ -376,8 +458,9 @@ def parse(text: str) -> Document:
     kind = data["kind"]
     if kind not in _CODECS:
         raise ParseError(f"unknown document kind {kind!r}")
-    _, _, decode = _CODECS[kind]
-    payload = decode(data["payload"], kind)
+    if kind not in _bound:
+        _bind(kind)
+    payload = _CODECS[kind][2](data["payload"], kind)
     return Document(VERSION, kind, payload)
 
 

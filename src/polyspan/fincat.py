@@ -106,7 +106,7 @@ class FinCat(Record):
     def _homs(self) -> FinSetMap:
         """Each morphism filed under (src, tgt): the fibers are the hom-sets."""
         n = self.objects.size
-        return FinSetMap(self.morphisms, FinSetObj(n * n), tuple(
+        return FinSetMap._trusted(self.morphisms, FinSetObj(n * n), tuple(
             s * n + t for s, t in zip(self.src.table, self.tgt.table)))
 
     def hom(self, x: int, y: int) -> tuple[int, ...]:
@@ -237,16 +237,16 @@ class Functor(Record):
     @cached_property
     def over(self) -> FinSetMap:
         """The object map as a map: its fibers are the objects over each."""
-        return FinSetMap(self.dom.objects, self.cod.objects, self.omap)
+        return FinSetMap._trusted(self.dom.objects, self.cod.objects,
+                                  self.omap)
 
     @cached_property
     def _lift_map(self) -> FinSetMap:
         """Each morphism filed under (tgt, image): the fibers are the lifts."""
         nm = self.cod.morphisms.size
-        return FinSetMap(self.dom.morphisms,
-                         FinSetObj(self.dom.objects.size * nm),
-                         tuple(t * nm + b
-                               for t, b in zip(self.dom.tgt.table, self.mmap)))
+        return FinSetMap._trusted(
+            self.dom.morphisms, FinSetObj(self.dom.objects.size * nm),
+            tuple(t * nm + b for t, b in zip(self.dom.tgt.table, self.mmap)))
 
     def lifts(self, e: int, beta: int) -> tuple[int, ...]:
         """The morphisms into e sent to beta; empty when out of range."""
@@ -263,8 +263,8 @@ def identity_functor(c: FinCat) -> Functor:
 def compose_functors(g: Functor, f: Functor) -> Functor:
     require(f.cod == g.dom, "functor-compose-boundary",
             "functors are not composable")
-    return Functor(f.dom, g.cod, tuple(g.omap[x] for x in f.omap),
-                   tuple(g.mmap[m] for m in f.mmap))
+    return Functor._trusted(f.dom, g.cod, tuple(g.omap[x] for x in f.omap),
+                            tuple(g.mmap[m] for m in f.mmap))
 
 
 def constant_functor(dom: FinCat, cod: FinCat, x: int) -> Functor:
@@ -519,10 +519,16 @@ def is_er_fibration(p: Functor) -> bool:
 
 def is_discrete_fibration(p: Functor) -> bool:
     """Unique lifts: each morphism downstairs with a given codomain object
-    upstairs lifts to exactly one morphism."""
-    b_cat = p.cod
-    return all(len(p.lifts(e, beta)) == 1
-               for e in p.dom.objs for beta in b_cat.tgt.fiber(p.omap[e]))
+    upstairs lifts to exactly one morphism.
+
+    Counted, not searched: a functor files each morphism f under (tgt f,
+    p f), and p f lands in the pairs (e, beta) with tgt beta = p e.  The
+    lifts are unique exactly when the keys are distinct and as many as
+    those pairs."""
+    keys = set(zip(p.dom.tgt.table, p.mmap))
+    into = p.cod.tgt.fiber
+    return (len(keys) == p.dom.morphisms.size
+            == sum(len(into(x)) for x in p.omap))
 
 
 def are_isomorphic_objects(c: FinCat, x: int, y: int) -> bool:
@@ -592,11 +598,11 @@ def elements(p: Presheaf) -> ElementsCat:
     mor_index = {m: i for i, m in enumerate(morphisms)}
     o = FinSetObj(len(objects))
     m = FinSetObj(len(morphisms))
-    src = FinSetMap(m, o, tuple(
+    src = FinSetMap._trusted(m, o, tuple(
         obj_index[(base.src(beta), p.act[beta](t2))] for beta, t2 in morphisms))
-    tgt = FinSetMap(m, o, tuple(
+    tgt = FinSetMap._trusted(m, o, tuple(
         obj_index[(base.tgt(beta), t2)] for beta, t2 in morphisms))
-    ident = FinSetMap(o, m, tuple(
+    ident = FinSetMap._trusted(o, m, tuple(
         mor_index[(base.ident(b), t)] for b, t in objects))
     # (beta2, t2) after (beta1, t1) is defined when beta2 leaves the
     # target of beta1 and t2 restricts along beta2 to t1
@@ -608,8 +614,8 @@ def elements(p: Presheaf) -> ElementsCat:
                 comp_rows[mor_index[(beta2, t2)]][j] = \
                     mor_index[(composite, t2)]
     cat = FinCat._trusted(o, m, src, tgt, ident, tuple(map(tuple, comp_rows)))
-    proj = Functor(cat, base, tuple(b for b, _ in objects),
-                   tuple(beta for beta, _ in morphisms))
+    proj = Functor._trusted(cat, base, tuple(b for b, _ in objects),
+                            tuple(beta for beta, _ in morphisms))
     return ElementsCat(proj, tuple(objects), tuple(morphisms))
 
 
@@ -624,10 +630,10 @@ def fibers(p: Functor) -> Presheaf:
     act = []
     for beta in b_cat.mors:
         b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
-        act.append(FinSetMap(at[b2], at[b1], tuple(
+        act.append(FinSetMap._trusted(at[b2], at[b1], tuple(
             over.fiber_position(e_cat.src(p.lifts(e2, beta)[0]))
             for e2 in over.fiber(b2))))
-    return Presheaf(b_cat, at, tuple(act))
+    return Presheaf._trusted(b_cat, at, tuple(act))
 
 
 def _components_under(g: Functor, x: int) -> list[list[tuple[int, int]]]:

@@ -117,14 +117,15 @@ class FinSetMap(Record):
 
 
 def identity(x: FinSetObj) -> FinSetMap:
-    return FinSetMap(x, x, tuple(x.elements))
+    return FinSetMap._trusted(x, x, tuple(x.elements))
 
 
 def compose(g: FinSetMap, f: FinSetMap) -> FinSetMap:
     """Classical composite g after f."""
     require(f.cod == g.dom, "compose-boundary",
             "codomain of the first map differs from domain of the second")
-    return FinSetMap(f.dom, g.cod, tuple(g.table[j] for j in f.table))
+    return FinSetMap._trusted(f.dom, g.cod,
+                              tuple(g.table[j] for j in f.table))
 
 
 def constant(dom: FinSetObj, cod: FinSetObj, value: int) -> FinSetMap:

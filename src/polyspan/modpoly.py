@@ -89,6 +89,14 @@ class Profunctor(Record):
                 if f.dom != at[b][a1] or f.cod != at[b][a2]:
                     raise InvariantViolation(
                         "prof-typing", f"right action of {alpha} at {b} mistyped")
+        self._check_laws()
+
+    def _check_laws(self) -> None:
+        """The identity, composition and interchange equations, for
+        actions of the right shape and types (the document decoder builds
+        them so)."""
+        a_cat, b_cat = self.src, self.tgt
+        lact, ract = self.lact, self.ract
         for b in b_cat.objs:
             for a in a_cat.objs:
                 if not _is_identity_table(lact[b_cat.ident(b)][a].table):
@@ -157,8 +165,8 @@ def presheaf_as_module(p: Presheaf) -> Profunctor:
 def module_as_presheaf(m: Profunctor) -> Presheaf:
     require(m.src == terminal_cat(), "module-psh-src",
             "only modules out of the terminal category are presheaves")
-    return Presheaf(m.tgt, tuple(m.at[b][0] for b in m.tgt.objs),
-                    tuple(m.lact[beta][0] for beta in m.tgt.mors))
+    return Presheaf._trusted(m.tgt, tuple(m.at[b][0] for b in m.tgt.objs),
+                             tuple(m.lact[beta][0] for beta in m.tgt.mors))
 
 
 def graph_module(f: Functor) -> Profunctor:
@@ -317,7 +325,7 @@ def _coend(n: Profunctor, m: Profunctor):
 
     def push(c_from, a_from, c_to, a_to, move):
         to = index[(c_to, a_to)]
-        return FinSetMap(at[c_from][a_from], at[c_to][a_to], tuple(
+        return FinSetMap._trusted(at[c_from][a_from], at[c_to][a_to], tuple(
             to[move(*cls[0])] for cls in cells[(c_from, a_from)]))
 
     lact = []
@@ -447,7 +455,7 @@ def rif_mod_data(n: Profunctor, u: Profunctor) -> RifModData:
                           for v in range(n.at[y][s1].size))
                     for y in y_cat.objs)
                 table.append(index[s1][k][moved])
-            row.append(FinSetMap(at[s2][k], at[s1][k], tuple(table)))
+            row.append(FinSetMap._trusted(at[s2][k], at[s1][k], tuple(table)))
         lact.append(tuple(row))
     ract = []
     for kappa in k_cat.mors:
@@ -461,7 +469,7 @@ def rif_mod_data(n: Profunctor, u: Profunctor) -> RifModData:
                           for v in range(n.at[y][s].size))
                     for y in y_cat.objs)
                 table.append(index[s][k2][moved])
-            row.append(FinSetMap(at[s][k1], at[s][k2], tuple(table)))
+            row.append(FinSetMap._trusted(at[s][k1], at[s][k2], tuple(table)))
         ract.append(tuple(row))
     return RifModData(
         Profunctor._trusted(k_cat, s_cat, at, tuple(lact), tuple(ract)), fams)
@@ -631,7 +639,8 @@ def polymod_parts(q: ModPolynomial, p: ModPolynomial) -> PolymodParts:
     y_cat = tab.el.cat
     # the family of an object (t, xi) of y_cat, at c, as a map from q.m(c, t)
     # to the fiber of p over c: its fibers are the value sets of n
-    split = [[FinSetMap(q.m.at[c][t], z.at[c], rd.families[t][0][xi_i][c])
+    split = [[FinSetMap._trusted(q.m.at[c][t], z.at[c],
+                                 rd.families[t][0][xi_i][c])
               for c in c_cat.objs] for t, xi_i in tab.el.objects_data]
 
     cells = [[split[yo][p.p.omap[zo]].fiber(p.p.over.fiber_position(zo))
@@ -645,7 +654,8 @@ def polymod_parts(q: ModPolynomial, p: ModPolynomial) -> PolymodParts:
         for yo, (t, _) in enumerate(tab.el.objects_data):
             table = [split[yo][c1].fiber_position(q.m.lact[gamma][t](mu))
                      for mu in cells[z2][yo]]
-            row.append(FinSetMap(at[z2][yo], at[z1][yo], tuple(table)))
+            row.append(FinSetMap._trusted(at[z2][yo], at[z1][yo],
+                                          tuple(table)))
         lact.append(tuple(row))
     ract = []
     for ym, (phi, _) in enumerate(tab.el.morphisms_data):
@@ -656,12 +666,13 @@ def polymod_parts(q: ModPolynomial, p: ModPolynomial) -> PolymodParts:
             c = p.p.omap[zo]
             table = [split[yo2][c].fiber_position(q.m.ract[phi][c](mu))
                      for mu in cells[zo][yo1]]
-            row.append(FinSetMap(at[zo][yo1], at[zo][yo2], tuple(table)))
+            row.append(FinSetMap._trusted(at[zo][yo1], at[zo][yo2],
+                                          tuple(table)))
         ract.append(tuple(row))
     n = Profunctor._trusted(y_cat, z_cat, at, tuple(lact), tuple(ract))
     r = tab.p
-    poly = ModPolynomial(p.X, q.Y, y_cat, prof_compose(p.m, n),
-                         compose_functors(q.p, r))
+    poly = ModPolynomial._trusted(p.X, q.Y, y_cat, prof_compose(p.m, n),
+                                  compose_functors(q.p, r))
     return PolymodParts(poly, z, rd, tab, n, r)
 
 

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from polyspan import checks, modpoly, polyset, spans
-from polyspan.fincat import FinCat
+from polyspan.fincat import FinCat, Functor, Presheaf
 from polyspan.finset import FinSetMap, FinSetObj, compose
 from polyspan.gen import (
     rand_composable_modpolys,
@@ -19,7 +19,7 @@ from polyspan.gen import (
     rand_poly,
     rand_presheaf,
 )
-from polyspan.modpoly import Profunctor
+from polyspan.modpoly import ModPolynomial, Profunctor
 from polyspan.spans import Bipullback, PBAround
 
 
@@ -111,3 +111,25 @@ def test_library_built_values_skip_their_checks(monkeypatch):
         cat.__post_init__()
     mcomp.m.__post_init__()
     assert mcomp == checks.witnessed_parts(mq, mp)[0].poly
+
+
+@pytest.mark.unchecked_trust
+def test_module_composition_checks_nothing_it_builds(monkeypatch):
+    """Every map, functor, presheaf, module and polynomial a module
+    composite is made of holds its laws by construction: with the checks
+    of all six classes raising, ``compose_polymod`` still succeeds."""
+    rng = random.Random(54)
+    for _ in range(5):
+        pair = None
+        while pair is None:
+            pair = rand_composable_modpolys(rng)
+        p, q = pair
+        with monkeypatch.context() as patch:
+            for cls in (FinSetMap, FinCat, Functor, Presheaf, Profunctor,
+                        ModPolynomial):
+                patch.setattr(cls, "__post_init__", forbidden)
+            comp = modpoly.compose_polymod(q, p)
+        comp.__post_init__()
+        comp.m.__post_init__()
+        comp.p.__post_init__()
+        assert comp == checks.witnessed_parts(q, p)[0].poly

@@ -1,7 +1,9 @@
 """Document format: canonical bytes, roundtrips, and error reporting."""
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,10 @@ from polyspan.documents import (
     serialize,
 )
 from polyspan.errors import InvariantViolation
+from polyspan.fincat import FinCat, Functor
+from polyspan.finset import FinSetMap, FinSetObj
 from polyspan.gen import (
+    rand_composable_modpolys,
     rand_family,
     rand_fincat,
     rand_finset,
@@ -31,6 +36,7 @@ from polyspan.gen import (
     rand_relpoly,
     rand_span,
 )
+from polyspan.modpoly import ModPolynomial, Profunctor
 
 
 def sample_documents(seed, rounds=4):
@@ -257,3 +263,253 @@ class TestIntegerChecksAgainstReference:
         assert outcome(documents._comp_row, [-1, 0, 2])[0] == "value"
         assert ">= -1" in outcome(documents._comp_row, [0, -2])[1]
         assert ">= -1" in outcome(documents._comp_row, [[0]])[1]
+
+
+# -- decoders that check each fact once, against the decoders they replaced
+
+def reference_dec_cat(d, ctx):
+    d = documents._expect_keys(d, {"objects", "morphisms", "src", "tgt",
+                                   "ident", "comp"}, ctx)
+    o = FinSetObj(reference_nat(d["objects"], ctx))
+    m = FinSetObj(reference_nat(d["morphisms"], ctx))
+    comp = tuple(reference_comp_row(row, ctx)
+                 for row in documents._rows(d["comp"], ctx))
+    return FinCat(o, m,
+                  FinSetMap(m, o, reference_ints(d["src"], ctx)),
+                  FinSetMap(m, o, reference_ints(d["tgt"], ctx)),
+                  FinSetMap(o, m, reference_ints(d["ident"], ctx)), comp)
+
+
+def reference_dec_functor_tables(d, dom, cod, ctx):
+    d = documents._expect_keys(d, {"omap", "mmap"}, ctx)
+    return Functor(dom, cod, reference_ints(d["omap"], ctx),
+                   reference_ints(d["mmap"], ctx))
+
+
+def reference_dec_prof_tables(d, src, tgt, ctx):
+    d = documents._expect_keys(d, {"at", "lact", "ract"}, ctx)
+    at_rows = [reference_ints(row, ctx)
+               for row in documents._rows(d["at"], ctx)]
+    if len(at_rows) != tgt.objects.size or any(
+            len(row) != src.objects.size for row in at_rows):
+        raise ParseError(f"{ctx}: value table must be indexed by "
+                         "target then source objects")
+    at = tuple(tuple(FinSetObj(n) for n in row) for row in at_rows)
+    lact_rows = documents._rows(d["lact"], ctx)
+    ract_rows = documents._rows(d["ract"], ctx)
+    if len(lact_rows) != tgt.morphisms.size:
+        raise ParseError(f"{ctx}: one lact row per target morphism required")
+    if len(ract_rows) != src.morphisms.size:
+        raise ParseError(f"{ctx}: one ract row per source morphism required")
+    lact = []
+    for beta, row in enumerate(lact_rows):
+        row = documents._rows(row, ctx)
+        if len(row) != src.objects.size:
+            raise ParseError(f"{ctx}: lact row {beta} has wrong length")
+        lact.append(tuple(
+            FinSetMap(at[tgt.tgt(beta)][a], at[tgt.src(beta)][a],
+                      reference_ints(row[a], ctx))
+            for a in src.objs))
+    ract = []
+    for alpha, row in enumerate(ract_rows):
+        row = documents._rows(row, ctx)
+        if len(row) != tgt.objects.size:
+            raise ParseError(f"{ctx}: ract row {alpha} has wrong length")
+        ract.append(tuple(
+            FinSetMap(at[b][src.src(alpha)], at[b][src.tgt(alpha)],
+                      reference_ints(row[b], ctx))
+            for b in tgt.objs))
+    return Profunctor(src, tgt, at, tuple(lact), tuple(ract))
+
+
+def reference_dec_modpoly(d, ctx):
+    d = documents._expect_keys(d, {"x", "y", "s", "m", "p"}, ctx)
+    x = reference_dec_cat(d["x"], ctx + ".x")
+    y = reference_dec_cat(d["y"], ctx + ".y")
+    s = reference_dec_cat(d["s"], ctx + ".s")
+    m = reference_dec_prof_tables(d["m"], s, x, ctx + ".m")
+    p = reference_dec_functor_tables(d["p"], s, y, ctx + ".p")
+    return ModPolynomial(x, y, s, m, p)
+
+
+def reference_dec_functor(d, ctx):
+    d = documents._expect_keys(d, {"dom", "cod", "omap", "mmap"}, ctx)
+    dom = reference_dec_cat(d["dom"], ctx + ".dom")
+    cod = reference_dec_cat(d["cod"], ctx + ".cod")
+    return reference_dec_functor_tables(
+        {"omap": d["omap"], "mmap": d["mmap"]}, dom, cod, ctx)
+
+
+def reference_dec_prof(d, ctx):
+    d = documents._expect_keys(d, {"src", "tgt", "at", "lact", "ract"}, ctx)
+    src = reference_dec_cat(d["src"], ctx + ".src")
+    tgt = reference_dec_cat(d["tgt"], ctx + ".tgt")
+    return reference_dec_prof_tables(
+        {"at": d["at"], "lact": d["lact"], "ract": d["ract"]}, src, tgt, ctx)
+
+
+REFERENCE_DECODERS = {
+    "fincat": reference_dec_cat,
+    "functor": reference_dec_functor,
+    "profunctor": reference_dec_prof,
+    "mod-polynomial": reference_dec_modpoly,
+}
+
+SCALAR_SWAPS = (lambda v: v + 1, lambda v: v - 1, lambda v: -1,
+                lambda v: 2 ** 40, lambda v: True, lambda v: "1",
+                lambda v: 1.0, lambda v: None)
+
+
+def corrupt(tree, rng, times):
+    """A copy of a JSON tree with ``times`` changes, each at a random node:
+    drop a key, append or drop a list entry, or replace an int."""
+    tree = json.loads(json.dumps(tree))
+    for _ in range(times):
+        nodes, todo = [], [tree]
+        while todo:
+            node = todo.pop()
+            keys = node if isinstance(node, dict) else range(len(node))
+            nodes += [(node, k) for k in keys]
+            todo += [node[k] for k in keys
+                     if isinstance(node[k], (dict, list))]
+        lists = [n for n in [tree, *(p[k] for p, k in nodes)]
+                 if isinstance(n, list)]
+        ints = [(p, k) for p, k in nodes if type(p[k]) is int]
+        op = rng.choice(["int"] * 4 + ["drop"] * 2 + ["append"])
+        if op == "int" and ints:
+            parent, key = rng.choice(ints)
+            parent[key] = rng.choice(SCALAR_SWAPS)(parent[key])
+        elif op == "append" and lists:
+            target = rng.choice(lists)
+            target.append(rng.choice(target) if target else 0)
+        elif nodes:
+            parent, key = rng.choice(nodes)
+            del parent[key]
+    return tree
+
+
+def corrupt_actions(payload, kind, rng, times):
+    """A copy of a module payload with changes in its value and action
+    tables only, so that the categories stay lawful."""
+    if kind == "mod-polynomial":
+        return {**payload, "m": corrupt(payload["m"], rng, times)}
+    tables = {k: payload[k] for k in ("at", "lact", "ract")}
+    return {"src": payload["src"], "tgt": payload["tgt"],
+            **corrupt(tables, rng, times)}
+
+
+def decode_outcome(decode, payload, kind):
+    try:
+        value = decode(payload, kind)
+    except Exception as e:  # every class is compared, not only ours
+        return type(e), getattr(e, "clause", None), str(e)
+    return "value", value
+
+
+@pytest.mark.unchecked_trust  # the decoder's own checks are compared
+class TestDecodersAgainstReference:
+    """Parsing checks each fact once: categories are hash-consed, module
+    actions are typed by construction and the category and action tables
+    are checked in one pass.  On any input it must give the payload, or
+    the exception class, clause and text, of the decoders it replaced."""
+
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_DECODERS))
+    def test_corrupted_documents_decode_as_the_reference(self, kind):
+        rng = random.Random(kind)
+        kept, outcomes = [], set()
+        for seed in range(60):
+            text = serialize(random_document(kind, seed))
+            # the uncorrupted value stays alive, so its categories are
+            # interned while the corruptions of their tables are parsed
+            kept.append(parse(text))
+            body = json.loads(text)
+            payloads = [corrupt(body["payload"], rng, rng.choice((1, 1, 2)))
+                        for _ in range(8)]
+            if kind in ("profunctor", "mod-polynomial"):
+                # two or three errors in the actions: the first one counts
+                payloads += [corrupt_actions(body["payload"], kind, rng,
+                                             rng.choice((1, 2, 3)))
+                             for _ in range(8)]
+            for payload in payloads:
+                got = decode_outcome(
+                    lambda v, ctx: parse(json.dumps(
+                        {**body, "payload": v})).payload, payload, kind)
+                want = decode_outcome(REFERENCE_DECODERS[kind], payload,
+                                      kind)
+                assert got == want, payload
+                outcomes.add(got[0] if got[0] == "value" else got[:2])
+        # both clean and failing documents, and several kinds of failure
+        assert "value" in outcomes and len(outcomes) >= 6, outcomes
+
+    def test_a_bool_table_equal_to_a_live_one_is_rejected(self):
+        good = {"objects": 2, "morphisms": 2, "src": [0, 1], "tgt": [0, 1],
+                "ident": [0, 1], "comp": [[0, -1], [-1, 1]]}
+        alive = parse(json.dumps({"version": "1", "kind": "fincat",
+                                  "payload": good}))
+        assert alive.payload.ident.table == (0, 1)
+        for key, bad in (("ident", [0, True]), ("src", [0, 1.0]),
+                         ("comp", [[0, -1], [-1, True]])):
+            text = json.dumps({"version": "1", "kind": "fincat",
+                               "payload": {**good, key: bad}})
+            with pytest.raises(ParseError, match="integer"):
+                parse(text)
+
+
+class TestInterning:
+    @pytest.fixture
+    def interned(self, monkeypatch):
+        """A fresh, empty table of live categories."""
+        table = weakref.WeakValueDictionary()
+        monkeypatch.setattr(documents, "_CATS", table)
+        return table
+
+    @staticmethod
+    def composable_pair(seed):
+        rng = random.Random(seed)
+        pair = None
+        while pair is None:
+            pair = rand_composable_modpolys(rng)
+        p, q = pair
+        return (serialize(document("mod-polynomial", q)),
+                serialize(document("mod-polynomial", p)))
+
+    def test_equal_tables_parse_to_one_category(self, interned):
+        tq, tp = self.composable_pair(61)
+        q, p = parse(tq).payload, parse(tp).payload
+        assert p.Y is q.X
+        again = parse(tq).payload
+        assert again.X is q.X and again.Y is q.Y and again.S is q.S
+
+    def test_the_table_holds_live_categories_only(self, interned):
+        tq, tp = self.composable_pair(62)
+        q, p = parse(tq).payload, parse(tp).payload
+        assert 0 < len(interned) <= 5
+        bad = {"version": "1", "kind": "fincat",
+               "payload": {"objects": 1, "morphisms": 1, "src": [0],
+                           "tgt": [0], "ident": [0], "comp": [[-1]]}}
+        with pytest.raises(InvariantViolation):
+            parse(json.dumps(bad))  # a table that fails is not stored
+        assert len(interned) <= 5
+        del q, p
+        gc.collect()
+        assert len(interned) == 0
+
+    @pytest.mark.parametrize("seed", range(63, 66))
+    def test_each_distinct_table_is_checked_once(self, interned,
+                                                 monkeypatch, seed):
+        tq, tp = self.composable_pair(seed)
+        checked = []
+        real = FinCat.__post_init__
+
+        def spy(cat):
+            checked.append(documents._enc_cat(cat))
+            real(cat)
+        monkeypatch.setattr(FinCat, "__post_init__", spy)
+        q, p = parse(tq).payload, parse(tp).payload
+        monkeypatch.undo()
+        tables = [json.dumps(documents._enc_cat(c), sort_keys=True)
+                  for c in (q.X, q.Y, q.S, p.X, p.Y, p.S)]
+        # q.X and p.Y are one table: the parser that checks every table
+        # makes 6 checks here
+        assert len(set(tables)) < 6
+        assert len(checked) == len(set(tables))
