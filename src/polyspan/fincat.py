@@ -152,8 +152,12 @@ def discrete_cat(n: int) -> FinCat:
                            identity(o), tuple(map(tuple, rows)))
 
 
+_TERMINAL = discrete_cat(1)
+
+
 def terminal_cat() -> FinCat:
-    return discrete_cat(1)
+    """The one-object category: one shared value, as it is immutable."""
+    return _TERMINAL
 
 
 def ordinal2() -> FinCat:

@@ -113,7 +113,7 @@ class FinSetMap(Record):
         table = [0] * self.cod.size
         for i, j in enumerate(self.table):
             table[j] = i
-        return FinSetMap(self.cod, self.dom, tuple(table))
+        return FinSetMap._trusted(self.cod, self.dom, tuple(table))
 
 
 def identity(x: FinSetObj) -> FinSetMap:
@@ -203,8 +203,8 @@ def pullback(f: FinSetMap, g: FinSetMap) -> Pullback:
     over = g._fibers
     pairs = tuple((a, b) for a, j in enumerate(f.table) for b in over[j])
     apex = FinSetObj(len(pairs))
-    pr1 = FinSetMap(apex, f.dom, tuple(a for a, _ in pairs))
-    pr2 = FinSetMap(apex, g.dom, tuple(b for _, b in pairs))
+    pr1 = FinSetMap._trusted(apex, f.dom, tuple(a for a, _ in pairs))
+    pr2 = FinSetMap._trusted(apex, g.dom, tuple(b for _, b in pairs))
     return Pullback(f, g, apex, pr1, pr2, pairs)
 
 

@@ -2,11 +2,14 @@
 characterization, right liftings, and pullbacks-around with their mediators.
 
 A span from X to Y is (left_leg, apex, right_leg) with left_leg landing in X.
-Over sets the 2-cells are plain apex maps commuting with both legs, so all
-triangle and pasting conditions are strict equalities checked elementwise.
+Over sets the 2-cells are plain apex maps commuting with both legs.
 A composite comes with its square: ``composite`` returns t∘s with the
 pullback whose pairs index its apex, and each 2-cell between composites reads
 its table from that square instead of pulling the same pair back again.
+Composites, graphs, reversed spans, identity, inverse and vertical composite
+cells, whiskers, unitors, associators and the graph cells commute with their
+legs by construction and are built with ``_trusted``, boundaries checked;
+``map-characterization`` and the tests' re-check of ``_trusted`` check them.
 """
 
 from __future__ import annotations
@@ -69,12 +72,12 @@ class SpanCell(Record):
 
 def graph(f: FinSetMap) -> Span:
     """The span (1, X, f) from the domain of f to its codomain."""
-    return Span(f.dom, f.cod, f.dom, identity(f.dom), f)
+    return Span._trusted(f.dom, f.cod, f.dom, identity(f.dom), f)
 
 
 def cograph(f: FinSetMap) -> Span:
     """The span (f, X, 1) from the codomain of f back to its domain."""
-    return Span(f.cod, f.dom, f.dom, f, identity(f.dom))
+    return Span._trusted(f.cod, f.dom, f.dom, f, identity(f.dom))
 
 
 def identity_span(x: FinSetObj) -> Span:
@@ -82,7 +85,8 @@ def identity_span(x: FinSetObj) -> Span:
 
 
 def reverse_span(s: Span) -> Span:
-    return Span(s.right_foot, s.left_foot, s.apex, s.right_leg, s.left_leg)
+    return Span._trusted(s.right_foot, s.left_foot, s.apex, s.right_leg,
+                         s.left_leg)
 
 
 def composition_square(t: Span, s: Span) -> Pullback:
@@ -96,8 +100,8 @@ def composition_square(t: Span, s: Span) -> Pullback:
 def composite(t: Span, s: Span) -> tuple[Span, Pullback]:
     """t∘s together with the square its apex is the pullback of."""
     pb = composition_square(t, s)
-    return Span(s.left_foot, t.right_foot, pb.apex,
-                compose(s.left_leg, pb.pr1), compose(t.right_leg, pb.pr2)), pb
+    legs = compose(s.left_leg, pb.pr1), compose(t.right_leg, pb.pr2)
+    return Span._trusted(s.left_foot, t.right_foot, pb.apex, *legs), pb
 
 
 def compose_spans(t: Span, s: Span) -> Span:
@@ -105,60 +109,73 @@ def compose_spans(t: Span, s: Span) -> Span:
 
 
 def identity_cell(s: Span) -> SpanCell:
-    return SpanCell(s, s, identity(s.apex))
+    return SpanCell._trusted(s, s, identity(s.apex))
 
 
 def invert_cell(c: SpanCell) -> SpanCell:
     require(c.is_invertible, "cell-invertible",
             "only a bijective cell can be inverted")
-    return SpanCell(c.target, c.source, c.h.inverse())
+    return SpanCell._trusted(c.target, c.source, c.h.inverse())
 
 
 def vcomp(b: SpanCell, a: SpanCell) -> SpanCell:
     require(a.target == b.source, "cell-vcomp-boundary",
             "cells do not stack")
-    return SpanCell(a.source, b.target, compose(b.h, a.h))
+    return SpanCell._trusted(a.source, b.target, compose(b.h, a.h))
+
+
+def _whisker_left(cell: SpanCell, src: Span, sq: Pullback, tgt: Span,
+                  tgt_sq: Pullback) -> SpanCell:
+    table = tuple(tgt_sq.index(cell.h(a), b) for a, b in sq.pairs)
+    return SpanCell._trusted(src, tgt,
+                             FinSetMap._trusted(src.apex, tgt.apex, table))
+
+
+def _whisker_right(cell: SpanCell, src: Span, sq: Pullback, tgt: Span,
+                   tgt_sq: Pullback) -> SpanCell:
+    table = tuple(tgt_sq.index(a, cell.h(b)) for a, b in sq.pairs)
+    return SpanCell._trusted(src, tgt,
+                             FinSetMap._trusted(src.apex, tgt.apex, table))
+
+
+def _associator(sq_ts: Pullback, sq_sr: Pullback, left: Span, lsq: Pullback,
+                right: Span, rsq: Pullback) -> SpanCell:
+    table = []
+    for a, m in lsq.pairs:  # a in r.apex, m indexes a pair (b, c)
+        b, c = sq_ts.pairs[m]
+        table.append(rsq.index(sq_sr.index(a, b), c))
+    return SpanCell._trusted(left, right, FinSetMap._trusted(
+        left.apex, right.apex, tuple(table)))
 
 
 def whisker_left(t: Span, cell: SpanCell) -> SpanCell:
     """t∘cell: the cell between composites with t applied after."""
-    src, sq = composite(t, cell.source)
-    tgt, tgt_sq = composite(t, cell.target)
-    table = tuple(tgt_sq.index(cell.h(a), b) for a, b in sq.pairs)
-    return SpanCell(src, tgt, FinSetMap(src.apex, tgt.apex, table))
+    return _whisker_left(cell, *composite(t, cell.source),
+                         *composite(t, cell.target))
 
 
 def whisker_right(cell: SpanCell, t: Span) -> SpanCell:
     """cell∘t: the cell between composites with t applied first."""
-    src, sq = composite(cell.source, t)
-    tgt, tgt_sq = composite(cell.target, t)
-    table = tuple(tgt_sq.index(a, cell.h(b)) for a, b in sq.pairs)
-    return SpanCell(src, tgt, FinSetMap(src.apex, tgt.apex, table))
+    return _whisker_right(cell, *composite(cell.source, t),
+                          *composite(cell.target, t))
 
 
 def unitor_dom(s: Span) -> SpanCell:
     """The canonical cell s∘(identity span) => s."""
     src, sq = composite(s, identity_span(s.left_foot))
-    return SpanCell(src, s, sq.pr2)
+    return SpanCell._trusted(src, s, sq.pr2)
 
 
 def unitor_cod(s: Span) -> SpanCell:
     """The canonical cell (identity span)∘s => s."""
     src, sq = composite(identity_span(s.right_foot), s)
-    return SpanCell(src, s, sq.pr1)
+    return SpanCell._trusted(src, s, sq.pr1)
 
 
 def associator(t: Span, s: Span, r: Span) -> SpanCell:
     """The canonical invertible cell (t∘s)∘r => t∘(s∘r)."""
-    ts, sq_ts = composite(t, s)
-    sr, sq_sr = composite(s, r)
-    left, sq_left = composite(ts, r)
-    right, sq_right = composite(t, sr)
-    table = []
-    for a, m in sq_left.pairs:  # a in r.apex, m indexes a pair (b, c)
-        b, c = sq_ts.pairs[m]
-        table.append(sq_right.index(sq_sr.index(a, b), c))
-    return SpanCell(left, right, FinSetMap(left.apex, right.apex, tuple(table)))
+    (ts, sq_ts), (sr, sq_sr) = composite(t, s), composite(s, r)
+    return _associator(sq_ts, sq_sr, *composite(ts, r), *composite(t, sr))
 
 
 def enumerate_cells(s: Span, t: Span):
@@ -175,21 +192,21 @@ def enumerate_cells(s: Span, t: Span):
 def graph_compose_cell(f2: FinSetMap, f1: FinSetMap) -> SpanCell:
     """The canonical invertible cell graph(f2)∘graph(f1) => graph(f2∘f1)."""
     src, sq = composite(graph(f2), graph(f1))
-    return SpanCell(src, graph(compose(f2, f1)), sq.pr1)
+    return SpanCell._trusted(src, graph(compose(f2, f1)), sq.pr1)
 
 
 def postcompose_span(s: Span, f: FinSetMap) -> Span:
     """The span with f applied after the right leg."""
     require(f.dom == s.right_foot, "postcompose-boundary",
             "f must start at the right foot")
-    return Span(s.left_foot, f.cod, s.apex, s.left_leg,
-                compose(f, s.right_leg))
+    return Span._trusted(s.left_foot, f.cod, s.apex, s.left_leg,
+                         compose(f, s.right_leg))
 
 
 def post_graph_cell(f: FinSetMap, s: Span) -> SpanCell:
     """The canonical invertible cell graph(f)∘s => postcompose_span(s, f)."""
     src, sq = composite(graph(f), s)
-    return SpanCell(src, postcompose_span(s, f), sq.pr1)
+    return SpanCell._trusted(src, postcompose_span(s, f), sq.pr1)
 
 
 class MapWitness(Record):
@@ -201,15 +218,26 @@ class MapWitness(Record):
 
 
 def triangle_identities_hold(s: Span, w: MapWitness) -> bool:
-    r = w.right_adjoint
-    first = vcomp(unitor_cod(s), vcomp(
-        whisker_right(w.counit, s), vcomp(
-            invert_cell(associator(s, r, s)), vcomp(
-                whisker_left(s, w.unit), invert_cell(unitor_dom(s))))))
-    second = vcomp(unitor_dom(r), vcomp(
-        whisker_left(r, w.counit), vcomp(
-            associator(r, s, r), vcomp(
-                whisker_right(w.unit, r), invert_cell(unitor_cod(r))))))
+    """Both triangle identities of w, each composite pulled back once."""
+    r, unit, counit = w.right_adjoint, w.unit, w.counit
+    one_x, one_y = identity_span(s.left_foot), identity_span(s.right_foot)
+    (rs, sq_rs), (sr, sq_sr) = composite(r, s), composite(s, r)
+    require((unit.source, unit.target, counit.source, counit.target) == (
+        one_x, rs, sr, one_y), "cell-vcomp-boundary", "cells do not stack")
+    s1, s_rs, sr_s, one_s = (composite(s, one_x), composite(s, rs),
+                             composite(sr, s), composite(one_y, s))
+    r1, r_sr, rs_r, one_r = (composite(r, one_y), composite(r, sr),
+                             composite(rs, r), composite(one_x, r))
+    first = vcomp(SpanCell._trusted(one_s[0], s, one_s[1].pr1), vcomp(
+        _whisker_right(counit, *sr_s, *one_s), vcomp(
+            invert_cell(_associator(sq_sr, sq_rs, *sr_s, *s_rs)), vcomp(
+                _whisker_left(unit, *s1, *s_rs),
+                invert_cell(SpanCell._trusted(s1[0], s, s1[1].pr2))))))
+    second = vcomp(SpanCell._trusted(r1[0], r, r1[1].pr2), vcomp(
+        _whisker_left(counit, *r_sr, *r1), vcomp(
+            _associator(sq_rs, sq_sr, *rs_r, *r_sr), vcomp(
+                _whisker_right(unit, *one_r, *rs_r),
+                invert_cell(SpanCell._trusted(one_r[0], r, one_r[1].pr1))))))
     return first == identity_cell(s) and second == identity_cell(r)
 
 
@@ -223,10 +251,8 @@ def is_map(s: Span) -> MapWitness | None:
     inv = s.left_leg.inverse()
     rs = compose_spans(s, r)   # pairs (a, b) with left(a) = left(b)
     sr, sr_sq = composite(r, s)   # pairs (a, b) with right(a) = right(b)
-    unit = SpanCell(identity_span(s.left_foot), sr,
-                    FinSetMap(s.left_foot, sr.apex,
-                              tuple(sr_sq.index(inv(x), inv(x))
-                                    for x in s.left_foot.elements)))
+    unit = SpanCell(identity_span(s.left_foot), sr, FinSetMap(
+        s.left_foot, sr.apex, tuple(sr_sq.index(a, a) for a in inv.table)))
     # the counit sends (a, b) to right(a), which is the left leg of s∘r
     counit = SpanCell(rs, identity_span(s.right_foot), rs.left_leg)
     return MapWitness(r, unit, counit)

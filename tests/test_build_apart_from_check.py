@@ -18,6 +18,7 @@ from polyspan.gen import (
     rand_map,
     rand_poly,
     rand_presheaf,
+    rand_span,
 )
 from polyspan.modpoly import ModPolynomial, Profunctor
 from polyspan.spans import Bipullback, PBAround
@@ -133,3 +134,45 @@ def test_module_composition_checks_nothing_it_builds(monkeypatch):
         comp.m.__post_init__()
         comp.p.__post_init__()
         assert comp == checks.witnessed_parts(q, p)[0].poly
+
+
+@pytest.mark.unchecked_trust
+def test_span_cells_check_nothing_they_build(monkeypatch):
+    """The canonical spans and cells commute with their legs by
+    construction: with the checks of maps, spans and cells raising, the
+    whiskers, unitors, associators, inverse, identity and vertical
+    composite cells, the graph cells and the triangle identities still
+    succeed, and each cell they built holds the checks afterwards."""
+    rng = random.Random(55)
+    cases = []
+    for _ in range(20):
+        x, y, z, w = (FinSetObj(rng.randint(1, 3)) for _ in range(4))
+        r, s, t = (rand_span(rng, a, b) for a, b in ((x, y), (y, z), (z, w)))
+        perm = list(y.elements)
+        rng.shuffle(perm)
+        m = spans.Span(y, z, y, FinSetMap(y, y, tuple(perm)),
+                       rand_map(rng, y, z))
+        f1, f2 = rand_map(rng, x, y), rand_map(rng, y, z)
+        cases.append((r, s, t, m, spans.is_map(m), f1, f2))
+
+    built, verdicts = [], []
+    with monkeypatch.context() as patch:
+        for cls in (FinSetMap, spans.Span, spans.SpanCell):
+            patch.setattr(cls, "__post_init__", forbidden)
+        for r, s, t, m, wit, f1, f2 in cases:
+            assoc = spans.associator(t, s, r)
+            built += [spans.whisker_left(t, spans.identity_cell(s)),
+                      spans.whisker_right(spans.identity_cell(s), r),
+                      spans.whisker_left(m, wit.unit),
+                      spans.whisker_right(wit.counit, m),
+                      spans.unitor_dom(s), spans.unitor_cod(s), assoc,
+                      spans.identity_cell(t),
+                      spans.vcomp(spans.invert_cell(assoc), assoc),
+                      spans.graph_compose_cell(f2, f1),
+                      spans.post_graph_cell(f2, spans.graph(f1))]
+            verdicts.append(spans.triangle_identities_hold(m, wit))
+
+    assert all(verdicts)
+    for cell in built:
+        for value in (cell.h, cell.source, cell.target, cell):
+            value.__post_init__()

@@ -84,6 +84,12 @@ class TestFinCat:
         assert not c.is_iso(2)
         assert all(z2().is_iso(m) for m in z2().mors)
 
+    def test_terminal_cat_is_one_lawful_value(self):
+        # built once at import, before any test could re-check it
+        one = terminal_cat()
+        assert one is terminal_cat() and one == discrete_cat(1)
+        one.__post_init__()
+
     def test_opposite_and_product(self):
         c = opposite_cat(ordinal2())
         assert c.hom(1, 0) == (2,) and c.hom(0, 1) == ()

@@ -25,6 +25,7 @@ from polyspan.spans import (
     composition_square,
     distributivity_bipullback,
     distributivity_pullback,
+    enumerate_cells,
     factor_through_bipullback,
     graph,
     graph_compose_cell,
@@ -660,3 +661,90 @@ def test_map_characterization_halves_its_pullbacks(monkeypatch):
     report = checks.run_suite("map-characterization", seed=0)
     assert report.ok
     assert len(calls) <= 5588
+
+
+@pytest.mark.unchecked_trust
+def test_the_triangle_identities_pull_each_composite_back_once(monkeypatch):
+    """r∘s, s∘r and the eight composites the two triangles pass through are
+    pulled back once each: 10 squares per adjoint, so with the 2 of
+    ``is_map`` at most 12 × 254 = 3048 in ``map-characterization``."""
+    s = Span(FinSetObj(3), FinSetObj(2), FinSetObj(3),
+             FinSetMap(FinSetObj(3), FinSetObj(3), (2, 0, 1)),
+             FinSetMap(FinSetObj(3), FinSetObj(2), (1, 0, 1)))
+    w = is_map(s)
+    calls = count_pullbacks(monkeypatch)
+    assert triangle_identities_hold(s, w)
+    assert len(calls) == 10
+    calls.clear()
+    assert checks.run_suite("map-characterization", seed=0).ok
+    assert len(calls) <= 3048
+
+
+def reference_triangle_identities_hold(s, w):
+    """The triangle identities pasted from the public cells, each of which
+    pulls back its own composites: 22 squares per adjoint."""
+    r = w.right_adjoint
+    first = vcomp(unitor_cod(s), vcomp(
+        whisker_right(w.counit, s), vcomp(
+            invert_cell(associator(s, r, s)), vcomp(
+                whisker_left(s, w.unit), invert_cell(unitor_dom(s))))))
+    second = vcomp(unitor_dom(r), vcomp(
+        whisker_left(r, w.counit), vcomp(
+            associator(r, s, r), vcomp(
+                whisker_right(w.unit, r), invert_cell(unitor_cod(r))))))
+    return first == identity_cell(s) and second == identity_cell(r)
+
+
+def suite_spans():
+    """The spans ``map-characterization`` examines: feet and apex of size
+    at most 3, in the suite's order."""
+    for lsize, rsize, esize in itertools.product(range(4), repeat=3):
+        apex, left, right = (FinSetObj(n) for n in (esize, lsize, rsize))
+        for ltab in itertools.product(range(lsize), repeat=esize):
+            for rtab in itertools.product(range(rsize), repeat=esize):
+                yield Span(left, right, apex, FinSetMap(apex, left, ltab),
+                           FinSetMap(apex, right, rtab))
+
+
+class TestTrianglesAgainstReference:
+    def test_every_adjoint_of_the_suite(self):
+        adjoints = 0
+        for s in suite_spans():
+            w = is_map(s)
+            if w is not None:
+                adjoints += 1
+                assert triangle_identities_hold(s, w)
+                assert reference_triangle_identities_hold(s, w)
+        assert adjoints == 254
+
+    def test_other_units_and_counits(self):
+        """A bijective span has one unit and one counit, so the witnesses
+        here pair the reversed span of every suite span with up to three
+        cells 1 => r∘s and three cells s∘r => 1 from ``enumerate_cells``.
+        Only a map has a right adjoint, so exactly the 254 pairs on
+        bijective spans keep both triangles, and every other pair breaks
+        one."""
+        verdicts = []
+        for s in suite_spans():
+            r = reverse_span(s)
+            units = itertools.islice(enumerate_cells(
+                identity_span(s.left_foot), compose_spans(r, s)), 3)
+            counits = list(itertools.islice(enumerate_cells(
+                compose_spans(s, r), identity_span(s.right_foot)), 3))
+            for unit, counit in itertools.product(units, counits):
+                w = spans.MapWitness(r, unit, counit)
+                verdict = triangle_identities_hold(s, w)
+                assert verdict == reference_triangle_identities_hold(s, w)
+                verdicts.append(verdict)
+        assert verdicts.count(True) == 254 and verdicts.count(False) == 288
+
+    def test_a_witness_off_the_composites_is_refused(self):
+        s = graph(FinSetMap(FinSetObj(2), FinSetObj(2), (1, 1)))
+        w = is_map(s)
+        wrong = spans.MapWitness(w.right_adjoint, identity_cell(
+            compose_spans(w.right_adjoint, s)), w.counit)
+        for triangles in (triangle_identities_hold,
+                          reference_triangle_identities_hold):
+            with pytest.raises(InvariantViolation,
+                               match="cell-vcomp-boundary"):
+                triangles(s, wrong)
