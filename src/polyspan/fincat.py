@@ -711,8 +711,10 @@ def _natural_maps(sizes_m: list[int], sizes_n: list[int], squares,
     g(h_c1(i)).  With ``bijective`` no two elements share an image.
 
     Each guess assigns the first unassigned element and is closed under the
-    squares, so every value it forces is set at once.  The guesses sit on
-    an explicit stack, so the depth is not bounded by the recursion limit.
+    squares, so every value it forces is set at once.  A free element, one
+    that no square leaves, forces nothing: its guess skips the closure, and
+    only its own assignment is undone.  The guesses sit on an explicit
+    stack, so the depth is not bounded by the recursion limit.
     """
     start_m = list(itertools.accumulate(sizes_m, initial=0))
     start_n = list(itertools.accumulate(sizes_n, initial=0))
@@ -776,13 +778,14 @@ def _natural_maps(sizes_m: list[int], sizes_n: list[int], squares,
             stack.append((x, iter(range(first, end)), []))
         while stack:  # the next guess at the deepest element that has one
             x, candidates, trail = stack[-1]
-            undo(trail)
+            if trail:
+                undo(trail)
             for y in candidates:
                 if bijective and used[y]:
                     continue
                 assign[x], used[y] = y, True
                 trail.append(x)
-                if close(x, trail):
+                if not moves[x] or close(x, trail):
                     break
                 undo(trail)
             else:

@@ -2,12 +2,18 @@
 
 A profunctor from A to B assigns a finite set to every pair (object of B,
 object of A), with a contravariant B-action and a covariant A-action.
-Composition is computed as a coend in one pass over all cells: the join of
-the elements of both modules over each middle object, and one quotient of
-the resulting triples by the zigzag relation, with union-find.  Every map
-out of a coend (the composite's actions, whiskering, the counit of a
+Composition is computed as a coend over element ids: the elements of both
+modules are joined over each middle object, the triples are numbered in
+the order middle object, then element of the inner module, then element
+of the outer one, and one union-find over those ids quotients them by the
+zigzag relation, keeping the smallest id of each class as its root, so a
+single pass in id order lists the classes of every cell in order.  Every
+map out of a coend (the composite's actions, whiskering, the counit of a
 right lifting, the collapse onto a fiberwise sum) reads one representative
-per class, which is well defined for valid modules.
+per class, which is well defined for valid modules.  In the modules built
+here identities act by construction: each builder moves elements only
+along non-identity morphisms, and cells of one size share one value set
+and one identity map.
 Right liftings are computed as ends: sets of naturally varying families
 of maps.  Those families, the morphisms between two modules and the
 isomorphisms between them all come from the one search for natural maps
@@ -23,6 +29,8 @@ graph modules, and the tabulation's fibers.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .errors import InvariantViolation, require
 from .fincat import (
@@ -46,7 +54,6 @@ from .fincat import (
 )
 from .finset import FinSetMap, FinSetObj, compose, identity
 from .record import Record
-from .unionfind import UnionFind
 
 
 class Profunctor(Record):
@@ -286,64 +293,123 @@ def prof_invert(c: ProfMorphism) -> ProfMorphism:
         tuple(f.inverse() for f in row) for row in c.h))
 
 
+def _built(a_cat: FinCat, b_cat: FinCat, sizes, left, right) -> Profunctor:
+    """The module A -> B with ``sizes[b][a]`` elements at (b, a), whose left
+    action along a non-identity beta has the tables ``left(beta)``, one
+    per object of A, and right action along a non-identity alpha the
+    tables ``right(alpha)``, one per object of B.  Identities act by
+    identity maps, by construction; cells of one size share one value set
+    and one identity map."""
+    sets = {k: FinSetObj(k) for k in set().union(*sizes)}
+    ident = {k: identity(v) for k, v in sets.items()}
+    at = tuple(tuple(sets[k] for k in row) for row in sizes)
+
+    def lact(beta):
+        b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
+        if b_cat.ident(b1) == beta:
+            return tuple(ident[k] for k in sizes[b1])
+        return tuple(FinSetMap._trusted(at[b2][a], at[b1][a], table)
+                     for a, table in enumerate(left(beta)))
+
+    def ract(alpha):
+        a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
+        if a_cat.ident(a1) == alpha:
+            return tuple(ident[row[a1]] for row in sizes)
+        return tuple(FinSetMap._trusted(at[b][a1], at[b][a2], table)
+                     for b, table in enumerate(right(alpha)))
+
+    return Profunctor._trusted(a_cat, b_cat, at, tuple(map(lact, b_cat.mors)),
+                               tuple(map(ract, a_cat.mors)))
+
+
 def _coend(n: Profunctor, m: Profunctor):
     """The coend composite of n after m, with its classes: ``cells[(c, a)]``
     lists the classes of triples (middle object b, element of m(b, a),
     element of n(c, b)), members sorted and classes ordered by their
-    smallest member, and ``index[(c, a)]`` takes a triple to its class.
+    smallest member, and ``index(c, a, b, x, y)`` is the position of the
+    class of the triple (b, x, y) in its cell.
 
-    The triples are the join of the elements of m and n over each middle
-    object; one union-find quotients them along the non-identity middle
-    morphisms (an identity would unite each triple with itself).  For
-    valid modules every map out of a class is independent of the member
-    it reads, so the actions move each class's first member."""
+    The triples are the join of the elements (a, x) of m and (c, y) of n
+    over each middle object b, numbered in the order b, then (a, x), then
+    (c, y): within one cell (c, a) that is the lexicographic order of
+    (b, x, y).  One union-find over these ids quotients them along the
+    non-identity middle morphisms (an identity would unite each triple
+    with itself), always linking the larger root below the smaller, so
+    each root is the smallest member of its class and one pass in id
+    order lists every cell's classes in order.  For valid modules every
+    map out of a class is independent of the member it reads, so a
+    non-identity action moves each class's root, whose id is computed from
+    its triple; identities act as identities by construction."""
     a_cat, b_cat, c_cat = m.src, m.tgt, n.tgt
-    uf = UnionFind()
-    for b in b_cat.objs:
-        over_m = [(a, x) for a in a_cat.objs for x in m.at[b][a].elements]
-        over_n = [(c, y) for c in c_cat.objs for y in n.at[c][b].elements]
-        for a, x in over_m:
-            for c, y in over_n:
-                uf.add(((c, a), (b, x, y)))
+    # per middle object b, the block of its triples: the row of each a,
+    # the column of each c, the block's width and its first id
+    rows = [list(accumulate((m.at[b][a].size for a in a_cat.objs), initial=0))
+            for b in b_cat.objs]
+    cols = [list(accumulate((n.at[c][b].size for c in c_cat.objs), initial=0))
+            for b in b_cat.objs]
+    width = [col[-1] for col in cols]
+    first = list(accumulate((row[-1] * w for row, w in zip(rows, width)),
+                            initial=0))
+    parent = list(range(first[-1]))
+
+    def find(t):
+        while parent[t] != t:  # path halving
+            parent[t] = t = parent[parent[t]]
+        return t
+
     for beta in b_cat.non_identities:
         b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
-        lact, ract = m.lact[beta], n.ract[beta]
+        w1, w2 = width[b1], width[b2]
+        ract = n.ract[beta]
+        moved = [(cols[b1][c] + y1, cols[b2][c] + y2) for c in c_cat.objs
+                 for y1, y2 in enumerate(ract[c].table)]
         for a in a_cat.objs:
-            for x2 in m.at[b2][a].elements:
-                x1 = lact[a](x2)
-                for c in c_cat.objs:
-                    for y1 in n.at[c][b1].elements:
-                        uf.unite(((c, a), (b1, x1, y1)),
-                                 ((c, a), (b2, x2, ract[c](y1))))
-    cells = {(c, a): [] for c in c_cat.objs for a in a_cat.objs}
-    for cls in uf.classes():
-        cells[cls[0][0]].append([t for _, t in cls])
-    index = {cell: {t: i for i, cls in enumerate(classes) for t in cls}
-             for cell, classes in cells.items()}
-    at = tuple(tuple(FinSetObj(len(cells[(c, a)])) for a in a_cat.objs)
-               for c in c_cat.objs)
+            o1, o2 = first[b1] + rows[b1][a] * w1, first[b2] + rows[b2][a] * w2
+            for x2, x1 in enumerate(m.lact[beta][a].table):
+                t1, t2 = o1 + x1 * w1, o2 + x2 * w2
+                for j1, j2 in moved:
+                    r1, r2 = find(t1 + j1), find(t2 + j2)
+                    if r1 < r2:
+                        parent[r2] = r1
+                    elif r2 < r1:
+                        parent[r1] = r2
+    grid = [[[] for _ in a_cat.objs] for _ in c_cat.objs]
+    position = [0] * len(parent)  # at roots: the class's place in its cell
+    t = 0
+    for b in b_cat.objs:
+        over_n = [(grid[c], n.at[c][b].size) for c in c_cat.objs
+                  if n.at[c][b].size]
+        for a in a_cat.objs:
+            for x in range(m.at[b][a].size):
+                for row, size in over_n:
+                    classes = row[a]
+                    for y in range(size):
+                        if parent[t] == t:
+                            position[t] = len(classes)
+                            classes.append([(b, x, y)])
+                        else:
+                            classes[position[find(t)]].append((b, x, y))
+                        t += 1
+    cells = {(c, a): grid[c][a] for c in c_cat.objs for a in a_cat.objs}
 
-    def push(c_from, a_from, c_to, a_to, move):
-        to = index[(c_to, a_to)]
-        return FinSetMap._trusted(at[c_from][a_from], at[c_to][a_to], tuple(
-            to[move(*cls[0])] for cls in cells[(c_from, a_from)]))
+    def index(c, a, b, x, y):
+        return position[find(first[b] + (rows[b][a] + x) * width[b]
+                             + cols[b][c] + y)]
 
-    lact = []
-    for gamma in c_cat.mors:
-        c1, c2 = c_cat.src(gamma), c_cat.tgt(gamma)
-        lact.append(tuple(
-            push(c2, a, c1, a,
-                 lambda b, x, y, g=n.lact[gamma]: (b, x, g[b](y)))
-            for a in a_cat.objs))
-    ract = []
-    for alpha in a_cat.mors:
-        a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
-        ract.append(tuple(
-            push(c, a1, c, a2,
-                 lambda b, x, y, r=m.ract[alpha]: (b, r[b](x), y))
-            for c in c_cat.objs))
-    return (Profunctor._trusted(a_cat, c_cat, at, tuple(lact), tuple(ract)),
-            cells, index)
+    def left(gamma):
+        c1, c2, g = c_cat.src(gamma), c_cat.tgt(gamma), n.lact[gamma]
+        return (tuple(index(c1, a, b, x, g[b].table[y])
+                      for b, x, y in (cls[0] for cls in grid[c2][a]))
+                for a in a_cat.objs)
+
+    def right(alpha):
+        a1, a2, r = a_cat.src(alpha), a_cat.tgt(alpha), m.ract[alpha]
+        return (tuple(index(c, a2, b, r[b].table[x], y)
+                      for b, x, y in (cls[0] for cls in grid[c][a1]))
+                for c in c_cat.objs)
+
+    sizes = [list(map(len, row)) for row in grid]
+    return _built(a_cat, c_cat, sizes, left, right), cells, index
 
 
 def prof_compose(n: Profunctor, m: Profunctor) -> Profunctor:
@@ -363,7 +429,7 @@ def prof_whisker_left(n: Profunctor, cell: ProfMorphism) -> ProfMorphism:
     right, _, index2 = _coend(n, v2)
     h = tuple(
         tuple(FinSetMap(left.at[c][a], right.at[c][a], tuple(
-            index2[(c, a)][(b, cell.h[b][a](x), y)]
+            index2(c, a, b, cell.h[b][a](x), y)
             for b, x, y in (cls[0] for cls in cells[(c, a)])))
             for a in v.src.objs)
         for c in n.tgt.objs)
@@ -441,38 +507,21 @@ def rif_mod_data(n: Profunctor, u: Profunctor) -> RifModData:
     index = tuple(tuple({f: i for i, f in enumerate(fams[s][k])}
                         for k in k_cat.objs)
                   for s in s_cat.objs)
-    at = tuple(tuple(FinSetObj(len(fams[s][k])) for k in k_cat.objs)
-               for s in s_cat.objs)
-    lact = []
-    for sigma in s_cat.mors:
-        s1, s2 = s_cat.src(sigma), s_cat.tgt(sigma)
-        row = []
-        for k in k_cat.objs:
-            table = []
-            for fam in fams[s2][k]:
-                moved = tuple(
-                    tuple(fam[y][n.ract[sigma][y](v)]
-                          for v in range(n.at[y][s1].size))
-                    for y in y_cat.objs)
-                table.append(index[s1][k][moved])
-            row.append(FinSetMap._trusted(at[s2][k], at[s1][k], tuple(table)))
-        lact.append(tuple(row))
-    ract = []
-    for kappa in k_cat.mors:
-        k1, k2 = k_cat.src(kappa), k_cat.tgt(kappa)
-        row = []
-        for s in s_cat.objs:
-            table = []
-            for fam in fams[s][k1]:
-                moved = tuple(
-                    tuple(u.ract[kappa][y](fam[y][v])
-                          for v in range(n.at[y][s].size))
-                    for y in y_cat.objs)
-                table.append(index[s][k2][moved])
-            row.append(FinSetMap._trusted(at[s][k1], at[s][k2], tuple(table)))
-        ract.append(tuple(row))
-    return RifModData(
-        Profunctor._trusted(k_cat, s_cat, at, tuple(lact), tuple(ract)), fams)
+
+    def left(sigma):  # a family at s2 read through n's action of sigma
+        s1, s2, r = s_cat.src(sigma), s_cat.tgt(sigma), n.ract[sigma]
+        return (tuple(index[s1][k][tuple(
+            tuple(map(fam[y].__getitem__, r[y].table)) for y in y_cat.objs)]
+            for fam in fams[s2][k]) for k in k_cat.objs)
+
+    def right(kappa):  # a family at k1 followed by u's action of kappa
+        k1, k2, r = k_cat.src(kappa), k_cat.tgt(kappa), u.ract[kappa]
+        return (tuple(index[s][k2][tuple(
+            tuple(map(r[y].table.__getitem__, fam[y])) for y in y_cat.objs)]
+            for fam in fams[s][k1]) for s in s_cat.objs)
+
+    sizes = [list(map(len, row)) for row in fams]
+    return RifModData(_built(k_cat, s_cat, sizes, left, right), fams)
 
 
 def rif_mod(n: Profunctor, u: Profunctor) -> Profunctor:
@@ -563,29 +612,23 @@ def fiberwise_module(p: Functor, v: Profunctor) -> Profunctor:
             "module must land in the domain of the fibration")
     s_cat, y_cat, k_cat = p.dom, p.cod, v.src
     cells, start = _fiber_cells(p, v)
-    at = tuple(tuple(FinSetObj(len(cells[(y, k)])) for k in k_cat.objs)
-               for y in y_cat.objs)
-    lact = []
-    for psi in y_cat.mors:
-        y1, y2 = y_cat.src(psi), y_cat.tgt(psi)
-        row = []
-        for k in k_cat.objs:
-            table = []
-            for s2, i in cells[(y2, k)]:
-                sigma = p.lifts(s2, psi)[0]
-                table.append(start[s_cat.src(sigma)][k] + v.lact[sigma][k](i))
-            row.append(FinSetMap(at[y2][k], at[y1][k], tuple(table)))
-        lact.append(tuple(row))
-    ract = []
-    for kappa in k_cat.mors:
-        k1, k2 = k_cat.src(kappa), k_cat.tgt(kappa)
-        row = []
-        for y in y_cat.objs:
-            table = [start[s][k2] + v.ract[kappa][s](i)
-                     for s, i in cells[(y, k1)]]
-            row.append(FinSetMap(at[y][k1], at[y][k2], tuple(table)))
-        ract.append(tuple(row))
-    return Profunctor(k_cat, y_cat, at, tuple(lact), tuple(ract))
+
+    def moved(psi, k, s2, i):  # along the lift of psi at s2
+        sigma = p.lifts(s2, psi)[0]
+        return start[s_cat.src(sigma)][k] + v.lact[sigma][k].table[i]
+
+    def left(psi):
+        y2 = y_cat.tgt(psi)
+        return (tuple(moved(psi, k, s2, i) for s2, i in cells[(y2, k)])
+                for k in k_cat.objs)
+
+    def right(kappa):
+        k1, k2, r = k_cat.src(kappa), k_cat.tgt(kappa), v.ract[kappa]
+        return (tuple(start[s][k2] + r[s].table[i] for s, i in cells[(y, k1)])
+                for y in y_cat.objs)
+
+    sizes = [[len(cells[(y, k)]) for k in k_cat.objs] for y in y_cat.objs]
+    return _built(k_cat, y_cat, sizes, left, right)
 
 
 class DfibCollapse(Record):
@@ -632,44 +675,42 @@ def polymod_parts(q: ModPolynomial, p: ModPolynomial) -> PolymodParts:
     graph modules by construction."""
     require(p.Y == q.X, "polymod-compose-boundary",
             "middle categories do not match")
-    c_cat, t_cat, z_cat = q.X, q.S, p.S
+    c_cat, z_cat = q.X, p.S
     z = fibers(p.p)
     rd = rif_mod_data(q.m, presheaf_as_module(z))
     tab = tabulate_mod(module_as_presheaf(rd.prof))
     y_cat = tab.el.cat
-    # the family of an object (t, xi) of y_cat, at c, as a map from q.m(c, t)
-    # to the fiber of p over c: its fibers are the value sets of n
-    split = [[FinSetMap._trusted(q.m.at[c][t], z.at[c],
-                                 rd.families[t][0][xi_i][c])
-              for c in c_cat.objs] for t, xi_i in tab.el.objects_data]
+    # the family of an object yo = (t, xi) of y_cat maps q.m(c, t) to the
+    # fiber of p over c: the elements it sends to z are the value set of n
+    # at (z, yo), and place[yo][c][mu] is the position of mu in that set
+    above = [p.p.over.fiber(c) for c in c_cat.objs]
+    cells = [[[] for _ in y_cat.objs] for _ in z_cat.objs]
+    place = []
+    for yo, (t, xi) in enumerate(tab.el.objects_data):
+        place.append([])
+        for c, family in enumerate(rd.families[t][0][xi]):
+            row = []
+            for mu, i in enumerate(family):
+                cell = cells[above[c][i]][yo]
+                row.append(len(cell))
+                cell.append(mu)
+            place[yo].append(row)
 
-    cells = [[split[yo][p.p.omap[zo]].fiber(p.p.over.fiber_position(zo))
-              for yo in range(y_cat.objects.size)] for zo in z_cat.objs]
-    at = tuple(tuple(FinSetObj(len(cell)) for cell in row) for row in cells)
-    lact = []
-    for zeta in z_cat.mors:
-        z1, z2 = z_cat.src(zeta), z_cat.tgt(zeta)
-        gamma, c1 = p.p.mmap[zeta], p.p.omap[z1]
-        row = []
-        for yo, (t, _) in enumerate(tab.el.objects_data):
-            table = [split[yo][c1].fiber_position(q.m.lact[gamma][t](mu))
-                     for mu in cells[z2][yo]]
-            row.append(FinSetMap._trusted(at[z2][yo], at[z1][yo],
-                                          tuple(table)))
-        lact.append(tuple(row))
-    ract = []
-    for ym, (phi, _) in enumerate(tab.el.morphisms_data):
-        yo1 = tab.el.cat.src(ym)
-        yo2 = tab.el.cat.tgt(ym)
-        row = []
-        for zo in z_cat.objs:
-            c = p.p.omap[zo]
-            table = [split[yo2][c].fiber_position(q.m.ract[phi][c](mu))
-                     for mu in cells[zo][yo1]]
-            row.append(FinSetMap._trusted(at[zo][yo1], at[zo][yo2],
-                                          tuple(table)))
-        ract.append(tuple(row))
-    n = Profunctor._trusted(y_cat, z_cat, at, tuple(lact), tuple(ract))
+    def left(zeta):  # q's lifter restricts along the image of zeta
+        gamma, c1 = p.p.mmap[zeta], p.p.omap[z_cat.src(zeta)]
+        return (tuple(place[yo][c1][q.m.lact[gamma][t].table[mu]]
+                      for mu in cells[z_cat.tgt(zeta)][yo])
+                for yo, (t, _) in enumerate(tab.el.objects_data))
+
+    def right(ym):  # q's lifter pushes along the base morphism of ym
+        yo1, yo2 = y_cat.src(ym), y_cat.tgt(ym)
+        phi = tab.el.morphisms_data[ym][0]
+        return (tuple(place[yo2][c][q.m.ract[phi][c].table[mu]]
+                      for mu in cells[zo][yo1])
+                for zo, c in enumerate(p.p.omap))
+
+    n = _built(y_cat, z_cat, [list(map(len, row)) for row in cells], left,
+               right)
     r = tab.p
     poly = ModPolynomial._trusted(p.X, q.Y, y_cat, prof_compose(p.m, n),
                                   compose_functors(q.p, r))

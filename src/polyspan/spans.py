@@ -113,9 +113,16 @@ def identity_cell(s: Span) -> SpanCell:
 
 
 def invert_cell(c: SpanCell) -> SpanCell:
-    require(c.is_invertible, "cell-invertible",
+    """The inverse cell, its table filled in one pass: the cell is
+    bijective exactly when the apexes have one size and every target point
+    is reached."""
+    h, table = c.h, [-1] * c.h.cod.size
+    for i, j in enumerate(h.table):
+        table[j] = i
+    require(h.dom.size == h.cod.size and -1 not in table, "cell-invertible",
             "only a bijective cell can be inverted")
-    return SpanCell._trusted(c.target, c.source, c.h.inverse())
+    return SpanCell._trusted(c.target, c.source,
+                             FinSetMap._trusted(h.cod, h.dom, tuple(table)))
 
 
 def vcomp(b: SpanCell, a: SpanCell) -> SpanCell:
@@ -138,14 +145,13 @@ def _whisker_right(cell: SpanCell, src: Span, sq: Pullback, tgt: Span,
                              FinSetMap._trusted(src.apex, tgt.apex, table))
 
 
-def _associator(sq_ts: Pullback, sq_sr: Pullback, left: Span, lsq: Pullback,
-                right: Span, rsq: Pullback) -> SpanCell:
-    table = []
-    for a, m in lsq.pairs:  # a in r.apex, m indexes a pair (b, c)
-        b, c = sq_ts.pairs[m]
-        table.append(rsq.index(sq_sr.index(a, b), c))
+def _associator(left: Span, right: Span) -> SpanCell:
+    """The canonical cell (t∘s)∘r => t∘(s∘r) between the two composites.
+    Pullback pairs run in lexicographic order, so both apexes list the
+    triples (a, b, c) of apex elements of r, s and t lexicographically:
+    the cell's table is the identity."""
     return SpanCell._trusted(left, right, FinSetMap._trusted(
-        left.apex, right.apex, tuple(table)))
+        left.apex, right.apex, tuple(left.apex.elements)))
 
 
 def whisker_left(t: Span, cell: SpanCell) -> SpanCell:
@@ -174,8 +180,8 @@ def unitor_cod(s: Span) -> SpanCell:
 
 def associator(t: Span, s: Span, r: Span) -> SpanCell:
     """The canonical invertible cell (t∘s)∘r => t∘(s∘r)."""
-    (ts, sq_ts), (sr, sq_sr) = composite(t, s), composite(s, r)
-    return _associator(sq_ts, sq_sr, *composite(ts, r), *composite(t, sr))
+    ts, sr = compose_spans(t, s), compose_spans(s, r)
+    return _associator(compose_spans(ts, r), compose_spans(t, sr))
 
 
 def enumerate_cells(s: Span, t: Span):
@@ -221,7 +227,7 @@ def triangle_identities_hold(s: Span, w: MapWitness) -> bool:
     """Both triangle identities of w, each composite pulled back once."""
     r, unit, counit = w.right_adjoint, w.unit, w.counit
     one_x, one_y = identity_span(s.left_foot), identity_span(s.right_foot)
-    (rs, sq_rs), (sr, sq_sr) = composite(r, s), composite(s, r)
+    rs, sr = compose_spans(r, s), compose_spans(s, r)
     require((unit.source, unit.target, counit.source, counit.target) == (
         one_x, rs, sr, one_y), "cell-vcomp-boundary", "cells do not stack")
     s1, s_rs, sr_s, one_s = (composite(s, one_x), composite(s, rs),
@@ -230,12 +236,12 @@ def triangle_identities_hold(s: Span, w: MapWitness) -> bool:
                              composite(rs, r), composite(one_x, r))
     first = vcomp(SpanCell._trusted(one_s[0], s, one_s[1].pr1), vcomp(
         _whisker_right(counit, *sr_s, *one_s), vcomp(
-            invert_cell(_associator(sq_sr, sq_rs, *sr_s, *s_rs)), vcomp(
+            invert_cell(_associator(sr_s[0], s_rs[0])), vcomp(
                 _whisker_left(unit, *s1, *s_rs),
                 invert_cell(SpanCell._trusted(s1[0], s, s1[1].pr2))))))
     second = vcomp(SpanCell._trusted(r1[0], r, r1[1].pr2), vcomp(
         _whisker_left(counit, *r_sr, *r1), vcomp(
-            _associator(sq_rs, sq_sr, *rs_r, *r_sr), vcomp(
+            _associator(rs_r[0], r_sr[0]), vcomp(
                 _whisker_right(unit, *one_r, *rs_r),
                 invert_cell(SpanCell._trusted(one_r[0], r, one_r[1].pr1))))))
     return first == identity_cell(s) and second == identity_cell(r)

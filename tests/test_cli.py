@@ -1,20 +1,31 @@
 """Command line behavior: composition, evaluation, checks, exit codes."""
 
+import contextlib
+import io
 import json
 import random
 import resource
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyspan import checks as checks_mod
 from polyspan.checks import GOLDEN_SEEDS, CheckReport, golden_documents
 from polyspan.cli import main
 from polyspan.documents import document, parse, serialize
 from polyspan.finset import FinSetMap, FinSetObj
-from polyspan.gen import rand_family, rand_fincat, rand_modpoly, rand_poly
-from polyspan.polyset import IndexedFamily, compose_poly, extension_eval
+from polyspan.gen import (rand_family, rand_fincat, rand_modpoly, rand_poly,
+                          random_document)
+from polyspan.modpoly import identity_polymod
+from polyspan.polyset import (IndexedFamily, compose_poly, extension_eval,
+                              identity_poly)
+from polyspan.relpoly import identity_polyrel
+from test_documents import corrupt
 
 
 ONE = FinSetObj(1)
@@ -264,3 +275,53 @@ class TestProcessEntry:
         assert main(["eval", "/nonexistent/p.json",
                      "/nonexistent/a.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+# compose --kind -> (document kind, identity on a foot, a payload's feet)
+_PARTNERS = {
+    "set": ("polynomial", identity_poly, lambda p: (p.X, p.Y)),
+    "rel": ("rel-polynomial", identity_polyrel, lambda p: (p.X, p.C)),
+    "mod": ("mod-polynomial", identity_polymod, lambda p: (p.X, p.Y)),
+}
+
+
+class TestCorruptedDocuments:
+    """A corrupted random document, composed with the identity on one of
+    its feet, either composes or is rejected with exit 2 and one line on
+    stderr, never with a traceback.  Zero changes leave a document whole,
+    so that about a quarter of the draws reach the composition builders."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), setting=st.sampled_from(
+        sorted(_PARTNERS)), whole=st.booleans(), outer=st.booleans(),
+        times=st.integers(0, 3))
+    def test_compose_exits_zero_or_two(self, seed, setting, whole, outer,
+                                       times):
+        kind, identity_on, feet = _PARTNERS[setting]
+        doc = random_document(kind, seed)
+        partner = serialize(document(kind, identity_on(
+            feet(doc.payload)[outer])))
+        body = json.loads(serialize(doc))
+        rng = random.Random(seed)
+        if whole:
+            body = corrupt(body, rng, times)
+        else:
+            body["payload"] = corrupt(body["payload"], rng, times)
+        with tempfile.TemporaryDirectory() as tmp:
+            mine, other = Path(tmp, "doc.json"), Path(tmp, "partner.json")
+            mine.write_text(json.dumps(body))
+            other.write_text(partner)
+            files = [str(other), str(mine)] if outer else [str(mine),
+                                                           str(other)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                status = main(["compose", "--kind", setting, *files])
+        assert status in (0, 2)
+        if status == 2:
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert err.getvalue() == ""
+            assert parse(out.getvalue()).kind == kind

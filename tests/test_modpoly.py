@@ -537,7 +537,8 @@ class TestCoendAgainstReference:
                 for a in m.src.objs:
                     classes, ref_index = _coend_cell(n, m, c, a)
                     assert cells[(c, a)] == classes
-                    assert index[(c, a)] == ref_index
+                    assert {t: index(c, a, *t) for t in ref_index} == \
+                        ref_index
                     if not classes:
                         kinds.add("empty cell")
             assert comp == reference_prof_compose(n, m)
@@ -1076,6 +1077,283 @@ class TestNaturalMapsAgainstReference:
             seen.add(want and want[0])
             checked += 1
         assert seen >= {"profmor-typing", "profmor-natural"}
+
+
+# The builders as they were before triples got integer ids and identities
+# acted by construction, kept as a differential oracle: a union-find keyed
+# by ((c, a), (b, x, y)) with a dict index per cell, and every action,
+# identities included, moved element by element through lookups.
+
+def reference_coend(n, m):
+    """The coend composite with its classes and a dict index per cell."""
+    a_cat, b_cat, c_cat = m.src, m.tgt, n.tgt
+    uf = UnionFind()
+    for b in b_cat.objs:
+        over_m = [(a, x) for a in a_cat.objs for x in m.at[b][a].elements]
+        over_n = [(c, y) for c in c_cat.objs for y in n.at[c][b].elements]
+        for a, x in over_m:
+            for c, y in over_n:
+                uf.add(((c, a), (b, x, y)))
+    for beta in b_cat.non_identities:
+        b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
+        lact, ract = m.lact[beta], n.ract[beta]
+        for a in a_cat.objs:
+            for x2 in m.at[b2][a].elements:
+                x1 = lact[a](x2)
+                for c in c_cat.objs:
+                    for y1 in n.at[c][b1].elements:
+                        uf.unite(((c, a), (b1, x1, y1)),
+                                 ((c, a), (b2, x2, ract[c](y1))))
+    cells = {(c, a): [] for c in c_cat.objs for a in a_cat.objs}
+    for cls in uf.classes():
+        cells[cls[0][0]].append([t for _, t in cls])
+    index = {cell: {t: i for i, cls in enumerate(classes) for t in cls}
+             for cell, classes in cells.items()}
+    at = tuple(tuple(FinSetObj(len(cells[(c, a)])) for a in a_cat.objs)
+               for c in c_cat.objs)
+
+    def push(c_from, a_from, c_to, a_to, move):
+        to = index[(c_to, a_to)]
+        return FinSetMap(at[c_from][a_from], at[c_to][a_to], tuple(
+            to[move(*cls[0])] for cls in cells[(c_from, a_from)]))
+
+    lact = tuple(tuple(
+        push(c_cat.tgt(g), a, c_cat.src(g), a,
+             lambda b, x, y, g=n.lact[g]: (b, x, g[b](y)))
+        for a in a_cat.objs) for g in c_cat.mors)
+    ract = tuple(tuple(
+        push(c, a_cat.src(al), c, a_cat.tgt(al),
+             lambda b, x, y, r=m.ract[al]: (b, r[b](x), y))
+        for c in c_cat.objs) for al in a_cat.mors)
+    return Profunctor(a_cat, c_cat, at, lact, ract), cells, index
+
+
+def reference_rif_mod_data(n, u):
+    """The right lifting with every family moved along every morphism."""
+    s_cat, k_cat, y_cat = n.src, u.src, n.tgt
+    fams = tuple(tuple(tuple(modpoly._natural_families(n, u, s, k))
+                       for k in k_cat.objs)
+                 for s in s_cat.objs)
+    index = tuple(tuple({f: i for i, f in enumerate(fams[s][k])}
+                        for k in k_cat.objs)
+                  for s in s_cat.objs)
+    at = tuple(tuple(FinSetObj(len(fams[s][k])) for k in k_cat.objs)
+               for s in s_cat.objs)
+    lact = tuple(tuple(
+        FinSetMap(at[s_cat.tgt(sigma)][k], at[s_cat.src(sigma)][k], tuple(
+            index[s_cat.src(sigma)][k][tuple(
+                tuple(fam[y][n.ract[sigma][y](v)]
+                      for v in range(n.at[y][s_cat.src(sigma)].size))
+                for y in y_cat.objs)]
+            for fam in fams[s_cat.tgt(sigma)][k]))
+        for k in k_cat.objs) for sigma in s_cat.mors)
+    ract = tuple(tuple(
+        FinSetMap(at[s][k_cat.src(kappa)], at[s][k_cat.tgt(kappa)], tuple(
+            index[s][k_cat.tgt(kappa)][tuple(
+                tuple(u.ract[kappa][y](fam[y][v])
+                      for v in range(n.at[y][s].size))
+                for y in y_cat.objs)]
+            for fam in fams[s][k_cat.src(kappa)]))
+        for s in s_cat.objs) for kappa in k_cat.mors)
+    return modpoly.RifModData(Profunctor(k_cat, s_cat, at, lact, ract), fams)
+
+
+def reference_fiberwise_module(p, v):
+    """The fiberwise sum with every element moved along every morphism."""
+    s_cat, y_cat, k_cat = p.dom, p.cod, v.src
+    cells, start = _fiber_cells(p, v)
+    at = tuple(tuple(FinSetObj(len(cells[(y, k)])) for k in k_cat.objs)
+               for y in y_cat.objs)
+
+    def lifted(psi, k, s2, i):
+        sigma = p.lifts(s2, psi)[0]
+        return start[s_cat.src(sigma)][k] + v.lact[sigma][k](i)
+
+    lact = tuple(tuple(
+        FinSetMap(at[y_cat.tgt(psi)][k], at[y_cat.src(psi)][k], tuple(
+            lifted(psi, k, s2, i) for s2, i in cells[(y_cat.tgt(psi), k)]))
+        for k in k_cat.objs) for psi in y_cat.mors)
+    ract = tuple(tuple(
+        FinSetMap(at[y][k_cat.src(kappa)], at[y][k_cat.tgt(kappa)], tuple(
+            start[s][k_cat.tgt(kappa)] + v.ract[kappa][s](i)
+            for s, i in cells[(y, k_cat.src(kappa))]))
+        for y in y_cat.objs) for kappa in k_cat.mors)
+    return Profunctor(k_cat, y_cat, at, lact, ract)
+
+
+def reference_polymod_parts(q, p):
+    """The composite with a splitting family map per object of the
+    tabulation and base object, its fibers read through the map's index."""
+    c_cat, z_cat = q.X, p.S
+    z = fibers(p.p)
+    rd = reference_rif_mod_data(q.m, presheaf_as_module(z))
+    tab = tabulate_mod(module_as_presheaf(rd.prof))
+    y_cat = tab.el.cat
+    split = [[FinSetMap(q.m.at[c][t], z.at[c], rd.families[t][0][xi][c])
+              for c in c_cat.objs] for t, xi in tab.el.objects_data]
+    cells = [[split[yo][p.p.omap[zo]].fiber(p.p.over.fiber_position(zo))
+              for yo in y_cat.objs] for zo in z_cat.objs]
+    at = tuple(tuple(FinSetObj(len(cell)) for cell in row) for row in cells)
+    lact = tuple(tuple(
+        FinSetMap(at[z_cat.tgt(zeta)][yo], at[z_cat.src(zeta)][yo], tuple(
+            split[yo][p.p.omap[z_cat.src(zeta)]].fiber_position(
+                q.m.lact[p.p.mmap[zeta]][t](mu))
+            for mu in cells[z_cat.tgt(zeta)][yo]))
+        for yo, (t, _) in enumerate(tab.el.objects_data))
+        for zeta in z_cat.mors)
+    ract = tuple(tuple(
+        FinSetMap(at[zo][y_cat.src(ym)], at[zo][y_cat.tgt(ym)], tuple(
+            split[y_cat.tgt(ym)][p.p.omap[zo]].fiber_position(
+                q.m.ract[phi][p.p.omap[zo]](mu))
+            for mu in cells[zo][y_cat.src(ym)]))
+        for zo in z_cat.objs)
+        for ym, (phi, _) in enumerate(tab.el.morphisms_data))
+    n = Profunctor(y_cat, z_cat, at, lact, ract)
+    poly = ModPolynomial(p.X, q.Y, y_cat, reference_coend(p.m, n)[0],
+                         compose_functors(q.p, tab.p))
+    return modpoly.PolymodParts(poly, z, rd, tab, n, tab.p)
+
+
+def structured_poly(rng, n):
+    """|X| = |S| = |Y| = n, two directions per position, p the identity:
+    embedded, a base of n^2 cells with few elements."""
+    x, e = FinSetObj(n), FinSetObj(2 * n)
+    return Polynomial(x, e, x, x,
+                      FinSetMap(e, x, tuple(rng.randrange(n)
+                                            for _ in range(2 * n))),
+                      FinSetMap(e, x, tuple(i // 2 for i in range(2 * n))),
+                      identity(x))
+
+
+def ladder_pair(d):
+    """The discrete ladder rung: y^d after y, embedded."""
+    return (embed_poly(checks._monomial(d)), embed_poly(checks._monomial(1)))
+
+
+def structured_pair(n):
+    rng = random.Random(1100 + n)
+    return embed_poly(structured_poly(rng, n)), embed_poly(
+        structured_poly(rng, n))
+
+
+class TestBuildersAgainstReference:
+    """The coend over triple ids, and the builders whose identities act by
+    construction, against the dict-keyed builders they replaced: equal
+    classes, an equal triple-to-class map and equal modules."""
+
+    def assert_same_coend(self, n, m):
+        comp, cells, index = _coend(n, m)
+        ref, ref_cells, ref_index = reference_coend(n, m)
+        assert cells == ref_cells
+        for (c, a), to in ref_index.items():
+            assert {t: index(c, a, *t) for t in to} == to
+        assert comp == ref
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_coend_pairs(self, seed):
+        for n, m in coend_pairs(350 + seed):
+            self.assert_same_coend(n, m)
+
+    @pytest.mark.parametrize("d", (1, 3, 17, 64))
+    def test_ladder(self, d):
+        q, p = ladder_pair(d)
+        parts = modpoly.polymod_parts(q, p)
+        self.assert_same_coend(p.m, parts.n)
+        assert parts == reference_polymod_parts(q, p)
+        assert sum(map(sum, cell_sizes(parts.poly.m))) == d
+
+    @pytest.mark.parametrize("size", (1, 2, 3, 5, 8, 12))
+    def test_embedded_structured_pairs(self, size):
+        q, p = structured_pair(size)
+        parts = modpoly.polymod_parts(q, p)
+        self.assert_same_coend(p.m, parts.n)
+        assert parts == reference_polymod_parts(q, p)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_composites(self, seed):
+        rng = random.Random(1200 + seed)
+        done = 0
+        while done < 12:
+            pair = rand_composable_modpolys(rng, tab_cap=20)
+            if pair is None:
+                continue
+            p, q = pair
+            parts = modpoly.polymod_parts(q, p)
+            assert parts == reference_polymod_parts(q, p)
+            done += 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fiberwise_modules(self, seed):
+        rng = random.Random(1300 + seed)
+        for _ in range(8):
+            y = rand_fincat(rng)
+            k = rand_fincat(rng, max_objs=2)
+            p = rand_dfib(rng, y)
+            v = small_profunctor(rng, k, p.dom)
+            assert fiberwise_module(p, v) == reference_fiberwise_module(p, v)
+
+
+def free_elements(sizes, squares):
+    """How many elements of the first side no square leaves."""
+    left = {c1 for c1, _, _, _ in squares}
+    return sum(k for c, k in enumerate(sizes) if c not in left)
+
+
+class TestFreeElements:
+    """An element that no naturality square leaves skips the closure of
+    the search: the maps it finds, and their order, stay those of the
+    product search and of the recursive isomorphism search."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lifting_families(self, seed):
+        rng = random.Random(1400 + seed)
+        mixed = cases = 0
+        while cases < 30:
+            y = rand_fincat(rng)
+            s, k = rand_fincat(rng, max_objs=2), rand_fincat(rng, max_objs=2)
+            n, u = rich_profunctor(rng, s, y), rich_profunctor(rng, k, y)
+            for so in s.objs:
+                for ko in k.objs:
+                    if family_space(n, u, so, ko) > 30000:
+                        continue
+                    squares = [(y.tgt(psi), y.src(psi), n.lact[psi][so].table,
+                                u.lact[psi][ko].table)
+                               for psi in y.non_identities]
+                    sizes = [n.at[yo][so].size for yo in y.objs]
+                    free = free_elements(sizes, squares)
+                    if not free:
+                        continue
+                    got = tuple(modpoly._natural_families(n, u, so, ko))
+                    assert got == tuple(product_natural_families(n, u, so,
+                                                                 ko))
+                    mixed += 0 < free < sum(sizes) and len(got) > 1
+                    cases += 1
+        assert mixed >= 3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_isomorphisms(self, seed):
+        rng = random.Random(1500 + seed)
+        found = mixed = cases = 0
+        while cases < 12 or not mixed:
+            a, b = rand_fincat(rng), rand_fincat(rng)
+            m = small_profunctor(rng, a, b)
+            moved = {(b.tgt(beta), ao) for beta in b.non_identities
+                     for ao in a.objs}
+            moved |= {(bo, a.src(alpha)) for alpha in a.non_identities
+                      for bo in b.objs}
+            free = sum(m.at[bo][ao].size for bo in b.objs for ao in a.objs
+                       if (bo, ao) not in moved)
+            if not free:
+                continue
+            for right in (prof_compose(identity_module(b), m),
+                          prof_compose(m, identity_module(a)),
+                          small_profunctor(rng, a, b)):
+                got = prof_iso(m, right)
+                assert got == recursive_prof_iso(m, right)
+                found += got is not None
+            mixed += free < sum(map(sum, cell_sizes(m)))
+            cases += 1
+        assert found >= 24
 
 
 @pytest.fixture(scope="module")

@@ -163,6 +163,26 @@ class TestCells:
         found = iso_search(left, right)
         assert associator(t, s, r) in found
 
+    def test_only_a_bijective_cell_inverts(self):
+        x = FinSetObj(1)
+
+        def constant_span(apex):
+            leg = FinSetMap(apex, x, (0,) * apex.size)
+            return Span(x, x, apex, leg, leg)
+
+        one, two = FinSetObj(1), FinSetObj(2)
+        for src, tgt, table in ((two, one, (0, 0)), (two, two, (1, 1)),
+                                (one, two, (1,))):
+            cell = SpanCell(constant_span(src), constant_span(tgt),
+                            FinSetMap(src, tgt, table))
+            with pytest.raises(InvariantViolation) as e:
+                invert_cell(cell)
+            assert str(e.value) == ("cell-invertible: only a bijective cell "
+                                    "can be inverted")
+        swap = SpanCell(constant_span(two), constant_span(two),
+                        FinSetMap(two, two, (1, 0)))
+        assert invert_cell(swap) == swap
+
     def test_cell_validation_rejects_leg_breakers(self):
         x = FinSetObj(2)
         s = Span(x, x, FinSetObj(2), identity(x),
@@ -594,6 +614,18 @@ class TestOneSquarePerComposite:
                 assert whisker_right(cell, r) == \
                     reference_whisker_right(cell, r)
         assert moved
+
+    def test_the_associator_table_is_the_identity(self):
+        """(t∘s)∘r and t∘(s∘r) both list their triples lexicographically:
+        the associator, built as the identity table, relies on that order,
+        which the reference's lookups pin."""
+        sizes = set()
+        for _, r, s, t in seeded_triples(71):
+            h = associator(t, s, r).h
+            assert h.table == tuple(range(h.dom.size))
+            assert reference_associator(t, s, r).h.table == h.table
+            sizes.add(h.dom.size)
+        assert max(sizes) > 1
 
     def test_map_witness_equals_the_two_call_reference(self):
         found = 0
