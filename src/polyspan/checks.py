@@ -30,7 +30,7 @@ from .fincat import (
     gfib_via_cotensor,
     presheaf_iso,
 )
-from .finset import FinSetMap, FinSetObj, identity
+from .finset import FinSetMap, FinSetObj
 from .gen import (
     _lift_bounds,
     rand_dfib,
@@ -50,6 +50,7 @@ from .modpoly import (
     ModPolynomial,
     PolymodParts,
     Profunctor,
+    _built,
     graph_module,
     hK_mod,
     hK_mod_via_lifting,
@@ -110,14 +111,9 @@ def _compact(kind: str, payload: object) -> str:
 # -- shared small constructions --------------------------------------------
 
 def _discrete_prof(na: int, nb: int, sizes) -> Profunctor:
-    a_cat, b_cat = discrete_cat(na), discrete_cat(nb)
-    at = tuple(tuple(FinSetObj(sizes[b][a]) for a in range(na))
-               for b in range(nb))
-    lact = tuple(tuple(identity(at[b][a]) for a in range(na))
-                 for b in range(nb))
-    ract = tuple(tuple(identity(at[b][a]) for b in range(nb))
-                 for a in range(na))
-    return Profunctor(a_cat, b_cat, at, lact, ract)
+    """The module between discrete categories with ``sizes[b][a]``
+    elements at (b, a): only identities act."""
+    return _built(discrete_cat(na), discrete_cat(nb), sizes, None, None)
 
 
 def embed_poly(p: Polynomial) -> ModPolynomial:

@@ -812,21 +812,20 @@ def presheaf_iso(p: Presheaf, q: Presheaf) -> tuple[FinSetMap, ...] | None:
     tables = next(_natural_maps(sizes, sizes, squares, True), None)
     if tables is None:
         return None
-    return tuple(FinSetMap(p.at[x], q.at[x], t) for x, t in enumerate(tables))
+    return tuple(FinSetMap._trusted(p.at[x], q.at[x], t)
+                 for x, t in enumerate(tables))
 
 
-def all_functors(a: FinCat, b: FinCat,
-                 limit: int | None = None) -> Iterator[Functor]:
+def all_functors(a: FinCat, b: FinCat) -> Iterator[Functor]:
     """Enumerate functors a -> b in a deterministic order, by backtracking
     over object images and then morphism images."""
-    produced = 0
     non_ident = a.non_identities
     for omap in itertools.product(b.objs, repeat=a.objects.size):
         mmap: list[int | None] = [None] * a.morphisms.size
         for x in a.objs:
             mmap[a.ident(x)] = b.ident(omap[x])
 
-        def consistent(just: int) -> bool:
+        def consistent() -> bool:
             for f in a.mors:
                 if mmap[f] is None:
                     continue
@@ -840,26 +839,17 @@ def all_functors(a: FinCat, b: FinCat,
             return True
 
         def assign(i: int):
-            nonlocal produced
-            if limit is not None and produced >= limit:
-                return
             if i == len(non_ident):
                 yield Functor(a, b, omap, tuple(mmap))  # type: ignore[arg-type]
-                produced += 1
                 return
             f = non_ident[i]
             for w in b.hom(omap[a.src(f)], omap[a.tgt(f)]):
                 mmap[f] = w
-                if consistent(f):
+                if consistent():
                     yield from assign(i + 1)
-                    if limit is not None and produced >= limit:
-                        mmap[f] = None
-                        return
             mmap[f] = None
 
         yield from assign(0)
-        if limit is not None and produced >= limit:
-            return
 
 
 def pi0_classes(c: FinCat) -> list[list[int]]:

@@ -10,10 +10,11 @@ zigzag relation, keeping the smallest id of each class as its root, so a
 single pass in id order lists the classes of every cell in order.  Every
 map out of a coend (the composite's actions, whiskering, the counit of a
 right lifting, the collapse onto a fiberwise sum) reads one representative
-per class, which is well defined for valid modules.  In the modules built
-here identities act by construction: each builder moves elements only
-along non-identity morphisms, and cells of one size share one value set
-and one identity map.
+per class, which is well defined for valid modules, and every morphism
+out of a coend is built by ``_coend_map``.  Every module the library
+computes is built by ``_built`` from its cell sizes and the actions of
+the non-identity morphisms: identities act by construction, and cells of
+one size share one value set and one identity map.
 Right liftings are computed as ends: sets of naturally varying families
 of maps.  Those families, the morphisms between two modules and the
 isomorphisms between them all come from the one search for natural maps
@@ -147,26 +148,56 @@ class Profunctor(Record):
                         f"actions of {beta} and {alpha} do not commute")
 
 
+def _built(a_cat: FinCat, b_cat: FinCat, sizes, left, right) -> Profunctor:
+    """The module A -> B with ``sizes[b][a]`` elements at (b, a), whose left
+    action along a non-identity beta has the tables ``left(beta)``, one
+    per object of A, and right action along a non-identity alpha the
+    tables ``right(alpha)``, one per object of B.  Every module the library
+    computes is built here.  Identities act by identity maps, by
+    construction, so ``left`` is never called when B is discrete, nor
+    ``right`` when A is; cells of one size share one value set and one
+    identity map."""
+    sets = {k: FinSetObj(k) for k in set().union(*sizes)}
+    ident = {k: identity(v) for k, v in sets.items()}
+    at = tuple(tuple(sets[k] for k in row) for row in sizes)
+    ids = tuple(tuple(ident[k] for k in row) for row in sizes)
+
+    def lact(beta):
+        b1, b2 = b_cat.src.table[beta], b_cat.tgt.table[beta]
+        if b_cat.ident.table[b1] == beta:
+            return ids[b1]
+        return tuple(FinSetMap._trusted(at[b2][a], at[b1][a], table)
+                     for a, table in enumerate(left(beta)))
+
+    def ract(alpha):
+        a1, a2 = a_cat.src.table[alpha], a_cat.tgt.table[alpha]
+        if a_cat.ident.table[a1] == alpha:
+            return tuple(row[a1] for row in ids)
+        return tuple(FinSetMap._trusted(at[b][a1], at[b][a2], table)
+                     for b, table in enumerate(right(alpha)))
+
+    return Profunctor._trusted(a_cat, b_cat, at, tuple(map(lact, b_cat.mors)),
+                               tuple(map(ract, a_cat.mors)))
+
+
 def prof_from_presheaf(a: FinCat, b: FinCat, psh: Presheaf) -> Profunctor:
-    """Unpack a presheaf on B x A^op into a profunctor A -> B."""
+    """Unpack a presheaf on B x A^op into a profunctor A -> B, whose laws
+    are the presheaf's."""
     na, nma = a.objects.size, a.morphisms.size
     require(psh.base == product_cat(b, opposite_cat(a)), "prof-from-presheaf",
             "presheaf must live on the product with the opposite")
-    at = tuple(tuple(psh.at[bo * na + ao] for ao in a.objs) for bo in b.objs)
-    lact = tuple(tuple(psh.act[beta * nma + a.ident(ao)] for ao in a.objs)
-                 for beta in b.mors)
-    ract = tuple(tuple(psh.act[b.ident(bo) * nma + alpha] for bo in b.objs)
-                 for alpha in a.mors)
-    return Profunctor(a, b, at, lact, ract)
+    act = psh.act
+    return _built(
+        a, b, [[psh.at[bo * na + ao].size for ao in a.objs] for bo in b.objs],
+        lambda beta: (act[beta * nma + a.ident(ao)].table for ao in a.objs),
+        lambda alpha: (act[b.ident(bo) * nma + alpha].table
+                       for bo in b.objs))
 
 
 def presheaf_as_module(p: Presheaf) -> Profunctor:
     """A presheaf on C viewed as a module from the terminal category."""
-    one = terminal_cat()
-    at = tuple((p.at[c],) for c in p.base.objs)
-    lact = tuple((p.act[gamma],) for gamma in p.base.mors)
-    ract = (tuple(identity(p.at[c]) for c in p.base.objs),)
-    return Profunctor._trusted(one, p.base, at, lact, ract)
+    return _built(terminal_cat(), p.base, [[v.size] for v in p.at],
+                  lambda gamma: (p.act[gamma].table,), None)
 
 
 def module_as_presheaf(m: Profunctor) -> Presheaf:
@@ -180,50 +211,38 @@ def graph_module(f: Functor) -> Profunctor:
     """The covariant embedding of a functor: value at (b, a) is the
     hom-set from b to the image of a."""
     a_cat, b_cat = f.dom, f.cod
-    at = tuple(tuple(FinSetObj(len(b_cat.hom(b, f.omap[a]))) for a in a_cat.objs)
-               for b in b_cat.objs)
-    lact = []
-    for beta in b_cat.mors:
-        b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
-        lact.append(tuple(
-            FinSetMap(at[b2][a], at[b1][a],
-                      tuple(b_cat.hom_position(b_cat.comp[g][beta])
-                            for g in b_cat.hom(b2, f.omap[a])))
-            for a in a_cat.objs))
-    ract = []
-    for alpha in a_cat.mors:
-        a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
-        ract.append(tuple(
-            FinSetMap(at[b][a1], at[b][a2],
-                      tuple(b_cat.hom_position(b_cat.comp[f.mmap[alpha]][g])
-                            for g in b_cat.hom(b, f.omap[a1])))
-            for b in b_cat.objs))
-    return Profunctor(a_cat, b_cat, at, tuple(lact), tuple(ract))
+    hom, pos, comp = b_cat.hom, b_cat.hom_position, b_cat.comp
+
+    def left(beta):  # precompose with beta
+        b2 = b_cat.tgt(beta)
+        return (tuple(pos(comp[g][beta]) for g in hom(b2, fa))
+                for fa in f.omap)
+
+    def right(alpha):  # postcompose with the image of alpha
+        fa1, after = f.omap[a_cat.src(alpha)], comp[f.mmap[alpha]]
+        return (tuple(pos(after[g]) for g in hom(b, fa1)) for b in b_cat.objs)
+
+    return _built(a_cat, b_cat, [[len(hom(b, fa)) for fa in f.omap]
+                                 for b in b_cat.objs], left, right)
 
 
 def cograph_module(f: Functor) -> Profunctor:
     """The contravariant embedding: a module from the codomain back to the
     domain, valued in hom-sets out of the image."""
     a_cat, b_cat = f.dom, f.cod
-    at = tuple(tuple(FinSetObj(len(b_cat.hom(f.omap[a], b))) for b in b_cat.objs)
-               for a in a_cat.objs)
-    lact = []
-    for alpha in a_cat.mors:
-        a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
-        lact.append(tuple(
-            FinSetMap(at[a2][b], at[a1][b],
-                      tuple(b_cat.hom_position(b_cat.comp[g][f.mmap[alpha]])
-                            for g in b_cat.hom(f.omap[a2], b)))
-            for b in b_cat.objs))
-    ract = []
-    for beta in b_cat.mors:
-        b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
-        ract.append(tuple(
-            FinSetMap(at[a][b1], at[a][b2],
-                      tuple(b_cat.hom_position(b_cat.comp[beta][g])
-                            for g in b_cat.hom(f.omap[a], b1)))
-            for a in a_cat.objs))
-    return Profunctor(b_cat, a_cat, at, tuple(lact), tuple(ract))
+    hom, pos, comp = b_cat.hom, b_cat.hom_position, b_cat.comp
+
+    def left(alpha):  # precompose with the image of alpha
+        fa2, falpha = f.omap[a_cat.tgt(alpha)], f.mmap[alpha]
+        return (tuple(pos(comp[g][falpha]) for g in hom(fa2, b))
+                for b in b_cat.objs)
+
+    def right(beta):  # postcompose with beta
+        b1, after = b_cat.src(beta), comp[beta]
+        return (tuple(pos(after[g]) for g in hom(fa, b1)) for fa in f.omap)
+
+    return _built(b_cat, a_cat, [[len(hom(fa, b)) for b in b_cat.objs]
+                                 for fa in f.omap], left, right)
 
 
 def identity_module(c: FinCat) -> Profunctor:
@@ -293,37 +312,8 @@ def prof_invert(c: ProfMorphism) -> ProfMorphism:
         tuple(f.inverse() for f in row) for row in c.h))
 
 
-def _built(a_cat: FinCat, b_cat: FinCat, sizes, left, right) -> Profunctor:
-    """The module A -> B with ``sizes[b][a]`` elements at (b, a), whose left
-    action along a non-identity beta has the tables ``left(beta)``, one
-    per object of A, and right action along a non-identity alpha the
-    tables ``right(alpha)``, one per object of B.  Identities act by
-    identity maps, by construction; cells of one size share one value set
-    and one identity map."""
-    sets = {k: FinSetObj(k) for k in set().union(*sizes)}
-    ident = {k: identity(v) for k, v in sets.items()}
-    at = tuple(tuple(sets[k] for k in row) for row in sizes)
-
-    def lact(beta):
-        b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
-        if b_cat.ident(b1) == beta:
-            return tuple(ident[k] for k in sizes[b1])
-        return tuple(FinSetMap._trusted(at[b2][a], at[b1][a], table)
-                     for a, table in enumerate(left(beta)))
-
-    def ract(alpha):
-        a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
-        if a_cat.ident(a1) == alpha:
-            return tuple(ident[row[a1]] for row in sizes)
-        return tuple(FinSetMap._trusted(at[b][a1], at[b][a2], table)
-                     for b, table in enumerate(right(alpha)))
-
-    return Profunctor._trusted(a_cat, b_cat, at, tuple(map(lact, b_cat.mors)),
-                               tuple(map(ract, a_cat.mors)))
-
-
 def _coend(n: Profunctor, m: Profunctor):
-    """The coend composite of n after m, with its classes: ``cells[(c, a)]``
+    """The coend composite of n after m, with its classes: ``cells[c][a]``
     lists the classes of triples (middle object b, element of m(b, a),
     element of n(c, b)), members sorted and classes ordered by their
     smallest member, and ``index(c, a, b, x, y)`` is the position of the
@@ -390,7 +380,6 @@ def _coend(n: Profunctor, m: Profunctor):
                         else:
                             classes[position[find(t)]].append((b, x, y))
                         t += 1
-    cells = {(c, a): grid[c][a] for c in c_cat.objs for a in a_cat.objs}
 
     def index(c, a, b, x, y):
         return position[find(first[b] + (rows[b][a] + x) * width[b]
@@ -409,7 +398,23 @@ def _coend(n: Profunctor, m: Profunctor):
                 for c in c_cat.objs)
 
     sizes = [list(map(len, row)) for row in grid]
-    return _built(a_cat, c_cat, sizes, left, right), cells, index
+    return _built(a_cat, c_cat, sizes, left, right), grid, index
+
+
+def _coend_map(n: Profunctor, m: Profunctor, target: Profunctor,
+               value) -> ProfMorphism:
+    """The morphism from the coend composite of n after m to ``target``
+    that sends each class of the cell (c, a) to ``value(c, a, b, x, y)``
+    of its first member (b, x, y).  Every morphism the library computes
+    out of a coend is built here; its callers' values are independent of
+    the member read and natural, by construction, and each component's
+    range is checked."""
+    source, cells, _ = _coend(n, m)
+    return ProfMorphism._trusted(source, target, tuple(
+        tuple(FinSetMap(source.at[c][a], target.at[c][a], tuple(
+            value(c, a, *cls[0]) for cls in classes))
+            for a, classes in enumerate(row))
+        for c, row in enumerate(cells)))
 
 
 def prof_compose(n: Profunctor, m: Profunctor) -> Profunctor:
@@ -425,15 +430,9 @@ def prof_whisker_left(n: Profunctor, cell: ProfMorphism) -> ProfMorphism:
     v, v2 = cell.source, cell.target
     require(v.tgt == n.src, "profmor-whisker",
             "whiskering requires composable boundaries")
-    left, cells, _ = _coend(n, v)
     right, _, index2 = _coend(n, v2)
-    h = tuple(
-        tuple(FinSetMap(left.at[c][a], right.at[c][a], tuple(
-            index2(c, a, b, cell.h[b][a](x), y)
-            for b, x, y in (cls[0] for cls in cells[(c, a)])))
-            for a in v.src.objs)
-        for c in n.tgt.objs)
-    return ProfMorphism(left, right, h)
+    return _coend_map(n, v, right, lambda c, a, b, x, y: index2(
+        c, a, b, cell.h[b][a].table[x], y))
 
 
 def _prof_maps(m: Profunctor, n: Profunctor, bijective: bool):
@@ -452,8 +451,9 @@ def _prof_maps(m: Profunctor, n: Profunctor, bijective: bool):
     for tables in _natural_maps(
             [v.size for row in m.at for v in row],
             [v.size for row in n.at for v in row], squares, bijective):
-        yield ProfMorphism(m, n, tuple(
-            tuple(FinSetMap(m.at[b][a], n.at[b][a], tables[b * na + a])
+        yield ProfMorphism._trusted(m, n, tuple(
+            tuple(FinSetMap._trusted(m.at[b][a], n.at[b][a],
+                                     tables[b * na + a])
                   for a in a_cat.objs)
             for b in b_cat.objs))
 
@@ -531,18 +531,13 @@ def rif_mod(n: Profunctor, u: Profunctor) -> Profunctor:
 def rif_mod_counit(n: Profunctor, u: Profunctor,
                    data: RifModData | None = None) -> ProfMorphism:
     """Evaluation morphism from the composite of the lifter with the
-    lifting down to the target."""
+    lifting down to the target; ``data``, when given, must be
+    ``rif_mod_data(n, u)``."""
     if data is None:
         data = rif_mod_data(n, u)
-    comp, cells, _ = _coend(n, data.prof)
     fams = data.families
-    h = tuple(
-        tuple(FinSetMap(comp.at[y][k], u.at[y][k], tuple(
-            fams[s][k][x][y][t]
-            for s, x, t in (cls[0] for cls in cells[(y, k)])))
-            for k in u.src.objs)
-        for y in u.tgt.objs)
-    return ProfMorphism(comp, u, h)
+    return _coend_map(n, data.prof, u,
+                      lambda y, k, s, x, t: fams[s][k][x][y][t])
 
 
 class ModTabulation(Record):
@@ -587,18 +582,16 @@ def identity_polymod(x: FinCat) -> ModPolynomial:
 
 
 def _fiber_cells(p: Functor, v: Profunctor):
-    """The elements of the fiberwise sum: ``cells[(y, k)]`` lists the pairs
+    """The elements of the fiberwise sum: ``cells[y][k]`` lists the pairs
     (s, i) with s over y in object order and i in v(s, k); the pair sits at
     position ``start[s][k] + i`` of its cell."""
-    cells = {}
+    cells = [[[] for _ in v.src.objs] for _ in p.cod.objs]
     start = [[0] * v.src.objects.size for _ in p.dom.objs]
-    for y in p.cod.objs:
-        for k in v.src.objs:
-            cell = []
+    for y, row in enumerate(cells):
+        for k, cell in enumerate(row):
             for s in p.over.fiber(y):
                 start[s][k] = len(cell)
                 cell.extend((s, i) for i in v.at[s][k].elements)
-            cells[(y, k)] = cell
     return cells, start
 
 
@@ -619,15 +612,15 @@ def fiberwise_module(p: Functor, v: Profunctor) -> Profunctor:
 
     def left(psi):
         y2 = y_cat.tgt(psi)
-        return (tuple(moved(psi, k, s2, i) for s2, i in cells[(y2, k)])
+        return (tuple(moved(psi, k, s2, i) for s2, i in cells[y2][k])
                 for k in k_cat.objs)
 
     def right(kappa):
         k1, k2, r = k_cat.src(kappa), k_cat.tgt(kappa), v.ract[kappa]
-        return (tuple(start[s][k2] + r[s].table[i] for s, i in cells[(y, k1)])
-                for y in y_cat.objs)
+        return (tuple(start[s][k2] + r[s].table[i] for s, i in row[k1])
+                for row in cells)
 
-    sizes = [[len(cells[(y, k)]) for k in k_cat.objs] for y in y_cat.objs]
+    sizes = [list(map(len, row)) for row in cells]
     return _built(k_cat, y_cat, sizes, left, right)
 
 
@@ -641,20 +634,14 @@ class DfibCollapse(Record):
 
 def dfib_collapse(p: Functor, v: Profunctor) -> DfibCollapse:
     fw = fiberwise_module(p, v)
-    composite, cells, _ = _coend(graph_module(p), v)
     s_cat, y_cat = p.dom, p.cod
     _, start = _fiber_cells(p, v)
 
-    def collapse(y, k, s, x, gpos):
+    def collapse(y, k, s, x, gpos):  # along the lift of the gpos-th y -> p(s)
         sigma = p.lifts(s, y_cat.hom(y, p.omap[s])[gpos])[0]
-        return start[s_cat.src(sigma)][k] + v.lact[sigma][k](x)
+        return start[s_cat.src(sigma)][k] + v.lact[sigma][k].table[x]
 
-    h = tuple(
-        tuple(FinSetMap(composite.at[y][k], fw.at[y][k], tuple(
-            collapse(y, k, *cls[0]) for cls in cells[(y, k)]))
-            for k in v.src.objs)
-        for y in y_cat.objs)
-    return DfibCollapse(fw, ProfMorphism(composite, fw, h))
+    return DfibCollapse(fw, _coend_map(graph_module(p), v, fw, collapse))
 
 
 class PolymodParts(Record):

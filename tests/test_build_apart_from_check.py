@@ -10,17 +10,28 @@ import random
 import pytest
 
 from polyspan import checks, modpoly, polyset, spans
-from polyspan.fincat import FinCat, Functor, Presheaf
+from polyspan.fincat import (
+    FinCat,
+    Functor,
+    Presheaf,
+    identity_functor,
+    opposite_cat,
+    product_cat,
+    representable,
+)
 from polyspan.finset import FinSetMap, FinSetObj, compose
 from polyspan.gen import (
     rand_composable_modpolys,
+    rand_dfib,
     rand_fincat,
+    rand_functor,
     rand_map,
     rand_poly,
     rand_presheaf,
+    rand_profunctor,
     rand_span,
 )
-from polyspan.modpoly import ModPolynomial, Profunctor
+from polyspan.modpoly import ModPolynomial, ProfMorphism, Profunctor
 from polyspan.spans import Bipullback, PBAround
 
 
@@ -176,3 +187,55 @@ def test_span_cells_check_nothing_they_build(monkeypatch):
     for cell in built:
         for value in (cell.h, cell.source, cell.target, cell):
             value.__post_init__()
+
+
+@pytest.mark.unchecked_trust
+def test_module_builders_and_maps_check_nothing(monkeypatch):
+    """Every module the library computes is built by ``modpoly._built``,
+    every morphism out of a coend by ``modpoly._coend_map``, and the
+    search for natural maps builds its own results: with the module and
+    morphism checks raising, the
+    graph, cograph, identity, presheaf and discrete modules, the
+    isomorphism search, whiskering, the counit of a right lifting and the
+    collapse onto a fiberwise sum still succeed, and what they built holds
+    the checks afterwards."""
+    rng = random.Random(56)
+    cases = []
+    while len(cases) < 6:
+        a, b = rand_fincat(rng), rand_fincat(rng)
+        f = rand_functor(rng, a, b)
+        if f is None or not b.non_identities:
+            continue
+        cases.append((
+            f, rand_presheaf(rng, product_cat(b, opposite_cat(a))),
+            representable(b, b.tgt(b.non_identities[0])),
+            rand_poly(rng, FinSetObj(3), FinSetObj(2)),
+            rand_profunctor(rng, b, a, max_cell=2), rand_dfib(rng, a)))
+
+    modules, maps = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(Profunctor, "__post_init__", forbidden)
+        patch.setattr(Profunctor, "_check_laws", forbidden)
+        patch.setattr(ProfMorphism, "__post_init__", forbidden)
+        for f, psh, u, poly, n, p in cases:
+            a, b = f.dom, f.cod
+            v = modpoly.presheaf_as_module(u)
+            w = modpoly.graph_module(identity_functor(p.dom))
+            modules += [modpoly.graph_module(f), modpoly.cograph_module(f),
+                        modpoly.identity_module(a), v,
+                        modpoly.prof_from_presheaf(a, b, psh),
+                        checks.embed_poly(poly).m]
+            iso = modpoly.prof_iso(v, v)
+            maps += [iso, modpoly.prof_whisker_left(n, iso),
+                     modpoly.rif_mod_counit(n, modpoly.cograph_module(f)),
+                     modpoly.dfib_collapse(p, w).compare]
+
+    assert any(mo.source.tgt.non_identities and
+               any(v.size for row in mo.source.at for v in row)
+               for mo in maps)
+    for m in modules:
+        m.__post_init__()
+    for mo in maps:
+        mo.source.__post_init__()
+        mo.target.__post_init__()
+        mo.__post_init__()

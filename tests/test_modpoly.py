@@ -278,7 +278,7 @@ class TestProfCompose:
         comp, cells, _ = _coend(n, m)
         assert comp == prof_compose(n, m)
         assert comp.at[0][0].size == 1
-        assert cells[(0, 0)] == [[(0, 0, 0), (1, 0, 0)]]
+        assert cells[0][0] == [[(0, 0, 0), (1, 0, 0)]]
 
     def test_unit_laws(self):
         rng = random.Random(42)
@@ -536,7 +536,7 @@ class TestCoendAgainstReference:
             for c in n.tgt.objs:
                 for a in m.src.objs:
                     classes, ref_index = _coend_cell(n, m, c, a)
-                    assert cells[(c, a)] == classes
+                    assert cells[c][a] == classes
                     assert {t: index(c, a, *t) for t in ref_index} == \
                         ref_index
                     if not classes:
@@ -545,7 +545,7 @@ class TestCoendAgainstReference:
             assert prof_compose(n, m) == comp
             kinds.add("non-discrete middle" if m.tgt.non_identities
                       else "discrete middle")
-            if any(len(cls) > 1 for classes in cells.values()
+            if any(len(cls) > 1 for row in cells for classes in row
                    for cls in classes):
                 kinds.add("merged class")
         assert kinds == {"empty cell", "non-discrete middle",
@@ -562,8 +562,9 @@ class TestCoendAgainstReference:
             if morphism_space(v, v2) > 5000:
                 continue
             for cell in itertools.islice(enumerate_prof_morphisms(v, v2), 4):
-                assert prof_whisker_left(n, cell) == \
-                    reference_whisker_left(n, cell)
+                whiskered = prof_whisker_left(n, cell)
+                assert whiskered == reference_whisker_left(n, cell)
+                assert whiskered == checked_whisker_left(n, cell)
                 moved += not cell.is_invertible
             done += 1
         assert moved
@@ -583,7 +584,9 @@ class TestCoendAgainstReference:
             data = rif_mod_data(n, u)
             if max_cell(data.prof) > 4:
                 continue
-            assert rif_mod_counit(n, u, data) == reference_counit(n, u, data)
+            counit = rif_mod_counit(n, u, data)
+            assert counit == reference_counit(n, u, data)
+            assert counit == checked_counit(n, u, data)
             done += 1
 
     @pytest.mark.parametrize("seed", range(3))
@@ -597,6 +600,7 @@ class TestCoendAgainstReference:
             dc = dfib_collapse(p, v)
             assert dc.fiberwise == fiberwise_module(p, v)
             assert dc.compare == reference_collapse(p, v)
+            assert dc.compare == checked_collapse(p, v)
             assert dc.compare.is_invertible
 
 
@@ -1162,7 +1166,7 @@ def reference_fiberwise_module(p, v):
     """The fiberwise sum with every element moved along every morphism."""
     s_cat, y_cat, k_cat = p.dom, p.cod, v.src
     cells, start = _fiber_cells(p, v)
-    at = tuple(tuple(FinSetObj(len(cells[(y, k)])) for k in k_cat.objs)
+    at = tuple(tuple(FinSetObj(len(cells[y][k])) for k in k_cat.objs)
                for y in y_cat.objs)
 
     def lifted(psi, k, s2, i):
@@ -1171,12 +1175,12 @@ def reference_fiberwise_module(p, v):
 
     lact = tuple(tuple(
         FinSetMap(at[y_cat.tgt(psi)][k], at[y_cat.src(psi)][k], tuple(
-            lifted(psi, k, s2, i) for s2, i in cells[(y_cat.tgt(psi), k)]))
+            lifted(psi, k, s2, i) for s2, i in cells[y_cat.tgt(psi)][k]))
         for k in k_cat.objs) for psi in y_cat.mors)
     ract = tuple(tuple(
         FinSetMap(at[y][k_cat.src(kappa)], at[y][k_cat.tgt(kappa)], tuple(
             start[s][k_cat.tgt(kappa)] + v.ract[kappa][s](i)
-            for s, i in cells[(y, k_cat.src(kappa))]))
+            for s, i in cells[y][k_cat.src(kappa)]))
         for y in y_cat.objs) for kappa in k_cat.mors)
     return Profunctor(k_cat, y_cat, at, lact, ract)
 
@@ -1244,7 +1248,8 @@ class TestBuildersAgainstReference:
     def assert_same_coend(self, n, m):
         comp, cells, index = _coend(n, m)
         ref, ref_cells, ref_index = reference_coend(n, m)
-        assert cells == ref_cells
+        assert {(c, a): classes for c, row in enumerate(cells)
+                for a, classes in enumerate(row)} == ref_cells
         for (c, a), to in ref_index.items():
             assert {t: index(c, a, *t) for t in to} == to
         assert comp == ref
@@ -1291,6 +1296,185 @@ class TestBuildersAgainstReference:
             p = rand_dfib(rng, y)
             v = small_profunctor(rng, k, p.dom)
             assert fiberwise_module(p, v) == reference_fiberwise_module(p, v)
+
+
+# The module builders as they were before every computed module went
+# through ``modpoly._built``, kept as a differential oracle: the value,
+# left and right action grids filled by hand, identity maps included,
+# under checked construction.  ``discrete_prof`` above is the same
+# reference for ``checks._discrete_prof``.
+
+def reference_graph_module(f):
+    a_cat, b_cat = f.dom, f.cod
+    at = tuple(tuple(FinSetObj(len(b_cat.hom(b, f.omap[a])))
+                     for a in a_cat.objs) for b in b_cat.objs)
+    lact = []
+    for beta in b_cat.mors:
+        b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
+        lact.append(tuple(
+            FinSetMap(at[b2][a], at[b1][a],
+                      tuple(b_cat.hom_position(b_cat.comp[g][beta])
+                            for g in b_cat.hom(b2, f.omap[a])))
+            for a in a_cat.objs))
+    ract = []
+    for alpha in a_cat.mors:
+        a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
+        ract.append(tuple(
+            FinSetMap(at[b][a1], at[b][a2],
+                      tuple(b_cat.hom_position(b_cat.comp[f.mmap[alpha]][g])
+                            for g in b_cat.hom(b, f.omap[a1])))
+            for b in b_cat.objs))
+    return Profunctor(a_cat, b_cat, at, tuple(lact), tuple(ract))
+
+
+def reference_cograph_module(f):
+    a_cat, b_cat = f.dom, f.cod
+    at = tuple(tuple(FinSetObj(len(b_cat.hom(f.omap[a], b)))
+                     for b in b_cat.objs) for a in a_cat.objs)
+    lact = []
+    for alpha in a_cat.mors:
+        a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
+        lact.append(tuple(
+            FinSetMap(at[a2][b], at[a1][b],
+                      tuple(b_cat.hom_position(b_cat.comp[g][f.mmap[alpha]])
+                            for g in b_cat.hom(f.omap[a2], b)))
+            for b in b_cat.objs))
+    ract = []
+    for beta in b_cat.mors:
+        b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
+        ract.append(tuple(
+            FinSetMap(at[a][b1], at[a][b2],
+                      tuple(b_cat.hom_position(b_cat.comp[beta][g])
+                            for g in b_cat.hom(f.omap[a], b1)))
+            for a in a_cat.objs))
+    return Profunctor(b_cat, a_cat, at, tuple(lact), tuple(ract))
+
+
+def reference_prof_from_presheaf(a, b, psh):
+    na, nma = a.objects.size, a.morphisms.size
+    at = tuple(tuple(psh.at[bo * na + ao] for ao in a.objs) for bo in b.objs)
+    lact = tuple(tuple(psh.act[beta * nma + a.ident(ao)] for ao in a.objs)
+                 for beta in b.mors)
+    ract = tuple(tuple(psh.act[b.ident(bo) * nma + alpha] for bo in b.objs)
+                 for alpha in a.mors)
+    return Profunctor(a, b, at, lact, ract)
+
+
+def reference_presheaf_as_module(p):
+    at = tuple((p.at[c],) for c in p.base.objs)
+    lact = tuple((p.act[gamma],) for gamma in p.base.mors)
+    ract = (tuple(identity(p.at[c]) for c in p.base.objs),)
+    return Profunctor(terminal_cat(), p.base, at, lact, ract)
+
+
+# The maps out of a coend as they were before ``modpoly._coend_map``: each
+# one read its coend's classes by hand and checked the morphism it built.
+
+def checked_whisker_left(n, cell):
+    v, v2 = cell.source, cell.target
+    left, cells, _ = _coend(n, v)
+    right, _, index2 = _coend(n, v2)
+    return ProfMorphism(left, right, tuple(
+        tuple(FinSetMap(left.at[c][a], right.at[c][a], tuple(
+            index2(c, a, b, cell.h[b][a](x), y)
+            for b, x, y in (cls[0] for cls in cells[c][a])))
+            for a in v.src.objs)
+        for c in n.tgt.objs))
+
+
+def checked_counit(n, u, data):
+    comp, cells, _ = _coend(n, data.prof)
+    fams = data.families
+    return ProfMorphism(comp, u, tuple(
+        tuple(FinSetMap(comp.at[y][k], u.at[y][k], tuple(
+            fams[s][k][x][y][t]
+            for s, x, t in (cls[0] for cls in cells[y][k])))
+            for k in u.src.objs)
+        for y in u.tgt.objs))
+
+
+def checked_collapse(p, v):
+    fw = fiberwise_module(p, v)
+    composite, cells, _ = _coend(graph_module(p), v)
+    _, start = _fiber_cells(p, v)
+
+    def collapse(y, k, s, x, gpos):
+        sigma = p.lifts(s, p.cod.hom(y, p.omap[s])[gpos])[0]
+        return start[p.dom.src(sigma)][k] + v.lact[sigma][k](x)
+
+    return ProfMorphism(composite, fw, tuple(
+        tuple(FinSetMap(composite.at[y][k], fw.at[y][k], tuple(
+            collapse(y, k, *cls[0]) for cls in cells[y][k]))
+            for k in v.src.objs)
+        for y in p.cod.objs))
+
+
+class TestModuleBuildersAgainstReference:
+    """Every computed module goes through ``_built``: the graph, cograph,
+    presheaf and discrete modules against the hand-filled, checked
+    builders they replaced, on seeded draws."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_graph_and_cograph_modules(self, seed):
+        rng = random.Random(1400 + seed)
+        done, kinds = 0, set()
+        while done < 25:
+            a, b = rand_fincat(rng), rand_fincat(rng)
+            f = rand_functor(rng, a, b)
+            if f is None:
+                continue
+            assert graph_module(f) == reference_graph_module(f)
+            assert cograph_module(f) == reference_cograph_module(f)
+            assert identity_module(b) == \
+                reference_graph_module(identity_functor(b))
+            kinds.add("non-discrete" if a.non_identities or b.non_identities
+                      else "discrete")
+            done += 1
+        assert kinds == {"discrete", "non-discrete"}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_presheaf_modules(self, seed):
+        rng = random.Random(1410 + seed)
+        for _ in range(15):
+            a, b = rand_fincat(rng), rand_fincat(rng)
+            psh = rand_presheaf(rng, product_cat(b, opposite_cat(a)))
+            assert prof_from_presheaf(a, b, psh) == \
+                reference_prof_from_presheaf(a, b, psh)
+            p = rand_presheaf(rng, b)
+            assert presheaf_as_module(p) == reference_presheaf_as_module(p)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rand_profunctor_draws(self, seed, monkeypatch):
+        """The same seeded draws, with the generator's unpacking of its
+        presheaf swapped for the reference."""
+        rng = random.Random(1420 + seed)
+        cases = [(rand_fincat(rng), rand_fincat(rng), rng.random())
+                 for _ in range(15)]
+        built = [rand_profunctor(random.Random(r), a, b)
+                 for a, b, r in cases]
+        unpacked = []
+
+        def reference(a, b, psh):
+            unpacked.append(psh)
+            return reference_prof_from_presheaf(a, b, psh)
+
+        monkeypatch.setattr(modpoly, "prof_from_presheaf", reference)
+        assert built == [rand_profunctor(random.Random(r), a, b)
+                         for a, b, r in cases]
+        assert len(unpacked) >= len(cases)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_discrete_modules(self, seed):
+        rng = random.Random(1430 + seed)
+        for _ in range(20):
+            x, y = FinSetObj(rng.randint(0, 4)), FinSetObj(rng.randint(0, 4))
+            p = rand_poly(rng, x, y)
+            assert checks.embed_poly(p) == embed_poly(p)
+            na, nb = rng.randint(0, 3), rng.randint(0, 3)
+            sizes = [[rng.randint(0, 2) for _ in range(na)]
+                     for _ in range(nb)]
+            assert checks._discrete_prof(na, nb, sizes) == \
+                discrete_prof(na, nb, sizes)
 
 
 def free_elements(sizes, squares):
@@ -1848,7 +2032,7 @@ class TestKleisliCorrespondence:
             cy_h = []
             for co in c.objs:
                 table = []
-                for cls in cells[(co, 0)]:
+                for cls in cells[co][0]:
                     bmid, gpos, xval = cls[0]
                     gamma = b.hom(bmid, b0)[gpos]
                     table.append(m.ract[gamma][co](xval))
