@@ -70,6 +70,7 @@ from .polyset import (
     extension_eval,
     extension_on_map,
     hK_span,
+    m_span,
 )
 from .record import Record
 from .relpoly import (
@@ -110,22 +111,12 @@ def _compact(kind: str, payload: object) -> str:
 
 # -- shared small constructions --------------------------------------------
 
-def _discrete_prof(na: int, nb: int, sizes) -> Profunctor:
-    """The module between discrete categories with ``sizes[b][a]``
-    elements at (b, a): only identities act."""
-    return _built(discrete_cat(na), discrete_cat(nb), sizes, None, None)
-
-
 def embed_poly(p: Polynomial) -> ModPolynomial:
     """A set-level polynomial as a polynomial over discrete categories."""
     x, s = discrete_cat(p.X.size), discrete_cat(p.S.size)
     y = discrete_cat(p.Y.size)
-    cells = [[0] * p.S.size for _ in range(p.X.size)]
-    for xo, so in zip(p.m1.table, p.m2.table):
-        cells[xo][so] += 1
-    m = _discrete_prof(p.S.size, p.X.size, cells)
     neat = Functor(s, y, tuple(p.p.table), tuple(p.p.table))
-    return ModPolynomial(x, y, s, m, neat)
+    return ModPolynomial(x, y, s, span_as_prof(m_span(p)), neat)
 
 
 def decode_poly(mp: ModPolynomial) -> Polynomial:
@@ -152,7 +143,8 @@ def span_as_prof(s: Span) -> Profunctor:
     sizes = [[0] * s.left_foot.size for _ in range(s.right_foot.size)]
     for ko, xo in zip(s.left_leg.table, s.right_leg.table):
         sizes[xo][ko] += 1
-    return _discrete_prof(s.left_foot.size, s.right_foot.size, sizes)
+    return _built(discrete_cat(s.left_foot.size),
+                  discrete_cat(s.right_foot.size), sizes, None, None)
 
 
 def composite_bijection(
@@ -480,10 +472,18 @@ def check_groupoid_criterion(seed: int,
 def witnessed_parts(q: ModPolynomial,
                     p: ModPolynomial) -> tuple[PolymodParts, list[str]]:
     """``polymod_parts(q, p)`` and which of the facts it holds by
-    construction fail: n fills the square (p.p)_*∘n ≅ q.m∘r_*, and the
-    tabulation's fibers are the lifted presheaf, table for table."""
+    construction fail: the lifting, the induced module n and the
+    composite's lifter are lawful modules, n fills the square
+    (p.p)_*∘n ≅ q.m∘r_*, and the tabulation's fibers are the lifted
+    presheaf, table for table."""
     parts = polymod_parts(q, p)
     wrong = []
+    for name, m in (("lifting", parts.rif.prof), ("induced module", parts.n),
+                    ("composite's lifter", parts.poly.m)):
+        try:  # _built builds each module unchecked
+            m.__post_init__()
+        except InvariantViolation as e:
+            wrong.append(f"the {name} is not a module: {e}")
     if prof_iso(prof_compose(graph_module(p.p), parts.n),
                 prof_compose(q.m, graph_module(parts.r))) is None:
         wrong.append("the induced module does not fill the square with "

@@ -2,19 +2,16 @@
 
 A profunctor from A to B assigns a finite set to every pair (object of B,
 object of A), with a contravariant B-action and a covariant A-action.
-Composition is computed as a coend over element ids: the elements of both
-modules are joined over each middle object, the triples are numbered in
-the order middle object, then element of the inner module, then element
-of the outer one, and one union-find over those ids quotients them by the
-zigzag relation, keeping the smallest id of each class as its root, so a
-single pass in id order lists the classes of every cell in order.  Every
-map out of a coend (the composite's actions, whiskering, the counit of a
-right lifting, the collapse onto a fiberwise sum) reads one representative
-per class, which is well defined for valid modules, and every morphism
-out of a coend is built by ``_coend_map``.  Every module the library
-computes is built by ``_built`` from its cell sizes and the actions of
-the non-identity morphisms: identities act by construction, and cells of
-one size share one value set and one identity map.
+Composition is a coend over element ids (``_coend``): one union-find
+quotients the triples joined over each middle object by the zigzag
+relation.  Every map out of a coend (the composite's actions, whiskering,
+the counit of a right lifting, the collapse onto a fiberwise sum) reads
+one representative per class, which is well defined for valid modules,
+and every morphism out of a coend is built by ``_coend_map``.  Every
+module the library computes is built by ``_built`` from its cell sizes
+and the actions of the non-identity morphisms: identities act by
+construction, and cells of one size share one unlabelled value set and
+one identity map.
 Right liftings are computed as ends: sets of naturally varying families
 of maps.  Those families, the morphisms between two modules and the
 isomorphisms between them all come from the one search for natural maps
@@ -25,8 +22,9 @@ lifted presheaf of fibers, whose witness is the identity because the
 fibers of the elements projection are the presheaf table for table, with
 the induced connecting module given by an explicit splitting-family
 formula.  Composition does not re-check what holds by construction: the
-module suites of ``checks`` verify the square that module fills with the
-graph modules, and the tabulation's fibers.
+module suites of ``checks`` verify the laws of the modules it builds, the
+square the connecting module fills with the graph modules, and the
+tabulation's fibers.
 """
 
 from __future__ import annotations
@@ -182,7 +180,7 @@ def _built(a_cat: FinCat, b_cat: FinCat, sizes, left, right) -> Profunctor:
 
 def prof_from_presheaf(a: FinCat, b: FinCat, psh: Presheaf) -> Profunctor:
     """Unpack a presheaf on B x A^op into a profunctor A -> B, whose laws
-    are the presheaf's."""
+    are the presheaf's; the labels of the presheaf's sets are not kept."""
     na, nma = a.objects.size, a.morphisms.size
     require(psh.base == product_cat(b, opposite_cat(a)), "prof-from-presheaf",
             "presheaf must live on the product with the opposite")
@@ -195,7 +193,9 @@ def prof_from_presheaf(a: FinCat, b: FinCat, psh: Presheaf) -> Profunctor:
 
 
 def presheaf_as_module(p: Presheaf) -> Profunctor:
-    """A presheaf on C viewed as a module from the terminal category."""
+    """A presheaf on C viewed as a module from the terminal category, with
+    unlabelled value sets of the presheaf's sizes: for a presheaf with
+    labelled sets, ``module_as_presheaf`` gives back its unlabelled copy."""
     return _built(terminal_cat(), p.base, [[v.size] for v in p.at],
                   lambda gamma: (p.act[gamma].table,), None)
 
@@ -406,12 +406,12 @@ def _coend_map(n: Profunctor, m: Profunctor, target: Profunctor,
     """The morphism from the coend composite of n after m to ``target``
     that sends each class of the cell (c, a) to ``value(c, a, b, x, y)``
     of its first member (b, x, y).  Every morphism the library computes
-    out of a coend is built here; its callers' values are independent of
-    the member read and natural, by construction, and each component's
-    range is checked."""
+    out of a coend is built here, unchecked: its callers' values lie in
+    ``target``, are independent of the member read and are natural, by
+    construction."""
     source, cells, _ = _coend(n, m)
     return ProfMorphism._trusted(source, target, tuple(
-        tuple(FinSetMap(source.at[c][a], target.at[c][a], tuple(
+        tuple(FinSetMap._trusted(source.at[c][a], target.at[c][a], tuple(
             value(c, a, *cls[0]) for cls in classes))
             for a, classes in enumerate(row))
         for c, row in enumerate(cells)))
@@ -531,13 +531,21 @@ def rif_mod(n: Profunctor, u: Profunctor) -> Profunctor:
 def rif_mod_counit(n: Profunctor, u: Profunctor,
                    data: RifModData | None = None) -> ProfMorphism:
     """Evaluation morphism from the composite of the lifter with the
-    lifting down to the target; ``data``, when given, must be
-    ``rif_mod_data(n, u)``."""
-    if data is None:
+    lifting down to the target.  ``data`` stands for ``rif_mod_data(n,
+    u)``; a caller's ``data`` is checked, so one from another target
+    raises ``map-range`` or ``profmor-natural``."""
+    given = data is not None
+    if not given:
         data = rif_mod_data(n, u)
     fams = data.families
-    return _coend_map(n, data.prof, u,
-                      lambda y, k, s, x, t: fams[s][k][x][y][t])
+    counit = _coend_map(n, data.prof, u,
+                        lambda y, k, s, x, t: fams[s][k][x][y][t])
+    if given:
+        for row in counit.h:
+            for f in row:
+                f.__post_init__()
+        counit.__post_init__()
+    return counit
 
 
 class ModTabulation(Record):
@@ -750,17 +758,16 @@ def decompose_cotensor_module(m: Profunctor,
     k_cat = m.src
 
     def end(i):
-        at = tuple(tuple(m.at[i * na + ao][k] for k in k_cat.objs)
-                   for ao in a.objs)
-        lact = tuple(tuple(m.lact[i * nma + alpha][k] for k in k_cat.objs)
-                     for alpha in a.mors)
-        ract = tuple(tuple(m.ract[kappa][i * na + ao] for ao in a.objs)
-                     for kappa in k_cat.mors)
-        return Profunctor(k_cat, a, at, lact, ract)
+        return _built(k_cat, a, [[v.size for v in m.at[i * na + ao]]
+                                 for ao in a.objs],
+                      lambda alpha: (f.table for f in m.lact[i * nma + alpha]),
+                      lambda kappa: (f.table for f in
+                                     m.ract[kappa][i * na:(i + 1) * na]))
 
     m0, m1 = end(0), end(1)
     theta = ProfMorphism(m0, m1, tuple(
-        tuple(m.lact[2 * nma + a.ident(ao)][k] for k in k_cat.objs)
+        tuple(FinSetMap._trusted(m0.at[ao][k], m1.at[ao][k], f.table)
+              for k, f in enumerate(m.lact[2 * nma + a.ident(ao)]))
         for ao in a.objs))
     return m0, m1, theta
 
@@ -773,23 +780,18 @@ def build_cotensor_module(m0: Profunctor, m1: Profunctor,
             "connecting morphism must run from the first end to the second")
     a, k_cat = m0.tgt, m0.src
     cot, _ = cotensor2_mod(a)
-    na, nma = a.objects.size, a.morphisms.size
-    ends = (m0, m1)
-    at = tuple(tuple(ends[o // na].at[o % na][k] for k in k_cat.objs)
-               for o in cot.objs)
-    lact = []
-    for mi in cot.mors:
-        j, alpha = mi // nma, mi % nma
+    nma = a.morphisms.size
+
+    def left(mi):  # the arrow's component is m1's action after theta
+        j, alpha = divmod(mi, nma)
         if j < 2:
-            lact.append(tuple(ends[j].lact[alpha][k] for k in k_cat.objs))
-        else:
-            ta = a.tgt(alpha)
-            lact.append(tuple(
-                compose(m1.lact[alpha][k], theta.h[ta][k])
-                for k in k_cat.objs))
-    ract = tuple(tuple(ends[o // na].ract[kappa][o % na] for o in cot.objs)
-                 for kappa in k_cat.mors)
-    return Profunctor(k_cat, cot, at, tuple(lact), ract)
+            return (f.table for f in (m0, m1)[j].lact[alpha])
+        return map(_after, m1.lact[alpha], theta.h[a.tgt(alpha)])
+
+    return _built(k_cat, cot, [[v.size for v in row] for m in (m0, m1)
+                               for row in m.at], left,
+                  lambda kappa: (f.table for m in (m0, m1)
+                                 for f in m.ract[kappa]))
 
 
 def psh_on_dfib(g: Functor, r: Functor) -> Functor:

@@ -37,7 +37,8 @@ def trusted_values_are_checked(request, monkeypatch):
 def witnessed_composites(monkeypatch):
     """Every composite of module polynomials built while the test runs
     must hold what its construction guarantees (``checks.witnessed_parts``:
-    the square with the graph modules and the tabulation's fibers).  The
+    the laws of its modules, the square with the graph modules and the
+    tabulation's fibers).  The
     test must build at least one; the list of their parts is yielded."""
     built = []
 

@@ -194,11 +194,11 @@ def test_module_builders_and_maps_check_nothing(monkeypatch):
     """Every module the library computes is built by ``modpoly._built``,
     every morphism out of a coend by ``modpoly._coend_map``, and the
     search for natural maps builds its own results: with the module and
-    morphism checks raising, the
-    graph, cograph, identity, presheaf and discrete modules, the
-    isomorphism search, whiskering, the counit of a right lifting and the
-    collapse onto a fiberwise sum still succeed, and what they built holds
-    the checks afterwards."""
+    morphism checks raising, the graph, cograph, identity, presheaf and
+    discrete modules, the isomorphism search, whiskering, the counit of a
+    right lifting and the collapse onto a fiberwise sum still succeed, and
+    what they built holds the checks afterwards.  The morphisms'
+    components are built unchecked too."""
     rng = random.Random(56)
     cases = []
     while len(cases) < 6:
@@ -225,10 +225,12 @@ def test_module_builders_and_maps_check_nothing(monkeypatch):
                         modpoly.identity_module(a), v,
                         modpoly.prof_from_presheaf(a, b, psh),
                         checks.embed_poly(poly).m]
-            iso = modpoly.prof_iso(v, v)
-            maps += [iso, modpoly.prof_whisker_left(n, iso),
-                     modpoly.rif_mod_counit(n, modpoly.cograph_module(f)),
-                     modpoly.dfib_collapse(p, w).compare]
+            with monkeypatch.context() as maps_too:  # and their components
+                maps_too.setattr(FinSetMap, "__post_init__", forbidden)
+                iso = modpoly.prof_iso(v, v)
+                maps += [iso, modpoly.prof_whisker_left(n, iso),
+                         modpoly.rif_mod_counit(n, modpoly.cograph_module(f)),
+                         modpoly.dfib_collapse(p, w).compare]
 
     assert any(mo.source.tgt.non_identities and
                any(v.size for row in mo.source.at for v in row)
@@ -236,6 +238,8 @@ def test_module_builders_and_maps_check_nothing(monkeypatch):
     for m in modules:
         m.__post_init__()
     for mo in maps:
+        for f in (f for row in mo.h for f in row):
+            f.__post_init__()
         mo.source.__post_init__()
         mo.target.__post_init__()
         mo.__post_init__()

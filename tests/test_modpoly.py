@@ -11,6 +11,7 @@ from polyspan.errors import InvariantViolation
 from polyspan.fincat import (
     FinCat,
     Functor,
+    Presheaf,
     comma,
     compose_functors,
     constant_functor,
@@ -41,6 +42,7 @@ from polyspan.gen import (
     rand_poly,
     rand_presheaf,
     rand_profunctor,
+    rand_span,
 )
 from polyspan.modpoly import (
     ModPolynomial,
@@ -1301,8 +1303,8 @@ class TestBuildersAgainstReference:
 # The module builders as they were before every computed module went
 # through ``modpoly._built``, kept as a differential oracle: the value,
 # left and right action grids filled by hand, identity maps included,
-# under checked construction.  ``discrete_prof`` above is the same
-# reference for ``checks._discrete_prof``.
+# under checked construction.  ``embed_poly`` and ``span_as_prof`` above
+# are the same references for ``checks``' discrete modules.
 
 def reference_graph_module(f):
     a_cat, b_cat = f.dom, f.cod
@@ -1443,6 +1445,19 @@ class TestModuleBuildersAgainstReference:
             p = rand_presheaf(rng, b)
             assert presheaf_as_module(p) == reference_presheaf_as_module(p)
 
+    def test_presheaf_labels_are_not_kept(self):
+        """Computed modules have unlabelled value sets: a presheaf with
+        labelled sets comes back from its module unlabelled."""
+        ab, two = FinSetObj(2, ("a", "b")), FinSetObj(2)
+        one = terminal_cat()
+        p = Presheaf(one, (ab,), (identity(ab),))
+        assert presheaf_as_module(p).at == ((two,),)
+        assert module_as_presheaf(presheaf_as_module(p)) == \
+            Presheaf(one, (two,), (identity(two),))
+        psh = Presheaf(product_cat(one, opposite_cat(one)), (ab,),
+                       (identity(ab),))
+        assert prof_from_presheaf(one, one, psh).at == ((two,),)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_rand_profunctor_draws(self, seed, monkeypatch):
         """The same seeded draws, with the generator's unpacking of its
@@ -1470,11 +1485,9 @@ class TestModuleBuildersAgainstReference:
             x, y = FinSetObj(rng.randint(0, 4)), FinSetObj(rng.randint(0, 4))
             p = rand_poly(rng, x, y)
             assert checks.embed_poly(p) == embed_poly(p)
-            na, nb = rng.randint(0, 3), rng.randint(0, 3)
-            sizes = [[rng.randint(0, 2) for _ in range(na)]
-                     for _ in range(nb)]
-            assert checks._discrete_prof(na, nb, sizes) == \
-                discrete_prof(na, nb, sizes)
+            s = rand_span(rng, FinSetObj(rng.randint(0, 3)),
+                          FinSetObj(rng.randint(0, 3)))
+            assert checks.span_as_prof(s) == span_as_prof(s)
 
 
 def free_elements(sizes, squares):
@@ -1609,6 +1622,29 @@ class TestRifMod:
         u = presheaf_as_module(representable(o2, 1))
         r = rif_mod(n, u)
         assert cell_sizes(r) == ((1,),)
+
+    @pytest.mark.unchecked_trust
+    def test_counit_checks_a_callers_data(self):
+        """``data`` from another target with the same boundaries is
+        checked: out of range it raises ``map-range``, in range but not
+        natural ``profmor-natural``; no non-natural counit is returned.
+        Unmarked, the test suite's re-check of ``_trusted`` would raise
+        those clauses whatever the counit checks itself."""
+        rng = random.Random(5)
+        clauses = []
+        for _ in range(60):
+            y, s = rand_fincat(rng, 2, 6), rand_fincat(rng, 2, 6)
+            k = rand_fincat(rng, 2, 4)
+            n = rand_profunctor(rng, s, y, parts_max=1, max_cell=2)
+            u, u2 = (rand_profunctor(rng, k, y, parts_max=1, max_cell=2)
+                     for _ in range(2))
+            try:
+                counit = rif_mod_counit(n, u, rif_mod_data(n, u2))
+            except InvariantViolation as e:
+                clauses.append(e.clause)
+                continue
+            counit.__post_init__()
+        assert set(clauses) == {"map-range", "profmor-natural"}
 
     def test_counit_and_transpose_bijection(self):
         """Morphisms v => rif(n, u) correspond to morphisms n∘v => u by
@@ -1762,6 +1798,38 @@ class TestComposePolymod:
             assert square[0].startswith("case 0: the induced module")
             assert "p={" in square[0] and "q={" in square[0]
 
+    @pytest.mark.unchecked_trust
+    def test_a_lawless_built_module_is_reported(self, monkeypatch):
+        """The module suites re-check the laws of the modules a composite
+        is built from: a composite lifter whose identity action swaps two
+        elements is reported as a failure of its case."""
+        real = checks.polymod_parts
+
+        def corrupted(q, p):
+            parts = real(q, p)
+            m = parts.poly.m
+            cells = [(b, a) for b in m.tgt.objs for a in m.src.objs
+                     if m.at[b][a].size > 1]
+            if not cells:
+                return parts
+            b, a = cells[0]
+            v = m.at[b][a]
+            swap = FinSetMap(v, v, (1, 0) + tuple(range(2, v.size)))
+            lact = list(map(list, m.lact))
+            lact[m.tgt.ident(b)][a] = swap
+            bad = Profunctor._trusted(m.src, m.tgt, m.at,
+                                      tuple(map(tuple, lact)), m.ract)
+            poly = ModPolynomial._trusted(parts.poly.X, parts.poly.Y,
+                                          parts.poly.S, bad, parts.poly.p)
+            return modpoly.PolymodParts(poly, parts.z, parts.rif, parts.tab,
+                                        parts.n, parts.r)
+
+        monkeypatch.setattr(checks, "polymod_parts", corrupted)
+        report = checks.run_suite("discrete-reduction", seed=0, count=10)
+        lawless = [f for f in report.failures if "lifter is not" in f]
+        assert lawless, report
+        assert "prof-ident" in lawless[0] and "p={" in lawless[0]
+
     @pytest.mark.usefixtures("witnessed_composites")
     @pytest.mark.parametrize("d,k", [(1200, 1), (40, 3)])
     def test_long_monomial_at_the_default_recursion_limit(self, d, k):
@@ -1880,6 +1948,48 @@ class TestHKMod:
                     assert out_mod.at[yo][ko].size == want
 
 
+def reference_decompose_cotensor(m, a):
+    """The hand-filled, checked decomposition the builder replaced."""
+    na, nma = a.objects.size, a.morphisms.size
+    k_cat = m.src
+
+    def end(i):
+        at = tuple(tuple(m.at[i * na + ao][k] for k in k_cat.objs)
+                   for ao in a.objs)
+        lact = tuple(tuple(m.lact[i * nma + alpha][k] for k in k_cat.objs)
+                     for alpha in a.mors)
+        ract = tuple(tuple(m.ract[kappa][i * na + ao] for ao in a.objs)
+                     for kappa in k_cat.mors)
+        return Profunctor(k_cat, a, at, lact, ract)
+
+    m0, m1 = end(0), end(1)
+    return m0, m1, ProfMorphism(m0, m1, tuple(
+        tuple(m.lact[2 * nma + a.ident(ao)][k] for k in k_cat.objs)
+        for ao in a.objs))
+
+
+def reference_build_cotensor(m0, m1, theta):
+    """The hand-filled, checked reassembly the builder replaced."""
+    a, k_cat = m0.tgt, m0.src
+    cot, _ = cotensor2_mod(a)
+    na, nma = a.objects.size, a.morphisms.size
+    ends = (m0, m1)
+    at = tuple(tuple(ends[o // na].at[o % na][k] for k in k_cat.objs)
+               for o in cot.objs)
+    lact = []
+    for mi in cot.mors:
+        j, alpha = mi // nma, mi % nma
+        if j < 2:
+            lact.append(tuple(ends[j].lact[alpha][k] for k in k_cat.objs))
+        else:
+            lact.append(tuple(compose(m1.lact[alpha][k],
+                                      theta.h[a.tgt(alpha)][k])
+                              for k in k_cat.objs))
+    ract = tuple(tuple(ends[o // na].ract[kappa][o % na] for o in cot.objs)
+                 for kappa in k_cat.mors)
+    return Profunctor(k_cat, cot, at, tuple(lact), ract)
+
+
 class TestCotensor:
     def test_terminal_base_gives_opposite_arrow(self):
         cot, c = cotensor2_mod(terminal_cat())
@@ -1905,7 +2015,9 @@ class TestCotensor:
             cot, _ = cotensor2_mod(a)
             m = small_profunctor(rng, k, cot)
             m0, m1, theta = decompose_cotensor_module(m, a)
+            assert (m0, m1, theta) == reference_decompose_cotensor(m, a)
             assert build_cotensor_module(m0, m1, theta) == m
+            assert reference_build_cotensor(m0, m1, theta) == m
             m0b, m1b, thetab = decompose_cotensor_module(
                 build_cotensor_module(m0, m1, theta), a)
             assert (m0b, m1b, thetab) == (m0, m1, theta)
