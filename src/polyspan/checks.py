@@ -115,7 +115,7 @@ def embed_poly(p: Polynomial) -> ModPolynomial:
     """A set-level polynomial as a polynomial over discrete categories."""
     x, s = discrete_cat(p.X.size), discrete_cat(p.S.size)
     y = discrete_cat(p.Y.size)
-    neat = Functor(s, y, tuple(p.p.table), tuple(p.p.table))
+    neat = Functor._trusted(s, y, tuple(p.p.table), tuple(p.p.table))
     return ModPolynomial(x, y, s, span_as_prof(m_span(p)), neat)
 
 

@@ -7,6 +7,8 @@ Conventions used throughout:
   - hom-sets are listed in increasing morphism-index order;
   - every constructed category documents its object and morphism order, so
     rebuilding from equal inputs gives equal tables;
+  - every category the library computes is built by ``_cat`` from its
+    composable pairs of non-identities;
   - hom-sets and lifts are fibers of cached maps with the fiber index of
     ``FinSetMap``: a category files each morphism under (src, tgt) and a
     functor files each morphism under (tgt, image), so ``hom``,
@@ -143,13 +145,30 @@ class FinCat(Record):
         return self.inverse_of(f) is not None
 
 
+def _cat(n: int, src, tgt, ident, composite) -> FinCat:
+    """The category on n objects whose morphism f runs from ``src[f]`` to
+    ``tgt[f]``, with identity ``ident[x]`` at x, where g after f is
+    ``composite(g, f)``.  Every category the library computes is built
+    here (``opposite_cat`` only transposes one), so this is the one writer
+    of a computed dense ``comp``.  ``composite`` is called only for the
+    composable pairs of non-identities, found through the fibers of src;
+    identities compose by construction, so ``composite`` is never called
+    when no two non-identities compose."""
+    o, m = FinSetObj(n), FinSetObj(len(src))
+    src_map = FinSetMap._trusted(m, o, tuple(src))
+    tgt_map = FinSetMap._trusted(m, o, tuple(tgt))
+    ident_map = FinSetMap._trusted(o, m, tuple(ident))
+    ids = set(ident_map.table)
+    rows = [[-1] * m.size for _ in src]
+    for f, y in enumerate(tgt_map.table):
+        for g in src_map.fiber(y):
+            rows[g][f] = g if f in ids else f if g in ids else composite(g, f)
+    return FinCat._trusted(o, m, src_map, tgt_map, ident_map,
+                           tuple(map(tuple, rows)))
+
+
 def discrete_cat(n: int) -> FinCat:
-    o = FinSetObj(n)
-    rows = [[-1] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = i
-    return FinCat._trusted(o, FinSetObj(n), identity(o), identity(o),
-                           identity(o), tuple(map(tuple, rows)))
+    return _cat(n, range(n), range(n), range(n), None)
 
 
 _TERMINAL = discrete_cat(1)
@@ -162,12 +181,7 @@ def terminal_cat() -> FinCat:
 
 def ordinal2() -> FinCat:
     """Two objects 0, 1 and a single non-identity arrow 2: 0 -> 1."""
-    o, m = FinSetObj(2), FinSetObj(3)
-    src = FinSetMap(m, o, (0, 1, 0))
-    tgt = FinSetMap(m, o, (0, 1, 1))
-    ident = FinSetMap(o, m, (0, 1))
-    comp = ((0, -1, -1), (-1, 1, 2), (2, -1, -1))
-    return FinCat(o, m, src, tgt, ident, comp)
+    return _cat(2, (0, 1, 0), (0, 1, 1), (0, 1), None)
 
 
 def monoid_cat(table: tuple[tuple[int, ...], ...], unit: int) -> FinCat:
@@ -186,18 +200,12 @@ def opposite_cat(c: FinCat) -> FinCat:
 def product_cat(a: FinCat, b: FinCat) -> FinCat:
     """Objects and morphisms are pairs, enumerated with the first factor major."""
     no, nm = b.objects.size, b.morphisms.size
-    o = FinSetObj(a.objects.size * no)
-    m = FinSetObj(a.morphisms.size * nm)
-    src = FinSetMap(m, o, tuple(a.src(f) * no + b.src(g)
-                                for f in a.mors for g in b.mors))
-    tgt = FinSetMap(m, o, tuple(a.tgt(f) * no + b.tgt(g)
-                                for f in a.mors for g in b.mors))
-    ident = FinSetMap(o, m, tuple(a.ident(x) * nm + b.ident(y)
-                                  for x in a.objs for y in b.objs))
-    comp = tuple(tuple(-1 if c1 < 0 or c2 < 0 else c1 * nm + c2
-                       for c1 in row_a for c2 in row_b)
-                 for row_a in a.comp for row_b in b.comp)
-    return FinCat._trusted(o, m, src, tgt, ident, comp)
+    ac, bc = a.comp, b.comp
+    return _cat(a.objects.size * no,
+                [a.src(f) * no + b.src(g) for f in a.mors for g in b.mors],
+                [a.tgt(f) * no + b.tgt(g) for f in a.mors for g in b.mors],
+                [a.ident(x) * nm + b.ident(y) for x in a.objs for y in b.objs],
+                lambda g, f: ac[g // nm][f // nm] * nm + bc[g % nm][f % nm])
 
 
 class Functor(Record):
@@ -261,7 +269,7 @@ class Functor(Record):
 
 
 def identity_functor(c: FinCat) -> Functor:
-    return Functor(c, c, tuple(c.objs), tuple(c.mors))
+    return Functor._trusted(c, c, tuple(c.objs), tuple(c.mors))
 
 
 def compose_functors(g: Functor, f: Functor) -> Functor:
@@ -272,8 +280,10 @@ def compose_functors(g: Functor, f: Functor) -> Functor:
 
 
 def constant_functor(dom: FinCat, cod: FinCat, x: int) -> Functor:
-    return Functor(dom, cod, (x,) * dom.objects.size,
-                   (cod.ident(x),) * dom.morphisms.size)
+    require(0 <= x < cod.objects.size, "functor-omap",
+            "object image out of range")
+    return Functor._trusted(dom, cod, (x,) * dom.objects.size,
+                            (cod.ident(x),) * dom.morphisms.size)
 
 
 def is_functor_iso(f: Functor) -> bool:
@@ -353,19 +363,19 @@ def _is_identity_table(table: tuple[int, ...]) -> bool:
 
 def representable(c: FinCat, b: int) -> Presheaf:
     """The presheaf x -> hom(x, b), acting by precomposition."""
+    require(0 <= b < c.objects.size, "representable-object",
+            f"{b} is not an object of the category")
     at = tuple(FinSetObj(len(c.hom(x, b))) for x in c.objs)
-    act = []
-    for m in c.mors:
-        x, y = c.src(m), c.tgt(m)
-        act.append(FinSetMap(at[y], at[x], tuple(
-            c.hom_position(c.comp[h][m]) for h in c.hom(y, b))))
-    return Presheaf(c, at, tuple(act))
+    return Presheaf._trusted(c, at, tuple(
+        FinSetMap._trusted(at[y], at[x], tuple(
+            c.hom_position(c.comp[h][m]) for h in c.hom(y, b)))
+        for m, x, y in zip(c.mors, c.src.table, c.tgt.table)))
 
 
 def constant_presheaf(c: FinCat, size: int) -> Presheaf:
     v = FinSetObj(size)
-    return Presheaf(c, (v,) * c.objects.size,
-                    (identity(v),) * c.morphisms.size)
+    return Presheaf._trusted(c, (v,) * c.objects.size,
+                             (identity(v),) * c.morphisms.size)
 
 
 class Comma(Record):
@@ -416,30 +426,24 @@ def comma(f: Functor, g: Functor, iso_only: bool = False) -> Comma:
                             == c_cat.comp[phi2][f.mmap[u]]):
                         morphisms.append((si, ti, u, v))
     mor_index = {m: i for i, m in enumerate(morphisms)}
-    o = FinSetObj(len(objects))
-    m = FinSetObj(len(morphisms))
-    src = FinSetMap(m, o, tuple(s for s, _, _, _ in morphisms))
-    tgt = FinSetMap(m, o, tuple(t for _, t, _, _ in morphisms))
-    ident = FinSetMap(o, m, tuple(
-        mor_index[(i, i, a_cat.ident(a), b_cat.ident(b))]
-        for i, (a, b, _) in enumerate(objects)))
-    comp_rows = []
-    for s2, t2, u2, v2 in morphisms:
-        row = []
-        for s1, t1, u1, v1 in morphisms:
-            if t1 != s2:
-                row.append(-1)
-            else:
-                row.append(mor_index[(s1, t2, a_cat.comp[u2][u1],
-                                      b_cat.comp[v2][v1])])
-        comp_rows.append(tuple(row))
-    cat = FinCat._trusted(o, m, src, tgt, ident, tuple(comp_rows))
-    proj1 = Functor(cat, a_cat, tuple(a for a, _, _ in objects),
-                    tuple(u for _, _, u, _ in morphisms))
-    proj2 = Functor(cat, b_cat, tuple(b for _, b, _ in objects),
-                    tuple(v for _, _, _, v in morphisms))
-    transform = NatTrans(compose_functors(f, proj1), compose_functors(g, proj2),
-                         tuple(phi for _, _, phi in objects))
+    a_comp, b_comp = a_cat.comp, b_cat.comp
+
+    def composite(g, f):
+        s1, _, u1, v1 = morphisms[f]
+        _, t2, u2, v2 = morphisms[g]
+        return mor_index[(s1, t2, a_comp[u2][u1], b_comp[v2][v1])]
+
+    cat = _cat(len(objects), [s for s, _, _, _ in morphisms],
+               [t for _, t, _, _ in morphisms],
+               [mor_index[(i, i, a_cat.ident(a), b_cat.ident(b))]
+                for i, (a, b, _) in enumerate(objects)], composite)
+    proj1 = Functor._trusted(cat, a_cat, tuple(a for a, _, _ in objects),
+                             tuple(u for _, _, u, _ in morphisms))
+    proj2 = Functor._trusted(cat, b_cat, tuple(b for _, b, _ in objects),
+                             tuple(v for _, _, _, v in morphisms))
+    transform = NatTrans._trusted(compose_functors(f, proj1),
+                                  compose_functors(g, proj2),
+                                  tuple(phi for _, _, phi in objects))
     return Comma(cat, proj1, proj2, transform,
                  tuple(objects), tuple(morphisms))
 
@@ -468,14 +472,14 @@ def is_cartesian(p: Functor, chi: int) -> bool:
         o_right = FinSetObj(len(right))
         o_bot1 = FinSetObj(len(bot1))
         o_bot0 = FinSetObj(len(bot0))
-        post = FinSetMap(o_bot1, o_bot0, tuple(
+        post = FinSetMap._trusted(o_bot1, o_bot0, tuple(
             b_cat.hom_position(b_cat.comp[p.mmap[chi]][gamma]) for gamma in bot1))
-        down = FinSetMap(o_right, o_bot0, tuple(
+        down = FinSetMap._trusted(o_right, o_bot0, tuple(
             b_cat.hom_position(p.mmap[phi]) for phi in right))
         pb = pullback(post, down)
-        c1 = FinSetMap(o_top, o_bot1, tuple(
+        c1 = FinSetMap._trusted(o_top, o_bot1, tuple(
             b_cat.hom_position(p.mmap[psi]) for psi in top))
-        c2 = FinSetMap(o_top, o_right, tuple(
+        c2 = FinSetMap._trusted(o_top, o_right, tuple(
             e_cat.hom_position(e_cat.comp[chi][psi]) for psi in top))
         if not pb.mediate(c1, c2).is_bijective:
             return False
@@ -566,7 +570,7 @@ def gfib_via_cotensor(p: Functor) -> bool:
     mmap = tuple(
         bp.morphism_index(omap[si], omap[ti], p.mmap[u], v)
         for si, ti, u, v in e2.morphisms_data)
-    return is_equivalence(Functor(e2.cat, bp.cat, omap, mmap))
+    return is_equivalence(Functor._trusted(e2.cat, bp.cat, omap, mmap))
 
 
 class ElementsCat(Record):
@@ -595,29 +599,23 @@ class ElementsCat(Record):
 
 def elements(p: Presheaf) -> ElementsCat:
     base = p.base
-    objects = [(b, t) for b in base.objs for t in p.at[b].elements]
-    obj_index = {o: i for i, o in enumerate(objects)}
+    bsrc, btgt, bcomp = base.src.table, base.tgt.table, base.comp
+    sizes = [v.size for v in p.at]
+    # (b, t) and (beta, t2) sit at the start of the run of b or beta, plus t
+    obj_at = list(itertools.accumulate(sizes, initial=0))
+    mor_at = list(itertools.accumulate((sizes[y] for y in btgt), initial=0))
+    objects = [(b, t) for b in base.objs for t in range(sizes[b])]
     morphisms = [(beta, t2) for beta in base.mors
-                 for t2 in p.at[base.tgt(beta)].elements]
-    mor_index = {m: i for i, m in enumerate(morphisms)}
-    o = FinSetObj(len(objects))
-    m = FinSetObj(len(morphisms))
-    src = FinSetMap._trusted(m, o, tuple(
-        obj_index[(base.src(beta), p.act[beta](t2))] for beta, t2 in morphisms))
-    tgt = FinSetMap._trusted(m, o, tuple(
-        obj_index[(base.tgt(beta), t2)] for beta, t2 in morphisms))
-    ident = FinSetMap._trusted(o, m, tuple(
-        mor_index[(base.ident(b), t)] for b, t in objects))
-    # (beta2, t2) after (beta1, t1) is defined when beta2 leaves the
-    # target of beta1 and t2 restricts along beta2 to t1
-    comp_rows = [[-1] * m.size for _ in morphisms]
-    for j, (beta1, t1) in enumerate(morphisms):
-        for beta2 in base.out_of(base.tgt(beta1)):
-            composite = base.comp[beta2][beta1]
-            for t2 in p.act[beta2].fiber(t1):
-                comp_rows[mor_index[(beta2, t2)]][j] = \
-                    mor_index[(composite, t2)]
-    cat = FinCat._trusted(o, m, src, tgt, ident, tuple(map(tuple, comp_rows)))
+                 for t2 in range(sizes[btgt[beta]])]
+
+    def composite(g, f):  # (beta2, t2) after (beta1, t1) is (beta2 beta1, t2)
+        (beta2, t2), beta1 = morphisms[g], morphisms[f][0]
+        return mor_at[bcomp[beta2][beta1]] + t2
+
+    cat = _cat(obj_at[-1],
+               [obj_at[bsrc[beta]] + p.act[beta](t2) for beta, t2 in morphisms],
+               [obj_at[btgt[beta]] + t2 for beta, t2 in morphisms],
+               [mor_at[base.ident.table[b]] + t for b, t in objects], composite)
     proj = Functor._trusted(cat, base, tuple(b for b, _ in objects),
                             tuple(beta for beta, _ in morphisms))
     return ElementsCat(proj, tuple(objects), tuple(morphisms))
@@ -673,23 +671,20 @@ def comprehensive_factorization(g: Functor) -> tuple[Functor, Functor]:
         for c in classes_at[x2]:
             e, psi = c[0]
             table.append(class_index[x1][(e, x_cat.comp[psi][gamma])])
-        act.append(FinSetMap(at[x2], at[x1], tuple(table)))
-    p = Presheaf(x_cat, at, tuple(act))
-    el = elements(p)
-    s = el.proj
-    j_omap = tuple(
-        el.object_index(g.omap[e],
-                        class_index[g.omap[e]][(e, x_cat.ident(g.omap[e]))])
-        for e in f_cat.objs)
+        act.append(FinSetMap._trusted(at[x2], at[x1], tuple(table)))
+    el = elements(Presheaf._trusted(x_cat, at, tuple(act)))
+
+    def home(e):  # the component of (e, identity) under g e
+        x = g.omap[e]
+        return class_index[x][(e, x_cat.ident(x))]
+
     mor_index = {m: i for i, m in enumerate(el.morphisms_data)}
-    j_mmap = []
-    for phi in f_cat.mors:
-        e2 = f_cat.tgt(phi)
-        x2 = g.omap[e2]
-        j_mmap.append(mor_index[(g.mmap[phi],
-                                 class_index[x2][(e2, x_cat.ident(x2))])])
-    j = Functor(f_cat, el.cat, j_omap, tuple(j_mmap))
-    return j, s
+    j = Functor._trusted(
+        f_cat, el.cat,
+        tuple(el.object_index(g.omap[e], home(e)) for e in f_cat.objs),
+        tuple(mor_index[(g.mmap[phi], home(f_cat.tgt(phi)))]
+              for phi in f_cat.mors))
+    return j, el.proj
 
 
 def is_final(j: Functor) -> bool:
@@ -840,7 +835,7 @@ def all_functors(a: FinCat, b: FinCat) -> Iterator[Functor]:
 
         def assign(i: int):
             if i == len(non_ident):
-                yield Functor(a, b, omap, tuple(mmap))  # type: ignore[arg-type]
+                yield Functor._trusted(a, b, omap, tuple(mmap))
                 return
             f = non_ident[i]
             for w in b.hom(omap[a.src(f)], omap[a.tgt(f)]):

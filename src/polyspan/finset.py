@@ -194,8 +194,8 @@ class Pullback(Record):
                 "mediate-boundary", "cone legs must land in the cospan feet")
         require(compose(self.f, h1) == compose(self.g, h2),
                 "mediate-cone", "the cone does not commute with the cospan")
-        return FinSetMap(h1.dom, self.apex,
-                         tuple(self.index(h1(w), h2(w)) for w in h1.dom.elements))
+        return FinSetMap._trusted(h1.dom, self.apex, tuple(
+            self.index(h1(w), h2(w)) for w in h1.dom.elements))
 
 
 def pullback(f: FinSetMap, g: FinSetMap) -> Pullback:

@@ -94,7 +94,7 @@ def rand_relpoly(rng: random.Random, x: FinSetObj,
 def preorder_cat(n: int, pairs) -> FinCat:
     """The category of a preorder on n points: at most one morphism per
     ordered pair, closed under reflexivity and transitivity."""
-    from .fincat import FinCat
+    from .fincat import _cat
     hold = {(i, i) for i in range(n)} | set(pairs)
     changed = True
     while changed:
@@ -105,16 +105,9 @@ def preorder_cat(n: int, pairs) -> FinCat:
                 changed = True
     mors = sorted(hold)
     index = {m: f for f, m in enumerate(mors)}
-    o, m = FinSetObj(n), FinSetObj(len(mors))
-    comp = tuple(tuple(index[(mors[f][0], mors[g][1])]
-                       if mors[f][1] == mors[g][0] else -1
-                       for f in range(len(mors)))
-                 for g in range(len(mors)))
-    return FinCat(o, m,
-                  FinSetMap(m, o, tuple(i for i, _ in mors)),
-                  FinSetMap(m, o, tuple(j for _, j in mors)),
-                  FinSetMap(o, m, tuple(index[(i, i)] for i in range(n))),
-                  comp)
+    return _cat(n, [i for i, _ in mors], [j for _, j in mors],
+                [index[(i, i)] for i in range(n)],
+                lambda g, f: index[(mors[f][0], mors[g][1])])
 
 
 _MONOID_TABLES = (

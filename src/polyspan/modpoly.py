@@ -733,16 +733,19 @@ def hK_mod_via_lifting(k: FinCat, p: ModPolynomial,
     return prof_compose(graph_module(p.p), rif_mod(p.m, u))
 
 
-def cotensor2_mod(a: FinCat) -> tuple[FinCat, Profunctor]:
+def _cotensor2(a: FinCat) -> FinCat:
     """The cotensor of a category with the arrow: the product of the
-    opposite arrow category with a, together with the graph module of the
-    second projection."""
-    op2 = opposite_cat(ordinal2())
-    cot = product_cat(op2, a)
+    opposite arrow category with a."""
+    return product_cat(opposite_cat(ordinal2()), a)
+
+
+def cotensor2_mod(a: FinCat) -> tuple[FinCat, Profunctor]:
+    """The cotensor of a with the arrow, together with the graph module of
+    the second projection."""
+    cot = _cotensor2(a)
     na, nma = a.objects.size, a.morphisms.size
-    pr2 = Functor(cot, a,
-                  tuple(o % na for o in cot.objs),
-                  tuple(mi % nma for mi in cot.mors))
+    pr2 = Functor._trusted(cot, a, tuple(o % na for o in cot.objs),
+                           tuple(mi % nma for mi in cot.mors))
     return cot, graph_module(pr2)
 
 
@@ -751,8 +754,7 @@ def decompose_cotensor_module(m: Profunctor,
                                                   ProfMorphism]:
     """Split a module into the cotensor into its two ends and the
     connecting morphism carried by the arrow direction."""
-    cot, _ = cotensor2_mod(a)
-    require(m.tgt == cot, "cotensor-decompose",
+    require(m.tgt == _cotensor2(a), "cotensor-decompose",
             "module must land in the cotensor")
     na, nma = a.objects.size, a.morphisms.size
     k_cat = m.src
@@ -779,7 +781,7 @@ def build_cotensor_module(m0: Profunctor, m1: Profunctor,
     require(theta.source == m0 and theta.target == m1, "cotensor-build",
             "connecting morphism must run from the first end to the second")
     a, k_cat = m0.tgt, m0.src
-    cot, _ = cotensor2_mod(a)
+    cot = _cotensor2(a)
     nma = a.morphisms.size
 
     def left(mi):  # the arrow's component is m1's action after theta

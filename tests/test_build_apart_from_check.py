@@ -1,18 +1,22 @@
 """Constructions build their result only.  The facts they hold by
 construction (the square of a module composite, the triangle identities
 of a map's witness, the paste-back of a factorization, the laws of the
-categories, modules and squares the library computes) are checked by the
-suites and the tests, never again on every call: with those checks made
-to raise, each construction must still succeed."""
+categories, functors, presheaves, modules and squares the library
+computes) are checked by the suites and the tests, never again on every
+call: with those checks made to raise, each construction must still
+succeed."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from polyspan import checks, modpoly, polyset, spans
+from polyspan import checks, fincat, modpoly, polyset, spans
 from polyspan.fincat import (
     FinCat,
     Functor,
+    NatTrans,
     Presheaf,
     identity_functor,
     opposite_cat,
@@ -21,6 +25,7 @@ from polyspan.fincat import (
 )
 from polyspan.finset import FinSetMap, FinSetObj, compose
 from polyspan.gen import (
+    preorder_cat,
     rand_composable_modpolys,
     rand_dfib,
     rand_fincat,
@@ -243,3 +248,105 @@ def test_module_builders_and_maps_check_nothing(monkeypatch):
         mo.source.__post_init__()
         mo.target.__post_init__()
         mo.__post_init__()
+
+
+@pytest.mark.unchecked_trust
+def test_category_builders_check_nothing(monkeypatch):
+    """Every category the library computes is built by ``fincat._cat``, and
+    the functors, presheaves, transformations and maps that hold their
+    laws by construction are built unchecked: with the checks of all five
+    classes raising, the categories, commas, elements, factorizations,
+    representables, functor enumerations, the groupoid-fibration tests and
+    the cotensor and embedding legs still build, and every value of the
+    five classes they built holds the checks afterwards."""
+    rng = random.Random(57)
+    cases = []
+    while len(cases) < 8:
+        a, c = rand_fincat(rng), rand_fincat(rng)
+        f, g = rand_functor(rng, a, c), rand_functor(rng, rand_fincat(rng), c)
+        if f is None or g is None:
+            continue
+        n = rng.randint(1, 4)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3)]
+        cases.append((f, g, rand_presheaf(rng, c), n, pairs,
+                      rand_poly(rng, FinSetObj(2), FinSetObj(3))))
+
+    built, verdicts = [], []
+
+    def recorded(build):
+        def trusted(cls, *args):
+            built.append(build(*args))
+            return built[-1]
+        return classmethod(trusted)
+
+    with monkeypatch.context() as patch:
+        for cls in (FinCat, Functor, Presheaf, NatTrans, FinSetMap):
+            patch.setattr(cls, "__post_init__", forbidden)
+            patch.setattr(cls, "_trusted", recorded(cls._trusted))
+        for f, g, p, n, pairs, poly in cases:
+            a, c = f.dom, f.cod
+            fincat.discrete_cat(n)
+            fincat.ordinal2()
+            preorder_cat(n, pairs)
+            opposite_cat(c)
+            product_cat(a, c)
+            fincat.comma(f, g)
+            fincat.iso_comma(f, g)
+            fincat.arrow_category(c)
+            fincat.elements(p)
+            modpoly.tabulate_mod(p)
+            fincat.comprehensive_factorization(f)
+            identity_functor(c)
+            fincat.constant_functor(a, c, 0)
+            list(fincat.all_functors(a, c))
+            fincat.representable(c, c.objects.size - 1)
+            fincat.constant_presheaf(c, 2)
+            modpoly.cotensor2_mod(a)
+            checks.embed_poly(poly)
+            verdicts += [fincat.gfib_via_cotensor(f),
+                         *(fincat.is_cartesian(f, chi) for chi in a.mors)]
+
+    assert True in verdicts and False in verdicts
+    kinds = {type(v) for v in built}
+    assert kinds == {FinCat, Functor, Presheaf, NatTrans, FinSetMap}
+    for value in built:
+        value.__post_init__()
+
+
+def calls_by_function():
+    """Every call in ``src/`` of a name, or of an attribute of a name,
+    mapped to the module-level functions it appears in, as
+    ``module.function``."""
+    calls: dict[str, set[str]] = {}
+    for path in sorted(Path(fincat.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                if isinstance(fn, ast.Name):
+                    name = fn.id
+                elif (isinstance(fn, ast.Attribute)
+                      and isinstance(fn.value, ast.Name)):
+                    name = f"{fn.value.id}.{fn.attr}"
+                else:
+                    continue
+                calls.setdefault(name, set()).add(where)
+    return calls
+
+
+def test_one_builder_per_kind_of_computed_value():
+    """Categories are built unchecked only by ``_cat`` (and transposed by
+    ``opposite_cat``), modules by ``_built`` and module morphisms by
+    ``_coend_map`` and the natural-map search; the document decoder,
+    which checks what it builds, is the other way in.  A checked
+    category comes only from a caller's tables: a document's or a
+    monoid's."""
+    calls = calls_by_function()
+    assert calls["FinCat._trusted"] == {"fincat._cat", "fincat.opposite_cat"}
+    assert calls["FinCat"] == {"documents._dec_cat", "fincat.monoid_cat"}
+    assert calls["Profunctor._trusted"] == {"modpoly._built",
+                                            "documents._dec_prof_tables"}
+    assert calls["ProfMorphism._trusted"] == {"modpoly._coend_map",
+                                              "modpoly._prof_maps"}

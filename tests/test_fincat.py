@@ -45,9 +45,16 @@ from polyspan.fincat import (
     product_cat,
     representable,
     terminal_cat,
+    _cat,
 )
 from polyspan.finset import FinSetMap, FinSetObj, compose, identity
-from polyspan.gen import rand_dfib, rand_fincat, rand_functor, rand_presheaf
+from polyspan.gen import (
+    preorder_cat,
+    rand_dfib,
+    rand_fincat,
+    rand_functor,
+    rand_presheaf,
+)
 
 
 def z2() -> FinCat:
@@ -95,6 +102,24 @@ class TestFinCat:
         assert c.hom(1, 0) == (2,) and c.hom(0, 1) == ()
         p = product_cat(ordinal2(), z2())
         assert p.objects.size == 2 and p.morphisms.size == 6
+
+
+class TestCallerIndices:
+    """An index a caller passes is checked before anything is built: the
+    results are built unchecked, so this is the only check on it."""
+
+    @pytest.mark.parametrize("x", [-1, 2])
+    def test_constant_functor_needs_an_object(self, x):
+        c = ordinal2()
+        with pytest.raises(InvariantViolation) as e:
+            constant_functor(c, c, x)
+        assert e.value.clause == "functor-omap"
+
+    @pytest.mark.parametrize("b", [-1, 2, 5])
+    def test_representable_needs_an_object(self, b):
+        with pytest.raises(InvariantViolation) as e:
+            representable(ordinal2(), b)
+        assert e.value.clause == "representable-object"
 
 
 class TestComma:
@@ -828,3 +853,214 @@ class TestPresheafAgainstReference:
         finally:
             sys.setrecursionlimit(limit)
         assert got == tuple(identity(v) for v in p.at)
+
+
+# Reference implementations: the hand-filled constructors that ``_cat``
+# replaced, each writing its own composition table, kept as a
+# differential oracle.
+
+def reference_discrete_cat(n):
+    o = FinSetObj(n)
+    rows = [[-1] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = i
+    return FinCat(o, FinSetObj(n), identity(o), identity(o), identity(o),
+                  tuple(map(tuple, rows)))
+
+
+def reference_ordinal2():
+    o, m = FinSetObj(2), FinSetObj(3)
+    return FinCat(o, m, FinSetMap(m, o, (0, 1, 0)), FinSetMap(m, o, (0, 1, 1)),
+                  FinSetMap(o, m, (0, 1)),
+                  ((0, -1, -1), (-1, 1, 2), (2, -1, -1)))
+
+
+def reference_product_cat(a, b):
+    no, nm = b.objects.size, b.morphisms.size
+    o = FinSetObj(a.objects.size * no)
+    m = FinSetObj(a.morphisms.size * nm)
+    src = FinSetMap(m, o, tuple(a.src(f) * no + b.src(g)
+                                for f in a.mors for g in b.mors))
+    tgt = FinSetMap(m, o, tuple(a.tgt(f) * no + b.tgt(g)
+                                for f in a.mors for g in b.mors))
+    ident = FinSetMap(o, m, tuple(a.ident(x) * nm + b.ident(y)
+                                  for x in a.objs for y in b.objs))
+    comp = tuple(tuple(-1 if c1 < 0 or c2 < 0 else c1 * nm + c2
+                       for c1 in row_a for c2 in row_b)
+                 for row_a in a.comp for row_b in b.comp)
+    return FinCat(o, m, src, tgt, ident, comp)
+
+
+def reference_comma(f, g, iso_only=False):
+    a_cat, b_cat, c_cat = f.dom, g.dom, f.cod
+    objects = [(a, b, phi)
+               for a in a_cat.objs for b in b_cat.objs
+               for phi in c_cat.hom(f.omap[a], g.omap[b])
+               if not iso_only or c_cat.is_iso(phi)]
+    morphisms = []
+    for si, (a, b, phi) in enumerate(objects):
+        for ti, (a2, b2, phi2) in enumerate(objects):
+            for u in a_cat.hom(a, a2):
+                for v in b_cat.hom(b, b2):
+                    if (c_cat.comp[g.mmap[v]][phi]
+                            == c_cat.comp[phi2][f.mmap[u]]):
+                        morphisms.append((si, ti, u, v))
+    mor_index = {m: i for i, m in enumerate(morphisms)}
+    o = FinSetObj(len(objects))
+    m = FinSetObj(len(morphisms))
+    src = FinSetMap(m, o, tuple(s for s, _, _, _ in morphisms))
+    tgt = FinSetMap(m, o, tuple(t for _, t, _, _ in morphisms))
+    ident = FinSetMap(o, m, tuple(
+        mor_index[(i, i, a_cat.ident(a), b_cat.ident(b))]
+        for i, (a, b, _) in enumerate(objects)))
+    comp_rows = []
+    for s2, t2, u2, v2 in morphisms:
+        row = []
+        for s1, t1, u1, v1 in morphisms:
+            if t1 != s2:
+                row.append(-1)
+            else:
+                row.append(mor_index[(s1, t2, a_cat.comp[u2][u1],
+                                      b_cat.comp[v2][v1])])
+        comp_rows.append(tuple(row))
+    cat = FinCat(o, m, src, tgt, ident, tuple(comp_rows))
+    proj1 = Functor(cat, a_cat, tuple(a for a, _, _ in objects),
+                    tuple(u for _, _, u, _ in morphisms))
+    proj2 = Functor(cat, b_cat, tuple(b for _, b, _ in objects),
+                    tuple(v for _, _, _, v in morphisms))
+    transform = NatTrans(compose_functors(f, proj1), compose_functors(g, proj2),
+                         tuple(phi for _, _, phi in objects))
+    return Comma(cat, proj1, proj2, transform,
+                 tuple(objects), tuple(morphisms))
+
+
+def reference_elements(p):
+    base = p.base
+    objects = [(b, t) for b in base.objs for t in p.at[b].elements]
+    obj_index = {o: i for i, o in enumerate(objects)}
+    morphisms = [(beta, t2) for beta in base.mors
+                 for t2 in p.at[base.tgt(beta)].elements]
+    mor_index = {m: i for i, m in enumerate(morphisms)}
+    o = FinSetObj(len(objects))
+    m = FinSetObj(len(morphisms))
+    src = FinSetMap(m, o, tuple(
+        obj_index[(base.src(beta), p.act[beta](t2))] for beta, t2 in morphisms))
+    tgt = FinSetMap(m, o, tuple(
+        obj_index[(base.tgt(beta), t2)] for beta, t2 in morphisms))
+    ident = FinSetMap(o, m, tuple(
+        mor_index[(base.ident(b), t)] for b, t in objects))
+    comp_rows = [[-1] * m.size for _ in morphisms]
+    for j, (beta1, t1) in enumerate(morphisms):
+        for beta2 in base.out_of(base.tgt(beta1)):
+            composite = base.comp[beta2][beta1]
+            for t2 in p.act[beta2].fiber(t1):
+                comp_rows[mor_index[(beta2, t2)]][j] = \
+                    mor_index[(composite, t2)]
+    cat = FinCat(o, m, src, tgt, ident, tuple(map(tuple, comp_rows)))
+    proj = Functor(cat, base, tuple(b for b, _ in objects),
+                   tuple(beta for beta, _ in morphisms))
+    return ElementsCat(proj, tuple(objects), tuple(morphisms))
+
+
+def reference_preorder_cat(n, pairs):
+    hold = {(i, i) for i in range(n)} | set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (i, j), (j2, k) in itertools.product(tuple(hold), repeat=2):
+            if j == j2 and (i, k) not in hold:
+                hold.add((i, k))
+                changed = True
+    mors = sorted(hold)
+    index = {m: f for f, m in enumerate(mors)}
+    o, m = FinSetObj(n), FinSetObj(len(mors))
+    comp = tuple(tuple(index[(mors[f][0], mors[g][1])]
+                       if mors[f][1] == mors[g][0] else -1
+                       for f in range(len(mors)))
+                 for g in range(len(mors)))
+    return FinCat(o, m,
+                  FinSetMap(m, o, tuple(i for i, _ in mors)),
+                  FinSetMap(m, o, tuple(j for _, j in mors)),
+                  FinSetMap(o, m, tuple(index[(i, i)] for i in range(n))),
+                  comp)
+
+
+def drawn_cats(rng, count):
+    """Seeded categories, with the empty one and a discrete one first."""
+    return [discrete_cat(0), discrete_cat(2)] + [
+        rand_fincat(rng) for _ in range(count)]
+
+
+class TestCategoryBuilderAgainstReference:
+    """Every category built by ``_cat`` equals the one its hand-filled
+    reference builds, table for table, together with the functors,
+    transformation and data of its comma or elements record."""
+
+    def test_composite_is_asked_only_for_composable_non_identities(self):
+        rng = random.Random(640)
+        for c in drawn_cats(rng, 60):
+            asked = []
+
+            def composite(g, f):
+                asked.append((g, f))
+                return c.comp[g][f]
+
+            assert _cat(c.objects.size, c.src.table, c.tgt.table,
+                        c.ident.table, composite) == c
+            non_id = set(c.non_identities)
+            assert sorted(asked) == sorted(
+                (g, f) for f in non_id for g in c.out_of(c.tgt(f))
+                if g in non_id)
+
+    def test_discrete_and_ordinal(self):
+        for n in (0, 1, 4):
+            assert discrete_cat(n) == reference_discrete_cat(n)
+        assert ordinal2() == reference_ordinal2()
+
+    def test_products(self):
+        rng = random.Random(641)
+        cats = drawn_cats(rng, 12) + [ordinal2(), z2(), indiscrete2()]
+        for a in cats:
+            for b in (rng.choice(cats), opposite_cat(rng.choice(cats))):
+                assert product_cat(a, b) == reference_product_cat(a, b)
+
+    def test_preorders(self):
+        rng = random.Random(642)
+        for _ in range(80):
+            n = rng.randint(0, 4)
+            pairs = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randint(0, 5))] if n else []
+            assert preorder_cat(n, pairs) == reference_preorder_cat(n, pairs)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_commas(self, seed):
+        rng = random.Random(643 + seed)
+        checked = 0
+        while checked < 25:
+            c = rand_fincat(rng)
+            f = rand_functor(rng, rand_fincat(rng), c)
+            g = rand_functor(rng, rand_fincat(rng), c)
+            if f is None or g is None:
+                continue
+            for iso_only in (False, True):
+                assert comma(f, g, iso_only) == reference_comma(f, g, iso_only)
+            checked += 1
+
+    def test_arrow_and_empty_commas(self):
+        for c in (discrete_cat(0), ordinal2(), z2(), indiscrete2()):
+            i = identity_functor(c)
+            assert arrow_category(c) == reference_comma(i, i)
+            assert iso_comma(i, i) == reference_comma(i, i, True)
+            empty = Functor(discrete_cat(0), c, (), ())
+            for iso_only in (False, True):
+                assert (comma(empty, i, iso_only)
+                        == reference_comma(empty, i, iso_only))
+                assert (comma(i, empty, iso_only)
+                        == reference_comma(i, empty, iso_only))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_elements(self, seed):
+        rng = random.Random(646 + seed)
+        for c in drawn_cats(rng, 30):
+            for p in (rand_presheaf(rng, c), constant_presheaf(c, 0)):
+                assert elements(p) == reference_elements(p)
