@@ -19,7 +19,8 @@ Conventions used throughout:
   - every search for natural maps (presheaf isomorphisms here; module
     morphisms, isomorphisms and right liftings in ``modpoly``) is one
     search, ``_natural_maps``, over the elements of both sides laid out
-    cell by cell, with one naturality square per non-identity action.
+    cell by cell, with one naturality square per non-identity action, that
+    lists the free elements past the last one a square leaves as a product.
 """
 
 from __future__ import annotations
@@ -708,37 +709,45 @@ def _natural_maps(sizes_m: list[int], sizes_n: list[int], squares,
     Each guess assigns the first unassigned element and is closed under the
     squares, so every value it forces is set at once.  A free element, one
     that no square leaves, forces nothing: its guess skips the closure, and
-    only its own assignment is undone.  The guesses sit on an explicit
-    stack, so the depth is not bounded by the recursion limit.
+    only its own assignment is undone.  Past ``tail``, one past the last
+    element a square leaves, the unassigned elements are independent, so
+    without ``bijective`` they are listed at once as a product over their
+    cells; it varies the last element fastest, as the guesses do, so the
+    order is unchanged.  The guesses sit on an explicit stack, so the
+    depth is not bounded by the recursion limit.
     """
     start_m = list(itertools.accumulate(sizes_m, initial=0))
     start_n = list(itertools.accumulate(sizes_n, initial=0))
     total = start_m[-1]
     cell_of = [c for c, k in enumerate(sizes_m) for _ in range(k)]
     # moves[v]: per square out of v's cell, where v goes on the first side,
-    # and the square's map on the second side with the starts of its cells
+    # the square's map on the second side and the start of its target cell
     moves: list[list] = [[] for _ in range(total)]
     for c1, c2, f, g in squares:
         o1, o2 = start_m[c1], start_m[c2]
         for i, j in enumerate(f):
-            moves[o1 + i].append((o2 + j, g, start_n[c1], start_n[c2]))
+            moves[o1 + i].append((o2 + j, g, start_n[c2]))
+    tail = max((start_m[c1 + 1] for c1, _, f, _ in squares if f), default=0)
+    # assign[v]: the image of v within its cell, or -1
     assign = [-1] * total
-    # Read only when bijective: used targets, and free_from[c], below
-    # which no target of cell c is free.
+    # Read only when bijective: used targets, numbered across the cells,
+    # and free_from[c], below which no target of cell c is free.
     used = [False] * start_n[-1]
     free_from = start_n[:-1]
+    # Read only without bijective: the images within each cell.
+    pools = [] if bijective else [tuple(range(k)) for k in sizes_n]
 
     def close(x, trail):
         stack = [x]
         while stack:
             v = stack.pop()
             w = assign[v]
-            for v2, g, n1, n2 in moves[v]:
-                w2 = n2 + g[w - n1]
+            for v2, g, n2 in moves[v]:
+                w2 = g[w]
                 if assign[v2] == -1:
-                    if bijective and used[w2]:
+                    if bijective and used[n2 + w2]:
                         return False
-                    assign[v2], used[w2] = w2, True
+                    assign[v2], used[n2 + w2] = w2, True
                     trail.append(v2)
                     stack.append(v2)
                 elif assign[v2] != w2:
@@ -747,7 +756,8 @@ def _natural_maps(sizes_m: list[int], sizes_n: list[int], squares,
 
     def undo(trail):
         for v in trail:
-            w, c = assign[v], cell_of[v]
+            c = cell_of[v]
+            w = start_n[c] + assign[v]
             used[w] = False
             free_from[c] = min(free_from[c], w)
             assign[v] = -1
@@ -758,10 +768,15 @@ def _natural_maps(sizes_m: list[int], sizes_n: list[int], squares,
     while True:
         while x < total and assign[x] != -1:
             x += 1
-        if x == total:
-            yield tuple(tuple(w - start_n[c]
-                              for w in assign[start_m[c]:start_m[c + 1]])
-                        for c in range(len(sizes_m)))
+        if x == total or x >= tail and not bijective:  # the rest, all free
+            fixed = assign[x:]
+            for choice in itertools.product(*[
+                    pools[cell_of[v]] if w == -1 else (w,)
+                    for v, w in enumerate(fixed, x)]):
+                assign[x:] = choice
+                yield tuple(tuple(assign[s:e])
+                            for s, e in itertools.pairwise(start_m))
+            assign[x:] = fixed
         else:
             c = cell_of[x]
             first, end = start_n[c], start_n[c + 1]
@@ -778,7 +793,7 @@ def _natural_maps(sizes_m: list[int], sizes_n: list[int], squares,
             for y in candidates:
                 if bijective and used[y]:
                     continue
-                assign[x], used[y] = y, True
+                assign[x], used[y] = y - start_n[cell_of[x]], True
                 trail.append(x)
                 if not moves[x] or close(x, trail):
                     break

@@ -191,14 +191,14 @@ def rand_profunctor(rng: random.Random, src: FinCat, tgt: FinCat,
                     parts_max: int = 2, const_max: int = 1,
                     max_cell: int | None = None) -> Profunctor:
     from .fincat import opposite_cat, product_cat
-    from .modpoly import prof_from_presheaf
+    from .modpoly import _prof_from_presheaf
     base = product_cat(tgt, opposite_cat(src))
     for _ in range(40):
-        m = prof_from_presheaf(src, tgt,
-                               rand_presheaf(rng, base, parts_max, const_max))
+        m = _prof_from_presheaf(src, tgt,
+                                rand_presheaf(rng, base, parts_max, const_max))
         if max_cell is None or _max_cell(m) <= max_cell:
             return m
-    return prof_from_presheaf(src, tgt, presheaf_sum(base, ()))
+    return _prof_from_presheaf(src, tgt, presheaf_sum(base, ()))
 
 
 def rand_modpoly(rng: random.Random, x: FinCat, y: FinCat,

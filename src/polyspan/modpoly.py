@@ -181,9 +181,14 @@ def _built(a_cat: FinCat, b_cat: FinCat, sizes, left, right) -> Profunctor:
 def prof_from_presheaf(a: FinCat, b: FinCat, psh: Presheaf) -> Profunctor:
     """Unpack a presheaf on B x A^op into a profunctor A -> B, whose laws
     are the presheaf's; the labels of the presheaf's sets are not kept."""
-    na, nma = a.objects.size, a.morphisms.size
     require(psh.base == product_cat(b, opposite_cat(a)), "prof-from-presheaf",
             "presheaf must live on the product with the opposite")
+    return _prof_from_presheaf(a, b, psh)
+
+
+def _prof_from_presheaf(a: FinCat, b: FinCat, psh: Presheaf) -> Profunctor:
+    """``prof_from_presheaf`` without the base check: psh is on B x A^op."""
+    na, nma = a.objects.size, a.morphisms.size
     act = psh.act
     return _built(
         a, b, [[psh.at[bo * na + ao].size for ao in a.objs] for bo in b.objs],
@@ -314,10 +319,11 @@ def prof_invert(c: ProfMorphism) -> ProfMorphism:
 
 def _coend(n: Profunctor, m: Profunctor):
     """The coend composite of n after m, with its classes: ``cells[c][a]``
-    lists the classes of triples (middle object b, element of m(b, a),
-    element of n(c, b)), members sorted and classes ordered by their
-    smallest member, and ``index(c, a, b, x, y)`` is the position of the
-    class of the triple (b, x, y) in its cell.
+    lists the representative of each class of triples (middle object b,
+    element of m(b, a), element of n(c, b)), its smallest member, in
+    increasing order, and ``index(c, a, b, x, y)`` is the position of the
+    class of any triple (b, x, y) in its cell, so a class's members are
+    the triples that ``index`` sends to it.
 
     The triples are the join of the elements (a, x) of m and (c, y) of n
     over each middle object b, numbered in the order b, then (a, x), then
@@ -376,9 +382,7 @@ def _coend(n: Profunctor, m: Profunctor):
                     for y in range(size):
                         if parent[t] == t:
                             position[t] = len(classes)
-                            classes.append([(b, x, y)])
-                        else:
-                            classes[position[find(t)]].append((b, x, y))
+                            classes.append((b, x, y))
                         t += 1
 
     def index(c, a, b, x, y):
@@ -388,13 +392,13 @@ def _coend(n: Profunctor, m: Profunctor):
     def left(gamma):
         c1, c2, g = c_cat.src(gamma), c_cat.tgt(gamma), n.lact[gamma]
         return (tuple(index(c1, a, b, x, g[b].table[y])
-                      for b, x, y in (cls[0] for cls in grid[c2][a]))
+                      for b, x, y in grid[c2][a])
                 for a in a_cat.objs)
 
     def right(alpha):
         a1, a2, r = a_cat.src(alpha), a_cat.tgt(alpha), m.ract[alpha]
         return (tuple(index(c, a2, b, r[b].table[x], y)
-                      for b, x, y in (cls[0] for cls in grid[c][a1]))
+                      for b, x, y in grid[c][a1])
                 for c in c_cat.objs)
 
     sizes = [list(map(len, row)) for row in grid]
@@ -405,15 +409,15 @@ def _coend_map(n: Profunctor, m: Profunctor, target: Profunctor,
                value) -> ProfMorphism:
     """The morphism from the coend composite of n after m to ``target``
     that sends each class of the cell (c, a) to ``value(c, a, b, x, y)``
-    of its first member (b, x, y).  Every morphism the library computes
+    of its representative (b, x, y).  Every morphism the library computes
     out of a coend is built here, unchecked: its callers' values lie in
     ``target``, are independent of the member read and are natural, by
     construction."""
     source, cells, _ = _coend(n, m)
     return ProfMorphism._trusted(source, target, tuple(
         tuple(FinSetMap._trusted(source.at[c][a], target.at[c][a], tuple(
-            value(c, a, *cls[0]) for cls in classes))
-            for a, classes in enumerate(row))
+            value(c, a, *rep) for rep in reps))
+            for a, reps in enumerate(row))
         for c, row in enumerate(cells)))
 
 

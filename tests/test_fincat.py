@@ -46,6 +46,7 @@ from polyspan.fincat import (
     representable,
     terminal_cat,
     _cat,
+    _natural_maps,
 )
 from polyspan.finset import FinSetMap, FinSetObj, compose, identity
 from polyspan.gen import (
@@ -399,6 +400,13 @@ class TestSearchHelpers:
         assert is_equivalence(p)  # indiscrete pair collapses to a point
         q = Functor(ordinal2(), terminal_cat(), (0, 0), (0, 0, 0))
         assert not is_equivalence(q)
+
+    def test_free_tail_is_listed_lazily(self):
+        """Forty free elements with two images each: the first tables come
+        in lexicographic order without listing the 2^40 families."""
+        first = list(itertools.islice(_natural_maps([40], [2], [], False), 3))
+        assert first == [((0,) * 40,), ((0,) * 39 + (1,),),
+                         ((0,) * 38 + (1, 0),)]
 
 
 # Reference implementations: the scans that the hom and lift indexes

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from polyspan import checks, modpoly
+from polyspan import checks, fincat, modpoly
 from polyspan.errors import InvariantViolation
 from polyspan.fincat import (
     FinCat,
@@ -277,10 +277,11 @@ class TestProfCompose:
                        ((identity(one), identity(one)),),
                        ((identity(one),), (identity(one),),
                         (FinSetMap(one, one, (0,)),)))
-        comp, cells, _ = _coend(n, m)
+        comp, cells, index = _coend(n, m)
         assert comp == prof_compose(n, m)
         assert comp.at[0][0].size == 1
-        assert cells[0][0] == [[(0, 0, 0), (1, 0, 0)]]
+        assert cells[0][0] == [(0, 0, 0)]
+        assert coend_classes(n, m, index, 0, 0) == [[(0, 0, 0), (1, 0, 0)]]
 
     def test_unit_laws(self):
         rng = random.Random(42)
@@ -368,6 +369,17 @@ class TestProfInvert:
             assert not c.is_invertible
             with pytest.raises(InvariantViolation, match="profmor-invert"):
                 prof_invert(c)
+
+
+def coend_classes(n, m, index, c, a):
+    """The members of each class of the coend cell (c, a), rebuilt from
+    ``index`` over every triple of the cell, in increasing order."""
+    classes = {}
+    for b in m.tgt.objs:
+        for x in m.at[b][a].elements:
+            for y in n.at[c][b].elements:
+                classes.setdefault(index(c, a, b, x, y), []).append((b, x, y))
+    return [classes[i] for i in range(len(classes))]
 
 
 def _coend_cell(n, m, c, a):
@@ -538,18 +550,18 @@ class TestCoendAgainstReference:
             for c in n.tgt.objs:
                 for a in m.src.objs:
                     classes, ref_index = _coend_cell(n, m, c, a)
-                    assert cells[c][a] == classes
+                    assert coend_classes(n, m, index, c, a) == classes
+                    assert cells[c][a] == [cls[0] for cls in classes]
                     assert {t: index(c, a, *t) for t in ref_index} == \
                         ref_index
                     if not classes:
                         kinds.add("empty cell")
+                    if any(len(cls) > 1 for cls in classes):
+                        kinds.add("merged class")
             assert comp == reference_prof_compose(n, m)
             assert prof_compose(n, m) == comp
             kinds.add("non-discrete middle" if m.tgt.non_identities
                       else "discrete middle")
-            if any(len(cls) > 1 for row in cells for classes in row
-                   for cls in classes):
-                kinds.add("merged class")
         assert kinds == {"empty cell", "non-discrete middle",
                          "discrete middle", "merged class"}
 
@@ -1250,8 +1262,12 @@ class TestBuildersAgainstReference:
     def assert_same_coend(self, n, m):
         comp, cells, index = _coend(n, m)
         ref, ref_cells, ref_index = reference_coend(n, m)
-        assert {(c, a): classes for c, row in enumerate(cells)
-                for a, classes in enumerate(row)} == ref_cells
+        assert {cell: coend_classes(n, m, index, *cell)
+                for cell in ref_cells} == ref_cells
+        assert {(c, a): reps for c, row in enumerate(cells)
+                for a, reps in enumerate(row)} == \
+            {cell: [cls[0] for cls in classes]
+             for cell, classes in ref_cells.items()}
         for (c, a), to in ref_index.items():
             assert {t: index(c, a, *t) for t in to} == to
         assert comp == ref
@@ -1379,7 +1395,7 @@ def checked_whisker_left(n, cell):
     return ProfMorphism(left, right, tuple(
         tuple(FinSetMap(left.at[c][a], right.at[c][a], tuple(
             index2(c, a, b, cell.h[b][a](x), y)
-            for b, x, y in (cls[0] for cls in cells[c][a])))
+            for b, x, y in cells[c][a]))
             for a in v.src.objs)
         for c in n.tgt.objs))
 
@@ -1390,7 +1406,7 @@ def checked_counit(n, u, data):
     return ProfMorphism(comp, u, tuple(
         tuple(FinSetMap(comp.at[y][k], u.at[y][k], tuple(
             fams[s][k][x][y][t]
-            for s, x, t in (cls[0] for cls in cells[y][k])))
+            for s, x, t in cells[y][k]))
             for k in u.src.objs)
         for y in u.tgt.objs))
 
@@ -1406,7 +1422,7 @@ def checked_collapse(p, v):
 
     return ProfMorphism(composite, fw, tuple(
         tuple(FinSetMap(composite.at[y][k], fw.at[y][k], tuple(
-            collapse(y, k, *cls[0]) for cls in cells[y][k]))
+            collapse(y, k, *rep) for rep in cells[y][k]))
             for k in v.src.objs)
         for y in p.cod.objs))
 
@@ -1473,7 +1489,7 @@ class TestModuleBuildersAgainstReference:
             unpacked.append(psh)
             return reference_prof_from_presheaf(a, b, psh)
 
-        monkeypatch.setattr(modpoly, "prof_from_presheaf", reference)
+        monkeypatch.setattr(modpoly, "_prof_from_presheaf", reference)
         assert built == [rand_profunctor(random.Random(r), a, b)
                          for a, b, r in cases]
         assert len(unpacked) >= len(cases)
@@ -1551,6 +1567,81 @@ class TestFreeElements:
             mixed += free < sum(map(sum, cell_sizes(m)))
             cases += 1
         assert found >= 24
+
+
+class CountedProducts:
+    """Stands in for ``itertools`` in ``fincat``, counting the products
+    over at least one element that the search for natural maps lists."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(itertools, name)
+
+    def product(self, *pools):
+        self.calls += bool(pools)
+        return itertools.product(*pools)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    counted = CountedProducts()
+    monkeypatch.setattr(fincat, "itertools", counted)
+    return counted
+
+
+def arrow_module(base, sizes, table):
+    """The module out of the terminal category of the presheaf on a
+    category whose one non-identity arrow 2 acts by ``table``."""
+    at = tuple(map(FinSetObj, sizes))
+    act = FinSetMap(at[base.tgt(2)], at[base.src(2)], table)
+    return presheaf_as_module(Presheaf(base, at, (identity(at[0]),
+                                                  identity(at[1]), act)))
+
+
+class TestFreeTail:
+    """Past the last element that a square leaves, the search lists the
+    elements it has not assigned as one product: the families, and their
+    order, stay those of the product search."""
+
+    def assert_product_order(self, n, u):
+        for so in n.src.objs:
+            for ko in u.src.objs:
+                assert tuple(modpoly._natural_families(n, u, so, ko)) == \
+                    tuple(product_natural_families(n, u, so, ko))
+
+    @pytest.mark.parametrize("d", (1, 3, 17, 64))
+    def test_ladder(self, d, products):
+        q, p = ladder_pair(d)
+        self.assert_product_order(q.m, presheaf_as_module(fibers(p.p)))
+        assert products.calls == q.m.src.objects.size
+
+    @pytest.mark.parametrize("size", (1, 2, 3, 5, 8))
+    def test_embedded_discrete_pairs(self, size, products):
+        q, p = structured_pair(size)
+        self.assert_product_order(q.m, presheaf_as_module(fibers(p.p)))
+        assert products.calls > 0
+
+    def test_bound_head_then_free_tail(self, products):
+        """The arrow leaves cell 0 and fixes two of the four elements of
+        cell 1; the other two are free, between and after them."""
+        base = opposite_cat(ordinal2())
+        n = arrow_module(base, (2, 4), (1, 3))
+        u = arrow_module(base, (2, 3), (0, 2))
+        assert len(tuple(modpoly._natural_families(n, u, 0, 0))) == 4 * 3 * 3
+        self.assert_product_order(n, u)
+        assert products.calls == 2 * 4  # once per head, in each search
+
+    def test_free_elements_before_bound_ones(self, products):
+        """The arrow leaves the last cell, so no element lies past it and
+        the free elements of cell 0 are guessed one by one."""
+        base = ordinal2()
+        n = arrow_module(base, (4, 2), (1, 3))
+        u = arrow_module(base, (3, 2), (0, 2))
+        assert len(tuple(modpoly._natural_families(n, u, 0, 0))) == 4 * 3 * 3
+        self.assert_product_order(n, u)
+        assert products.calls == 0
 
 
 @pytest.fixture(scope="module")
@@ -2144,8 +2235,7 @@ class TestKleisliCorrespondence:
             cy_h = []
             for co in c.objs:
                 table = []
-                for cls in cells[co][0]:
-                    bmid, gpos, xval = cls[0]
+                for bmid, gpos, xval in cells[co][0]:
                     gamma = b.hom(bmid, b0)[gpos]
                     table.append(m.ract[gamma][co](xval))
                 cy_h.append((FinSetMap(a1.at[co][0], b1_prof.at[co][0],
