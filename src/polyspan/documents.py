@@ -5,9 +5,11 @@ and a payload whose shape depends on the kind.
 Serialization is canonical (sorted keys, two-space indent, one trailing
 newline), so equal documents always produce identical bytes and
 ``parse`` then ``serialize`` reproduces any canonical file exactly.
-Malformed text raises ParseError with a line and column when the JSON
-layer can supply one; well-formed payloads that break a structural law
-raise InvariantViolation naming the violated clause.
+The encoders hand over the values' own tables (tuples, written as
+lists), and each table of scalars is written by one call to json's C
+encoder.  Malformed text raises ParseError with a line and column when
+the JSON layer can supply one; well-formed payloads that break a
+structural law raise InvariantViolation naming the violated clause.
 
 Each fact of a document is checked once.  Categories are hash-consed
 among live values: a category table equal to one that is still alive
@@ -23,6 +25,7 @@ import json
 import weakref
 from importlib import import_module
 from itertools import chain, islice
+from json.encoder import c_make_encoder
 from typing import TYPE_CHECKING
 
 from .finset import FinSetMap, FinSetObj, Subset
@@ -122,7 +125,7 @@ def _rows(v: object, ctx: str) -> list:
 # -- finite sets and maps ---------------------------------------------------
 
 def _enc_map(f: FinSetMap) -> dict:
-    return {"dom": f.dom.size, "cod": f.cod.size, "table": list(f.table)}
+    return {"dom": f.dom.size, "cod": f.cod.size, "table": f.table}
 
 
 def _dec_map(d: object, ctx: str) -> FinSetMap:
@@ -134,8 +137,8 @@ def _dec_map(d: object, ctx: str) -> FinSetMap:
 
 def _enc_span(s: Span) -> dict:
     return {"left_foot": s.left_foot.size, "right_foot": s.right_foot.size,
-            "apex": s.apex.size, "left_leg": list(s.left_leg.table),
-            "right_leg": list(s.right_leg.table)}
+            "apex": s.apex.size, "left_leg": s.left_leg.table,
+            "right_leg": s.right_leg.table}
 
 
 def _dec_span(d: object, ctx: str) -> Span:
@@ -151,8 +154,7 @@ def _dec_span(d: object, ctx: str) -> Span:
 
 def _enc_poly(p: Polynomial) -> dict:
     return {"x": p.X.size, "e": p.E.size, "s": p.S.size, "y": p.Y.size,
-            "m1": list(p.m1.table), "m2": list(p.m2.table),
-            "p": list(p.p.table)}
+            "m1": p.m1.table, "m2": p.m2.table, "p": p.p.table}
 
 
 def _dec_poly(d: object, ctx: str) -> Polynomial:
@@ -169,7 +171,7 @@ def _dec_poly(d: object, ctx: str) -> Polynomial:
 
 def _enc_family(a: IndexedFamily) -> dict:
     return {"base": a.base.size, "total": a.total.size,
-            "proj": list(a.proj.table)}
+            "proj": a.proj.table}
 
 
 def _dec_family(d: object, ctx: str) -> IndexedFamily:
@@ -183,18 +185,17 @@ def _dec_family(d: object, ctx: str) -> IndexedFamily:
 # -- relations --------------------------------------------------------------
 
 def _pairs(v: object, ctx: str) -> tuple[tuple[int, int], ...]:
-    out = []
-    for row in _rows(v, ctx):
-        pair = _ints(row, ctx)
-        if len(pair) != 2:
-            raise ParseError(f"{ctx}: expected pairs of integers")
-        out.append((pair[0], pair[1]))
-    return tuple(out)
+    rows = _rows(v, ctx)
+    if not (_int_tables(rows, 0) and {*map(len, rows)} <= {2}):
+        # row by row, so that the error raised is the first in order
+        for row in rows:
+            if len(_ints(row, ctx)) != 2:
+                raise ParseError(f"{ctx}: expected pairs of integers")
+    return tuple(map(tuple, rows))
 
 
 def _enc_rel(r: Relation) -> dict:
-    return {"src": r.src.size, "tgt": r.tgt.size,
-            "pairs": [list(p) for p in r.pairs]}
+    return {"src": r.src.size, "tgt": r.tgt.size, "pairs": r.pairs}
 
 
 def _dec_rel(d: object, ctx: str) -> Relation:
@@ -205,8 +206,8 @@ def _dec_rel(d: object, ctx: str) -> Relation:
 
 
 def _enc_relpoly(p: RelPolynomial) -> dict:
-    return {"x": p.X.size, "c": p.C.size, "neat": list(p.Z.members),
-            "lifter": [list(q) for q in p.A.pairs]}
+    return {"x": p.X.size, "c": p.C.size, "neat": p.Z.members,
+            "lifter": p.A.pairs}
 
 
 def _dec_relpoly(d: object, ctx: str) -> RelPolynomial:
@@ -223,9 +224,8 @@ def _dec_relpoly(d: object, ctx: str) -> RelPolynomial:
 
 def _enc_cat(c: FinCat) -> dict:
     return {"objects": c.objects.size, "morphisms": c.morphisms.size,
-            "src": list(c.src.table), "tgt": list(c.tgt.table),
-            "ident": list(c.ident.table),
-            "comp": [list(row) for row in c.comp]}
+            "src": c.src.table, "tgt": c.tgt.table,
+            "ident": c.ident.table, "comp": c.comp}
 
 
 # Live categories by their int-checked tables (objects, morphisms, src,
@@ -268,7 +268,7 @@ def _dec_cat(d: object, ctx: str) -> FinCat:
 
 
 def _enc_functor_tables(f: Functor) -> dict:
-    return {"omap": list(f.omap), "mmap": list(f.mmap)}
+    return {"omap": f.omap, "mmap": f.mmap}
 
 
 def _dec_functor_tables(d: object, dom: FinCat, cod: FinCat,
@@ -295,9 +295,9 @@ def _dec_functor(d: object, ctx: str) -> Functor:
 def _enc_prof_tables(m: Profunctor) -> dict:
     return {"at": [[m.at[b][a].size for a in m.src.objs]
                    for b in m.tgt.objs],
-            "lact": [[list(m.lact[beta][a].table) for a in m.src.objs]
+            "lact": [[m.lact[beta][a].table for a in m.src.objs]
                      for beta in m.tgt.mors],
-            "ract": [[list(m.ract[alpha][b].table) for b in m.tgt.objs]
+            "ract": [[m.ract[alpha][b].table for b in m.tgt.objs]
                      for alpha in m.src.mors]}
 
 
@@ -415,25 +415,28 @@ _BUILDS = {
     "modpoly": ("fincat.FinCat", "fincat.Functor", "modpoly.Profunctor",
                 "modpoly.ModPolynomial"),
 }
-_bound: set[str] = set()
+# The payload class of each kind already bound.
+_payload_types: dict[str, type] = {}
 
 
-def _bind(kind: str) -> None:
-    """Import the layers the decoder of kind builds from, and bind the
-    classes it builds as globals of this module."""
-    for path in _BUILDS[_CODECS[kind][0].partition(".")[0]]:
-        module, _, name = path.partition(".")
-        globals()[name] = getattr(import_module(f".{module}", __package__),
-                                  name)
-    _bound.add(kind)
+def _bind(kind: str) -> type:
+    """Import the layers the decoder of kind builds from, bind the classes
+    it builds as globals of this module, and return kind's payload
+    class."""
+    if kind not in _CODECS:
+        raise ParseError(f"unknown document kind {kind!r}")
+    layer, _, name = _CODECS[kind][0].partition(".")
+    for path in _BUILDS[layer]:
+        module, _, cls = path.partition(".")
+        globals()[cls] = getattr(import_module(f".{module}", __package__),
+                                 cls)
+    cls = _payload_types[kind] = getattr(
+        import_module(f".{layer}", __package__), name)
+    return cls
 
 
 def _check_payload(kind: str, payload: object) -> None:
-    if kind not in _CODECS:
-        raise ParseError(f"unknown document kind {kind!r}")
-    module, _, name = _CODECS[kind][0].partition(".")
-    if not isinstance(payload,
-                      getattr(import_module(f".{module}", __package__), name)):
+    if not isinstance(payload, _payload_types.get(kind) or _bind(kind)):
         raise ParseError(f"payload is not a {kind}")
 
 
@@ -456,33 +459,49 @@ def parse(text: str) -> Document:
     if version != VERSION:
         raise ParseError(f"unsupported version {version!r}")
     kind = data["kind"]
-    if kind not in _CODECS:
-        raise ParseError(f"unknown document kind {kind!r}")
-    if kind not in _bound:
+    if kind not in _payload_types:
         _bind(kind)
     payload = _CODECS[kind][2](data["payload"], kind)
     return Document(VERSION, kind, payload)
 
 
-# The C encoder formats the scalars that are not ints; keys are strings,
+# The encoder formats the scalars that are not ints; keys are strings,
 # which it quotes with this function.
-_scalar = json.JSONEncoder(sort_keys=True).encode
+_json = json.JSONEncoder(sort_keys=True)
+_scalar = _json.encode
 _quote = json.encoder.encode_basestring_ascii
+
+# The C encoder of the lists that start on a line indented by a pad, one
+# per pad, built the first time that pad is written.  It writes a list of
+# scalars with the item separator of that indentation.
+_lists: dict[str, object] = {}
 
 
 def _canonical(v: object, pad: str) -> str:
     """``json.dumps(v, sort_keys=True, indent=2)`` for a value of a
-    document body (string keys) that starts on a line indented by
-    ``pad``.  A list of ints is one join, each int on its own line."""
+    document body (string keys, tuples written as lists) that starts on a
+    line indented by ``pad``.  A list whose first item is a scalar is one
+    call to the C encoder of its pad; when that text holds a container (a
+    ``[`` past its start or a ``{``: a container later in the list, or a
+    string holding a bracket), or json has no C encoder, the list is
+    written item by item."""
     if type(v) is int:
         return str(v)
-    if type(v) is list and v:
+    if type(v) is list or type(v) is tuple:
+        if not v:
+            return "[]"
         inner = pad + "  "
-        sep = ",\n" + inner
-        if {*map(type, v)} == {int}:
-            items = sep.join(map(str, v))
-        else:
-            items = sep.join([_canonical(x, inner) for x in v])
+        if (c_make_encoder is not None
+                and type(v[0]) not in (list, tuple, dict)):
+            encode = _lists.get(pad)
+            if encode is None:
+                encode = _lists[pad] = c_make_encoder(
+                    None, _json.default, _quote, None, ": ", ",\n" + inner,
+                    True, False, True)
+            text = "".join(encode(v, 0))
+            if text.find("[", 1) < 0 and "{" not in text:
+                return f"[\n{inner}{text[1:-1]}\n{pad}]"
+        items = (",\n" + inner).join([_canonical(x, inner) for x in v])
         return f"[\n{inner}{items}\n{pad}]"
     if type(v) is dict and v:
         inner = pad + "  "

@@ -144,13 +144,31 @@ class TestInvariantSurfacing:
 
     def test_wrong_payload_type_for_document(self):
         fam = sample_documents(11, rounds=1)[5].payload
-        with pytest.raises(ParseError, match="payload is not a polynomial"):
-            document("polynomial", fam)
+        # the payload class is looked up once per kind: the second call
+        # and serialize take the stored class
+        for _ in range(2):
+            with pytest.raises(ParseError,
+                               match="payload is not a polynomial"):
+                document("polynomial", fam)
+            with pytest.raises(ParseError,
+                               match="payload is not a polynomial"):
+                serialize(Document("1", "polynomial", fam))
+        with pytest.raises(ParseError, match="unknown document kind"):
+            document("tensor", fam)
 
     def test_serialize_rejects_foreign_versions(self):
         doc = sample_documents(12, rounds=1)[0]
         with pytest.raises(ParseError, match="unsupported version"):
             serialize(Document("0", doc.kind, doc.payload))
+
+
+def nested_tree(depth):
+    """Lists and objects nested ``depth`` deep, a scalar first in each
+    list."""
+    tree = [1, 2]
+    for i in range(depth):
+        tree = [i, tree] if i % 2 else {"k": (tree, [i, i + 1])}
+    return tree
 
 
 class TestCanonicalEmitter:
@@ -190,6 +208,7 @@ class TestCanonicalEmitter:
         st.none() | st.booleans() | st.integers() | st.text()
         | st.floats(allow_nan=False, allow_infinity=False),
         lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
         | st.dictionaries(st.text(max_size=3), inner, max_size=4),
         max_leaves=20)
 
@@ -199,6 +218,46 @@ class TestCanonicalEmitter:
         # empty lists and objects, bools among ints, non-ASCII keys
         assert (documents._canonical(tree, "")
                 == json.dumps(tree, sort_keys=True, indent=2))
+
+    fixed_trees = [
+        # a scalar first, a container later: the C text is not used
+        [1, [2, 3]], [1, 2, {"a": 1}], [0, []], [0, {}], (0, (1,), 2),
+        ["x", None, [True]], [1.5, {"b": [1, 2]}, 3],
+        # strings holding brackets and escapes
+        ["[", "]", 1], ["{", "}"], [0, "a[b"], ["{x}", 2], ["\n", "\u0000"],
+        ["tab\t", "quote\"", "back\\slash", "é", "\U0001d11e"],
+        {"[k": ["v", "]"], "{": "}"},
+        # bools, None and floats among ints
+        [1, True, False, None, 0.5, -2.0, 1e300, 1e-07, 3],
+        [True, 1], [None, 0], [0.0, -0.0, 1],
+        # ints past 2**64
+        [2 ** 64, -(2 ** 70), 2 ** 200 + 1], (2 ** 64,),
+        # nested empty lists and objects
+        [], (), {}, [[]], [[], []], [[[]], [], [[], [[]]]], [{}, []],
+        [0, [[]]], {"a": [], "b": {}, "c": [[]]},
+        # deeper than any document nests
+        nested_tree(9), nested_tree(14), [[[[[[[[[[[1, 2]]]]]]]]]]],
+    ]
+
+    @pytest.mark.parametrize("c_encoder", [True, False],
+                             ids=["c-encoder", "no-c-encoder"])
+    @pytest.mark.parametrize("tree", fixed_trees, ids=repr)
+    def test_fixed_trees_match_json_dumps(self, tree, c_encoder,
+                                          monkeypatch):
+        if not c_encoder:
+            monkeypatch.setattr(documents, "c_make_encoder", None)
+        want = json.dumps(tree, sort_keys=True, indent=2)
+        assert documents._canonical(tree, "") == want
+        # the same tree inside a document body, one level down
+        assert (documents._canonical({"payload": tree}, "")
+                == json.dumps({"payload": tree}, sort_keys=True, indent=2))
+
+    def test_without_a_c_encoder_documents_keep_their_bytes(
+            self, monkeypatch):
+        docs = sample_documents(14, rounds=2)
+        texts = [serialize(doc) for doc in docs]
+        monkeypatch.setattr(documents, "c_make_encoder", None)
+        assert [serialize(doc) for doc in docs] == texts
 
 
 # The per-element checks that _nat, _ints and _comp_row replaced.
@@ -221,6 +280,19 @@ def reference_comp_row(v, ctx):
             for x in v):
         raise ParseError(f"{ctx}: expected a list of integers >= -1")
     return tuple(v)
+
+
+def reference_pairs(v, ctx):
+    """The row-by-row loop that _pairs replaced."""
+    if not isinstance(v, list):
+        raise ParseError(f"{ctx}: expected a list")
+    out = []
+    for row in v:
+        pair = reference_ints(row, ctx)
+        if len(pair) != 2:
+            raise ParseError(f"{ctx}: expected pairs of integers")
+        out.append((pair[0], pair[1]))
+    return tuple(out)
 
 
 def outcome(fn, v):
@@ -254,6 +326,34 @@ class TestIntegerChecksAgainstReference:
     def test_comp_row(self, v):
         assert (outcome(documents._comp_row, v)
                 == outcome(reference_comp_row, v))
+
+    pair = st.lists(st.integers(0, 4), min_size=2, max_size=2)
+    rows = st.lists(pair | st.lists(st.integers(-1, 4) | scalars, max_size=3)
+                    | scalars, max_size=6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(pair, max_size=6) | rows | values)
+    def test_pairs(self, v):
+        got, want = outcome(documents._pairs, v), outcome(reference_pairs, v)
+        # repr tells True from 1 and 1.0 from 1 inside the pairs
+        assert repr(got) == repr(want)
+
+    def test_each_pair_error_is_reached(self):
+        def error(v):
+            return outcome(documents._pairs, v)[1]
+        assert outcome(documents._pairs, [[0, 1], [2, 0]])[1] == (
+            (0, 1), (2, 0))
+        assert outcome(documents._pairs, [])[1] == ()
+        assert error({}) == "ctx: expected a list"
+        assert error([[0, 1], 3]) == "ctx: expected a list of integers"
+        for bad in (True, 1.0, -1):
+            assert error([[0, 1], [bad, 0]]) == (
+                "ctx: expected a nonnegative integer")
+        for bad in ([], [0], [0, 1, 2]):
+            assert error([bad]) == "ctx: expected pairs of integers"
+        # the first error in row order is the one raised
+        assert "pairs" in error([[0, 1, 2], [True, 0]])
+        assert "nonnegative" in error([[True, 0], [0, 1, 2]])
 
     def test_each_error_is_reached(self):
         assert outcome(documents._ints, 3)[0] == "error"

@@ -2,6 +2,7 @@
 ``dataclasses`` module itself is the reference."""
 
 import dataclasses
+import functools
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,12 @@ def twins(fields, defaults=None):
     return record, reference
 
 
+@functools.cache
+def twins_of_size(n):
+    """The twins with fields f0 .. f(n-1), built once per field count."""
+    return twins(tuple(f"f{i}" for i in range(n)))
+
+
 values = st.one_of(st.integers(-3, 3), st.text(max_size=2), st.none(),
                    st.tuples(st.integers(0, 2), st.integers(0, 2)))
 
@@ -58,7 +65,7 @@ class TestAgainstFrozenDataclasses:
     @given(st.integers(2, 8), st.data())
     def test_same_repr_equality_and_hash(self, n, data):
         fields = tuple(f"f{i}" for i in range(n))
-        record, reference = twins(fields)
+        record, reference = twins_of_size(n)
         a = data.draw(st.lists(values, min_size=n, max_size=n))
         b = data.draw(st.one_of(st.just(list(a)),
                                 st.lists(values, min_size=n, max_size=n)))
