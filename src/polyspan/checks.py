@@ -127,7 +127,7 @@ def decode_poly(mp: ModPolynomial) -> Polynomial:
     m1, m2 = [], []
     for so in range(ss):
         for xo in range(xs):
-            n = mp.m.at[xo][so].size
+            n = mp.m.at[xo][so]
             m1.extend([xo] * n)
             m2.extend([so] * n)
     e = FinSetObj(len(m1))
@@ -515,7 +515,7 @@ def check_mod_h_pseudofunctor(seed: int,
         parts, wrong = witnessed_parts(q, p)
         failures += [f"case {i}: {w}; {where()}" for w in wrong]
         qp = parts.poly
-        if any(_lift_bounds(qp.m, [u.at[xo][kk].size for xo in p.X.objs])[0]
+        if any(_lift_bounds(qp.m, [row[kk] for row in u.at])[0]
                > 40000 for kk in k.objs):
             continue
         step = hK_mod(k, p, u)
@@ -602,7 +602,7 @@ def check_discrete_reduction(seed: int,
                 want = sum(1 for v in out_span.apex.elements
                            if out_span.left_leg(v) == ko
                            and out_span.right_leg(v) == yo)
-                if out_mod.at[yo][ko].size != want:
+                if out_mod.at[yo][ko] != want:
                     failures.append(f"case {i}: hom action matrices differ "
                                     f"at ({ko}, {yo}); {where()} "
                                     f"u={_compact('span', u_span)}")

@@ -14,9 +14,11 @@ structural law raise InvariantViolation naming the violated clause.
 Each fact of a document is checked once.  Categories are hash-consed
 among live values: a category table equal to one that is still alive
 parses to that same ``FinCat``, neither rebuilt nor re-checked, with the
-indices it has cached.  The action maps of a module are typed by
-construction, their ends read from the value table, so the module's
-check runs only its identity, composition and interchange equations.
+indices it has cached.  A module is held as its document holds it: the
+value table of sizes and one int table per action.  The action tables
+are checked against the sizes in one pass as they are read, so the
+module's check runs only its identity, composition and interchange
+equations.
 """
 
 from __future__ import annotations
@@ -293,21 +295,17 @@ def _dec_functor(d: object, ctx: str) -> Functor:
 # -- profunctors ------------------------------------------------------------
 
 def _enc_prof_tables(m: Profunctor) -> dict:
-    return {"at": [[m.at[b][a].size for a in m.src.objs]
-                   for b in m.tgt.objs],
-            "lact": [[m.lact[beta][a].table for a in m.src.objs]
-                     for beta in m.tgt.mors],
-            "ract": [[m.ract[alpha][b].table for b in m.tgt.objs]
-                     for alpha in m.src.mors]}
+    return {"at": m.at, "lact": m.lact, "ract": m.ract}
 
 
 def _dec_action(rows: list, values: tuple, dom_end: tuple[int, ...],
                 cod_end: tuple[int, ...], width: int, ctx: str,
-                side: str) -> tuple[tuple[FinSetMap, ...], ...]:
+                side: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """One action table of a module: the map in row r, column i runs from
-    ``values[dom_end[r]][i]`` to ``values[cod_end[r]][i]``.  Every leaf is
-    checked in one pass; when that pass fails, the rows are read one by
-    one, so the error raised is the first in row, then column order."""
+    ``values[dom_end[r]][i]`` elements to ``values[cod_end[r]][i]``.  Every
+    leaf is checked in one pass; when that pass fails, the rows are read
+    one by one, each leaf as a map, so the error raised is the first in
+    row, then column order."""
     leaves, doms, cods = [], [], []
     for r, row in enumerate(rows):
         if type(row) is not list or len(row) != width:
@@ -317,17 +315,18 @@ def _dec_action(rows: list, values: tuple, dom_end: tuple[int, ...],
         cods += values[cod_end[r]]
     else:
         if (_int_tables(leaves, 0)
-                and all(len(t) == x.size and (not t or max(t) < y.size)
+                and all(len(t) == x and (not t or max(t) < y)
                         for t, x, y in zip(leaves, doms, cods))):
-            maps = map(FinSetMap._trusted, doms, cods, map(tuple, leaves))
-            return tuple(tuple(islice(maps, width)) for _ in rows)
+            tables = map(tuple, leaves)
+            return tuple(tuple(islice(tables, width)) for _ in rows)
     out = []
     for r, row in enumerate(rows):
         row = _rows(row, ctx)
         if len(row) != width:
             raise ParseError(f"{ctx}: {side} row {r} has wrong length")
         dom, cod = values[dom_end[r]], values[cod_end[r]]
-        out.append(tuple(FinSetMap(dom[i], cod[i], _ints(row[i], ctx))
+        out.append(tuple(FinSetMap(FinSetObj(dom[i]), FinSetObj(cod[i]),
+                                   _ints(row[i], ctx)).table
                          for i in range(width)))
     return tuple(out)
 
@@ -340,7 +339,7 @@ def _dec_prof_tables(d: object, src: FinCat, tgt: FinCat,
     if len(at_rows) != nb or any(len(row) != na for row in at_rows):
         raise ParseError(f"{ctx}: value table must be indexed by "
                          "target then source objects")
-    at = tuple(tuple(map(FinSetObj, row)) for row in at_rows)
+    at = tuple(at_rows)
     lact_rows = _rows(d["lact"], ctx)
     ract_rows = _rows(d["ract"], ctx)
     if len(lact_rows) != tgt.morphisms.size:
@@ -451,6 +450,10 @@ def parse(text: str) -> Document:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno) from None
+    except (RecursionError, ValueError) as e:
+        # nesting deeper than the stack, or an int literal longer than
+        # int() converts
+        raise ParseError(f"unreadable JSON: {e}") from None
     data = _expect_keys(data, {"version", "kind", "payload"}, "document")
     for key in ("version", "kind"):
         if not isinstance(data[key], str):

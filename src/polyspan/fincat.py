@@ -26,11 +26,12 @@ Conventions used throughout:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cached_property
 from typing import Iterator
 
 from .errors import InvariantViolation, require
-from .finset import FinSetMap, FinSetObj, identity, pullback
+from .finset import FinSetMap, FinSetObj, identity
 from .record import Record
 from .unionfind import UnionFind
 
@@ -344,7 +345,8 @@ class Presheaf(Record):
             for g in c.out_of(x):
                 if g == c.ident.table[x]:
                     continue
-                if act[c.comp[g][f]].table != _after(act[f], act[g]):
+                if act[c.comp[g][f]].table != _after(act[f].table,
+                                                     act[g].table):
                     raise InvariantViolation(
                         "presheaf-comp",
                         f"contravariant functoriality fails on ({g}, {f})")
@@ -353,24 +355,31 @@ class Presheaf(Record):
 # Laws are checked once the boundaries are, and two maps with equal
 # boundaries are equal exactly when their tables are: these compare tables.
 
-def _after(g: FinSetMap, f: FinSetMap) -> tuple[int, ...]:
+def _after(g: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
     """The table of g after f, without building or checking a map."""
-    return tuple(map(g.table.__getitem__, f.table))
+    return tuple(map(g.__getitem__, f))
 
 
 def _is_identity_table(table: tuple[int, ...]) -> bool:
     return table == tuple(range(len(table)))
 
 
+def _presheaf(c: FinCat, sizes, tables) -> Presheaf:
+    """The presheaf on c with ``sizes[x]`` elements at x, on which each
+    morphism m acts by ``tables[m]``; built unchecked."""
+    at = tuple(map(FinSetObj, sizes))
+    return Presheaf._trusted(c, at, tuple(
+        FinSetMap._trusted(at[y], at[x], t)
+        for t, x, y in zip(tables, c.src.table, c.tgt.table)))
+
+
 def representable(c: FinCat, b: int) -> Presheaf:
     """The presheaf x -> hom(x, b), acting by precomposition."""
     require(0 <= b < c.objects.size, "representable-object",
             f"{b} is not an object of the category")
-    at = tuple(FinSetObj(len(c.hom(x, b))) for x in c.objs)
-    return Presheaf._trusted(c, at, tuple(
-        FinSetMap._trusted(at[y], at[x], tuple(
-            c.hom_position(c.comp[h][m]) for h in c.hom(y, b)))
-        for m, x, y in zip(c.mors, c.src.table, c.tgt.table)))
+    return _presheaf(c, [len(c.hom(x, b)) for x in c.objs], [
+        tuple(c.hom_position(c.comp[h][m]) for h in c.hom(y, b))
+        for m, y in zip(c.mors, c.tgt.table)])
 
 
 def constant_presheaf(c: FinCat, size: int) -> Presheaf:
@@ -459,30 +468,22 @@ def arrow_category(c: FinCat) -> Comma:
 
 
 def is_cartesian(p: Functor, chi: int) -> bool:
-    """Whether chi is cartesian for p: for every object k, the square sending
-    psi: k -> src(chi) to (p psi, chi∘psi) is a pullback of hom-sets."""
+    """Whether chi is cartesian for p: for every object k, the map sending
+    psi: k -> src(chi) to (p psi, chi∘psi) is a bijection onto the pairs
+    (gamma, phi) with p(chi)∘gamma = p(phi), the pullback of hom-sets.  By
+    functoriality every image is such a pair, so the map is a bijection
+    when it is injective and there are as many pairs as psi's."""
     e_cat, b_cat = p.dom, p.cod
     e1, e = e_cat.src(chi), e_cat.tgt(chi)
-    pk_of = p.omap
+    omap, mmap = p.omap, p.mmap
+    after, p_after = e_cat.comp[chi], b_cat.comp[mmap[chi]]
     for k in e_cat.objs:
         top = e_cat.hom(k, e1)
-        right = e_cat.hom(k, e)
-        bot1 = b_cat.hom(pk_of[k], pk_of[e1])
-        bot0 = b_cat.hom(pk_of[k], pk_of[e])
-        o_top = FinSetObj(len(top))
-        o_right = FinSetObj(len(right))
-        o_bot1 = FinSetObj(len(bot1))
-        o_bot0 = FinSetObj(len(bot0))
-        post = FinSetMap._trusted(o_bot1, o_bot0, tuple(
-            b_cat.hom_position(b_cat.comp[p.mmap[chi]][gamma]) for gamma in bot1))
-        down = FinSetMap._trusted(o_right, o_bot0, tuple(
-            b_cat.hom_position(p.mmap[phi]) for phi in right))
-        pb = pullback(post, down)
-        c1 = FinSetMap._trusted(o_top, o_bot1, tuple(
-            b_cat.hom_position(p.mmap[psi]) for psi in top))
-        c2 = FinSetMap._trusted(o_top, o_right, tuple(
-            e_cat.hom_position(e_cat.comp[chi][psi]) for psi in top))
-        if not pb.mediate(c1, c2).is_bijective:
+        if len({(mmap[psi], after[psi]) for psi in top}) < len(top):
+            return False
+        images = Counter(mmap[phi] for phi in e_cat.hom(k, e))
+        if sum(images[p_after[gamma]]
+               for gamma in b_cat.hom(omap[k], omap[e1])) != len(top):
             return False
     return True
 
@@ -629,14 +630,10 @@ def fibers(p: Functor) -> Presheaf:
     require(is_discrete_fibration(p), "not-discrete-fibration",
             "fibers only exist for a discrete fibration")
     e_cat, b_cat, over = p.dom, p.cod, p.over
-    at = tuple(FinSetObj(len(over.fiber(b))) for b in b_cat.objs)
-    act = []
-    for beta in b_cat.mors:
-        b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
-        act.append(FinSetMap._trusted(at[b2], at[b1], tuple(
-            over.fiber_position(e_cat.src(p.lifts(e2, beta)[0]))
-            for e2 in over.fiber(b2))))
-    return Presheaf._trusted(b_cat, at, tuple(act))
+    return _presheaf(b_cat, [len(over.fiber(b)) for b in b_cat.objs], [
+        tuple(over.fiber_position(e_cat.src(p.lifts(e2, beta)[0]))
+              for e2 in over.fiber(b2))
+        for beta, b2 in zip(b_cat.mors, b_cat.tgt.table)])
 
 
 def _components_under(g: Functor, x: int) -> list[list[tuple[int, int]]]:
@@ -664,16 +661,12 @@ def comprehensive_factorization(g: Functor) -> tuple[Functor, Functor]:
     classes_at = [_components_under(g, x) for x in x_cat.objs]
     class_index = [{member: i for i, c in enumerate(cls) for member in c}
                    for cls in classes_at]
-    at = tuple(FinSetObj(len(c)) for c in classes_at)
-    act = []
+    tables = []
     for gamma in x_cat.mors:
         x1, x2 = x_cat.src(gamma), x_cat.tgt(gamma)
-        table = []
-        for c in classes_at[x2]:
-            e, psi = c[0]
-            table.append(class_index[x1][(e, x_cat.comp[psi][gamma])])
-        act.append(FinSetMap._trusted(at[x2], at[x1], tuple(table)))
-    el = elements(Presheaf._trusted(x_cat, at, tuple(act)))
+        tables.append(tuple(class_index[x1][(e, x_cat.comp[psi][gamma])]
+                            for e, psi in (c[0] for c in classes_at[x2])))
+    el = elements(_presheaf(x_cat, map(len, classes_at), tables))
 
     def home(e):  # the component of (e, identity) under g e
         x = g.omap[e]

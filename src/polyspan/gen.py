@@ -183,8 +183,7 @@ def rand_dfib(rng: random.Random, y: FinCat) -> Functor:
 
 
 def _max_cell(m: Profunctor) -> int:
-    return max((m.at[b][a].size for b in m.tgt.objs for a in m.src.objs),
-               default=0)
+    return max((k for row in m.at for k in row), default=0)
 
 
 def rand_profunctor(rng: random.Random, src: FinCat, tgt: FinCat,
@@ -221,7 +220,7 @@ def _lift_bounds(n: Profunctor, cod_sizes) -> tuple[int, list[int]]:
     for s in n.src.objs:
         prod = 1
         for y in n.tgt.objs:
-            prod *= cod_sizes[y] ** n.at[y][s].size
+            prod *= cod_sizes[y] ** n.at[y][s]
             if prod > 10 ** 9:
                 break
         work += prod
@@ -259,7 +258,7 @@ def rand_hk_case(rng: random.Random, work_cap: int = 20000):
     k = rand_fincat(rng, max_objs=2, max_mors=8)
     u = rand_profunctor(rng, k, p.X, parts_max=1, max_cell=2)
     for kk in k.objs:
-        u_sizes = [u.at[xo][kk].size for xo in p.X.objs]
+        u_sizes = [row[kk] for row in u.at]
         work, counts = _lift_bounds(p.m, u_sizes)
         if work > work_cap:
             return None

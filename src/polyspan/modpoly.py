@@ -10,8 +10,9 @@ one representative per class, which is well defined for valid modules,
 and every morphism out of a coend is built by ``_coend_map``.  Every
 module the library computes is built by ``_built`` from its cell sizes
 and the actions of the non-identity morphisms: identities act by
-construction, and cells of one size share one unlabelled value set and
-one identity map.
+construction, and cells of one size share one identity table.  A module
+holds what its document holds: ``at`` holds the number of elements of
+each cell and ``lact``/``ract`` one int table per action.
 Right liftings are computed as ends: sets of naturally varying families
 of maps.  Those families, the morphisms between two modules and the
 isomorphisms between them all come from the one search for natural maps
@@ -40,6 +41,7 @@ from .fincat import (
     _after,
     _is_identity_table,
     _natural_maps,
+    _presheaf,
     compose_functors,
     comprehensive_factorization,
     elements,
@@ -56,17 +58,18 @@ from .record import Record
 
 
 class Profunctor(Record):
-    """A two-sided module: ``at[b][a]`` is the value set, ``lact[beta][a]``
-    restricts along a tgt-category morphism (contravariantly) and
-    ``ract[alpha][b]`` pushes along a src-category morphism (covariantly).
-    Modules from callers and documents have every bifunctoriality equation
-    checked at construction; those computed here are checked in the tests."""
+    """A two-sided module: ``at[b][a]`` is the size of the value set,
+    ``lact[beta][a]`` is the table that restricts along a tgt-category
+    morphism (contravariantly) and ``ract[alpha][b]`` the table that pushes
+    along a src-category morphism (covariantly).  Modules from callers and
+    documents have every bifunctoriality equation checked at construction;
+    those computed here are checked in the tests."""
 
     src: FinCat
     tgt: FinCat
-    at: tuple[tuple[FinSetObj, ...], ...]
-    lact: tuple[tuple[FinSetMap, ...], ...]
-    ract: tuple[tuple[FinSetMap, ...], ...]
+    at: tuple[tuple[int, ...], ...]
+    lact: tuple[tuple[tuple[int, ...], ...], ...]
+    ract: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self) -> None:
         a_cat, b_cat = self.src, self.tgt
@@ -84,31 +87,29 @@ class Profunctor(Record):
         for beta in b_cat.mors:
             b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
             for a in a_cat.objs:
-                f = lact[beta][a]
-                if f.dom != at[b2][a] or f.cod != at[b1][a]:
+                if not _typed(lact[beta][a], at[b2][a], at[b1][a]):
                     raise InvariantViolation(
                         "prof-typing", f"left action of {beta} at {a} mistyped")
         for alpha in a_cat.mors:
             a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
             for b in b_cat.objs:
-                f = ract[alpha][b]
-                if f.dom != at[b][a1] or f.cod != at[b][a2]:
+                if not _typed(ract[alpha][b], at[b][a1], at[b][a2]):
                     raise InvariantViolation(
                         "prof-typing", f"right action of {alpha} at {b} mistyped")
         self._check_laws()
 
     def _check_laws(self) -> None:
         """The identity, composition and interchange equations, for
-        actions of the right shape and types (the document decoder builds
+        actions of the right shape and types (the document decoder checks
         them so)."""
         a_cat, b_cat = self.src, self.tgt
         lact, ract = self.lact, self.ract
         for b in b_cat.objs:
             for a in a_cat.objs:
-                if not _is_identity_table(lact[b_cat.ident(b)][a].table):
+                if not _is_identity_table(lact[b_cat.ident(b)][a]):
                     raise InvariantViolation(
                         "prof-ident", f"left identity action fails at ({b}, {a})")
-                if not _is_identity_table(ract[a_cat.ident(a)][b].table):
+                if not _is_identity_table(ract[a_cat.ident(a)][b]):
                     raise InvariantViolation(
                         "prof-ident", f"right identity action fails at ({b}, {a})")
         # With the identity actions checked, every equation along an
@@ -120,7 +121,7 @@ class Profunctor(Record):
                     continue
                 row, l1, l2 = lact[b_cat.comp[b2][b1]], lact[b1], lact[b2]
                 for a in a_cat.objs:
-                    if row[a].table != _after(l1[a], l2[a]):
+                    if row[a] != _after(l1[a], l2[a]):
                         raise InvariantViolation(
                             "prof-comp",
                             f"left action not functorial on ({b2}, {b1})")
@@ -131,7 +132,7 @@ class Profunctor(Record):
                     continue
                 row, r1, r2 = ract[a_cat.comp[a2][a1]], ract[a1], ract[a2]
                 for b in b_cat.objs:
-                    if row[b].table != _after(r2[b], r1[b]):
+                    if row[b] != _after(r2[b], r1[b]):
                         raise InvariantViolation(
                             "prof-comp",
                             f"right action not functorial on ({a2}, {a1})")
@@ -146,6 +147,12 @@ class Profunctor(Record):
                         f"actions of {beta} and {alpha} do not commute")
 
 
+def _typed(table: tuple[int, ...], dom: int, cod: int) -> bool:
+    """Whether table is a map from dom elements to cod elements."""
+    return len(table) == dom and (not table or 0 <= min(table)
+                                  and max(table) < cod)
+
+
 def _built(a_cat: FinCat, b_cat: FinCat, sizes, left, right) -> Profunctor:
     """The module A -> B with ``sizes[b][a]`` elements at (b, a), whose left
     action along a non-identity beta has the tables ``left(beta)``, one
@@ -153,26 +160,22 @@ def _built(a_cat: FinCat, b_cat: FinCat, sizes, left, right) -> Profunctor:
     tables ``right(alpha)``, one per object of B.  Every module the library
     computes is built here.  Identities act by identity maps, by
     construction, so ``left`` is never called when B is discrete, nor
-    ``right`` when A is; cells of one size share one value set and one
-    identity map."""
-    sets = {k: FinSetObj(k) for k in set().union(*sizes)}
-    ident = {k: identity(v) for k, v in sets.items()}
-    at = tuple(tuple(sets[k] for k in row) for row in sizes)
-    ids = tuple(tuple(ident[k] for k in row) for row in sizes)
+    ``right`` when A is; cells of one size share one identity table."""
+    ident = {k: tuple(range(k)) for k in set().union(*sizes)}
+    at = tuple(map(tuple, sizes))
+    ids = tuple(tuple(ident[k] for k in row) for row in at)
 
     def lact(beta):
-        b1, b2 = b_cat.src.table[beta], b_cat.tgt.table[beta]
+        b1 = b_cat.src.table[beta]
         if b_cat.ident.table[b1] == beta:
             return ids[b1]
-        return tuple(FinSetMap._trusted(at[b2][a], at[b1][a], table)
-                     for a, table in enumerate(left(beta)))
+        return tuple(left(beta))
 
     def ract(alpha):
-        a1, a2 = a_cat.src.table[alpha], a_cat.tgt.table[alpha]
+        a1 = a_cat.src.table[alpha]
         if a_cat.ident.table[a1] == alpha:
             return tuple(row[a1] for row in ids)
-        return tuple(FinSetMap._trusted(at[b][a1], at[b][a2], table)
-                     for b, table in enumerate(right(alpha)))
+        return tuple(right(alpha))
 
     return Profunctor._trusted(a_cat, b_cat, at, tuple(map(lact, b_cat.mors)),
                                tuple(map(ract, a_cat.mors)))
@@ -180,7 +183,7 @@ def _built(a_cat: FinCat, b_cat: FinCat, sizes, left, right) -> Profunctor:
 
 def prof_from_presheaf(a: FinCat, b: FinCat, psh: Presheaf) -> Profunctor:
     """Unpack a presheaf on B x A^op into a profunctor A -> B, whose laws
-    are the presheaf's; the labels of the presheaf's sets are not kept."""
+    are the presheaf's; a module keeps sizes, not the sets' labels."""
     require(psh.base == product_cat(b, opposite_cat(a)), "prof-from-presheaf",
             "presheaf must live on the product with the opposite")
     return _prof_from_presheaf(a, b, psh)
@@ -199,8 +202,8 @@ def _prof_from_presheaf(a: FinCat, b: FinCat, psh: Presheaf) -> Profunctor:
 
 def presheaf_as_module(p: Presheaf) -> Profunctor:
     """A presheaf on C viewed as a module from the terminal category, with
-    unlabelled value sets of the presheaf's sizes: for a presheaf with
-    labelled sets, ``module_as_presheaf`` gives back its unlabelled copy."""
+    the presheaf's sizes: for a presheaf with labelled sets,
+    ``module_as_presheaf`` gives back its unlabelled copy."""
     return _built(terminal_cat(), p.base, [[v.size] for v in p.at],
                   lambda gamma: (p.act[gamma].table,), None)
 
@@ -208,8 +211,8 @@ def presheaf_as_module(p: Presheaf) -> Profunctor:
 def module_as_presheaf(m: Profunctor) -> Presheaf:
     require(m.src == terminal_cat(), "module-psh-src",
             "only modules out of the terminal category are presheaves")
-    return Presheaf._trusted(m.tgt, tuple(m.at[b][0] for b in m.tgt.objs),
-                             tuple(m.lact[beta][0] for beta in m.tgt.mors))
+    return _presheaf(m.tgt, [row[0] for row in m.at],
+                     [row[0] for row in m.lact])
 
 
 def graph_module(f: Functor) -> Profunctor:
@@ -271,22 +274,22 @@ class ProfMorphism(Record):
         for b in b_cat.objs:
             for a in a_cat.objs:
                 f = h[b][a]
-                if f.dom != m.at[b][a] or f.cod != n.at[b][a]:
+                if (f.dom.size, f.cod.size) != (m.at[b][a], n.at[b][a]):
                     raise InvariantViolation(
                         "profmor-typing", f"component at ({b}, {a}) mistyped")
         for beta in b_cat.non_identities:
             b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
             for a in a_cat.objs:
-                if (_after(h[b1][a], m.lact[beta][a])
-                        != _after(n.lact[beta][a], h[b2][a])):
+                if (_after(h[b1][a].table, m.lact[beta][a])
+                        != _after(n.lact[beta][a], h[b2][a].table)):
                     raise InvariantViolation(
                         "profmor-natural",
                         f"left naturality fails at ({beta}, {a})")
         for alpha in a_cat.non_identities:
             a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
             for b in b_cat.objs:
-                if (_after(h[b][a2], m.ract[alpha][b])
-                        != _after(n.ract[alpha][b], h[b][a1])):
+                if (_after(h[b][a2].table, m.ract[alpha][b])
+                        != _after(n.ract[alpha][b], h[b][a1].table)):
                     raise InvariantViolation(
                         "profmor-natural",
                         f"right naturality fails at ({alpha}, {b})")
@@ -296,10 +299,15 @@ class ProfMorphism(Record):
         return all(f.is_bijective for row in self.h for f in row)
 
 
+def _component(dom: int, cod: int, table: tuple[int, ...]) -> FinSetMap:
+    """The component of a module morphism between cells of these sizes."""
+    return FinSetMap._trusted(FinSetObj(dom), FinSetObj(cod), table)
+
+
 def prof_id(m: Profunctor) -> ProfMorphism:
     return ProfMorphism(m, m, tuple(
-        tuple(identity(m.at[b][a]) for a in m.src.objs)
-        for b in m.tgt.objs))
+        tuple(_component(k, k, tuple(range(k))) for k in row)
+        for row in m.at))
 
 
 def prof_vcomp(b: ProfMorphism, a: ProfMorphism) -> ProfMorphism:
@@ -339,9 +347,8 @@ def _coend(n: Profunctor, m: Profunctor):
     a_cat, b_cat, c_cat = m.src, m.tgt, n.tgt
     # per middle object b, the block of its triples: the row of each a,
     # the column of each c, the block's width and its first id
-    rows = [list(accumulate((m.at[b][a].size for a in a_cat.objs), initial=0))
-            for b in b_cat.objs]
-    cols = [list(accumulate((n.at[c][b].size for c in c_cat.objs), initial=0))
+    rows = [list(accumulate(m.at[b], initial=0)) for b in b_cat.objs]
+    cols = [list(accumulate((n.at[c][b] for c in c_cat.objs), initial=0))
             for b in b_cat.objs]
     width = [col[-1] for col in cols]
     first = list(accumulate((row[-1] * w for row, w in zip(rows, width)),
@@ -358,10 +365,10 @@ def _coend(n: Profunctor, m: Profunctor):
         w1, w2 = width[b1], width[b2]
         ract = n.ract[beta]
         moved = [(cols[b1][c] + y1, cols[b2][c] + y2) for c in c_cat.objs
-                 for y1, y2 in enumerate(ract[c].table)]
+                 for y1, y2 in enumerate(ract[c])]
         for a in a_cat.objs:
             o1, o2 = first[b1] + rows[b1][a] * w1, first[b2] + rows[b2][a] * w2
-            for x2, x1 in enumerate(m.lact[beta][a].table):
+            for x2, x1 in enumerate(m.lact[beta][a]):
                 t1, t2 = o1 + x1 * w1, o2 + x2 * w2
                 for j1, j2 in moved:
                     r1, r2 = find(t1 + j1), find(t2 + j2)
@@ -373,10 +380,9 @@ def _coend(n: Profunctor, m: Profunctor):
     position = [0] * len(parent)  # at roots: the class's place in its cell
     t = 0
     for b in b_cat.objs:
-        over_n = [(grid[c], n.at[c][b].size) for c in c_cat.objs
-                  if n.at[c][b].size]
+        over_n = [(grid[c], n.at[c][b]) for c in c_cat.objs if n.at[c][b]]
         for a in a_cat.objs:
-            for x in range(m.at[b][a].size):
+            for x in range(m.at[b][a]):
                 for row, size in over_n:
                     classes = row[a]
                     for y in range(size):
@@ -391,13 +397,13 @@ def _coend(n: Profunctor, m: Profunctor):
 
     def left(gamma):
         c1, c2, g = c_cat.src(gamma), c_cat.tgt(gamma), n.lact[gamma]
-        return (tuple(index(c1, a, b, x, g[b].table[y])
+        return (tuple(index(c1, a, b, x, g[b][y])
                       for b, x, y in grid[c2][a])
                 for a in a_cat.objs)
 
     def right(alpha):
         a1, a2, r = a_cat.src(alpha), a_cat.tgt(alpha), m.ract[alpha]
-        return (tuple(index(c, a2, b, r[b].table[x], y)
+        return (tuple(index(c, a2, b, r[b][x], y)
                       for b, x, y in grid[c][a1])
                 for c in c_cat.objs)
 
@@ -415,7 +421,7 @@ def _coend_map(n: Profunctor, m: Profunctor, target: Profunctor,
     construction."""
     source, cells, _ = _coend(n, m)
     return ProfMorphism._trusted(source, target, tuple(
-        tuple(FinSetMap._trusted(source.at[c][a], target.at[c][a], tuple(
+        tuple(_component(source.at[c][a], target.at[c][a], tuple(
             value(c, a, *rep) for rep in reps))
             for a, reps in enumerate(row))
         for c, row in enumerate(cells)))
@@ -447,17 +453,16 @@ def _prof_maps(m: Profunctor, n: Profunctor, bijective: bool):
     a_cat, b_cat = m.src, m.tgt
     na = a_cat.objects.size
     squares = [(b_cat.tgt(beta) * na + a, b_cat.src(beta) * na + a,
-                m.lact[beta][a].table, n.lact[beta][a].table)
+                m.lact[beta][a], n.lact[beta][a])
                for beta in b_cat.non_identities for a in a_cat.objs]
     squares += [(b * na + a_cat.src(alpha), b * na + a_cat.tgt(alpha),
-                 m.ract[alpha][b].table, n.ract[alpha][b].table)
+                 m.ract[alpha][b], n.ract[alpha][b])
                 for alpha in a_cat.non_identities for b in b_cat.objs]
-    for tables in _natural_maps(
-            [v.size for row in m.at for v in row],
-            [v.size for row in n.at for v in row], squares, bijective):
+    for tables in _natural_maps([k for row in m.at for k in row],
+                                [k for row in n.at for k in row], squares,
+                                bijective):
         yield ProfMorphism._trusted(m, n, tuple(
-            tuple(FinSetMap._trusted(m.at[b][a], n.at[b][a],
-                                     tables[b * na + a])
+            tuple(_component(m.at[b][a], n.at[b][a], tables[b * na + a])
                   for a in a_cat.objs)
             for b in b_cat.objs))
 
@@ -474,10 +479,8 @@ def prof_iso(m: Profunctor, n: Profunctor) -> ProfMorphism | None:
     tables, or None."""
     if m.src != n.src or m.tgt != n.tgt:
         return None
-    for b in m.tgt.objs:
-        for a in m.src.objs:
-            if m.at[b][a].size != n.at[b][a].size:
-                return None
+    if m.at != n.at:
+        return None
     return next(_prof_maps(m, n, True), None)
 
 
@@ -486,10 +489,9 @@ def _natural_families(n: Profunctor, u: Profunctor, s: int, k: int):
     tables, in lexicographic order."""
     y_cat = n.tgt
     squares = [(y_cat.tgt(psi), y_cat.src(psi),
-                n.lact[psi][s].table, u.lact[psi][k].table)
+                n.lact[psi][s], u.lact[psi][k])
                for psi in y_cat.non_identities]
-    return _natural_maps([n.at[y][s].size for y in y_cat.objs],
-                         [u.at[y][k].size for y in y_cat.objs],
+    return _natural_maps([row[s] for row in n.at], [row[k] for row in u.at],
                          squares, False)
 
 
@@ -515,13 +517,13 @@ def rif_mod_data(n: Profunctor, u: Profunctor) -> RifModData:
     def left(sigma):  # a family at s2 read through n's action of sigma
         s1, s2, r = s_cat.src(sigma), s_cat.tgt(sigma), n.ract[sigma]
         return (tuple(index[s1][k][tuple(
-            tuple(map(fam[y].__getitem__, r[y].table)) for y in y_cat.objs)]
+            tuple(map(fam[y].__getitem__, r[y])) for y in y_cat.objs)]
             for fam in fams[s2][k]) for k in k_cat.objs)
 
     def right(kappa):  # a family at k1 followed by u's action of kappa
         k1, k2, r = k_cat.src(kappa), k_cat.tgt(kappa), u.ract[kappa]
         return (tuple(index[s][k2][tuple(
-            tuple(map(r[y].table.__getitem__, fam[y])) for y in y_cat.objs)]
+            tuple(map(r[y].__getitem__, fam[y])) for y in y_cat.objs)]
             for fam in fams[s][k1]) for s in s_cat.objs)
 
     sizes = [list(map(len, row)) for row in fams]
@@ -603,7 +605,7 @@ def _fiber_cells(p: Functor, v: Profunctor):
         for k, cell in enumerate(row):
             for s in p.over.fiber(y):
                 start[s][k] = len(cell)
-                cell.extend((s, i) for i in v.at[s][k].elements)
+                cell.extend((s, i) for i in range(v.at[s][k]))
     return cells, start
 
 
@@ -611,6 +613,11 @@ def fiberwise_module(p: Functor, v: Profunctor) -> Profunctor:
     """Sum of v's values over the fibers of a discrete fibration, with the
     left action through unique lifts.  This is the closed form that the
     coend along the graph module collapses to."""
+    return _fiberwise(p, v)[0]
+
+
+def _fiberwise(p: Functor, v: Profunctor):
+    """``fiberwise_module(p, v)`` with the ``start`` of ``_fiber_cells``."""
     require(is_discrete_fibration(p), "fiberwise-dfib",
             "fiberwise sums need a discrete fibration")
     require(v.tgt == p.dom, "fiberwise-boundary",
@@ -620,7 +627,7 @@ def fiberwise_module(p: Functor, v: Profunctor) -> Profunctor:
 
     def moved(psi, k, s2, i):  # along the lift of psi at s2
         sigma = p.lifts(s2, psi)[0]
-        return start[s_cat.src(sigma)][k] + v.lact[sigma][k].table[i]
+        return start[s_cat.src(sigma)][k] + v.lact[sigma][k][i]
 
     def left(psi):
         y2 = y_cat.tgt(psi)
@@ -629,11 +636,11 @@ def fiberwise_module(p: Functor, v: Profunctor) -> Profunctor:
 
     def right(kappa):
         k1, k2, r = k_cat.src(kappa), k_cat.tgt(kappa), v.ract[kappa]
-        return (tuple(start[s][k2] + r[s].table[i] for s, i in row[k1])
+        return (tuple(start[s][k2] + r[s][i] for s, i in row[k1])
                 for row in cells)
 
     sizes = [list(map(len, row)) for row in cells]
-    return _built(k_cat, y_cat, sizes, left, right)
+    return _built(k_cat, y_cat, sizes, left, right), start
 
 
 class DfibCollapse(Record):
@@ -645,13 +652,12 @@ class DfibCollapse(Record):
 
 
 def dfib_collapse(p: Functor, v: Profunctor) -> DfibCollapse:
-    fw = fiberwise_module(p, v)
+    fw, start = _fiberwise(p, v)
     s_cat, y_cat = p.dom, p.cod
-    _, start = _fiber_cells(p, v)
 
     def collapse(y, k, s, x, gpos):  # along the lift of the gpos-th y -> p(s)
         sigma = p.lifts(s, y_cat.hom(y, p.omap[s])[gpos])[0]
-        return start[s_cat.src(sigma)][k] + v.lact[sigma][k].table[x]
+        return start[s_cat.src(sigma)][k] + v.lact[sigma][k][x]
 
     return DfibCollapse(fw, _coend_map(graph_module(p), v, fw, collapse))
 
@@ -697,14 +703,14 @@ def polymod_parts(q: ModPolynomial, p: ModPolynomial) -> PolymodParts:
 
     def left(zeta):  # q's lifter restricts along the image of zeta
         gamma, c1 = p.p.mmap[zeta], p.p.omap[z_cat.src(zeta)]
-        return (tuple(place[yo][c1][q.m.lact[gamma][t].table[mu]]
+        return (tuple(place[yo][c1][q.m.lact[gamma][t][mu]]
                       for mu in cells[z_cat.tgt(zeta)][yo])
                 for yo, (t, _) in enumerate(tab.el.objects_data))
 
     def right(ym):  # q's lifter pushes along the base morphism of ym
         yo1, yo2 = y_cat.src(ym), y_cat.tgt(ym)
         phi = tab.el.morphisms_data[ym][0]
-        return (tuple(place[yo2][c][q.m.ract[phi][c].table[mu]]
+        return (tuple(place[yo2][c][q.m.ract[phi][c][mu]]
                       for mu in cells[zo][yo1])
                 for zo, c in enumerate(p.p.omap))
 
@@ -764,15 +770,13 @@ def decompose_cotensor_module(m: Profunctor,
     k_cat = m.src
 
     def end(i):
-        return _built(k_cat, a, [[v.size for v in m.at[i * na + ao]]
-                                 for ao in a.objs],
-                      lambda alpha: (f.table for f in m.lact[i * nma + alpha]),
-                      lambda kappa: (f.table for f in
-                                     m.ract[kappa][i * na:(i + 1) * na]))
+        return _built(k_cat, a, m.at[i * na:(i + 1) * na],
+                      lambda alpha: m.lact[i * nma + alpha],
+                      lambda kappa: m.ract[kappa][i * na:(i + 1) * na])
 
     m0, m1 = end(0), end(1)
     theta = ProfMorphism(m0, m1, tuple(
-        tuple(FinSetMap._trusted(m0.at[ao][k], m1.at[ao][k], f.table)
+        tuple(_component(m0.at[ao][k], m1.at[ao][k], f)
               for k, f in enumerate(m.lact[2 * nma + a.ident(ao)]))
         for ao in a.objs))
     return m0, m1, theta
@@ -791,13 +795,12 @@ def build_cotensor_module(m0: Profunctor, m1: Profunctor,
     def left(mi):  # the arrow's component is m1's action after theta
         j, alpha = divmod(mi, nma)
         if j < 2:
-            return (f.table for f in (m0, m1)[j].lact[alpha])
-        return map(_after, m1.lact[alpha], theta.h[a.tgt(alpha)])
+            return (m0, m1)[j].lact[alpha]
+        return (_after(f, h.table)
+                for f, h in zip(m1.lact[alpha], theta.h[a.tgt(alpha)]))
 
-    return _built(k_cat, cot, [[v.size for v in row] for m in (m0, m1)
-                               for row in m.at], left,
-                  lambda kappa: (f.table for m in (m0, m1)
-                                 for f in m.ract[kappa]))
+    return _built(k_cat, cot, m0.at + m1.at, left,
+                  lambda kappa: m0.ract[kappa] + m1.ract[kappa])
 
 
 def psh_on_dfib(g: Functor, r: Functor) -> Functor:

@@ -25,7 +25,7 @@ from polyspan.modpoly import identity_polymod
 from polyspan.polyset import (IndexedFamily, compose_poly, extension_eval,
                               identity_poly)
 from polyspan.relpoly import identity_polyrel
-from test_documents import corrupt
+from test_documents import UNREADABLE_JSON, corrupt
 
 
 ONE = FinSetObj(1)
@@ -108,6 +108,13 @@ class TestCompose:
         qf, _, _, _ = rand_poly_files(tmp_path, 5)
         assert main(["compose", "--kind", "set", qf, fam]) == 2
         assert "expected a polynomial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_JSON))
+    def test_unreadable_json_is_an_input_error(self, tmp_path, capsys, name):
+        qf, pf, _, _ = rand_poly_files(tmp_path, 7)
+        (tmp_path / "p.json").write_text(UNREADABLE_JSON[name])
+        assert main(["compose", "--kind", "set", qf, pf]) == 2
+        assert capsys.readouterr().err.startswith("error: unreadable JSON")
 
     @pytest.mark.parametrize("field", ["kind", "version"])
     @pytest.mark.parametrize("value", [["polynomial"], {"kind": "polynomial"},
@@ -250,7 +257,7 @@ class TestProcessEntry:
              "mod", qf, pf], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         comp = parse(proc.stdout).payload
-        assert comp.S.objects.size == 1 and comp.m.at[0][0].size == 1200
+        assert comp.S.objects.size == 1 and comp.m.at[0][0] == 1200
 
     @pytest.mark.parametrize("directions", [63, 70])
     def test_an_extension_past_sys_maxsize_is_an_input_error(self, tmp_path,

@@ -1,8 +1,10 @@
 """Document format: canonical bytes, roundtrips, and error reporting."""
 
 import gc
+import itertools
 import json
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -37,6 +39,7 @@ from polyspan.gen import (
     rand_span,
 )
 from polyspan.modpoly import ModPolynomial, Profunctor
+from test_modpoly import tabled, tables_of
 
 
 def sample_documents(seed, rounds=4):
@@ -85,7 +88,22 @@ class TestRoundtrip:
         assert json.loads(serialize(doc))["version"] == "1"
 
 
+# Texts the JSON layer cannot read although they are valid JSON syntax:
+# nesting deeper than the stack, and an integer literal longer than
+# ``int`` converts.
+UNREADABLE_JSON = {
+    "deep nesting": "[" * 200_000,
+    "long integer": ('{"version": "1", "kind": "polynomial", "payload": '
+                     + "9" * 5000 + "}"),
+}
+
+
 class TestParseErrors:
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_JSON))
+    def test_unreadable_json_is_a_parse_error(self, name):
+        with pytest.raises(ParseError, match="unreadable JSON"):
+            parse(UNREADABLE_JSON[name])
+
     def test_syntax_error_carries_line_and_column(self):
         with pytest.raises(ParseError) as e:
             parse('{\n  "version": "1",\n  nope\n}')
@@ -160,6 +178,52 @@ class TestInvariantSurfacing:
         doc = sample_documents(12, rounds=1)[0]
         with pytest.raises(ParseError, match="unsupported version"):
             serialize(Document("0", doc.kind, doc.payload))
+
+
+TERMINAL = {"objects": 1, "morphisms": 1, "src": [0], "tgt": [0],
+            "ident": [0], "comp": [[0]]}
+
+# Module documents over the terminal category that a decoder building
+# from declared sizes would mishandle, each with the clause and text it
+# raises: an identity row that is not range(size), and a cell of 2^40
+# elements whose rows are short.
+HOSTILE_MODULES = {
+    "identity row not range": (
+        {"at": [[2]], "lact": [[[1, 0]]], "ract": [[[0, 1]]]},
+        "prof-ident: left identity action fails at (0, 0)"),
+    "2^40-element cell, short rows": (
+        {"at": [[2 ** 40]], "lact": [[[0]]], "ract": [[[0]]]},
+        "map-total: table length 1 != domain size 1099511627776"),
+    "2^40-element cell, short ract row": (
+        {"at": [[2 ** 40]], "lact": [[[0, 1, 2]]], "ract": [[[0]]]},
+        "map-total: table length 3 != domain size 1099511627776"),
+}
+
+
+class TestModuleTables:
+    def test_the_encoder_hands_over_the_modules_own_tables(self):
+        m = parse(serialize(random_document("profunctor", 3))).payload
+        tables = documents._enc_prof_tables(m)
+        assert tables["at"] is m.at
+        assert tables["lact"] is m.lact
+        assert tables["ract"] is m.ract
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_MODULES))
+    def test_hostile_modules_allocate_nothing_from_a_declared_size(
+            self, name):
+        tables, text = HOSTILE_MODULES[name]
+        doc = json.dumps({"version": "1", "kind": "profunctor", "payload":
+                          {"src": TERMINAL, "tgt": TERMINAL, **tables}})
+        parse(serialize(random_document("profunctor", 0)))  # load modpoly
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvariantViolation) as e:
+                parse(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(e.value) == text
+        assert peak < 1 << 20
 
 
 def nested_tree(depth):
@@ -419,7 +483,7 @@ def reference_dec_prof_tables(d, src, tgt, ctx):
             FinSetMap(at[b][src.src(alpha)], at[b][src.tgt(alpha)],
                       reference_ints(row[b], ctx))
             for b in tgt.objs))
-    return Profunctor(src, tgt, at, tuple(lact), tuple(ract))
+    return tabled(src, tgt, at, lact, ract)
 
 
 def reference_dec_modpoly(d, ctx):
@@ -506,40 +570,121 @@ def decode_outcome(decode, payload, kind):
     return "value", value
 
 
+def maps_dec_prof_tables(d, src, tgt, ctx):
+    """The module decoder as it was while a module held one ``FinSetObj``
+    per cell and one ``FinSetMap`` per action, converted to tables: every
+    leaf checked in one pass, then row by row when that pass fails."""
+    d = documents._expect_keys(d, {"at", "lact", "ract"}, ctx)
+    at_rows = [documents._ints(row, ctx)
+               for row in documents._rows(d["at"], ctx)]
+    na, nb = src.objects.size, tgt.objects.size
+    if len(at_rows) != nb or any(len(row) != na for row in at_rows):
+        raise ParseError(f"{ctx}: value table must be indexed by "
+                         "target then source objects")
+    at = tuple(tuple(map(FinSetObj, row)) for row in at_rows)
+    lact_rows = documents._rows(d["lact"], ctx)
+    ract_rows = documents._rows(d["ract"], ctx)
+    if len(lact_rows) != tgt.morphisms.size:
+        raise ParseError(f"{ctx}: one lact row per target morphism required")
+    if len(ract_rows) != src.morphisms.size:
+        raise ParseError(f"{ctx}: one ract row per source morphism required")
+
+    def action(rows, values, dom_end, cod_end, width, side):
+        leaves, doms, cods = [], [], []
+        for r, row in enumerate(rows):
+            if type(row) is not list or len(row) != width:
+                break
+            leaves += row
+            doms += values[dom_end[r]]
+            cods += values[cod_end[r]]
+        else:
+            if (documents._int_tables(leaves, 0)
+                    and all(len(t) == x.size and (not t or max(t) < y.size)
+                            for t, x, y in zip(leaves, doms, cods))):
+                maps = map(FinSetMap._trusted, doms, cods, map(tuple, leaves))
+                return tuple(tuple(itertools.islice(maps, width))
+                             for _ in rows)
+        out = []
+        for r, row in enumerate(rows):
+            row = documents._rows(row, ctx)
+            if len(row) != width:
+                raise ParseError(f"{ctx}: {side} row {r} has wrong length")
+            dom, cod = values[dom_end[r]], values[cod_end[r]]
+            out.append(tuple(FinSetMap(dom[i], cod[i],
+                                       documents._ints(row[i], ctx))
+                             for i in range(width)))
+        return tuple(out)
+
+    by_src = tuple(tuple(row[a] for row in at) for a in src.objs)
+    lact = action(lact_rows, at, tgt.tgt.table, tgt.src.table, na, "lact")
+    ract = action(ract_rows, by_src, src.src.table, src.tgt.table, nb,
+                  "ract")
+    m = Profunctor._trusted(src, tgt, *tables_of(at, lact, ract))
+    m._check_laws()
+    return m
+
+
+def corrupted_payloads(kind):
+    """The corrupted documents of one kind: for each of 60 seeded random
+    documents, eight corruptions anywhere and, for modules, eight more in
+    the value and action tables only.  Yields (document body, payload);
+    each uncorrupted value stays alive while its corruptions are parsed,
+    so its categories are interned."""
+    rng = random.Random(kind)
+    kept = []
+    for seed in range(60):
+        text = serialize(random_document(kind, seed))
+        kept.append(parse(text))
+        body = json.loads(text)
+        payloads = [corrupt(body["payload"], rng, rng.choice((1, 1, 2)))
+                    for _ in range(8)]
+        if kind in ("profunctor", "mod-polynomial"):
+            # two or three errors in the actions: the first one counts
+            payloads += [corrupt_actions(body["payload"], kind, rng,
+                                         rng.choice((1, 2, 3)))
+                         for _ in range(8)]
+        for payload in payloads:
+            yield body, payload
+
+
+def parsed_outcome(body, payload, kind):
+    return decode_outcome(lambda v, ctx: parse(json.dumps(
+        {**body, "payload": v})).payload, payload, kind)
+
+
 @pytest.mark.unchecked_trust  # the decoder's own checks are compared
 class TestDecodersAgainstReference:
     """Parsing checks each fact once: categories are hash-consed, module
-    actions are typed by construction and the category and action tables
-    are checked in one pass.  On any input it must give the payload, or
+    actions are checked against the cell sizes, and the category and
+    action tables in one pass.  On any input it must give the payload, or
     the exception class, clause and text, of the decoders it replaced."""
 
     @pytest.mark.parametrize("kind", sorted(REFERENCE_DECODERS))
     def test_corrupted_documents_decode_as_the_reference(self, kind):
-        rng = random.Random(kind)
-        kept, outcomes = [], set()
-        for seed in range(60):
-            text = serialize(random_document(kind, seed))
-            # the uncorrupted value stays alive, so its categories are
-            # interned while the corruptions of their tables are parsed
-            kept.append(parse(text))
-            body = json.loads(text)
-            payloads = [corrupt(body["payload"], rng, rng.choice((1, 1, 2)))
-                        for _ in range(8)]
-            if kind in ("profunctor", "mod-polynomial"):
-                # two or three errors in the actions: the first one counts
-                payloads += [corrupt_actions(body["payload"], kind, rng,
-                                             rng.choice((1, 2, 3)))
-                             for _ in range(8)]
-            for payload in payloads:
-                got = decode_outcome(
-                    lambda v, ctx: parse(json.dumps(
-                        {**body, "payload": v})).payload, payload, kind)
-                want = decode_outcome(REFERENCE_DECODERS[kind], payload,
-                                      kind)
-                assert got == want, payload
-                outcomes.add(got[0] if got[0] == "value" else got[:2])
+        outcomes = set()
+        for body, payload in corrupted_payloads(kind):
+            got = parsed_outcome(body, payload, kind)
+            want = decode_outcome(REFERENCE_DECODERS[kind], payload, kind)
+            assert got == want, payload
+            outcomes.add(got[0] if got[0] == "value" else got[:2])
         # both clean and failing documents, and several kinds of failure
         assert "value" in outcomes and len(outcomes) >= 6, outcomes
+
+    @pytest.mark.parametrize("kind", ["mod-polynomial", "profunctor"])
+    def test_corrupted_modules_decode_as_with_value_sets_and_maps(
+            self, kind, monkeypatch):
+        """The decoder of tables against the one that built a value set
+        per cell and a map per action, on the same corpus."""
+        corpus = list(corrupted_payloads(kind))
+        got = [parsed_outcome(body, payload, kind) for body, payload in corpus]
+        monkeypatch.setattr(documents, "_dec_prof_tables",
+                            maps_dec_prof_tables)
+        assert [parsed_outcome(body, payload, kind)
+                for body, payload in corpus] == got
+        clauses = {outcome[1] for outcome in got
+                   if outcome[0] is InvariantViolation}
+        assert {"map-total", "map-range"} <= clauses
+        assert any(clause.startswith("prof-") for clause in clauses)
 
     def test_a_bool_table_equal_to_a_live_one_is_rejected(self):
         good = {"objects": 2, "morphisms": 2, "src": [0, 1], "tgt": [0, 1],

@@ -48,7 +48,7 @@ from polyspan.fincat import (
     _cat,
     _natural_maps,
 )
-from polyspan.finset import FinSetMap, FinSetObj, compose, identity
+from polyspan.finset import FinSetMap, FinSetObj, compose, identity, pullback
 from polyspan.gen import (
     preorder_cat,
     rand_dfib,
@@ -186,7 +186,49 @@ class TestArrowCategory:
         assert arrow_category(discrete_cat(0)).cat.objects.size == 0
 
 
+def pullback_is_cartesian(p, chi):
+    """Reference: for every object k, the square sending psi: k -> src(chi)
+    to (p psi, chi∘psi) has a bijective mediator into the pullback of
+    hom-sets, built as maps of finite sets."""
+    e_cat, b_cat = p.dom, p.cod
+    e1, e = e_cat.src(chi), e_cat.tgt(chi)
+    for k in e_cat.objs:
+        top, right = e_cat.hom(k, e1), e_cat.hom(k, e)
+        bot1 = b_cat.hom(p.omap[k], p.omap[e1])
+        bot0 = b_cat.hom(p.omap[k], p.omap[e])
+        o_top, o_right = FinSetObj(len(top)), FinSetObj(len(right))
+        o_bot1, o_bot0 = FinSetObj(len(bot1)), FinSetObj(len(bot0))
+        post = FinSetMap(o_bot1, o_bot0, tuple(
+            b_cat.hom_position(b_cat.comp[p.mmap[chi]][g]) for g in bot1))
+        down = FinSetMap(o_right, o_bot0, tuple(
+            b_cat.hom_position(p.mmap[phi]) for phi in right))
+        c1 = FinSetMap(o_top, o_bot1, tuple(
+            b_cat.hom_position(p.mmap[psi]) for psi in top))
+        c2 = FinSetMap(o_top, o_right, tuple(
+            e_cat.hom_position(e_cat.comp[chi][psi]) for psi in top))
+        if not pullback(post, down).mediate(c1, c2).is_bijective:
+            return False
+    return True
+
+
 class TestCartesian:
+    def test_counts_agree_with_the_pullback(self):
+        """On every morphism of the groupoid-criterion suite's draws at
+        seed 0, counting agrees with the mediator into the pullback."""
+        rng = random.Random(0)
+        verdicts = set()
+        for _ in range(200):
+            p = None
+            while p is None:
+                a = rand_fincat(rng, max_objs=3, max_mors=10)
+                b = rand_fincat(rng, max_objs=3, max_mors=10)
+                p = rand_functor(rng, a, b)
+            for chi in a.mors:
+                got = is_cartesian(p, chi)
+                assert got == pullback_is_cartesian(p, chi), (p, chi)
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
     def test_invertible_is_cartesian(self):
         g = z2()
         p = Functor(g, terminal_cat(), (0,), (0, 0))
