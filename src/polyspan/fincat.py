@@ -13,9 +13,11 @@ Conventions used throughout:
     ``FinSetMap``: a category files each morphism under (src, tgt) and a
     functor files each morphism under (tgt, image), so ``hom``,
     ``hom_position`` and ``lifts`` are lookups;
+  - a presheaf is held as a module column is (``modpoly``): a size per
+    object and an int table per morphism;
   - laws of functors, natural transformations and functors into sets
-    (presheaves here, modules in ``modpoly``) are checked on tables, and
-    a message is formatted only when one fails;
+    (presheaves here, modules in ``modpoly``) are checked on tables, by
+    one typing test, and a message is formatted only when one fails;
   - every search for natural maps (presheaf isomorphisms here; module
     morphisms, isomorphisms and right liftings in ``modpoly``) is one
     search, ``_natural_maps``, over the elements of both sides laid out
@@ -31,7 +33,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import InvariantViolation, require
-from .finset import FinSetMap, FinSetObj, identity
+from .finset import FinSetMap, FinSetObj
 from .record import Record
 from .unionfind import UnionFind
 
@@ -318,12 +320,13 @@ class NatTrans(Record):
 
 
 class Presheaf(Record):
-    """Contravariant Set-valued functor: ``act[m]`` maps the value at tgt(m)
-    to the value at src(m)."""
+    """Contravariant Set-valued functor: ``at[x]`` is the size of the value
+    at x, and the table ``act[m]`` maps the value at tgt(m) to the value
+    at src(m).  Presheaves computed here are built by ``_trusted``."""
 
     base: FinCat
-    at: tuple[FinSetObj, ...]
-    act: tuple[FinSetMap, ...]
+    at: tuple[int, ...]
+    act: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         c = self.base
@@ -332,12 +335,13 @@ class Presheaf(Record):
         require(len(self.act) == c.morphisms.size, "presheaf-act",
                 "one action per morphism required")
         at, act = self.at, self.act
-        for m in c.mors:
-            if act[m].dom != at[c.tgt(m)] or act[m].cod != at[c.src(m)]:
+        for m, (x, y) in enumerate(zip(c.src.table, c.tgt.table)):
+            if not _typed(act[m], at[y], at[x]):
                 raise InvariantViolation("presheaf-boundary",
                                          f"action of morphism {m} mistyped")
-        for x in c.objs:
-            if not _is_identity_table(act[c.ident(x)].table):
+        ids = _Identities()
+        for x, i in enumerate(c.ident.table):
+            if act[i] != ids[len(act[i])]:
                 raise InvariantViolation("presheaf-ident", f"identity action "
                                          f"at {x} not the identity")
         for f in c.non_identities:
@@ -345,47 +349,50 @@ class Presheaf(Record):
             for g in c.out_of(x):
                 if g == c.ident.table[x]:
                     continue
-                if act[c.comp[g][f]].table != _after(act[f].table,
-                                                     act[g].table):
+                if act[c.comp[g][f]] != _after(act[f], act[g]):
                     raise InvariantViolation(
                         "presheaf-comp",
                         f"contravariant functoriality fails on ({g}, {f})")
 
 
-# Laws are checked once the boundaries are, and two maps with equal
-# boundaries are equal exactly when their tables are: these compare tables.
+# Laws are checked once the types are, and two maps with equal types are
+# equal exactly when their tables are: these compare tables.
+
+def _typed(table: tuple[int, ...], dom: int, cod: int) -> bool:
+    """Whether table is a map from dom elements to cod elements."""
+    return len(table) == dom and (not table or 0 <= min(table)
+                                  and max(table) < cod)
+
 
 def _after(g: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
     """The table of g after f, without building or checking a map."""
     return tuple(map(g.__getitem__, f))
 
 
-def _is_identity_table(table: tuple[int, ...]) -> bool:
-    return table == tuple(range(len(table)))
+class _Identities(dict):
+    """The identity table of each length, built once, the first time that
+    length is asked for: a law check asks for the length of a table it
+    holds, never for a declared size."""
 
-
-def _presheaf(c: FinCat, sizes, tables) -> Presheaf:
-    """The presheaf on c with ``sizes[x]`` elements at x, on which each
-    morphism m acts by ``tables[m]``; built unchecked."""
-    at = tuple(map(FinSetObj, sizes))
-    return Presheaf._trusted(c, at, tuple(
-        FinSetMap._trusted(at[y], at[x], t)
-        for t, x, y in zip(tables, c.src.table, c.tgt.table)))
+    def __missing__(self, k: int) -> tuple[int, ...]:
+        self[k] = table = tuple(range(k))
+        return table
 
 
 def representable(c: FinCat, b: int) -> Presheaf:
     """The presheaf x -> hom(x, b), acting by precomposition."""
     require(0 <= b < c.objects.size, "representable-object",
             f"{b} is not an object of the category")
-    return _presheaf(c, [len(c.hom(x, b)) for x in c.objs], [
-        tuple(c.hom_position(c.comp[h][m]) for h in c.hom(y, b))
-        for m, y in zip(c.mors, c.tgt.table)])
+    return Presheaf._trusted(c, tuple(len(c.hom(x, b)) for x in c.objs),
+                             tuple(tuple(c.hom_position(c.comp[h][m])
+                                         for h in c.hom(y, b))
+                                   for m, y in zip(c.mors, c.tgt.table)))
 
 
 def constant_presheaf(c: FinCat, size: int) -> Presheaf:
-    v = FinSetObj(size)
-    return Presheaf._trusted(c, (v,) * c.objects.size,
-                             (identity(v),) * c.morphisms.size)
+    """``size`` elements everywhere, acted on by one shared identity."""
+    return Presheaf._trusted(c, (size,) * c.objects.size,
+                             (tuple(range(size)),) * c.morphisms.size)
 
 
 class Comma(Record):
@@ -602,7 +609,7 @@ class ElementsCat(Record):
 def elements(p: Presheaf) -> ElementsCat:
     base = p.base
     bsrc, btgt, bcomp = base.src.table, base.tgt.table, base.comp
-    sizes = [v.size for v in p.at]
+    sizes = p.at
     # (b, t) and (beta, t2) sit at the start of the run of b or beta, plus t
     obj_at = list(itertools.accumulate(sizes, initial=0))
     mor_at = list(itertools.accumulate((sizes[y] for y in btgt), initial=0))
@@ -615,7 +622,7 @@ def elements(p: Presheaf) -> ElementsCat:
         return mor_at[bcomp[beta2][beta1]] + t2
 
     cat = _cat(obj_at[-1],
-               [obj_at[bsrc[beta]] + p.act[beta](t2) for beta, t2 in morphisms],
+               [obj_at[bsrc[beta]] + p.act[beta][t2] for beta, t2 in morphisms],
                [obj_at[btgt[beta]] + t2 for beta, t2 in morphisms],
                [mor_at[base.ident.table[b]] + t for b, t in objects], composite)
     proj = Functor._trusted(cat, base, tuple(b for b, _ in objects),
@@ -630,10 +637,11 @@ def fibers(p: Functor) -> Presheaf:
     require(is_discrete_fibration(p), "not-discrete-fibration",
             "fibers only exist for a discrete fibration")
     e_cat, b_cat, over = p.dom, p.cod, p.over
-    return _presheaf(b_cat, [len(over.fiber(b)) for b in b_cat.objs], [
-        tuple(over.fiber_position(e_cat.src(p.lifts(e2, beta)[0]))
-              for e2 in over.fiber(b2))
-        for beta, b2 in zip(b_cat.mors, b_cat.tgt.table)])
+    return Presheaf._trusted(
+        b_cat, tuple(len(over.fiber(b)) for b in b_cat.objs), tuple(
+            tuple(over.fiber_position(e_cat.src(p.lifts(e2, beta)[0]))
+                  for e2 in over.fiber(b2))
+            for beta, b2 in zip(b_cat.mors, b_cat.tgt.table)))
 
 
 def _components_under(g: Functor, x: int) -> list[list[tuple[int, int]]]:
@@ -666,7 +674,8 @@ def comprehensive_factorization(g: Functor) -> tuple[Functor, Functor]:
         x1, x2 = x_cat.src(gamma), x_cat.tgt(gamma)
         tables.append(tuple(class_index[x1][(e, x_cat.comp[psi][gamma])]
                             for e, psi in (c[0] for c in classes_at[x2])))
-    el = elements(_presheaf(x_cat, map(len, classes_at), tables))
+    el = elements(Presheaf._trusted(
+        x_cat, tuple(map(len, classes_at)), tuple(tables)))
 
     def home(e):  # the component of (e, identity) under g e
         x = g.omap[e]
@@ -800,23 +809,19 @@ def _natural_maps(sizes_m: list[int], sizes_n: list[int], squares,
         x += 1
 
 
-def presheaf_iso(p: Presheaf, q: Presheaf) -> tuple[FinSetMap, ...] | None:
+def presheaf_iso(p: Presheaf,
+                 q: Presheaf) -> tuple[tuple[int, ...], ...] | None:
     """The first natural isomorphism between presheaves on the same base,
-    in lexicographic order of its component tables; returns its components
-    or None."""
+    in lexicographic order of its component tables; returns those tables,
+    one per object, or None."""
     require(p.base == q.base, "presheaf-iso-base",
             "presheaves must share a base category")
+    if p.at != q.at:
+        return None
     base = p.base
-    if any(p.at[x].size != q.at[x].size for x in base.objs):
-        return None
-    sizes = [v.size for v in p.at]
-    squares = [(base.tgt(m), base.src(m), p.act[m].table, q.act[m].table)
+    squares = [(base.tgt(m), base.src(m), p.act[m], q.act[m])
                for m in base.non_identities]
-    tables = next(_natural_maps(sizes, sizes, squares, True), None)
-    if tables is None:
-        return None
-    return tuple(FinSetMap._trusted(p.at[x], q.at[x], t)
-                 for x, t in enumerate(tables))
+    return next(_natural_maps(p.at, p.at, squares, True), None)
 
 
 def all_functors(a: FinCat, b: FinCat) -> Iterator[Functor]:

@@ -16,7 +16,7 @@ import random
 from typing import TYPE_CHECKING
 
 from .documents import Document, document
-from .finset import FinSetMap, FinSetObj, Subset, identity
+from .finset import FinSetMap, FinSetObj, Subset
 
 # Each generator imports the layer it builds when it runs, so drawing a
 # document of one kind loads only that kind's layer.
@@ -149,31 +149,27 @@ def rand_functor(rng: random.Random, a: FinCat, b: FinCat,
 def presheaf_sum(base: FinCat, parts: tuple[Presheaf, ...]) -> Presheaf:
     """Coproduct of presheaves, blocks ordered as given."""
     from .fincat import Presheaf
-    at = tuple(FinSetObj(sum(p.at[x].size for p in parts)) for x in base.objs)
     act = []
-    for m in base.mors:
-        x, y = base.src(m), base.tgt(m)
+    for m, x in zip(base.mors, base.src.table):
         table: list[int] = []
         offset = 0
         for p in parts:
-            table.extend(offset + v for v in p.act[m].table)
-            offset += p.at[x].size
-        act.append(FinSetMap(at[y], at[x], tuple(table)))
-    return Presheaf(base, at, tuple(act))
+            table.extend(offset + v for v in p.act[m])
+            offset += p.at[x]
+        act.append(tuple(table))
+    return Presheaf._trusted(base, tuple(
+        sum(p.at[x] for p in parts) for x in base.objs), tuple(act))
 
 
 def rand_presheaf(rng: random.Random, c: FinCat, parts_max: int = 2,
                   const_max: int = 1) -> Presheaf:
-    from .fincat import Presheaf, representable
+    from .fincat import constant_presheaf, representable
     parts = []
     if c.objects.size:
         for _ in range(rng.randint(0, parts_max)):
             parts.append(representable(c, rng.randrange(c.objects.size)))
     if rng.random() < 0.5:
-        size = rng.randint(1, max(const_max, 1))
-        v = FinSetObj(size)
-        parts.append(Presheaf(c, (v,) * c.objects.size,
-                              (identity(v),) * c.morphisms.size))
+        parts.append(constant_presheaf(c, rng.randint(1, max(const_max, 1))))
     return presheaf_sum(c, tuple(parts))
 
 

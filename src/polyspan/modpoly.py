@@ -12,16 +12,18 @@ module the library computes is built by ``_built`` from its cell sizes
 and the actions of the non-identity morphisms: identities act by
 construction, and cells of one size share one identity table.  A module
 holds what its document holds: ``at`` holds the number of elements of
-each cell and ``lact``/``ract`` one int table per action.
+each cell and ``lact``/``ract`` one int table per action.  A presheaf on
+C is held as the one column of its module out of the terminal category,
+so ``presheaf_as_module`` and ``module_as_presheaf`` only re-index.
 Right liftings are computed as ends: sets of naturally varying families
 of maps.  Those families, the morphisms between two modules and the
 isomorphisms between them all come from the one search for natural maps
 in ``fincat``, with a module laid out cell by cell (tgt-major).  A
 polynomial has a profunctor as its lifter leg and a discrete fibration as
 its neat leg; composition of polynomials follows the tabulation of the
-lifted presheaf of fibers, whose witness is the identity because the
-fibers of the elements projection are the presheaf table for table, with
-the induced connecting module given by an explicit splitting-family
+lifted presheaf of fibers, which keeps no witnessing isomorphism: the
+fibers of the elements projection are the presheaf table for table.  The
+induced connecting module is given by an explicit splitting-family
 formula.  Composition does not re-check what holds by construction: the
 module suites of ``checks`` verify the laws of the modules it builds, the
 square the connecting module fills with the graph modules, and the
@@ -39,9 +41,9 @@ from .fincat import (
     Functor,
     Presheaf,
     _after,
-    _is_identity_table,
+    _Identities,
     _natural_maps,
-    _presheaf,
+    _typed,
     compose_functors,
     comprehensive_factorization,
     elements,
@@ -53,7 +55,7 @@ from .fincat import (
     product_cat,
     terminal_cat,
 )
-from .finset import FinSetMap, FinSetObj, compose, identity
+from .finset import FinSetMap, FinSetObj, compose
 from .record import Record
 
 
@@ -104,12 +106,14 @@ class Profunctor(Record):
         them so)."""
         a_cat, b_cat = self.src, self.tgt
         lact, ract = self.lact, self.ract
-        for b in b_cat.objs:
-            for a in a_cat.objs:
-                if not _is_identity_table(lact[b_cat.ident(b)][a]):
+        ids, right = _Identities(), [ract[i] for i in a_cat.ident.table]
+        for b, i in enumerate(b_cat.ident.table):
+            for a, (t, column) in enumerate(zip(lact[i], right)):
+                if t != ids[len(t)]:
                     raise InvariantViolation(
                         "prof-ident", f"left identity action fails at ({b}, {a})")
-                if not _is_identity_table(ract[a_cat.ident(a)][b]):
+                t = column[b]
+                if t != ids[len(t)]:
                     raise InvariantViolation(
                         "prof-ident", f"right identity action fails at ({b}, {a})")
         # With the identity actions checked, every equation along an
@@ -147,12 +151,6 @@ class Profunctor(Record):
                         f"actions of {beta} and {alpha} do not commute")
 
 
-def _typed(table: tuple[int, ...], dom: int, cod: int) -> bool:
-    """Whether table is a map from dom elements to cod elements."""
-    return len(table) == dom and (not table or 0 <= min(table)
-                                  and max(table) < cod)
-
-
 def _built(a_cat: FinCat, b_cat: FinCat, sizes, left, right) -> Profunctor:
     """The module A -> B with ``sizes[b][a]`` elements at (b, a), whose left
     action along a non-identity beta has the tables ``left(beta)``, one
@@ -161,8 +159,7 @@ def _built(a_cat: FinCat, b_cat: FinCat, sizes, left, right) -> Profunctor:
     computes is built here.  Identities act by identity maps, by
     construction, so ``left`` is never called when B is discrete, nor
     ``right`` when A is; cells of one size share one identity table."""
-    ident = {k: tuple(range(k)) for k in set().union(*sizes)}
-    at = tuple(map(tuple, sizes))
+    at, ident = tuple(map(tuple, sizes)), _Identities()
     ids = tuple(tuple(ident[k] for k in row) for row in at)
 
     def lact(beta):
@@ -183,7 +180,7 @@ def _built(a_cat: FinCat, b_cat: FinCat, sizes, left, right) -> Profunctor:
 
 def prof_from_presheaf(a: FinCat, b: FinCat, psh: Presheaf) -> Profunctor:
     """Unpack a presheaf on B x A^op into a profunctor A -> B, whose laws
-    are the presheaf's; a module keeps sizes, not the sets' labels."""
+    are the presheaf's."""
     require(psh.base == product_cat(b, opposite_cat(a)), "prof-from-presheaf",
             "presheaf must live on the product with the opposite")
     return _prof_from_presheaf(a, b, psh)
@@ -194,25 +191,23 @@ def _prof_from_presheaf(a: FinCat, b: FinCat, psh: Presheaf) -> Profunctor:
     na, nma = a.objects.size, a.morphisms.size
     act = psh.act
     return _built(
-        a, b, [[psh.at[bo * na + ao].size for ao in a.objs] for bo in b.objs],
-        lambda beta: (act[beta * nma + a.ident(ao)].table for ao in a.objs),
-        lambda alpha: (act[b.ident(bo) * nma + alpha].table
-                       for bo in b.objs))
+        a, b, [psh.at[bo * na:(bo + 1) * na] for bo in b.objs],
+        lambda beta: (act[beta * nma + i] for i in a.ident.table),
+        lambda alpha: (act[i * nma + alpha] for i in b.ident.table))
 
 
 def presheaf_as_module(p: Presheaf) -> Profunctor:
-    """A presheaf on C viewed as a module from the terminal category, with
-    the presheaf's sizes: for a presheaf with labelled sets,
-    ``module_as_presheaf`` gives back its unlabelled copy."""
-    return _built(terminal_cat(), p.base, [[v.size] for v in p.at],
-                  lambda gamma: (p.act[gamma].table,), None)
+    """A presheaf on C viewed as a module from the terminal category: its
+    one column; ``module_as_presheaf`` gives the presheaf back."""
+    return _built(terminal_cat(), p.base, [(k,) for k in p.at],
+                  lambda gamma: (p.act[gamma],), None)
 
 
 def module_as_presheaf(m: Profunctor) -> Presheaf:
     require(m.src == terminal_cat(), "module-psh-src",
             "only modules out of the terminal category are presheaves")
-    return _presheaf(m.tgt, [row[0] for row in m.at],
-                     [row[0] for row in m.lact])
+    return Presheaf._trusted(m.tgt, tuple(row[0] for row in m.at),
+                             tuple(row[0] for row in m.lact))
 
 
 def graph_module(f: Functor) -> Profunctor:
@@ -555,21 +550,17 @@ def rif_mod_counit(n: Profunctor, u: Profunctor,
 
 
 class ModTabulation(Record):
-    """The category of elements of a presheaf with projection and the
-    witnessing isomorphism between the fibers of the projection and the
-    presheaf itself."""
+    """The category of elements of a presheaf with its projection, whose
+    fibers are the presheaf itself, table for table, by construction of
+    the elements: the witnessing isomorphism is the identity."""
 
     el: ElementsCat
     p: Functor
-    rho: tuple[FinSetMap, ...]
 
 
 def tabulate_mod(u: Presheaf) -> ModTabulation:
-    """The elements of u with their projection.  The fibers of the
-    projection are u itself, table for table, by construction of the
-    elements, so the witness is the identity."""
     el = elements(u)
-    return ModTabulation(el, el.proj, tuple(identity(v) for v in u.at))
+    return ModTabulation(el, el.proj)
 
 
 class ModPolynomial(Record):

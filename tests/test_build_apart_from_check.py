@@ -342,7 +342,10 @@ def test_one_builder_per_kind_of_computed_value():
     ``_coend_map`` and the natural-map search; the document decoder,
     which checks what it builds, is the other way in.  A checked
     category comes only from a caller's tables: a document's or a
-    monoid's."""
+    monoid's.  Presheaves are built unchecked by the representables, the
+    constant and fiber presheaves, the presheaf of a comprehensive
+    factorization, a module's column and a generated sum, and checked only
+    when a caller builds one."""
     calls = calls_by_function()
     assert calls["FinCat._trusted"] == {"fincat._cat", "fincat.opposite_cat"}
     assert calls["FinCat"] == {"documents._dec_cat", "fincat.monoid_cat"}
@@ -350,3 +353,8 @@ def test_one_builder_per_kind_of_computed_value():
                                             "documents._dec_prof_tables"}
     assert calls["ProfMorphism._trusted"] == {"modpoly._coend_map",
                                               "modpoly._prof_maps"}
+    assert calls["Presheaf._trusted"] == {
+        "fincat.representable", "fincat.constant_presheaf", "fincat.fibers",
+        "fincat.comprehensive_factorization", "modpoly.module_as_presheaf",
+        "gen.presheaf_sum"}
+    assert "Presheaf" not in calls

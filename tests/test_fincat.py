@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
+from polyspan import fincat
 from polyspan.errors import InvariantViolation, require
 from polyspan.fincat import (
     Comma,
@@ -49,6 +51,7 @@ from polyspan.fincat import (
     _natural_maps,
 )
 from polyspan.finset import FinSetMap, FinSetObj, compose, identity, pullback
+from polyspan.record import Record
 from polyspan.gen import (
     preorder_cat,
     rand_dfib,
@@ -302,7 +305,7 @@ def pairwise_elements_comp(p, el):
     for beta2, t2 in morphisms:
         row = []
         for beta1, t1 in morphisms:
-            if base.tgt(beta1) != base.src(beta2) or t1 != p.act[beta2](t2):
+            if base.tgt(beta1) != base.src(beta2) or t1 != p.act[beta2][t2]:
                 row.append(-1)
             else:
                 row.append(mor_index[(base.comp[beta2][beta1], t2)])
@@ -396,8 +399,7 @@ class TestComprehensiveFactorization:
         j, s = comprehensive_factorization(g)
         assert compose_functors(s, j) == g
         assert is_discrete_fibration(s) and is_final(j)
-        assert fibers(s).at[0].size == 1  # one component of bottom/g
-        assert fibers(s).at[1].size == 1
+        assert fibers(s).at == (1, 1)  # one component of bottom/g, one of top/g
 
     def test_empty_domain(self):
         g = Functor(discrete_cat(0), ordinal2(), (), ())
@@ -409,7 +411,7 @@ class TestComprehensiveFactorization:
         # z2 -> terminal: one connected component, so s has singleton fiber
         g = Functor(z2(), terminal_cat(), (0,), (0, 0))
         j, s = comprehensive_factorization(g)
-        assert fibers(s).at[0].size == 1
+        assert fibers(s).at == (1,)
         assert is_final(j) and is_discrete_fibration(s)
 
 
@@ -486,7 +488,7 @@ def scan_fibers(p):
         act.append(FinSetMap(at[b2], at[b1], tuple(
             position[e_cat.src(scan_lifts(p, e2, beta)[0])]
             for e2 in fiber_objs[b2])))
-    return Presheaf(b_cat, at, tuple(act))
+    return ReferencePresheaf(b_cat, at, tuple(act))
 
 
 def scan_cat_violation(c, comp):
@@ -571,7 +573,7 @@ class TestAgainstReference:
             dfib = scan_is_discrete_fibration(p)
             assert is_discrete_fibration(p) == dfib
             if dfib:
-                assert fibers(p) == scan_fibers(p)
+                assert fibers(p) == from_presheaf_maps(scan_fibers(p))
             else:
                 with pytest.raises(InvariantViolation) as e:
                     fibers(p)
@@ -766,8 +768,117 @@ class TestFunctorChecksAgainstReference:
                         "nat-square"}
 
 
-# Reference implementations: the permutation search presheaf_iso ran and
-# the per-equation checks of Presheaf, kept as a differential oracle.
+# Reference implementations: the presheaf as it was held before it held
+# sizes and tables, a value set per object and a map per morphism, with
+# the builders that made it in that form, the permutation search
+# presheaf_iso ran and the per-equation checks, kept as a differential
+# oracle.
+
+class ReferencePresheaf(Record):
+    base: FinCat
+    at: tuple[FinSetObj, ...]
+    act: tuple[FinSetMap, ...]
+
+    def __post_init__(self) -> None:
+        c = self.base
+        require(len(self.at) == c.objects.size, "presheaf-at",
+                "one value set per object required")
+        require(len(self.act) == c.morphisms.size, "presheaf-act",
+                "one action per morphism required")
+        want = reference_presheaf_violation(c, self.at, self.act)
+        if want is not None:
+            raise InvariantViolation(*want)
+
+
+def presheaf_tables(at, act):
+    """The sizes and tables of value sets and action maps."""
+    return tuple(v.size for v in at), tuple(f.table for f in act)
+
+
+def from_presheaf_maps(r):
+    """The checked presheaf with r's value sets and action maps."""
+    return Presheaf(r.base, *presheaf_tables(r.at, r.act))
+
+
+def presheaf_maps(p):
+    """p's value sets and action maps, the converse of ``from_presheaf_maps``."""
+    c = p.base
+    at = tuple(map(FinSetObj, p.at))
+    return ReferencePresheaf(c, at, tuple(
+        FinSetMap(at[y], at[x], t)
+        for t, x, y in zip(p.act, c.src.table, c.tgt.table)))
+
+
+def reference_presheaf(c, sizes, tables):
+    at = tuple(map(FinSetObj, sizes))
+    return ReferencePresheaf(c, at, tuple(
+        FinSetMap(at[y], at[x], t)
+        for t, x, y in zip(tables, c.src.table, c.tgt.table)))
+
+
+def reference_representable(c, b):
+    return reference_presheaf(c, [len(c.hom(x, b)) for x in c.objs], [
+        tuple(c.hom_position(c.comp[h][m]) for h in c.hom(y, b))
+        for m, y in zip(c.mors, c.tgt.table)])
+
+
+def reference_constant_presheaf(c, size):
+    v = FinSetObj(size)
+    return ReferencePresheaf(c, (v,) * c.objects.size,
+                             (identity(v),) * c.morphisms.size)
+
+
+def reference_fibers(p):
+    e_cat, b_cat, over = p.dom, p.cod, p.over
+    return reference_presheaf(b_cat, [len(over.fiber(b)) for b in b_cat.objs], [
+        tuple(over.fiber_position(e_cat.src(p.lifts(e2, beta)[0]))
+              for e2 in over.fiber(b2))
+        for beta, b2 in zip(b_cat.mors, b_cat.tgt.table)])
+
+
+def reference_comprehensive_factorization(g):
+    f_cat, x_cat = g.dom, g.cod
+    classes_at = [fincat._components_under(g, x) for x in x_cat.objs]
+    class_index = [{member: i for i, c in enumerate(cls) for member in c}
+                   for cls in classes_at]
+    tables = []
+    for gamma in x_cat.mors:
+        x1, x2 = x_cat.src(gamma), x_cat.tgt(gamma)
+        tables.append(tuple(class_index[x1][(e, x_cat.comp[psi][gamma])]
+                            for e, psi in (c[0] for c in classes_at[x2])))
+    el = reference_elements(reference_presheaf(x_cat, map(len, classes_at),
+                                               tables))
+
+    def home(e):
+        x = g.omap[e]
+        return class_index[x][(e, x_cat.ident(x))]
+
+    mor_index = {m: i for i, m in enumerate(el.morphisms_data)}
+    j = Functor(f_cat, el.cat,
+                tuple(el.object_index(g.omap[e], home(e)) for e in f_cat.objs),
+                tuple(mor_index[(g.mmap[phi], home(f_cat.tgt(phi)))]
+                      for phi in f_cat.mors))
+    return j, el.proj
+
+
+def reference_presheaf_iso(p, q):
+    """The natural-map search on value sets and action maps, returning
+    its components as maps."""
+    base = p.base
+    if any(p.at[x].size != q.at[x].size for x in base.objs):
+        return None
+    sizes = [v.size for v in p.at]
+    squares = [(base.tgt(m), base.src(m), p.act[m].table, q.act[m].table)
+               for m in base.non_identities]
+    tables = next(_natural_maps(sizes, sizes, squares, True), None)
+    if tables is None:
+        return None
+    return tuple(FinSetMap(p.at[x], q.at[x], t) for x, t in enumerate(tables))
+
+
+def component_tables(components):
+    return None if components is None else tuple(f.table for f in components)
+
 
 def permutation_presheaf_iso(p, q):
     """Object by object over the permutations of each value set, checking
@@ -819,20 +930,21 @@ def reference_presheaf_violation(base, at, act):
 
 def relabelled(rng, p):
     """p with every value set permuted at random: isomorphic to p."""
-    perms = [rng.sample(range(v.size), v.size) for v in p.at]
+    perms = [rng.sample(range(k), k) for k in p.at]
     act = []
     for m in p.base.mors:
         x, y = p.base.src(m), p.base.tgt(m)
-        table = [0] * p.at[y].size
-        for i in p.at[y].elements:
-            table[perms[y][i]] = perms[x][p.act[m](i)]
-        act.append(FinSetMap(p.at[y], p.at[x], tuple(table)))
+        table = [0] * p.at[y]
+        for i in range(p.at[y]):
+            table[perms[y][i]] = perms[x][p.act[m][i]]
+        act.append(tuple(table))
     return Presheaf(p.base, p.at, tuple(act))
 
 
 def corrupted_presheaf_tables(rng, p):
-    """p's tables with one value set grown by a point or one entry of one
-    action changed, or None when p has nothing to change."""
+    """The value sets and action maps of p with one value set grown by a
+    point or one entry of one action changed, or None when p has nothing
+    to change."""
     at, act = list(p.at), list(p.act)
     if at and rng.random() < 0.2:
         x = rng.randrange(len(at))
@@ -866,25 +978,35 @@ class TestPresheafAgainstReference:
             for left, right in ((p, q), (q, p), (p, rand_presheaf(rng, c)),
                                 (tabulated, p)):
                 got = presheaf_iso(left, right)
-                assert got == permutation_presheaf_iso(left, right)
+                assert got == component_tables(permutation_presheaf_iso(
+                    presheaf_maps(left), presheaf_maps(right)))
                 found += got is not None
         assert found >= 120
 
     @pytest.mark.parametrize("seed", range(3))
     def test_corrupted_tables_raise_the_same_violation(self, seed):
+        """The clause and text of the checks on value sets and maps,
+        except where a value set grew: its size is read only through the
+        actions out of it, so the first morphism into its object is named,
+        where the maps named the first morphism at either end."""
         rng = random.Random(500 + seed)
         seen, checked = set(), 0
         while checked < 60:
             c = rand_fincat(rng)
-            tables = corrupted_presheaf_tables(rng, rand_presheaf(rng, c))
+            p = rand_presheaf(rng, c)
+            tables = corrupted_presheaf_tables(rng, presheaf_maps(p))
             if tables is None:
                 continue
             want = reference_presheaf_violation(c, *tables)
             if want is None:
-                Presheaf(c, *tables)
+                Presheaf(c, *presheaf_tables(*tables))
             else:
+                grown = [x for x, v in enumerate(tables[0]) if v.size != p.at[x]]
+                if grown:
+                    m = min(c.tgt.fiber(grown[0]))
+                    want = (want[0], f"action of morphism {m} mistyped")
                 with pytest.raises(InvariantViolation) as e:
-                    Presheaf(c, *tables)
+                    Presheaf(c, *presheaf_tables(*tables))
                 assert (e.value.clause, str(e.value)) == (
                     want[0], f"{want[0]}: {want[1]}")
                 seen.add(want[0])
@@ -902,7 +1024,56 @@ class TestPresheafAgainstReference:
             got = presheaf_iso(p, p)
         finally:
             sys.setrecursionlimit(limit)
-        assert got == tuple(identity(v) for v in p.at)
+        assert got == ((0,),) * 1200
+
+
+@pytest.mark.unchecked_trust  # equality with the reference is the check
+class TestSizesAndTablesAgainstMaps:
+    """A presheaf holds its value sizes and action tables: every presheaf
+    and category of elements the library builds equals the one built with
+    a value set per object and a map per morphism, converted."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_builders_on_seeded_draws(self, seed):
+        """60 draws per seed: elements, fibers, representables, the
+        constant presheaf, comprehensive factorizations (of the elements
+        projection and of a drawn functor) and isomorphisms."""
+        rng = random.Random(700 + seed)
+        for _ in range(60):
+            c = rand_fincat(rng)
+            p = rand_presheaf(rng, c)
+            el = elements(p)
+            assert el == reference_elements(presheaf_maps(p))
+            assert fibers(el.proj) == from_presheaf_maps(reference_fibers(el.proj)) == p
+            for b in c.objs:
+                assert representable(c, b) == from_presheaf_maps(
+                    reference_representable(c, b))
+            assert constant_presheaf(c, 2) == from_presheaf_maps(
+                reference_constant_presheaf(c, 2))
+            g = rand_functor(rng, rand_fincat(rng), c)
+            for f in (el.proj,) if g is None else (el.proj, g):
+                assert comprehensive_factorization(f) == \
+                    reference_comprehensive_factorization(f)
+            for q in (relabelled(rng, p), rand_presheaf(rng, c)):
+                assert presheaf_iso(p, q) == component_tables(
+                    reference_presheaf_iso(presheaf_maps(p), presheaf_maps(q)))
+
+    def test_a_huge_declared_value_set_allocates_nothing(self):
+        """A caller's presheaf declaring 2^40 elements at one object, with
+        short action tables, fails its typing before any law check asks
+        for an identity table, so nothing of the declared size is built."""
+        huge = 1 << 40
+        for at, m in (((huge, 1), 0), ((1, huge), 1)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(InvariantViolation) as e:
+                    Presheaf(ordinal2(), at, ((0,), (0,), (0,)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(e.value) == \
+                f"presheaf-boundary: action of morphism {m} mistyped"
+            assert peak < 1 << 20
 
 
 # Reference implementations: the hand-filled constructors that ``_cat``
@@ -1113,4 +1284,4 @@ class TestCategoryBuilderAgainstReference:
         rng = random.Random(646 + seed)
         for c in drawn_cats(rng, 30):
             for p in (rand_presheaf(rng, c), constant_presheaf(c, 0)):
-                assert elements(p) == reference_elements(p)
+                assert elements(p) == reference_elements(presheaf_maps(p))
