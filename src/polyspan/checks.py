@@ -18,6 +18,7 @@ from .documents import _CODECS, Document, document, serialize
 from .errors import InvariantViolation
 from .fincat import (
     Functor,
+    _after,
     compose_functors,
     comprehensive_factorization,
     discrete_cat,
@@ -249,9 +250,8 @@ def check_extension_oracle(seed: int, count: int | None = None) -> CheckReport:
                                 f"{where()} family={_compact('family', a)}")
                 continue
             table = compare(a, ext_p)
-            if sorted(table) != list(range(nested.total.size)) or any(
-                    direct.proj(j) != nested.proj(table[j])
-                    for j in range(len(table))):
+            if (sorted(table) != list(range(nested.total.size))
+                    or direct.proj.table != _after(nested.proj.table, table)):
                 failures.append(f"case {i}: comparison map is not a "
                                 f"fiberwise bijection; {where()} "
                                 f"family={_compact('family', a)}")
@@ -260,10 +260,9 @@ def check_extension_oracle(seed: int, count: int | None = None) -> CheckReport:
         for _ in range(2):
             fm = _rand_family_map(rng, a)
             phi_tgt = compare(fm.tgt, extension_eval(p, fm.tgt))
-            down = extension_on_map(n, fm).h
-            across = extension_on_map(q, extension_on_map(p, fm)).h
-            if any(phi_tgt[down(j)] != across(phi_src[j])
-                   for j in range(len(phi_src))):
+            down = extension_on_map(n, fm).h.table
+            across = extension_on_map(q, extension_on_map(p, fm)).h.table
+            if _after(phi_tgt, down) != _after(across, phi_src):
                 failures.append(f"case {i}: comparison map not natural; "
                                 f"{where()} map into "
                                 f"{_compact('family', fm.tgt)}")
@@ -485,10 +484,10 @@ def witnessed_parts(q: ModPolynomial,
         except InvariantViolation as e:
             wrong.append(f"the {name} is not a module: {e}")
     if prof_iso(prof_compose(graph_module(p.p), parts.n),
-                prof_compose(q.m, graph_module(parts.r))) is None:
+                prof_compose(q.m, graph_module(parts.tab.proj))) is None:
         wrong.append("the induced module does not fill the square with "
                      "the graph modules")
-    if fibers(parts.tab.p) != module_as_presheaf(parts.rif.prof):
+    if fibers(parts.tab.proj) != module_as_presheaf(parts.rif.prof):
         wrong.append("the tabulation's fibers are not the lifted presheaf")
     return parts, wrong
 

@@ -11,8 +11,9 @@ and every morphism out of a coend is built by ``_coend_map``.  Every
 module the library computes is built by ``_built`` from its cell sizes
 and the actions of the non-identity morphisms: identities act by
 construction, and cells of one size share one identity table.  A module
-holds what its document holds: ``at`` holds the number of elements of
-each cell and ``lact``/``ract`` one int table per action.  A presheaf on
+and its morphisms hold what a document would hold: ``at`` holds the
+number of elements of each cell, ``lact``/``ract`` one int table per
+action, and a morphism's ``h`` one int table per cell.  A presheaf on
 C is held as the one column of its module out of the terminal category,
 so ``presheaf_as_module`` and ``module_as_presheaf`` only re-index.
 Right liftings are computed as ends: sets of naturally varying families
@@ -55,7 +56,6 @@ from .fincat import (
     product_cat,
     terminal_cat,
 )
-from .finset import FinSetMap, FinSetObj, compose
 from .record import Record
 
 
@@ -253,12 +253,16 @@ def identity_module(c: FinCat) -> Profunctor:
 
 
 class ProfMorphism(Record):
-    """A morphism of parallel profunctors: one map per value set, natural
-    for both actions."""
+    """A morphism of parallel modules, held as its cells hold it:
+    ``h[b][a]`` is the int table of the function from the source's value
+    set at (b, a) to the target's, and the family is natural for both
+    actions.  Morphisms from callers are checked at construction: the
+    shape of ``h``, the length of each table, its entries and naturality;
+    those computed here are checked in the tests."""
 
     source: Profunctor
     target: Profunctor
-    h: tuple[tuple[FinSetMap, ...], ...]
+    h: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self) -> None:
         m, n = self.source, self.target
@@ -266,58 +270,68 @@ class ProfMorphism(Record):
                 "profunctor morphisms need parallel boundaries")
         a_cat, b_cat = m.src, m.tgt
         h = self.h
+        require(len(h) == b_cat.objects.size
+                and all(len(row) == a_cat.objects.size for row in h),
+                "profmor-shape", "one row of components per tgt object and "
+                "one component per src object")
         for b in b_cat.objs:
             for a in a_cat.objs:
-                f = h[b][a]
-                if (f.dom.size, f.cod.size) != (m.at[b][a], n.at[b][a]):
+                f, cod = h[b][a], n.at[b][a]
+                if _typed(f, m.at[b][a], cod):
+                    continue
+                if len(f) != m.at[b][a]:
                     raise InvariantViolation(
                         "profmor-typing", f"component at ({b}, {a}) mistyped")
+                i, j = next((i, j) for i, j in enumerate(f)
+                            if not 0 <= j < cod)
+                raise InvariantViolation(
+                    "map-range",
+                    f"entry {i} -> {j} lands outside a codomain of size {cod}")
         for beta in b_cat.non_identities:
             b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
             for a in a_cat.objs:
-                if (_after(h[b1][a].table, m.lact[beta][a])
-                        != _after(n.lact[beta][a], h[b2][a].table)):
+                if (_after(h[b1][a], m.lact[beta][a])
+                        != _after(n.lact[beta][a], h[b2][a])):
                     raise InvariantViolation(
                         "profmor-natural",
                         f"left naturality fails at ({beta}, {a})")
         for alpha in a_cat.non_identities:
             a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
             for b in b_cat.objs:
-                if (_after(h[b][a2].table, m.ract[alpha][b])
-                        != _after(n.ract[alpha][b], h[b][a1].table)):
+                if (_after(h[b][a2], m.ract[alpha][b])
+                        != _after(n.ract[alpha][b], h[b][a1])):
                     raise InvariantViolation(
                         "profmor-natural",
                         f"right naturality fails at ({alpha}, {b})")
 
     @property
     def is_invertible(self) -> bool:
-        return all(f.is_bijective for row in self.h for f in row)
-
-
-def _component(dom: int, cod: int, table: tuple[int, ...]) -> FinSetMap:
-    """The component of a module morphism between cells of these sizes."""
-    return FinSetMap._trusted(FinSetObj(dom), FinSetObj(cod), table)
+        """Whether every component is a bijection: the cells have equal
+        sizes and no table repeats an entry."""
+        return self.source.at == self.target.at and all(
+            len(set(f)) == len(f) for row in self.h for f in row)
 
 
 def prof_id(m: Profunctor) -> ProfMorphism:
-    return ProfMorphism(m, m, tuple(
-        tuple(_component(k, k, tuple(range(k))) for k in row)
-        for row in m.at))
+    ids = _Identities()
+    return ProfMorphism(m, m, tuple(tuple(ids[k] for k in row)
+                                    for row in m.at))
 
 
 def prof_vcomp(b: ProfMorphism, a: ProfMorphism) -> ProfMorphism:
     require(a.target == b.source, "profmor-vcomp",
             "morphisms do not meet at a common profunctor")
     return ProfMorphism(a.source, b.target, tuple(
-        tuple(compose(b.h[bo][ao], a.h[bo][ao]) for ao in a.source.src.objs)
-        for bo in a.source.tgt.objs))
+        tuple(map(_after, row_b, row_a)) for row_b, row_a in zip(b.h, a.h)))
 
 
 def prof_invert(c: ProfMorphism) -> ProfMorphism:
     require(c.is_invertible, "profmor-invert",
             "only componentwise bijections invert")
+    # a bijection's indices, sorted by their images, list its inverse
     return ProfMorphism(c.target, c.source, tuple(
-        tuple(f.inverse() for f in row) for row in c.h))
+        tuple(tuple(sorted(range(len(f)), key=f.__getitem__)) for f in row)
+        for row in c.h))
 
 
 def _coend(n: Profunctor, m: Profunctor):
@@ -416,9 +430,8 @@ def _coend_map(n: Profunctor, m: Profunctor, target: Profunctor,
     construction."""
     source, cells, _ = _coend(n, m)
     return ProfMorphism._trusted(source, target, tuple(
-        tuple(_component(source.at[c][a], target.at[c][a], tuple(
-            value(c, a, *rep) for rep in reps))
-            for a, reps in enumerate(row))
+        tuple(tuple(value(c, a, *rep) for rep in reps)
+              for a, reps in enumerate(row))
         for c, row in enumerate(cells)))
 
 
@@ -437,7 +450,7 @@ def prof_whisker_left(n: Profunctor, cell: ProfMorphism) -> ProfMorphism:
             "whiskering requires composable boundaries")
     right, _, index2 = _coend(n, v2)
     return _coend_map(n, v, right, lambda c, a, b, x, y: index2(
-        c, a, b, cell.h[b][a].table[x], y))
+        c, a, b, cell.h[b][a][x], y))
 
 
 def _prof_maps(m: Profunctor, n: Profunctor, bijective: bool):
@@ -457,9 +470,7 @@ def _prof_maps(m: Profunctor, n: Profunctor, bijective: bool):
                                 [k for row in n.at for k in row], squares,
                                 bijective):
         yield ProfMorphism._trusted(m, n, tuple(
-            tuple(_component(m.at[b][a], n.at[b][a], tables[b * na + a])
-                  for a in a_cat.objs)
-            for b in b_cat.objs))
+            tables[b * na:(b + 1) * na] for b in b_cat.objs))
 
 
 def enumerate_prof_morphisms(m: Profunctor, n: Profunctor):
@@ -532,9 +543,10 @@ def rif_mod(n: Profunctor, u: Profunctor) -> Profunctor:
 def rif_mod_counit(n: Profunctor, u: Profunctor,
                    data: RifModData | None = None) -> ProfMorphism:
     """Evaluation morphism from the composite of the lifter with the
-    lifting down to the target.  ``data`` stands for ``rif_mod_data(n,
-    u)``; a caller's ``data`` is checked, so one from another target
-    raises ``map-range`` or ``profmor-natural``."""
+    lifting down to the target: a class goes to its family's value at its
+    element.  ``data`` stands for ``rif_mod_data(n, u)``; the counit of a
+    caller's ``data`` is checked, which types every table, so data from
+    another target raises ``map-range`` or ``profmor-natural``."""
     given = data is not None
     if not given:
         data = rif_mod_data(n, u)
@@ -542,25 +554,16 @@ def rif_mod_counit(n: Profunctor, u: Profunctor,
     counit = _coend_map(n, data.prof, u,
                         lambda y, k, s, x, t: fams[s][k][x][y][t])
     if given:
-        for row in counit.h:
-            for f in row:
-                f.__post_init__()
         counit.__post_init__()
     return counit
 
 
-class ModTabulation(Record):
-    """The category of elements of a presheaf with its projection, whose
-    fibers are the presheaf itself, table for table, by construction of
-    the elements: the witnessing isomorphism is the identity."""
-
-    el: ElementsCat
-    p: Functor
-
-
-def tabulate_mod(u: Presheaf) -> ModTabulation:
-    el = elements(u)
-    return ModTabulation(el, el.proj)
+def tabulate_mod(u: Presheaf) -> ElementsCat:
+    """The tabulation of a presheaf: its category of elements with the
+    projection, whose fibers are the presheaf itself, table for table, by
+    construction of the elements, so the witnessing isomorphism is the
+    identity."""
+    return elements(u)
 
 
 class ModPolynomial(Record):
@@ -659,9 +662,8 @@ class PolymodParts(Record):
     poly: ModPolynomial
     z: Presheaf
     rif: RifModData
-    tab: ModTabulation
+    tab: ElementsCat
     n: Profunctor
-    r: Functor
 
 
 def polymod_parts(q: ModPolynomial, p: ModPolynomial) -> PolymodParts:
@@ -675,14 +677,14 @@ def polymod_parts(q: ModPolynomial, p: ModPolynomial) -> PolymodParts:
     z = fibers(p.p)
     rd = rif_mod_data(q.m, presheaf_as_module(z))
     tab = tabulate_mod(module_as_presheaf(rd.prof))
-    y_cat = tab.el.cat
+    y_cat = tab.cat
     # the family of an object yo = (t, xi) of y_cat maps q.m(c, t) to the
     # fiber of p over c: the elements it sends to z are the value set of n
     # at (z, yo), and place[yo][c][mu] is the position of mu in that set
     above = [p.p.over.fiber(c) for c in c_cat.objs]
     cells = [[[] for _ in y_cat.objs] for _ in z_cat.objs]
     place = []
-    for yo, (t, xi) in enumerate(tab.el.objects_data):
+    for yo, (t, xi) in enumerate(tab.objects_data):
         place.append([])
         for c, family in enumerate(rd.families[t][0][xi]):
             row = []
@@ -696,21 +698,20 @@ def polymod_parts(q: ModPolynomial, p: ModPolynomial) -> PolymodParts:
         gamma, c1 = p.p.mmap[zeta], p.p.omap[z_cat.src(zeta)]
         return (tuple(place[yo][c1][q.m.lact[gamma][t][mu]]
                       for mu in cells[z_cat.tgt(zeta)][yo])
-                for yo, (t, _) in enumerate(tab.el.objects_data))
+                for yo, (t, _) in enumerate(tab.objects_data))
 
     def right(ym):  # q's lifter pushes along the base morphism of ym
         yo1, yo2 = y_cat.src(ym), y_cat.tgt(ym)
-        phi = tab.el.morphisms_data[ym][0]
+        phi = tab.morphisms_data[ym][0]
         return (tuple(place[yo2][c][q.m.ract[phi][c][mu]]
                       for mu in cells[zo][yo1])
                 for zo, c in enumerate(p.p.omap))
 
     n = _built(y_cat, z_cat, [list(map(len, row)) for row in cells], left,
                right)
-    r = tab.p
     poly = ModPolynomial._trusted(p.X, q.Y, y_cat, prof_compose(p.m, n),
-                                  compose_functors(q.p, r))
-    return PolymodParts(poly, z, rd, tab, n, r)
+                                  compose_functors(q.p, tab.proj))
+    return PolymodParts(poly, z, rd, tab, n)
 
 
 def compose_polymod(q: ModPolynomial, p: ModPolynomial) -> ModPolynomial:
@@ -766,10 +767,8 @@ def decompose_cotensor_module(m: Profunctor,
                       lambda kappa: m.ract[kappa][i * na:(i + 1) * na])
 
     m0, m1 = end(0), end(1)
-    theta = ProfMorphism(m0, m1, tuple(
-        tuple(_component(m0.at[ao][k], m1.at[ao][k], f)
-              for k, f in enumerate(m.lact[2 * nma + a.ident(ao)]))
-        for ao in a.objs))
+    theta = ProfMorphism(m0, m1, tuple(m.lact[2 * nma + a.ident(ao)]
+                                       for ao in a.objs))
     return m0, m1, theta
 
 
@@ -787,8 +786,7 @@ def build_cotensor_module(m0: Profunctor, m1: Profunctor,
         j, alpha = divmod(mi, nma)
         if j < 2:
             return (m0, m1)[j].lact[alpha]
-        return (_after(f, h.table)
-                for f, h in zip(m1.lact[alpha], theta.h[a.tgt(alpha)]))
+        return map(_after, m1.lact[alpha], theta.h[a.tgt(alpha)])
 
     return _built(k_cat, cot, m0.at + m1.at, left,
                   lambda kappa: m0.ract[kappa] + m1.ract[kappa])

@@ -103,8 +103,32 @@ def tabled(src, tgt, at, lact, ract):
 
 
 def component(dom, cod, table):
-    """A component of a module morphism between cells of these sizes."""
+    """A component of a module morphism between cells of these sizes, as
+    a ``FinSetMap``: the form morphisms were held in before they held one
+    int table per cell, in which the references below build them."""
     return FinSetMap(FinSetObj(dom), FinSetObj(cod), tuple(table))
+
+
+def as_components(n, h):
+    """The tables h of a morphism into n as ``FinSetMap``s into n's cells,
+    each from a set of its own length; an entry outside its cell raises
+    ``map-range`` as ``FinSetMap`` does."""
+    return tuple(tuple(component(len(t), n.at[b][a], t)
+                       for a, t in enumerate(row))
+                 for b, row in enumerate(h))
+
+
+def tables(components):
+    """The tables of ``FinSetMap`` components, the converse of
+    ``as_components``."""
+    return tuple(tuple(f.table for f in row) for row in components)
+
+
+def from_components(source, target, components):
+    """The morphism with these ``FinSetMap`` components, which must pass
+    the checks morphisms made while they held maps, converted to tables."""
+    assert reference_component_violation(source, target, components) is None
+    return ProfMorphism(source, target, tables(components))
 
 
 def as_maps(m):
@@ -363,7 +387,7 @@ class TestProfCompose:
 def reference_prof_invert(c):
     """The componentwise inverse, one table loop per component."""
     inv = []
-    for row in c.h:
+    for row in as_components(c.target, c.h):
         out = []
         for f in row:
             table = [0] * f.cod.size
@@ -371,7 +395,7 @@ def reference_prof_invert(c):
                 table[f(i)] = i
             out.append(FinSetMap(f.cod, f.dom, tuple(table)))
         inv.append(tuple(out))
-    return ProfMorphism(c.target, c.source, tuple(inv))
+    return from_components(c.target, c.source, tuple(inv))
 
 
 class TestProfInvert:
@@ -387,14 +411,78 @@ class TestProfInvert:
                 assert prof_invert(iso) == reference_prof_invert(iso)
                 assert prof_vcomp(prof_invert(iso), iso) == prof_id(unit)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_automorphisms_match_the_componentwise_loop(self, seed):
+        """The automorphisms of modules with cells of up to four elements,
+        some of which are not involutions, so that an inverse differs from
+        the morphism itself."""
+        rng = random.Random(1650 + seed)
+        done = cycles = 0
+        while done < 10:
+            a, b = rand_fincat(rng, max_objs=2), rand_fincat(rng, max_objs=2)
+            m = rich_profunctor(rng, a, b)
+            if morphism_space(m, m) > 5000:
+                continue
+            for iso in enumerate_prof_morphisms(m, m):
+                if iso.is_invertible:
+                    inverse = prof_invert(iso)
+                    assert inverse == reference_prof_invert(iso)
+                    assert prof_vcomp(inverse, iso) == prof_id(m)
+                    cycles += inverse != iso
+            done += 1
+        assert cycles
+
     def test_a_non_bijective_component_is_refused(self):
         two, one = discrete_prof(1, 1, [[2]]), discrete_prof(1, 1, [[1]])
         for target, table in ((one, (0, 0)), (two, (1, 1))):
-            c = ProfMorphism(two, target, ((component(
-                two.at[0][0], target.at[0][0], table),),))
+            c = ProfMorphism(two, target, ((table,),))
             assert not c.is_invertible
             with pytest.raises(InvariantViolation, match="profmor-invert"):
                 prof_invert(c)
+
+
+def reference_prof_id(m):
+    """The identity, one identity map per value set."""
+    return from_components(m, m, tuple(tuple(map(identity, row))
+                                       for row in as_maps(m)[0]))
+
+
+def reference_prof_vcomp(b, a):
+    """The vertical composite, component by component through
+    ``finset.compose``."""
+    return from_components(a.source, b.target, tuple(
+        tuple(map(compose, row_b, row_a)) for row_b, row_a in zip(
+            as_components(b.target, b.h), as_components(a.target, a.h))))
+
+
+class TestMorphismsAgainstMaps:
+    """Identities, vertical composites and invertibility of morphisms that
+    hold one table per cell against the same operations on their
+    components held as ``FinSetMap``s."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_identities_composites_and_invertibility(self, seed):
+        rng = random.Random(1600 + seed)
+        kinds, done = set(), 0
+        while done < 10:
+            a, b = rand_fincat(rng, max_objs=3), rand_fincat(rng, max_objs=3)
+            modules = (small_profunctor(rng, a, b), small_profunctor(rng, a, b))
+            for x, y, z in itertools.product(modules, repeat=3):
+                if max(morphism_space(x, y), morphism_space(y, z)) > 2000:
+                    continue
+                assert prof_id(x) == reference_prof_id(x)
+                firsts = itertools.islice(enumerate_prof_morphisms(x, y), 3)
+                for f in firsts:
+                    for g in itertools.islice(enumerate_prof_morphisms(y, z),
+                                              3):
+                        gf = prof_vcomp(g, f)
+                        assert gf == reference_prof_vcomp(g, f)
+                        bijective = all(c.is_bijective for row in
+                                        as_components(z, gf.h) for c in row)
+                        assert gf.is_invertible == bijective
+                        kinds.add(bijective)
+            done += 1
+        assert kinds == {True, False}
 
 
 def coend_classes(n, m, index, c, a):
@@ -470,7 +558,7 @@ def reference_prof_compose(n, m):
 def reference_whisker_left(n, cell):
     v, v2 = cell.source, cell.target
     left, right = reference_prof_compose(n, v), reference_prof_compose(n, v2)
-    h = []
+    maps, h = as_components(v2, cell.h), []
     for c in n.tgt.objs:
         row = []
         for a in v.src.objs:
@@ -478,10 +566,10 @@ def reference_whisker_left(n, cell):
             _, index2 = _coend_cell(n, v2, c, a)
             row.append(component(left.at[c][a], right.at[c][a], _descend(
                 classes,
-                lambda t: index2[(t[0], cell.h[t[0]][a](t[1]), t[2])],
+                lambda t: index2[(t[0], maps[t[0]][a](t[1]), t[2])],
                 "whiskered map depends on the representative")))
         h.append(tuple(row))
-    return ProfMorphism(left, right, tuple(h))
+    return from_components(left, right, tuple(h))
 
 
 def reference_counit(n, u, data):
@@ -496,7 +584,7 @@ def reference_counit(n, u, data):
                 lambda t: data.families[t[0]][k][t[1]][y][t[2]],
                 "counit depends on the representative")))
         h.append(tuple(row))
-    return ProfMorphism(comp, u, tuple(h))
+    return from_components(comp, u, tuple(h))
 
 
 def reference_collapse(p, v):
@@ -510,7 +598,7 @@ def reference_collapse(p, v):
         sigma = p.lifts(s, p.cod.hom(y, p.omap[s])[gpos])[0]
         return start[p.dom.src(sigma)][k] + v.lact[sigma][k][x]
 
-    return ProfMorphism(composite, fw, tuple(
+    return from_components(composite, fw, tuple(
         tuple(component(composite.at[y][k], fw.at[y][k], _descend(
             _coend_cell(gm, v, y, k)[0], lambda t: collapse(t, y, k),
             "collapse depends on the representative"))
@@ -819,7 +907,7 @@ def recursive_prof_iso(m, n):
                 local_n[assign[ids_m[(b, a, i)]]]
                 for i in range(m.at[b][a]))))
         h.append(tuple(row))
-    return ProfMorphism(m, n, tuple(h))
+    return from_components(m, n, tuple(h))
 
 
 class TestProfIsoSearch:
@@ -980,8 +1068,30 @@ def reference_prof_violation(a_cat, b_cat, at, lact, ract):
 
 
 def reference_profmor_violation(m, n, h):
+    """The first (clause, message) that building a morphism m => n of
+    parallel modules from these tables raises, or None: a wrongly shaped
+    ``h`` raises ``profmor-shape``; otherwise the tables are converted to
+    ``FinSetMap``s, whose construction raises ``map-range``, and the maps
+    are checked as morphisms checked them while they held maps.  (Across
+    cells the checks come in another order: tables are typed cell by cell,
+    the maps were all built before any was typed; a corpus that corrupts
+    one cell cannot tell the two apart.)"""
+    a_cat, b_cat = m.src, m.tgt
+    if len(h) != b_cat.objects.size or any(len(row) != a_cat.objects.size
+                                           for row in h):
+        return ("profmor-shape", "one row of components per tgt object and "
+                "one component per src object")
+    try:
+        components = as_components(n, h)
+    except InvariantViolation as e:
+        return (e.clause, str(e).removeprefix(f"{e.clause}: "))
+    return reference_component_violation(m, n, components)
+
+
+def reference_component_violation(m, n, h):
     """The first (clause, message) the per-equation checks of a morphism
-    of parallel modules with these components raise, or None."""
+    of parallel modules with these ``FinSetMap`` components raise, or
+    None."""
     a_cat, b_cat = m.src, m.tgt
     (m_at, m_lact, m_ract), (n_at, n_lact, n_ract) = as_maps(m), as_maps(n)
     for b in b_cat.objs:
@@ -1074,7 +1184,7 @@ class TestNaturalMapsAgainstReference:
                 if morphism_space(m, n) > 5000:
                     continue
                 got = [mo.h for mo in enumerate_prof_morphisms(m, n)]
-                assert got == list(product_prof_maps(m, n))
+                assert got == list(map(tables, product_prof_maps(m, n)))
                 counts.append(len(got))
         assert sum(c > 1 for c in counts) >= 5
 
@@ -1116,30 +1226,45 @@ class TestNaturalMapsAgainstReference:
     @pytest.mark.parametrize("seed", range(3))
     def test_corrupted_morphism_raises_the_same_violation(self, seed):
         """One component of an identity morphism grown by a point or
-        with one entry changed."""
+        with one entry changed, and the same component with its last
+        entry moved just past either end of its target cell."""
         rng = random.Random(900 + seed)
         seen, checked = set(), 0
         while checked < 40:
             a, b = rand_fincat(rng, max_objs=3), rand_fincat(rng, max_objs=3)
             m = small_profunctor(rng, a, b)
-            h = [list(row) for row in prof_id(m).h]
+            ident = prof_id(m).h
             cells = [(bo, ao) for bo in b.objs for ao in a.objs
                      if m.at[bo][ao] > 1]
             if not cells:
                 continue
             bo, ao = rng.choice(cells)
-            f = h[bo][ao]
+            f = ident[bo][ao]
             if rng.random() < 0.2:
-                grown = FinSetObj(f.dom.size + 1)
-                h[bo][ao] = FinSetMap(grown, f.cod, f.table + (0,))
+                corrupted = f + (0,)
             else:
-                h[bo][ao] = changed_entry(rng, f)
-            h = tuple(map(tuple, h))
-            want = reference_profmor_violation(m, m, h)
-            expect_violation(want, lambda: ProfMorphism(m, m, h))
-            seen.add(want and want[0])
+                corrupted = changed_entry(rng, component(len(f), len(f),
+                                                         f)).table
+            outside = f[:-1] + ((-1, len(f))[checked % 2],)
+            for g in (corrupted, outside):
+                h = [list(row) for row in ident]
+                h[bo][ao] = g
+                h = tuple(map(tuple, h))
+                want = reference_profmor_violation(m, m, h)
+                expect_violation(want, lambda: ProfMorphism(m, m, h))
+                seen.add(want and want[0])
             checked += 1
-        assert seen >= {"profmor-typing", "profmor-natural"}
+        assert seen >= {"profmor-typing", "profmor-natural", "map-range"}
+
+    def test_a_misshapen_family_raises_profmor_shape(self):
+        """A row missing, a component missing from a row, or a row too
+        many: each raises ``profmor-shape`` before any table is read."""
+        m = identity_module(discrete_cat(2))
+        h = prof_id(m).h
+        for bad in (h[:1], (h[0][:1],) + h[1:], h + ((),)):
+            want = reference_profmor_violation(m, m, bad)
+            assert want[0] == "profmor-shape"
+            expect_violation(want, lambda: ProfMorphism(m, m, bad))
 
 
 # The builders as they were before triples got integer ids and identities
@@ -1251,10 +1376,10 @@ def reference_polymod_parts(q, p):
     z = fibers(p.p)
     rd = reference_rif_mod_data(q.m, presheaf_as_module(z))
     tab = tabulate_mod(module_as_presheaf(rd.prof))
-    y_cat = tab.el.cat
+    y_cat = tab.cat
     split = [[FinSetMap(FinSetObj(q.m.at[c][t]), FinSetObj(z.at[c]),
                         rd.families[t][0][xi][c])
-              for c in c_cat.objs] for t, xi in tab.el.objects_data]
+              for c in c_cat.objs] for t, xi in tab.objects_data]
     cells = [[split[yo][p.p.omap[zo]].fiber(p.p.over.fiber_position(zo))
               for yo in y_cat.objs] for zo in z_cat.objs]
     at = tuple(tuple(FinSetObj(len(cell)) for cell in row) for row in cells)
@@ -1263,7 +1388,7 @@ def reference_polymod_parts(q, p):
             split[yo][p.p.omap[z_cat.src(zeta)]].fiber_position(
                 q.m.lact[p.p.mmap[zeta]][t][mu])
             for mu in cells[z_cat.tgt(zeta)][yo]))
-        for yo, (t, _) in enumerate(tab.el.objects_data))
+        for yo, (t, _) in enumerate(tab.objects_data))
         for zeta in z_cat.mors)
     ract = tuple(tuple(
         FinSetMap(at[zo][y_cat.src(ym)], at[zo][y_cat.tgt(ym)], tuple(
@@ -1271,11 +1396,11 @@ def reference_polymod_parts(q, p):
                 q.m.ract[phi][p.p.omap[zo]][mu])
             for mu in cells[zo][y_cat.src(ym)]))
         for zo in z_cat.objs)
-        for ym, (phi, _) in enumerate(tab.el.morphisms_data))
+        for ym, (phi, _) in enumerate(tab.morphisms_data))
     n = tabled(y_cat, z_cat, at, lact, ract)
     poly = ModPolynomial(p.X, q.Y, y_cat, reference_coend(p.m, n)[0],
-                         compose_functors(q.p, tab.p))
-    return modpoly.PolymodParts(poly, z, rd, tab, n, tab.p)
+                         compose_functors(q.p, tab.proj))
+    return modpoly.PolymodParts(poly, z, rd, tab, n)
 
 
 def structured_poly(rng, n):
@@ -1440,9 +1565,10 @@ def checked_whisker_left(n, cell):
     v, v2 = cell.source, cell.target
     left, cells, _ = _coend(n, v)
     right, _, index2 = _coend(n, v2)
-    return ProfMorphism(left, right, tuple(
+    maps = as_components(v2, cell.h)
+    return from_components(left, right, tuple(
         tuple(component(left.at[c][a], right.at[c][a], tuple(
-            index2(c, a, b, cell.h[b][a](x), y)
+            index2(c, a, b, maps[b][a](x), y)
             for b, x, y in cells[c][a]))
             for a in v.src.objs)
         for c in n.tgt.objs))
@@ -1451,7 +1577,7 @@ def checked_whisker_left(n, cell):
 def checked_counit(n, u, data):
     comp, cells, _ = _coend(n, data.prof)
     fams = data.families
-    return ProfMorphism(comp, u, tuple(
+    return from_components(comp, u, tuple(
         tuple(component(comp.at[y][k], u.at[y][k], tuple(
             fams[s][k][x][y][t]
             for s, x, t in cells[y][k]))
@@ -1468,7 +1594,7 @@ def checked_collapse(p, v):
         sigma = p.lifts(s, p.cod.hom(y, p.omap[s])[gpos])[0]
         return start[p.dom.src(sigma)][k] + v.lact[sigma][k][x]
 
-    return ProfMorphism(composite, fw, tuple(
+    return from_components(composite, fw, tuple(
         tuple(component(composite.at[y][k], fw.at[y][k], tuple(
             collapse(y, k, *rep) for rep in cells[y][k]))
             for k in v.src.objs)
@@ -1769,8 +1895,8 @@ class TestWideBaseAtTheDefaultRecursionLimit:
 
     def test_tabulate_mod(self, wide_point):
         tab = at_default_recursion_limit(tabulate_mod, wide_point)
-        assert tab.el.cat.objects.size == 1200
-        assert fibers(tab.p) == wide_point
+        assert tab.cat.objects.size == 1200
+        assert fibers(tab.proj) == wide_point
 
     def test_rif_mod(self, wide_point):
         m = presheaf_as_module(wide_point)
@@ -1872,24 +1998,24 @@ class TestTabulate:
         u = representable(o2, 1)
         tab = tabulate_mod(u)
         # two points over the base: the arrow and the upper identity
-        assert tab.el.cat.objects.size == 2
-        assert is_discrete_fibration(tab.p)
-        assert fibers(tab.p) == u
+        assert tab.cat.objects.size == 2
+        assert is_discrete_fibration(tab.proj)
+        assert fibers(tab.proj) == u
 
     def test_constant_singleton_recovers_base(self):
         c = preorder_cat(3, [(0, 1), (1, 2)])
         u = constant_presheaf(c, 1)
         tab = tabulate_mod(u)
-        assert tab.el.cat.objects.size == c.objects.size
-        assert tab.el.cat.morphisms.size == c.morphisms.size
-        assert fibers(tab.p) == u
+        assert tab.cat.objects.size == c.objects.size
+        assert tab.cat.morphisms.size == c.morphisms.size
+        assert fibers(tab.proj) == u
 
     def test_empty_presheaf(self):
         o2 = ordinal2()
         u = constant_presheaf(o2, 0)
         tab = tabulate_mod(u)
-        assert tab.el.cat.objects.size == 0
-        assert fibers(tab.p) == u
+        assert tab.cat.objects.size == 0
+        assert fibers(tab.proj) == u
 
     def test_witness_matches_fibers(self):
         rng = random.Random(48)
@@ -1897,8 +2023,8 @@ class TestTabulate:
             c = rand_fincat(rng)
             u = rand_presheaf(rng, c)
             tab = tabulate_mod(u)
-            assert presheaf_iso(fibers(tab.p), u) is not None
-            assert fibers(tab.p) == u
+            assert presheaf_iso(fibers(tab.proj), u) is not None
+            assert fibers(tab.proj) == u
 
 
 class TestFiberwise:
@@ -1974,7 +2100,7 @@ class TestComposePolymod:
         parts, wrong = checks.witnessed_parts(q, p)
         assert wrong == []
         lhs = prof_compose(graph_module(p.p), parts.n)
-        rhs = prof_compose(q.m, graph_module(parts.r))
+        rhs = prof_compose(q.m, graph_module(parts.tab.proj))
         assert prof_iso(lhs, rhs) is not None
 
     def test_a_failed_witness_is_reported_with_its_case(self, monkeypatch):
@@ -2011,7 +2137,7 @@ class TestComposePolymod:
             poly = ModPolynomial._trusted(parts.poly.X, parts.poly.Y,
                                           parts.poly.S, bad, parts.poly.p)
             return modpoly.PolymodParts(poly, parts.z, parts.rif, parts.tab,
-                                        parts.n, parts.r)
+                                        parts.n)
 
         monkeypatch.setattr(checks, "polymod_parts", corrupted)
         report = checks.run_suite("discrete-reduction", seed=0, count=10)
@@ -2152,7 +2278,7 @@ def reference_decompose_cotensor(m, a):
         return Profunctor(k_cat, a, at, lact, ract)
 
     m0, m1 = end(0), end(1)
-    return m0, m1, ProfMorphism(m0, m1, tuple(
+    return m0, m1, from_components(m0, m1, tuple(
         tuple(component(m0.at[ao][k], m1.at[ao][k],
                         m.lact[2 * nma + a.ident(ao)][k]) for k in k_cat.objs)
         for ao in a.objs))
@@ -2163,7 +2289,7 @@ def reference_build_cotensor(m0, m1, theta):
     a, k_cat = m0.tgt, m0.src
     cot, _ = cotensor2_mod(a)
     na, nma = a.objects.size, a.morphisms.size
-    ends = (m0, m1)
+    ends, theta_maps = (m0, m1), as_components(m1, theta.h)
     at = tuple(tuple(ends[o // na].at[o % na][k] for k in k_cat.objs)
                for o in cot.objs)
     lact = []
@@ -2173,7 +2299,7 @@ def reference_build_cotensor(m0, m1, theta):
             lact.append(tuple(ends[j].lact[alpha][k] for k in k_cat.objs))
         else:
             lact.append(tuple(tuple(m1.lact[alpha][k][i]
-                                    for i in theta.h[a.tgt(alpha)][k].table)
+                                    for i in theta_maps[a.tgt(alpha)][k].table)
                               for k in k_cat.objs))
     ract = tuple(tuple(ends[o // na].ract[kappa][o % na] for o in cot.objs)
                  for kappa in k_cat.mors)
@@ -2339,7 +2465,7 @@ class TestKleisliCorrespondence:
                     table.append(m.ract[gamma][co][xval])
                 cy_h.append((component(a1.at[co][0], b1_prof.at[co][0],
                                        tuple(table)),))
-            cy = ProfMorphism(a1, b1_prof, tuple(cy_h))
+            cy = from_components(a1, b1_prof, tuple(cy_h))
             assert cy.is_invertible
             dc = dfib_collapse(pz, h)
             theta_set = [mo for mo in enumerate_prof_morphisms(a1, a2)
