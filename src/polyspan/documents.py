@@ -480,22 +480,54 @@ _quote = json.encoder.encode_basestring_ascii
 _lists: dict[str, object] = {}
 
 
+# The format of one row of k ints on lines indented by a pad, and the
+# separator between rows, one per (pad, k), built the first time it is used.
+_row_formats: dict[tuple[str, int], tuple[str, str]] = {}
+
+
+def _int_rows(v: list | tuple, pad: str) -> str | None:
+    """The items of a list of two or more rows, each a list of the same
+    nonzero number of ints, as ``_canonical`` writes them on lines indented
+    by ``pad``: one format call for the whole list.  None for any other
+    list, so that bools, floats and other values keep the general path,
+    and a single row its one C encoder call."""
+    k = len(v[0])
+    if (not k or len(v) < 2 or type(v[0][0]) is not int
+            or {*map(type, v)} - {list, tuple} or {*map(len, v)} != {k}):
+        return None
+    flat = tuple(chain.from_iterable(v))
+    if {*map(type, flat)} != {int}:
+        return None
+    fmt = _row_formats.get((pad, k))
+    if fmt is None:
+        inner = pad + "  "
+        fmt = _row_formats[pad, k] = (
+            f"[\n{inner}" + f",\n{inner}".join(["%d"] * k) + f"\n{pad}]",
+            f",\n{pad}")
+    row, sep = fmt
+    return sep.join([row] * len(v)) % flat
+
+
 def _canonical(v: object, pad: str) -> str:
     """``json.dumps(v, sort_keys=True, indent=2)`` for a value of a
     document body (string keys, tuples written as lists) that starts on a
-    line indented by ``pad``.  A list whose first item is a scalar is one
-    call to the C encoder of its pad; when that text holds a container (a
-    ``[`` past its start or a ``{``: a container later in the list, or a
-    string holding a bracket), or json has no C encoder, the list is
-    written item by item."""
+    line indented by ``pad``.  A list of int rows (a relation's pairs) is
+    one format call (``_int_rows``).  A list whose first item is a scalar
+    is one call to the C encoder of its pad; when that text holds a
+    container (a ``[`` past its start or a ``{``: a container later in the
+    list, or a string holding a bracket), or json has no C encoder, the
+    list is written item by item."""
     if type(v) is int:
         return str(v)
     if type(v) is list or type(v) is tuple:
         if not v:
             return "[]"
         inner = pad + "  "
-        if (c_make_encoder is not None
-                and type(v[0]) not in (list, tuple, dict)):
+        if type(v[0]) is list or type(v[0]) is tuple:
+            rows = _int_rows(v, inner)
+            if rows is not None:
+                return f"[\n{inner}{rows}\n{pad}]"
+        elif c_make_encoder is not None and type(v[0]) is not dict:
             encode = _lists.get(pad)
             if encode is None:
                 encode = _lists[pad] = c_make_encoder(

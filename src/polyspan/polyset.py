@@ -5,12 +5,15 @@ action on spans.
 A polynomial from X to Y is a chain X <- E -> S -> Y.  Its lifter part is the
 span (m2, E, m1) from S to X; the neat part is the map p: S -> Y.  The
 extension functor sends a family over X to the usual sum-of-products family
-over Y, and composition of polynomials is performed by the distributivity
-pullback so that extensions compose (checked by the oracle tests).
+over Y.  The composite is counted from fiber indexes in the closed form of
+Gambino and Kock; the squares of Weber's distributivity pullback, which list
+its elements in the same order, are built only for the 2-cells between
+composites.  Extensions compose along it (checked by the oracle tests).
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 from .errors import InvariantViolation, require
@@ -23,7 +26,6 @@ from .spans import (
     associator,
     cograph,
     compose_spans,
-    composite,
     composition_square,
     distributivity_bipullback,
     distributivity_pullback,
@@ -203,10 +205,10 @@ def identity_poly(x: FinSetObj) -> Polynomial:
 
 
 class CompositeParts(Record):
-    """Everything produced while composing two polynomials, kept so that
-    horizontal composition of morphisms and the extension comparison can
-    reuse the same squares; ``directions`` is the square whose apex is the
-    composite's E."""
+    """The squares of Q∘P that horizontal composition of morphisms and the
+    extension comparison read, with the composite they index: ``pba.r.dom``
+    is ``poly.S`` and ``directions`` is the square whose apex is
+    ``poly.E``."""
 
     poly: Polynomial
     pb1: Pullback
@@ -216,25 +218,73 @@ class CompositeParts(Record):
 
 
 def composite_parts(Q: Polynomial, P: Polynomial) -> CompositeParts:
-    require(P.Y == Q.X, "poly-compose-boundary",
-            "codomain of the first factor must match the second's domain")
+    """The squares of Q∘P, built for the 2-cells: Weber's distributivity
+    pullback (arXiv:1106.1983) lists the positions and directions of
+    ``compose_poly(Q, P)`` in its order."""
+    poly = compose_poly(Q, P)
     pb1 = pullback(P.p, Q.m1)
     pba = distributivity_pullback(Q.m2, pb1.pr2)
-    w_obj = pba.r.dom
-    n_tilde = Span(w_obj, P.S, pba.p.dom, pba.q, compose(pb1.pr1, pba.p))
-    mspan, directions = composite(m_span(P), n_tilde)
-    poly = Polynomial(P.X, mspan.apex, w_obj, Q.Y,
-                      mspan.right_leg, mspan.left_leg,
-                      compose(Q.p, pba.r))
+    n_tilde = Span(pba.r.dom, P.S, pba.p.dom, pba.q, compose(pb1.pr1, pba.p))
+    directions = composition_square(m_span(P), n_tilde)
     return CompositeParts(poly, pb1, pba, n_tilde, directions)
 
 
+def _composite_size(fibers, qm1, radix, width) -> tuple[int, int]:
+    """|S′| and |E′| of Q∘P from fiber sizes alone, each capped as in
+    ``ExtensionRank``: over a position of Q whose directions e have the
+    labels x_e = Q.m1(e) there are Π_e radix[x_e] positions and
+    Σ_e width[x_e] · Π_{e′ ≠ e} radix[x_e′] directions, where radix[x]
+    counts the positions of P over x and width[x] their directions."""
+    n_s = n_e = 0
+    for es in fibers:
+        c, k = 1, 0
+        for e in es:
+            x = qm1[e]
+            c, k = c * radix[x], k * radix[x] + c * width[x]
+            if k >= _PAST_MAX or c >= _PAST_MAX:
+                c, k = min(c, _PAST_MAX), min(k, _PAST_MAX)
+        n_s += c
+        n_e += k
+    return min(n_s, _PAST_MAX), min(n_e, _PAST_MAX)
+
+
 def compose_poly(Q: Polynomial, P: Polynomial) -> Polynomial:
-    """Composite polynomial: points of the new S are pairs of a point s of
-    Q's S with a choice, for each e over s, of a point of P's S over its
-    middle image; E collects the matching pairs of evaluation points with
-    P-directions.  Extensions compose along this construction."""
-    return composite_parts(Q, P).poly
+    """Q∘P from the fibers of P.p, P.m2 and Q.m2 (Gambino & Kock,
+    arXiv:0906.4931): its positions are pairs of a position s of Q and a
+    section σ of Π_{e ∈ m2⁻¹(s)} P.p⁻¹(Q.m1 e), listed by s, then σ in
+    itertools.product order; the directions of (s, σ) are those of P at
+    each σ_e, by e, then ascending.  That is the order of the squares
+    ``composite_parts`` builds for the 2-cells.  A composite past
+    sys.maxsize is refused before it is built."""
+    require(P.Y == Q.X, "poly-compose-boundary",
+            "codomain of the first factor must match the second's domain")
+    over, pp = P.p._fibers, P.p.table
+    # the labels of P's directions at each position and their count over
+    # each point of P.Y
+    labels: list[list[int]] = [[] for _ in P.S.elements]
+    width = [0] * P.Y.size
+    for t, x in zip(P.m2.table, P.m1.table):
+        labels[t].append(x)
+        width[pp[t]] += 1
+    fibers, qm1, qp = Q.m2._fibers, Q.m1.table, Q.p.table
+    if _PAST_MAX in _composite_size(fibers, qm1, [len(ts) for ts in over],
+                                    width):
+        raise InvariantViolation(
+            "composite-size", f"the composite has more than {sys.maxsize} "
+            f"positions or directions")
+    m1: list[int] = []
+    m2: list[int] = []
+    p: list[int] = []
+    for s, es in enumerate(fibers):
+        y = qp[s]
+        for sigma in itertools.product(*[over[qm1[e]] for e in es]):
+            for t in sigma:
+                m1 += labels[t]
+            m2 += [len(p)] * (len(m1) - len(m2))
+            p.append(y)
+    S, E = FinSetObj(len(p)), FinSetObj(len(m1))
+    return Polynomial(P.X, E, S, Q.Y, FinSetMap(E, P.X, tuple(m1)),
+                      FinSetMap(E, S, tuple(m2)), FinSetMap(S, Q.Y, tuple(p)))
 
 
 class PolyMorphism(Record):

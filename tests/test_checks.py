@@ -14,9 +14,10 @@ def compact(kind, payload):
                       separators=(",", ":"))
 
 
-def test_composite_parts_is_built_at_most_twice_per_case(monkeypatch):
-    """Once by ``compose_poly``, the function under test, and once for the
-    comparison's plan; not once per family and family map."""
+def test_composite_parts_is_built_once_per_case(monkeypatch):
+    """For the comparison's plan only: ``compose_poly``, the function
+    under test, counts its composite without the squares, and the plan is
+    not rebuilt per family and family map."""
     real = polyset.composite_parts
     calls = []
 
@@ -27,16 +28,15 @@ def test_composite_parts_is_built_at_most_twice_per_case(monkeypatch):
     monkeypatch.setattr(checks, "composite_parts", spy)
     report = checks.run_suite("extension-oracle", seed=0, count=3)
     assert report.ok and report.count == 3
-    assert 3 <= len(calls) <= 2 * 3
+    assert len(calls) == 3
 
 
 @pytest.mark.unchecked_trust
 def test_the_comparison_reads_the_squares_of_its_composite(monkeypatch):
-    """Each case pulls back three squares per composite, one composite for
-    ``compose_poly`` and one for the comparison's plan, which reads the
-    distributivity pullback's inner index and the square of the
-    composite's E instead of pulling them back again: 1 200 pullbacks at
-    seed 0, not 1 600."""
+    """Each case pulls back the three squares of the comparison's plan,
+    which reads the distributivity pullback's inner index and the square
+    of the composite's E instead of pulling them back again, and
+    ``compose_poly`` pulls back none: 600 pullbacks at seed 0."""
     real = finset.pullback
     calls = []
 
@@ -48,7 +48,7 @@ def test_the_comparison_reads_the_squares_of_its_composite(monkeypatch):
             monkeypatch.setattr(module, "pullback", spy)
     report = checks.run_suite("extension-oracle", seed=0)
     assert report.ok and report.count == 200
-    assert len(calls) == 6 * 200
+    assert len(calls) == 3 * 200
 
 
 def test_a_non_bijective_comparison_is_reported_with_its_case(monkeypatch):
@@ -71,6 +71,39 @@ def test_a_non_bijective_comparison_is_reported_with_its_case(monkeypatch):
     p, q, a = seen[0]
     assert report.failures == (
         f"case 0: comparison map is not a fiberwise bijection; "
+        f"p={compact('polynomial', p)} q={compact('polynomial', q)} "
+        f"family={compact('family', a)}",)
+
+
+def test_a_comparison_that_crosses_fibers_is_reported(monkeypatch):
+    """The first comparison that can swap two elements of different
+    fibers does: it stays a bijection, so only the fiber half of the test
+    sees it, and the report names that case and nothing else."""
+    real = checks.composite_bijection
+    cases, crossed = [], []
+
+    def crossing(q, p):
+        compare = real(q, p)
+        cases.append((q, p))
+
+        def swapped(a, ext_p):
+            table = compare(a, ext_p)
+            if crossed:
+                return table
+            over = polyset.extension_eval(q, ext_p).proj.table
+            for j in range(1, len(table)):
+                if over[table[j]] != over[table[0]]:
+                    crossed.append((len(cases) - 1, p, q, a))
+                    table = table[:]
+                    table[0], table[j] = table[j], table[0]
+                    break
+            return table
+        return swapped
+    monkeypatch.setattr(checks, "composite_bijection", crossing)
+    report = checks.run_suite("extension-oracle", seed=0, count=20)
+    i, p, q, a = crossed[0]
+    assert report.failures == (
+        f"case {i}: comparison map is not a fiberwise bijection; "
         f"p={compact('polynomial', p)} q={compact('polynomial', q)} "
         f"family={compact('family', a)}",)
 

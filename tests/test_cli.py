@@ -22,8 +22,8 @@ from polyspan.finset import FinSetMap, FinSetObj
 from polyspan.gen import (rand_family, rand_fincat, rand_modpoly, rand_poly,
                           random_document)
 from polyspan.modpoly import identity_polymod
-from polyspan.polyset import (IndexedFamily, compose_poly, extension_eval,
-                              identity_poly)
+from polyspan.polyset import (IndexedFamily, Polynomial, compose_poly,
+                              extension_eval, identity_poly)
 from polyspan.relpoly import identity_polyrel
 from test_documents import UNREADABLE_JSON, corrupt
 
@@ -277,6 +277,24 @@ class TestProcessEntry:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: extension-size: ")
+
+    def test_a_composite_past_sys_maxsize_is_an_input_error(self, tmp_path):
+        """y^64 after the constant 2 has 2^64 positions.  Building them
+        once ran until memory ran out; they are now counted first.  The
+        child runs under the same limits as above."""
+        two = FinSetObj(2)
+        qf = write_doc(tmp_path / "q.json", "polynomial",
+                       checks_mod._monomial(64))
+        pf = write_doc(tmp_path / "p.json", "polynomial", Polynomial(
+            ONE, FinSetObj(0), two, ONE, FinSetMap(FinSetObj(0), ONE, ()),
+            FinSetMap(FinSetObj(0), two, ()), FinSetMap(two, ONE, (0, 0))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyspan.cli", "compose", "--kind", "set",
+             qf, pf], capture_output=True, text=True, timeout=60,
+            preexec_fn=_limit_address_space)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: composite-size: ")
 
     def test_missing_file_is_an_input_error(self, capsys):
         assert main(["eval", "/nonexistent/p.json",

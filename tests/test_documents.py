@@ -283,6 +283,16 @@ class TestCanonicalEmitter:
         assert (documents._canonical(tree, "")
                 == json.dumps(tree, sort_keys=True, indent=2))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3).flatmap(lambda k: st.lists(
+        st.lists(st.integers() | st.booleans(), min_size=k, max_size=k),
+        max_size=5)))
+    def test_int_rows_match_json_dumps(self, rows):
+        # a relation's pairs sit two levels down in a document body
+        tree = {"payload": {"pairs": rows}}
+        assert (documents._canonical(tree, "")
+                == json.dumps(tree, sort_keys=True, indent=2))
+
     fixed_trees = [
         # a scalar first, a container later: the C text is not used
         [1, [2, 3]], [1, 2, {"a": 1}], [0, []], [0, {}], (0, (1,), 2),
@@ -301,6 +311,17 @@ class TestCanonicalEmitter:
         [0, [[]]], {"a": [], "b": {}, "c": [[]]},
         # deeper than any document nests
         nested_tree(9), nested_tree(14), [[[[[[[[[[[1, 2]]]]]]]]]]],
+        # lists of int rows, one format call when every entry is an int:
+        # no pair, one pair, rows of other lengths, tuples among lists
+        {"pairs": []}, {"pairs": [[0, 1]]}, [(0, 1)], [[5]],
+        [[0, 1], [1, 0], [1, 1]], [(0, 1, 2), [3, 4, 5]],
+        # and the general path: bools, floats, None or strings among
+        # ints, unequal or empty rows, a row holding a container
+        [[1, True], [2, 3]], [[False, 0]], [[0, 1], [1.0, 2]],
+        [[0, None]], [["0", 1]], [[1, 2], [3]], [[], [1]], [[1], []],
+        [[1, [2]], [3, 4]], [[1, 2], 3], [[1, 2], {"a": 1}],
+        # ints past 2**64 in rows
+        [[2 ** 64, -(2 ** 70)], [2 ** 200 + 1, 0]],
     ]
 
     @pytest.mark.parametrize("c_encoder", [True, False],

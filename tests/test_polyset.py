@@ -3,12 +3,15 @@
 import hashlib
 import itertools
 import random
+import sys
+import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyspan import checks, gen, polyset
+from polyspan import checks, finset, gen, polyset, spans
 from polyspan.documents import document, serialize
 from polyspan.errors import InvariantViolation
 from polyspan.finset import FinSetMap, FinSetObj, compose, identity, pullback
@@ -37,7 +40,9 @@ from polyspan.spans import (
     Span,
     SpanCell,
     compose_spans,
+    composite,
     composition_square,
+    distributivity_pullback,
     factor_through_bipullback,
     graph,
     identity_span,
@@ -183,6 +188,19 @@ def composite_bijection(Q, P, A):
             sig_q.append(idx_p[(Q.m1(e_q), s_p, sig_p)])
         table.append(idx_q[(z, s_q, tuple(sig_q))])
     return table
+
+
+def reference_compose_poly(Q, P):
+    """The composite as its squares build it: the positions are the
+    distributivity pullback of Q.m2 along the pullback of P.p against
+    Q.m1, and the directions the composite of P's lifter span with the
+    span that evaluates sections."""
+    pb1 = pullback(P.p, Q.m1)
+    pba = distributivity_pullback(Q.m2, pb1.pr2)
+    n_tilde = Span(pba.r.dom, P.S, pba.p.dom, pba.q, compose(pb1.pr1, pba.p))
+    mspan, _ = composite(m_span(P), n_tilde)
+    return Polynomial(P.X, mspan.apex, pba.r.dom, Q.Y, mspan.right_leg,
+                      mspan.left_leg, compose(Q.p, pba.r))
 
 
 def relabel_morphism(p, perm_s):
@@ -403,6 +421,173 @@ class TestComposePoly:
             a = rand_family(rng, x)
             assert fiber_sizes(extension_eval(left, a)) \
                 == fiber_sizes(extension_eval(right, a))
+
+
+def finite_sets():
+    """Sizes 0 to 4, with or without distinct labels."""
+    return st.integers(0, 4).flatmap(lambda n: st.one_of(
+        st.just(FinSetObj(n)),
+        st.lists(st.text("abc", min_size=1, max_size=2), min_size=n,
+                 max_size=n, unique=True).map(
+            lambda labels: FinSetObj(n, tuple(labels)))))
+
+
+@st.composite
+def polynomials(draw, x, y):
+    """Any polynomial from x to y with at most 4 positions and 4
+    directions: positions may have no directions, and labels in x or
+    points of y may have no position."""
+    def table(dom, cod):
+        if not dom:
+            return ()
+        return tuple(draw(st.lists(st.integers(0, cod - 1), min_size=dom,
+                                   max_size=dom)))
+    s = FinSetObj(draw(st.integers(0, 4)) if y.size else 0)
+    e = FinSetObj(draw(st.integers(0, 4)) if s.size and x.size else 0)
+    return Polynomial(x, e, s, y, FinSetMap(e, x, table(e.size, x.size)),
+                      FinSetMap(e, s, table(e.size, s.size)),
+                      FinSetMap(s, y, table(s.size, y.size)))
+
+
+@st.composite
+def composable_pairs(draw):
+    x, y, z = draw(finite_sets()), draw(finite_sets()), draw(finite_sets())
+    return draw(polynomials(y, z)), draw(polynomials(x, y))
+
+
+def _labelled_edges():
+    """Labelled X and Y; the second position of P has no directions, the
+    point b of Y has no position of P, and the second direction of Q is
+    labelled b."""
+    x, y, z = FinSetObj(1, ("a",)), FinSetObj(2, ("a", "b")), FinSetObj(1)
+    e1, e3, s2 = FinSetObj(1), FinSetObj(3), FinSetObj(2)
+    p = Polynomial(x, e1, s2, y, FinSetMap(e1, x, (0,)),
+                   FinSetMap(e1, s2, (0,)), FinSetMap(s2, y, (0, 0)))
+    q = Polynomial(y, e3, s2, z, FinSetMap(e3, y, (0, 1, 0)),
+                   FinSetMap(e3, s2, (0, 0, 1)), FinSetMap(s2, z, (0, 0)))
+    return q, p
+
+
+LABELLED_EDGES = _labelled_edges()
+
+
+def structured(rng, n):
+    """|X| = |S| = |Y| = n, two directions per position, p the identity:
+    the shape of the benchmark's doubling series."""
+    x, e = FinSetObj(n), FinSetObj(2 * n)
+    return Polynomial(x, e, x, x,
+                      FinSetMap(e, x, tuple(rng.randrange(n)
+                                            for _ in range(2 * n))),
+                      FinSetMap(e, x, tuple(i // 2 for i in range(2 * n))),
+                      identity(x))
+
+
+def constant(k):
+    """The constant polynomial k from 1 to 1: k positions, no directions."""
+    s, e = FinSetObj(k), FinSetObj(0)
+    return Polynomial(ONE, e, s, ONE, FinSetMap(e, ONE, ()),
+                      FinSetMap(e, s, ()), FinSetMap(s, ONE, (0,) * k))
+
+
+class TestCountedComposite:
+    """``compose_poly`` counts the composite from fiber indexes; the
+    squares the 2-cells read list the same elements in the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(composable_pairs())
+    @example(LABELLED_EDGES)
+    def test_equals_the_square_built_composite(self, pair):
+        q, p = pair
+        n = compose_poly(q, p)
+        assert n == reference_compose_poly(q, p)
+        over = [p.p.fiber(x) for x in p.Y.elements]
+        assert polyset._composite_size(
+            q.m2._fibers, q.m1.table, [len(ts) for ts in over],
+            [sum(len(p.m2.fiber(t)) for t in ts) for ts in over]) \
+            == (n.S.size, n.E.size)
+
+    def test_equal_documents_on_seeded_pairs(self):
+        rng = random.Random(29)
+        edges = {"a position with no directions": 0,
+                 "a label with no position": 0}
+        for _ in range(300):
+            x, y, z = (FinSetObj(rng.randint(0, 3)) for _ in range(3))
+            p = gen.rand_poly(rng, x, y, smax=4, emax=3)
+            q = gen.rand_poly(rng, y, z, smax=4, emax=3)
+            got = compose_poly(q, p)
+            want = reference_compose_poly(q, p)
+            assert serialize(document("polynomial", got)) \
+                == serialize(document("polynomial", want))
+            edges["a position with no directions"] += any(
+                not p.m2.fiber(s) for s in p.S.elements)
+            edges["a label with no position"] += any(
+                not p.p.fiber(q.m1(e)) for e in q.E.elements)
+        assert all(edges.values()), edges
+
+    @pytest.mark.parametrize("n", [25, 50, 100, 200])
+    def test_the_structured_series(self, n):
+        rng = random.Random(n)
+        p, q = structured(rng, n), structured(rng, n)
+        c = compose_poly(q, p)
+        assert c == reference_compose_poly(q, p)
+        assert (c.S.size, c.E.size) == (n, 4 * n)
+
+    def test_no_pullback_is_built(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("compose_poly built a square")
+        for module in (finset, spans, polyset):
+            for name in ("pullback", "pi_f", "distributivity_pullback",
+                         "composite"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        rng = random.Random(31)
+        for _ in range(50):
+            x, y, z = (FinSetObj(rng.randint(1, 3)) for _ in range(3))
+            p, q = rand_poly(rng, x, y, 4, 4), rand_poly(rng, y, z, 4, 4)
+            compose_poly(q, p)
+
+    def test_the_squares_index_the_composite(self):
+        rng = random.Random(37)
+        for _ in range(60):
+            x, y, z = (FinSetObj(rng.randint(0, 3)) for _ in range(3))
+            p = gen.rand_poly(rng, x, y, smax=4, emax=3)
+            q = gen.rand_poly(rng, y, z, smax=4, emax=3)
+            parts = composite_parts(q, p)
+            n, sq = parts.poly, parts.directions
+            assert n == compose_poly(q, p)
+            assert sq.apex == n.E and parts.pba.r.dom == n.S
+            assert compose(parts.n_tilde.left_leg, sq.pr1) == n.m2
+            assert compose(p.m1, sq.pr2) == n.m1
+            assert compose(q.p, parts.pba.r) == n.p
+
+    def test_an_oversized_composite_is_refused_before_it_is_built(self):
+        """y^64 after the constant 2 has 2^64 positions, past
+        sys.maxsize: it is refused from the fiber sizes, in well under a
+        second and with almost no memory."""
+        q, p = monomial(64), constant(2)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(InvariantViolation, match="^composite-size: "):
+                compose_poly(q, p)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1 and peak < 1 << 20
+
+    def test_the_size_bound_is_sys_maxsize(self):
+        """A count is capped, not wrapped: a huge product times an empty
+        fiber is still empty, and both counts stop at sys.maxsize + 1."""
+        size = polyset._composite_size
+        past = sys.maxsize + 1
+        assert size([(0,)], [0], [sys.maxsize], [0]) == (sys.maxsize, 0)
+        assert size([(0,)], [0], [past], [0]) == (past, 0)
+        assert size([(0,)], [0], [1], [past + 5]) == (1, past)
+        assert size([(0, 1, 2)], [0, 1, 2], [1 << 62, 4, 0], [1, 1, 0]) \
+            == (0, 0)
+        assert size([(0, 1)], [0, 0], [1 << 40], [1 << 40]) == (past, past)
+        assert size([(), ()], [], [], []) == (2, 0)
 
 
 def rand_lax_morphism(rng, x, y):
