@@ -61,6 +61,7 @@ from .modpoly import (
     prof_iso,
 )
 from .polyset import (
+    CompositeParts,
     ExtensionRank,
     FamilyMap,
     IndexedFamily,
@@ -149,19 +150,18 @@ def span_as_prof(s: Span) -> Profunctor:
 
 
 def composite_bijection(
-        Q: Polynomial, P: Polynomial,
+        Q: Polynomial, P: Polynomial, parts: CompositeParts,
 ) -> Callable[[IndexedFamily, IndexedFamily], list[int]]:
     """The element-level bijection ext(Q o P)(A) -> ext(Q)(ext(P)(A)), as
     a function of A and ext(P)(A).
 
-    The plan is built once per (Q, P), from one ``composite_parts``: for
+    The plan is built once per (Q, P), from its ``composite_parts``: for
     each position w of Q o P, the position s_q of Q under it and, for each
     direction e_q over s_q, its label Q.m1(e_q), the position s_p of P it
     picks and the positions in the m2-fiber of w of the directions over
     s_p.  Each family then computes indices from ``ExtensionRank``s: the
     index in ext(Q)(ext(P)(A)) is linear in the digits of the section
     over w, so each w gives one constant and one weight per digit."""
-    parts = composite_parts(Q, P)
     n = parts.poly
     inner = parts.pba.inner_index()
     position = n.m2.fiber_position
@@ -234,15 +234,17 @@ def check_extension_oracle(seed: int, count: int | None = None) -> CheckReport:
         z = FinSetObj(rng.randint(0, 3))
         p = _bounded_poly(rng, x, y)
         q = _bounded_poly(rng, y, z)
-        n = compose_poly(q, p)
+        # the composite under test is the one the comparison's plan indexes
+        parts = composite_parts(q, p)
+        n = parts.poly
         fams = [rand_family(rng, x) for _ in range(5)]
-        compare = composite_bijection(q, p)
+        compare = composite_bijection(q, p, parts)
 
         def where() -> str:
             return (f"p={_compact('polynomial', p)} "
                     f"q={_compact('polynomial', q)}")
-        for a in fams:
-            ext_p = extension_eval(p, a)
+        ext_ps = [extension_eval(p, a) for a in fams]
+        for a, ext_p in zip(fams, ext_ps):
             direct = extension_eval(n, a)
             nested = extension_eval(q, ext_p)
             if _fiber_sizes(direct) != _fiber_sizes(nested):
@@ -256,7 +258,7 @@ def check_extension_oracle(seed: int, count: int | None = None) -> CheckReport:
                                 f"fiberwise bijection; {where()} "
                                 f"family={_compact('family', a)}")
         a = fams[0]
-        phi_src = compare(a, extension_eval(p, a))
+        phi_src = compare(a, ext_ps[0])
         for _ in range(2):
             fm = _rand_family_map(rng, a)
             phi_tgt = compare(fm.tgt, extension_eval(p, fm.tgt))

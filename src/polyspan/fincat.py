@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cached_property
 from typing import Iterator
 
 from .errors import InvariantViolation, require
 from .finset import FinSetMap, FinSetObj
-from .record import Record
+from .record import Record, cached_property
 from .unionfind import UnionFind
 
 
@@ -89,11 +88,17 @@ class FinCat(Record):
                 raise InvariantViolation("cat-unit", f"left unit law fails at morphism {f}")
             if comp[f][ident[src[f]]] != f:
                 raise InvariantViolation("cat-unit", f"right unit law fails at morphism {f}")
-        out_of = self.src.fiber
+        # with the unit laws holding, a triple with an identity in it is
+        # associative: only triples of non-identities can fail, and the
+        # first one that fails is the first failing triple of all
+        ids = set(ident)
+        later = [[g for g in fib if g not in ids] for fib in self.src._fibers]
         for f in m.elements:
-            for g in out_of(tgt[f]):
+            if f in ids:
+                continue
+            for g in later[tgt[f]]:
                 gf = comp[g][f]
-                for h in out_of(tgt[g]):
+                for h in later[tgt[g]]:
                     row = comp[h]
                     if row[gf] != comp[row[g]][f]:
                         raise InvariantViolation("cat-assoc",

@@ -10,16 +10,19 @@ table the first time a fiber is asked for and kept with the map: every fiber
 in increasing order and, when asked for, each element's position within its
 own fiber.  ``fiber`` is a lookup in it, and ``pullback`` is a hash join
 over it that costs O(|A| + |pairs|).
+
+A pullback holds its laws by construction: its pairs are exactly the
+matching ones, so its apex, both projections and the square itself are
+built with ``_trusted``, the projections split off the pairs in one pass.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from functools import cached_property
 
 from .errors import InvariantViolation, require
-from .record import Record
+from .record import Record, cached_property
 
 
 class FinSetObj(Record):
@@ -73,7 +76,7 @@ class FinSetMap(Record):
     @cached_property
     def _fibers(self) -> tuple[tuple[int, ...], ...]:
         """Every fiber, indexed by codomain point, built in one pass."""
-        fibers: list[list[int]] = [[] for _ in self.cod.elements]
+        fibers: list[list[int]] = [[] for _ in range(self.cod.size)]
         for i, j in enumerate(self.table):
             fibers[j].append(i)
         return tuple(map(tuple, fibers))
@@ -106,7 +109,8 @@ class FinSetMap(Record):
 
     @property
     def is_bijective(self) -> bool:
-        return self.is_injective and self.is_surjective
+        # an injection onto a codomain of its domain's size is onto
+        return len(set(self.table)) == len(self.table) == self.cod.size
 
     def inverse(self) -> FinSetMap:
         require(self.is_bijective, "map-invertible", "only a bijection has an inverse")
@@ -125,7 +129,7 @@ def compose(g: FinSetMap, f: FinSetMap) -> FinSetMap:
     require(f.cod == g.dom, "compose-boundary",
             "codomain of the first map differs from domain of the second")
     return FinSetMap._trusted(f.dom, g.cod,
-                              tuple(g.table[j] for j in f.table))
+                              tuple(map(g.table.__getitem__, f.table)))
 
 
 def constant(dom: FinSetObj, cod: FinSetObj, value: int) -> FinSetMap:
@@ -201,11 +205,13 @@ class Pullback(Record):
 def pullback(f: FinSetMap, g: FinSetMap) -> Pullback:
     require(f.cod == g.cod, "pullback-boundary", "maps must share a codomain")
     over = g._fibers
-    pairs = tuple((a, b) for a, j in enumerate(f.table) for b in over[j])
-    apex = FinSetObj(len(pairs))
-    pr1 = FinSetMap._trusted(apex, f.dom, tuple(a for a, _ in pairs))
-    pr2 = FinSetMap._trusted(apex, g.dom, tuple(b for _, b in pairs))
-    return Pullback(f, g, apex, pr1, pr2, pairs)
+    pairs = [(a, b) for a, j in enumerate(f.table) for b in over[j]]
+    firsts, seconds = zip(*pairs) if pairs else ((), ())
+    apex = FinSetObj._trusted(len(pairs))
+    return Pullback._trusted(f, g, apex,
+                             FinSetMap._trusted(apex, f.dom, firsts),
+                             FinSetMap._trusted(apex, g.dom, seconds),
+                             tuple(pairs))
 
 
 class Pi(Record):

@@ -12,20 +12,37 @@ laws by construction; the tests re-check every value it builds.
 Importing ``dataclasses`` also imports ``inspect`` with its own imports,
 which took most of the start-up time of a command line call.  The three
 hot methods are compiled per class from one small template, as
-``dataclasses`` does, so that construction, comparison and attribute
-reads cost what they cost with a dataclass.
+``dataclasses`` does.  Most values the library builds are tiny, so what
+a value costs is mostly what these methods cost, not its tables: the
+constructors write each field straight into the instance ``__dict__``,
+about half the cost of the ``object.__setattr__`` call per field a
+frozen dataclass makes, and equality answers at once for one value
+compared with itself.  The generated code's own names (the instance,
+the dict, the allocator and the class ``_trusted`` builds, which it
+holds itself rather than take as a classmethod) are chosen apart from
+the fields, so a field may have any name.
+
+``cached_property`` is ``functools.cached_property`` without its lock:
+on Python 3.11 that one takes a class-wide lock on every first access,
+and the fiber, hom and lift indexes are first read on every fresh value.
+Values are immutable and built by one thread, so two threads racing on a
+first access would only compute the same index twice.
 """
 
 from __future__ import annotations
 
 _TEMPLATE = """\
-def __init__(self, {params}):
+def __init__({self}, {params}):
+    {d} = {self}.__dict__
 {sets}{post}
-def _trusted(cls, {params}):
-    self = object.__new__(cls)
-{sets}    return self
+def _trusted({params}):
+    {self} = {new}({cls})
+    {d} = {self}.__dict__
+{sets}    return {self}
 
 def __eq__(self, other):
+    if self is other:
+        return True
     if other.__class__ is self.__class__:
         return ({mine},) == ({theirs},)
     return NotImplemented
@@ -35,6 +52,13 @@ def __hash__(self):
 """
 
 
+def _fresh(name: str, fields: tuple[str, ...]) -> str:
+    """``name``, with underscores appended until no field has it."""
+    while name in fields:
+        name += "_"
+    return name
+
+
 class Record:
     _fields: tuple[str, ...] = ()
 
@@ -42,21 +66,24 @@ class Record:
         super().__init_subclass__(**kwargs)
         fields = tuple(cls.__dict__.get("__annotations__", ()))
         defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        self, d = _fresh("self", fields), _fresh("_d", fields)
+        new, own = _fresh("_new", fields), _fresh("_cls", fields)
         source = _TEMPLATE.format(
+            self=self, d=d, cls=own, new=new,
             params=", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f
                              for f in fields),
-            sets="".join(f"    _set(self, {f!r}, {f})\n" for f in fields),
-            post=("    self.__post_init__()\n"
+            sets="".join(f"    {d}[{f!r}] = {f}\n" for f in fields),
+            post=(f"    {self}.__post_init__()\n"
                   if "__post_init__" in cls.__dict__ else ""),
             mine=", ".join(f"self.{f}" for f in fields),
             theirs=", ".join(f"other.{f}" for f in fields))
         namespace: dict = {}
-        exec(source, {"_set": object.__setattr__, "_defaults": defaults},
+        exec(source, {"_defaults": defaults, new: object.__new__, own: cls},
              namespace)
         for name, fn in namespace.items():
             fn.__module__ = cls.__module__
             fn.__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, classmethod(fn) if name == "_trusted" else fn)
+            setattr(cls, name, staticmethod(fn) if name == "_trusted" else fn)
         cls._fields = fields
 
     def __repr__(self) -> str:
@@ -69,3 +96,23 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class cached_property:
+    """A method computed on first access and then read from the instance
+    ``__dict__``, like ``functools.cached_property`` but without a lock.
+    The value is not a field: equality and hashing do not see it."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value

@@ -12,11 +12,10 @@ style.  Both routes are implemented and compared by the tests.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property
 
 from .errors import InvariantViolation, require
 from .finset import FinSetMap, FinSetObj, Subset, full_subset
-from .record import Record
+from .record import Record, cached_property
 
 Pair = tuple[int, int]
 

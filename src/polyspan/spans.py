@@ -100,8 +100,11 @@ def composition_square(t: Span, s: Span) -> Pullback:
 def composite(t: Span, s: Span) -> tuple[Span, Pullback]:
     """t∘s together with the square its apex is the pullback of."""
     pb = composition_square(t, s)
-    legs = compose(s.left_leg, pb.pr1), compose(t.right_leg, pb.pr2)
-    return Span._trusted(s.left_foot, t.right_foot, pb.apex, *legs), pb
+    left, right = s.left_leg, t.right_leg
+    return Span._trusted(s.left_foot, t.right_foot, pb.apex, FinSetMap._trusted(
+        pb.apex, left.cod, tuple(map(left.table.__getitem__, pb.pr1.table))),
+        FinSetMap._trusted(pb.apex, right.cod, tuple(
+            map(right.table.__getitem__, pb.pr2.table)))), pb
 
 
 def compose_spans(t: Span, s: Span) -> Span:
@@ -257,10 +260,10 @@ def is_map(s: Span) -> MapWitness | None:
     inv = s.left_leg.inverse()
     rs = compose_spans(s, r)   # pairs (a, b) with left(a) = left(b)
     sr, sr_sq = composite(r, s)   # pairs (a, b) with right(a) = right(b)
-    unit = SpanCell(identity_span(s.left_foot), sr, FinSetMap(
+    unit = SpanCell._trusted(identity_span(s.left_foot), sr, FinSetMap._trusted(
         s.left_foot, sr.apex, tuple(sr_sq.index(a, a) for a in inv.table)))
     # the counit sends (a, b) to right(a), which is the left leg of s∘r
-    counit = SpanCell(rs, identity_span(s.right_foot), rs.left_leg)
+    counit = SpanCell._trusted(rs, identity_span(s.right_foot), rs.left_leg)
     return MapWitness(r, unit, counit)
 
 

@@ -157,8 +157,9 @@ def test_span_cells_check_nothing_they_build(monkeypatch):
     """The canonical spans and cells commute with their legs by
     construction: with the checks of maps, spans and cells raising, the
     whiskers, unitors, associators, inverse, identity and vertical
-    composite cells, the graph cells and the triangle identities still
-    succeed, and each cell they built holds the checks afterwards."""
+    composite cells, the graph cells, the unit and counit of a map and the
+    triangle identities still succeed, and each cell they built holds the
+    checks afterwards."""
     rng = random.Random(55)
     cases = []
     for _ in range(20):
@@ -169,15 +170,16 @@ def test_span_cells_check_nothing_they_build(monkeypatch):
         m = spans.Span(y, z, y, FinSetMap(y, y, tuple(perm)),
                        rand_map(rng, y, z))
         f1, f2 = rand_map(rng, x, y), rand_map(rng, y, z)
-        cases.append((r, s, t, m, spans.is_map(m), f1, f2))
+        cases.append((r, s, t, m, f1, f2))
 
     built, verdicts = [], []
     with monkeypatch.context() as patch:
         for cls in (FinSetMap, spans.Span, spans.SpanCell):
             patch.setattr(cls, "__post_init__", forbidden)
-        for r, s, t, m, wit, f1, f2 in cases:
-            assoc = spans.associator(t, s, r)
-            built += [spans.whisker_left(t, spans.identity_cell(s)),
+        for r, s, t, m, f1, f2 in cases:
+            assoc, wit = spans.associator(t, s, r), spans.is_map(m)
+            built += [wit.unit, wit.counit,
+                      spans.whisker_left(t, spans.identity_cell(s)),
                       spans.whisker_right(spans.identity_cell(s), r),
                       spans.whisker_left(m, wit.unit),
                       spans.whisker_right(wit.counit, m),
@@ -354,3 +356,23 @@ def test_one_builder_per_kind_of_computed_value():
         "fincat.comprehensive_factorization", "modpoly.module_as_presheaf",
         "gen.presheaf_sum"}
     assert "Presheaf" not in calls
+
+
+def test_canonical_cells_are_built_unchecked():
+    """The cells of the bicategory of spans (whiskers, unitors,
+    associators, identity, inverse and vertical composite cells, the graph
+    cells and the unit and counit of a map) commute with their legs by
+    construction and are built with ``SpanCell._trusted``.  Cells from a
+    caller's table or a search are checked: the cells of a right lifting,
+    of a bipullback and of a factorization through one."""
+    calls = calls_by_function()
+    assert calls["SpanCell._trusted"] == {
+        "spans._associator", "spans._whisker_left", "spans._whisker_right",
+        "spans.graph_compose_cell", "spans.identity_cell",
+        "spans.invert_cell", "spans.is_map", "spans.post_graph_cell",
+        "spans.triangle_identities_hold", "spans.unitor_cod",
+        "spans.unitor_dom", "spans.vcomp"}
+    assert calls["SpanCell"] == {
+        "spans._factorization", "spans.distributivity_bipullback",
+        "spans.enumerate_cells", "spans.factor_through_bipullback",
+        "spans.pullback_bipullback", "spans.rif_span", "spans.rif_transpose"}

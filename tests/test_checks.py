@@ -15,20 +15,27 @@ def compact(kind, payload):
 
 
 def test_composite_parts_is_built_once_per_case(monkeypatch):
-    """For the comparison's plan only: ``compose_poly``, the function
-    under test, counts its composite without the squares, and the plan is
-    not rebuilt per family and family map."""
-    real = polyset.composite_parts
-    calls = []
+    """One ``composite_parts`` per case gives both the composite under
+    test, ``compose_poly``'s own value, and the comparison's plan, which
+    is not rebuilt per family and family map: the composite is counted
+    once per case, not once for the suite and again for the plan."""
+    calls = {"composite_parts": [], "compose_poly": []}
 
-    def spy(q, p):
-        calls.append((q, p))
-        return real(q, p)
-    monkeypatch.setattr(polyset, "composite_parts", spy)
-    monkeypatch.setattr(checks, "composite_parts", spy)
-    report = checks.run_suite("extension-oracle", seed=0, count=3)
-    assert report.ok and report.count == 3
-    assert len(calls) == 3
+    def spy(name):
+        real = getattr(polyset, name)
+
+        def counted(q, p):
+            calls[name].append((q, p))
+            return real(q, p)
+        return counted
+    for name in calls:
+        counted = spy(name)
+        for module in (polyset, checks):
+            monkeypatch.setattr(module, name, counted)
+    report = checks.run_suite("extension-oracle", seed=0, count=10)
+    assert report.ok and report.count == 10
+    assert calls["composite_parts"] == calls["compose_poly"]
+    assert len(calls["compose_poly"]) == 10
 
 
 @pytest.mark.unchecked_trust
@@ -58,8 +65,8 @@ def test_a_non_bijective_comparison_is_reported_with_its_case(monkeypatch):
     real = checks.composite_bijection
     seen = []
 
-    def broken(q, p):
-        compare = real(q, p)
+    def broken(q, p, parts):
+        compare = real(q, p, parts)
 
         def first_one_broken(a, ext_p):
             table = compare(a, ext_p)
@@ -82,8 +89,8 @@ def test_a_comparison_that_crosses_fibers_is_reported(monkeypatch):
     real = checks.composite_bijection
     cases, crossed = [], []
 
-    def crossing(q, p):
-        compare = real(q, p)
+    def crossing(q, p, parts):
+        compare = real(q, p, parts)
         cases.append((q, p))
 
         def swapped(a, ext_p):

@@ -39,6 +39,7 @@ from polyspan.gen import (
     rand_span,
 )
 from polyspan.modpoly import ModPolynomial, Profunctor
+from test_fincat import all_triples_cat_check
 from test_modpoly import tabled, tables_of
 
 
@@ -706,6 +707,19 @@ class TestDecodersAgainstReference:
                    if outcome[0] is InvariantViolation}
         assert {"map-total", "map-range"} <= clauses
         assert any(clause.startswith("prof-") for clause in clauses)
+
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_DECODERS))
+    def test_corrupted_categories_fail_as_with_every_triple_checked(
+            self, kind, monkeypatch):
+        """Associativity checked on triples of non-identities, against the
+        check of every composable triple, on the same corpus."""
+        corpus = list(corrupted_payloads(kind))
+        got = [parsed_outcome(body, payload, kind) for body, payload in corpus]
+        monkeypatch.setattr(FinCat, "__post_init__", all_triples_cat_check)
+        assert [parsed_outcome(body, payload, kind)
+                for body, payload in corpus] == got
+        assert any(outcome[1].startswith("cat-") for outcome in got
+                   if outcome[0] is InvariantViolation)
 
     def test_a_bool_table_equal_to_a_live_one_is_rejected(self):
         good = {"objects": 2, "morphisms": 2, "src": [0, 1], "tgt": [0, 1],

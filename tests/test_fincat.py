@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 import sys
@@ -586,21 +587,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_corrupted_tables_raise_the_same_violation(self, seed):
-        rng = random.Random(200 + seed)
-        checked = 0
-        while checked < 40:
-            c = rand_fincat(rng)
-            m = c.morphisms.size
-            comp = [list(row) for row in c.comp]
-            for _ in range(rng.randint(1, 2)):
-                g, f = rng.randrange(m), rng.randrange(m)
-                if comp[g][f] >= 0 and rng.random() < 0.5:
-                    # keep the boundary, so the unit and associativity
-                    # checks are the ones reached
-                    comp[g][f] = rng.choice(c.hom(c.src(f), c.tgt(g)))
-                else:
-                    comp[g][f] = rng.randint(-1, m - 1)
-            comp = tuple(map(tuple, comp))
+        for c, comp in corrupted_cat_tables(seed):
             want = scan_cat_violation(c, comp)
             if want is None:
                 FinCat(c.objects, c.morphisms, c.src, c.tgt, c.ident, comp)
@@ -609,16 +596,12 @@ class TestAgainstReference:
                     FinCat(c.objects, c.morphisms, c.src, c.tgt, c.ident, comp)
                 assert (e.value.clause, str(e.value)) == (
                     want[0], f"{want[0]}: {want[1]}")
-            checked += 1
 
     def test_changed_products_in_a_monoid_raise_the_same_violation(self):
         # one object, so every change keeps the boundary: these tables
         # reach the unit and associativity checks
-        c = monoid_cat(((0, 1, 2), (1, 2, 0), (2, 0, 1)), 0)
         seen = set()
-        for g, f, x in itertools.product(c.mors, repeat=3):
-            comp = tuple(tuple(x if (g2, f2) == (g, f) else c.comp[g2][f2]
-                               for f2 in c.mors) for g2 in c.mors)
+        for c, comp in changed_monoid_products():
             want = scan_cat_violation(c, comp)
             if want is None:
                 continue
@@ -627,6 +610,103 @@ class TestAgainstReference:
                 FinCat(c.objects, c.morphisms, c.src, c.tgt, c.ident, comp)
             assert str(e.value) == f"{want[0]}: {want[1]}"
         assert seen == {"cat-unit", "cat-assoc"}
+
+
+    @pytest.mark.unchecked_trust  # the two checks are run by hand
+    def test_non_identity_triples_fail_as_all_triples_do(self):
+        """Associativity checked on triples of non-identities only raises
+        the clause and text of the check of every composable triple, on
+        the corrupted tables of both corpora."""
+        seen = collections.Counter()
+        corpus = itertools.chain(*map(corrupted_cat_tables, range(3)),
+                                 changed_monoid_products())
+        for c, comp in corpus:
+            value = FinCat._trusted(c.objects, c.morphisms, c.src, c.tgt,
+                                    c.ident, comp)
+            want = violation(all_triples_cat_check, value)
+            assert violation(value.__post_init__) == want
+            seen[want and want[0]] += 1
+        assert seen[None] and seen["cat-unit"] and seen["cat-assoc"] >= 5
+
+
+def corrupted_cat_tables(seed):
+    """40 seeded categories, each with one or two entries of its
+    composition table changed, half of them within the same hom-set."""
+    rng = random.Random(200 + seed)
+    for _ in range(40):
+        c = rand_fincat(rng)
+        m = c.morphisms.size
+        comp = [list(row) for row in c.comp]
+        for _ in range(rng.randint(1, 2)):
+            g, f = rng.randrange(m), rng.randrange(m)
+            if comp[g][f] >= 0 and rng.random() < 0.5:
+                # keep the boundary, so the unit and associativity
+                # checks are the ones reached
+                comp[g][f] = rng.choice(c.hom(c.src(f), c.tgt(g)))
+            else:
+                comp[g][f] = rng.randint(-1, m - 1)
+        yield c, tuple(map(tuple, comp))
+
+
+def changed_monoid_products():
+    """The cyclic group of order 3 with each single product changed."""
+    c = monoid_cat(((0, 1, 2), (1, 2, 0), (2, 0, 1)), 0)
+    for g, f, x in itertools.product(c.mors, repeat=3):
+        yield c, tuple(tuple(x if (g2, f2) == (g, f) else c.comp[g2][f2]
+                             for f2 in c.mors) for g2 in c.mors)
+
+
+def all_triples_cat_check(self):
+    """``FinCat.__post_init__`` as it was when it checked associativity on
+    every composable triple, identities included: the reference for the
+    check on triples of non-identities."""
+    o, m = self.objects, self.morphisms
+    require(self.src.dom == m and self.src.cod == o, "cat-src-typing",
+            "src must map morphisms to objects")
+    require(self.tgt.dom == m and self.tgt.cod == o, "cat-tgt-typing",
+            "tgt must map morphisms to objects")
+    require(self.ident.dom == o and self.ident.cod == m, "cat-ident-typing",
+            "ident must map objects to morphisms")
+    src, tgt, ident, comp = (self.src.table, self.tgt.table,
+                             self.ident.table, self.comp)
+    for x in o.elements:
+        i = ident[x]
+        if src[i] != x or tgt[i] != x:
+            raise InvariantViolation("cat-ident-endo", f"identity of object {x} "
+                                     f"is not an endomorphism at {x}")
+    require(len(comp) == m.size, "cat-comp-shape",
+            "composition table needs one row per morphism")
+    for g in m.elements:
+        row = comp[g]
+        require(len(row) == m.size, "cat-comp-shape",
+                "composition table rows must cover all morphisms")
+        sg, tg = src[g], tgt[g]
+        for f in m.elements:
+            c = row[f]
+            if tgt[f] != sg:
+                if c != -1:
+                    raise InvariantViolation("cat-comp-partial", "composite defined "
+                                             f"for non-composable pair ({g}, {f})")
+            elif not 0 <= c < m.size:
+                raise InvariantViolation("cat-comp-total",
+                                         f"composable pair ({g}, {f}) has no composite")
+            elif src[c] != src[f] or tgt[c] != tg:
+                raise InvariantViolation("cat-comp-typing",
+                                         f"composite of ({g}, {f}) has wrong boundary")
+    for f in m.elements:
+        if comp[ident[tgt[f]]][f] != f:
+            raise InvariantViolation("cat-unit", f"left unit law fails at morphism {f}")
+        if comp[f][ident[src[f]]] != f:
+            raise InvariantViolation("cat-unit", f"right unit law fails at morphism {f}")
+    out_of = self.src.fiber
+    for f in m.elements:
+        for g in out_of(tgt[f]):
+            gf = comp[g][f]
+            for h in out_of(tgt[g]):
+                row = comp[h]
+                if row[gf] != comp[row[g]][f]:
+                    raise InvariantViolation("cat-assoc",
+                                             f"associativity fails on ({h}, {g}, {f})")
 
 
 # Reference implementations: the per-check require loops Functor and

@@ -12,6 +12,7 @@ from polyspan.errors import InvariantViolation
 from polyspan.finset import (
     FinSetMap,
     FinSetObj,
+    Pullback,
     Subset,
     compose,
     constant,
@@ -180,6 +181,60 @@ class TestAgainstReference:
         s = Subset(FinSetObj(n), members)
         for i in range(-1, n + 2):
             assert (i in s) == (i in members)
+
+
+# The bodies the trusted builders replaced, kept as references: the
+# composite through a generator over the table, and the pullback with a
+# checked apex, one pass per projection and a checked square.
+
+def reference_compose(g: FinSetMap, f: FinSetMap) -> FinSetMap:
+    assert f.cod == g.dom
+    return FinSetMap(f.dom, g.cod, tuple(g.table[j] for j in f.table))
+
+
+def reference_pullback(f: FinSetMap, g: FinSetMap) -> Pullback:
+    assert f.cod == g.cod
+    over = g._fibers
+    pairs = tuple((a, b) for a, j in enumerate(f.table) for b in over[j])
+    apex = FinSetObj(len(pairs))
+    pr1 = FinSetMap(apex, f.dom, tuple(a for a, _ in pairs))
+    pr2 = FinSetMap(apex, g.dom, tuple(b for _, b in pairs))
+    return Pullback(f, g, apex, pr1, pr2, pairs)
+
+
+def seeded_maps(seed: int, count: int):
+    """Seeded pairs of maps with sizes 0 to 4, so that empty domains and
+    empty codomains come up."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        c = rng.randint(0, 4)
+        yield (rand_map(rng, rng.randint(0, 4) if c else 0, c),
+               rng.randint(0, 4) if c else 0, rng)
+
+
+class TestTrustedBuildersAgainstReference:
+    def test_pullback(self):
+        kinds = set()
+        for f, n, rng in seeded_maps(41, 300):
+            g = rand_map(rng, n, f.cod.size)
+            got, want = pullback(f, g), reference_pullback(f, g)
+            assert got == want
+            assert type(got.pr1.table) is type(got.pr2.table) is tuple
+            kinds.add((f.cod.size == 0, f.dom.size == 0, got.apex.size == 0))
+        assert {(True, True, True), (False, True, True),
+                (False, False, True), (False, False, False)} <= kinds
+
+    def test_compose(self):
+        kinds = set()
+        for f, n, rng in seeded_maps(42, 300):
+            g = rand_map(rng, f.cod.size, n) if n or not f.cod.size else None
+            if g is None:
+                continue
+            got = compose(g, f)
+            assert got == reference_compose(g, f)
+            assert type(got.table) is tuple
+            kinds.add((f.dom.size == 0, g.cod.size == 0))
+        assert kinds == {(True, True), (True, False), (False, False)}
 
 
 class TestPi:

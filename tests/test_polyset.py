@@ -724,7 +724,8 @@ class TestCountingAgainstEnumeration:
                 p, q = (rand_poly(rng, c, d, 3, 3) if d.size
                         else gen.rand_poly(rng, c, d, smax=3, emax=3)
                         for c, d in ((x, y), (y, z)))
-                compare = checks.composite_bijection(q, p)
+                compare = checks.composite_bijection(
+                    q, p, composite_parts(q, p))
                 for a in (gen.rand_family(rng, x, tmax=1),
                           family_of(FinSetMap(empty, x, ()))):
                     assert compare(a, extension_eval(p, a)) \
@@ -762,7 +763,8 @@ class TestComparisonPlanAgainstReference:
             p = gen.rand_poly(rng, x, y, smax=3, emax=2)
             q = gen.rand_poly(rng, y, z, smax=3, emax=2)
             n = compose_poly(q, p)
-            compare = checks.composite_bijection(q, p)
+            compare = checks.composite_bijection(q, p,
+                                                 composite_parts(q, p))
             for _ in range(2):
                 a = gen.rand_family(rng, x, tmax=2)
                 table = compare(a, extension_eval(p, a))

@@ -1,8 +1,10 @@
 """Record classes behave as the frozen dataclasses they replaced: the
 ``dataclasses`` module itself is the reference."""
 
+import ast
 import dataclasses
 import functools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import polyspan.checks  # noqa: F401
 from polyspan.errors import InvariantViolation
 from polyspan.finset import FinSetMap, FinSetObj
-from polyspan.record import Record
+from polyspan.record import Record, cached_property
 
 
 def all_records():
@@ -114,3 +116,104 @@ class TestAgainstFrozenDataclasses:
         # the cached fiber index is not a field
         assert f == FinSetMap(FinSetObj(3), FinSetObj(2), (1, 0, 1))
         assert hash(f) == hash((f.dom, f.cod, f.table))
+
+    def test_a_value_equals_itself_at_once(self):
+        record, reference = twins_of_size(2)
+        x, twin = record(float("nan"), [1]), reference(float("nan"), [1])
+        assert x.__eq__(x) is True and not x != x
+        assert (x == x) == (twin == twin)
+        assert x.__eq__(twin) is NotImplemented
+
+
+# Every name the generated methods use of their own, and the names those
+# would be renamed to, as fields: the generated code must not mistake a
+# field for one of them.
+OWN_NAMES = ("d", "_d", "_d_", "_set", "_new", "_new_", "_cls", "_cls_",
+             "self", "self_", "cls", "other", "object", "hash", "_defaults")
+
+
+class TestFieldsNamedAsTheGeneratedCode:
+    @pytest.mark.parametrize("with_default", [False, True])
+    def test_construct_compare_hash_and_repr_like_the_dataclass(
+            self, with_default):
+        defaults = {"_defaults": "dflt"} if with_default else {}
+        record, reference = twins(OWN_NAMES, defaults)
+        given_ = OWN_NAMES[:-1] if with_default else OWN_NAMES
+        values = [f"v{i}" for i in range(len(given_))]
+        ra, da = record(*values), reference(*values)
+        assert repr(ra) == repr(da)
+        assert hash(ra) == hash(da)
+        assert ra == record(**dict(zip(given_, values)))
+        assert ra == record._trusted(*values)
+        assert ra != record(*values[:-1], "other")
+        for name in OWN_NAMES:
+            assert getattr(ra, name) == getattr(da, name)
+        with pytest.raises(AttributeError, match="cannot assign"):
+            ra.d = 1
+
+    def test_post_init_sees_the_fields(self):
+        seen = []
+
+        class Named(Record):
+            self: object
+            _d: object
+            cls: object
+
+            def __post_init__(inner):
+                seen.append((inner.self, inner._d, inner.cls))
+        Named(1, 2, 3)
+        assert seen == [(1, 2, 3)]
+        Named._trusted(4, 5, 6)
+        assert seen == [(1, 2, 3)]
+
+
+class Counted(Record):
+    a: int
+    b: int
+
+    @cached_property
+    def total(self) -> int:
+        """The sum, counted per computation."""
+        COMPUTED.append(self)
+        return self.a + self.b
+
+
+COMPUTED: list = []
+
+
+class TestCachedProperty:
+    def test_computed_once_per_instance(self):
+        COMPUTED.clear()
+        x, y = Counted(1, 2), Counted(1, 2)
+        assert x.total == x.total == 3 and y.total == 3
+        assert COMPUTED == [x, y] and COMPUTED[0] is x
+        assert x.__dict__["total"] == 3
+
+    def test_not_a_field(self):
+        x, y = Counted(1, 2), Counted(1, 2)
+        assert x.total == 3
+        assert x == y and hash(x) == hash(y) == hash((1, 2))
+        assert repr(x) == "Counted(a=1, b=2)"
+        assert Counted._fields == ("a", "b")
+
+    def test_class_access_returns_the_descriptor(self):
+        assert isinstance(Counted.total, cached_property)
+        assert Counted.total.__doc__ == "The sum, counted per computation."
+
+
+def test_no_module_uses_the_locking_cached_property():
+    """``functools.cached_property`` takes a lock per first access on
+    Python 3.11; the package uses ``record.cached_property``."""
+    src = Path(polyspan.checks.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [(path.name, a.name) for a in node.names
+                          if a.name == "cached_property"]
+            elif (isinstance(node, ast.Attribute)
+                  and node.attr == "cached_property"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "functools"):
+                found.append((path.name, "functools.cached_property"))
+    assert found == []

@@ -589,6 +589,27 @@ def reference_is_map(s):
     return spans.MapWitness(r, unit, counit)
 
 
+def reference_composite(t, s):
+    """The body ``composite`` replaced: each leg composed through
+    ``compose`` with a projection of the square."""
+    pb = composition_square(t, s)
+    legs = compose(s.left_leg, pb.pr1), compose(t.right_leg, pb.pr2)
+    return Span(s.left_foot, t.right_foot, pb.apex, *legs), pb
+
+
+def test_composite_equals_the_reference_on_empty_and_full_feet():
+    rng = random.Random(63)
+    kinds = set()
+    for _ in range(300):
+        x, y, z = (FinSetObj(rng.randint(0, 3)) for _ in range(3))
+        s, t = rand_span(rng, x, y), rand_span(rng, y, z)
+        got = spans.composite(t, s)
+        assert got == reference_composite(t, s)
+        assert type(got[0].left_leg.table) is tuple
+        kinds.add((0 in (x.size, y.size, z.size), got[0].apex.size == 0))
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
 def seeded_triples(seed, n=40):
     """Composable spans r: X -> Y, s: Y -> Z, t: Z -> W on small feet."""
     rng = random.Random(seed)
