@@ -13,14 +13,18 @@ Importing ``dataclasses`` also imports ``inspect`` with its own imports,
 which took most of the start-up time of a command line call.  The three
 hot methods are compiled per class from one small template, as
 ``dataclasses`` does.  Most values the library builds are tiny, so what
-a value costs is mostly what these methods cost, not its tables: the
-constructors write each field straight into the instance ``__dict__``,
-about half the cost of the ``object.__setattr__`` call per field a
-frozen dataclass makes, and equality answers at once for one value
-compared with itself.  The generated code's own names (the instance,
-the dict, the allocator and the class ``_trusted`` builds, which it
-holds itself rather than take as a classmethod) are chosen apart from
-the fields, so a field may have any name.
+a value costs is mostly what these methods cost, not its tables.  The
+constructors write every field into one dict and install it as the
+instance ``__dict__`` with a single ``object.__setattr__`` call, where a
+frozen dataclass makes one call per field.  The dict is built whole on
+purpose: filling ``self.__dict__`` key by key costs less still, but on
+CPython 3.11 it leaves a dict sharing its class's keys, whose attribute
+reads are not specialized and take about twice as long, and the library
+reads its fields far more often than it builds them.  Equality answers
+at once for one value compared with itself.  ``_trusted`` holds its
+class instead of taking it as a classmethod does.  The generated code's
+own names (the instance, the allocator, the setter and the class) are
+chosen apart from the fields, so a field may have any name.
 
 ``cached_property`` is ``functools.cached_property`` without its lock:
 on Python 3.11 that one takes a class-wide lock on every first access,
@@ -33,12 +37,12 @@ from __future__ import annotations
 
 _TEMPLATE = """\
 def __init__({self}, {params}):
-    {d} = {self}.__dict__
-{sets}{post}
+    {put}({self}, "__dict__", {{{items}}})
+{post}
 def _trusted({params}):
     {self} = {new}({cls})
-    {d} = {self}.__dict__
-{sets}    return {self}
+    {put}({self}, "__dict__", {{{items}}})
+    return {self}
 
 def __eq__(self, other):
     if self is other:
@@ -66,20 +70,20 @@ class Record:
         super().__init_subclass__(**kwargs)
         fields = tuple(cls.__dict__.get("__annotations__", ()))
         defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
-        self, d = _fresh("self", fields), _fresh("_d", fields)
+        self, put = _fresh("self", fields), _fresh("_put", fields)
         new, own = _fresh("_new", fields), _fresh("_cls", fields)
         source = _TEMPLATE.format(
-            self=self, d=d, cls=own, new=new,
+            self=self, put=put, new=new, cls=own,
             params=", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f
                              for f in fields),
-            sets="".join(f"    {d}[{f!r}] = {f}\n" for f in fields),
+            items=", ".join(f"{f!r}: {f}" for f in fields),
             post=(f"    {self}.__post_init__()\n"
                   if "__post_init__" in cls.__dict__ else ""),
             mine=", ".join(f"self.{f}" for f in fields),
             theirs=", ".join(f"other.{f}" for f in fields))
         namespace: dict = {}
-        exec(source, {"_defaults": defaults, new: object.__new__, own: cls},
-             namespace)
+        exec(source, {"_defaults": defaults, put: object.__setattr__,
+                      new: object.__new__, own: cls}, namespace)
         for name, fn in namespace.items():
             fn.__module__ = cls.__module__
             fn.__qualname__ = f"{cls.__qualname__}.{name}"
@@ -105,7 +109,6 @@ class cached_property:
 
     def __init__(self, func) -> None:
         self.func = func
-        self.name = func.__name__
         self.__doc__ = func.__doc__
 
     def __set_name__(self, owner: type, name: str) -> None:

@@ -7,9 +7,10 @@ A composite comes with its square: ``composite`` returns t∘s with the
 pullback whose pairs index its apex, and each 2-cell between composites reads
 its table from that square instead of pulling the same pair back again.
 Composites, graphs, reversed spans, identity, inverse and vertical composite
-cells, whiskers, unitors, associators and the graph cells commute with their
-legs by construction and are built with ``_trusted``, boundaries checked;
-``map-characterization`` and the tests' re-check of ``_trusted`` check them.
+cells, whiskers, unitors, associators, the graph cells and the unit and
+counit of a map commute with their legs by construction and are built with
+``_trusted``, boundaries checked; ``map-characterization`` and the tests'
+re-check of ``_trusted`` check them.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def composition_square(t: Span, s: Span) -> Pullback:
 
 
 def composite(t: Span, s: Span) -> tuple[Span, Pullback]:
-    """t∘s together with the square its apex is the pullback of."""
+    """t∘s together with the square its apex is the pullback of; its legs
+    are the outer legs read off the square's projection tables."""
     pb = composition_square(t, s)
     left, right = s.left_leg, t.right_leg
     return Span._trusted(s.left_foot, t.right_foot, pb.apex, FinSetMap._trusted(
@@ -252,8 +254,10 @@ def triangle_identities_hold(s: Span, w: MapWitness) -> bool:
 
 def is_map(s: Span) -> MapWitness | None:
     """Adjunction witness for spans equivalent to the graph of a function:
-    present exactly when the left leg is a bijection.  The triangle
-    identities hold by construction; ``map-characterization`` checks them."""
+    present exactly when the left leg is a bijection.  The unit and counit
+    commute with their legs and the triangle identities hold by
+    construction, so both cells are built unchecked;
+    ``map-characterization`` checks them."""
     if not s.left_leg.is_bijective:
         return None
     r = reverse_span(s)

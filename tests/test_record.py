@@ -128,8 +128,9 @@ class TestAgainstFrozenDataclasses:
 # Every name the generated methods use of their own, and the names those
 # would be renamed to, as fields: the generated code must not mistake a
 # field for one of them.
-OWN_NAMES = ("d", "_d", "_d_", "_set", "_new", "_new_", "_cls", "_cls_",
-             "self", "self_", "cls", "other", "object", "hash", "_defaults")
+OWN_NAMES = ("d", "_d", "_set", "_put", "_put_", "_new", "_new_", "_cls",
+             "_cls_", "self", "self_", "cls", "other", "object", "hash",
+             "_defaults")
 
 
 class TestFieldsNamedAsTheGeneratedCode:
