@@ -103,10 +103,12 @@ def composite(t: Span, s: Span) -> tuple[Span, Pullback]:
     are the outer legs read off the square's projection tables."""
     pb = composition_square(t, s)
     left, right = s.left_leg, t.right_leg
-    return Span._trusted(s.left_foot, t.right_foot, pb.apex, FinSetMap._trusted(
-        pb.apex, left.cod, tuple(map(left.table.__getitem__, pb.pr1.table))),
-        FinSetMap._trusted(pb.apex, right.cod, tuple(
-            map(right.table.__getitem__, pb.pr2.table)))), pb
+    left_leg = FinSetMap._trusted(pb.apex, left.cod, tuple(
+        map(left.table.__getitem__, pb.pr1.table)))
+    right_leg = FinSetMap._trusted(pb.apex, right.cod, tuple(
+        map(right.table.__getitem__, pb.pr2.table)))
+    return Span._trusted(s.left_foot, t.right_foot, pb.apex, left_leg,
+                         right_leg), pb
 
 
 def compose_spans(t: Span, s: Span) -> Span:

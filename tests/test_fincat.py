@@ -611,7 +611,6 @@ class TestAgainstReference:
             assert str(e.value) == f"{want[0]}: {want[1]}"
         assert seen == {"cat-unit", "cat-assoc"}
 
-
     @pytest.mark.unchecked_trust  # the two checks are run by hand
     def test_non_identity_triples_fail_as_all_triples_do(self):
         """Associativity checked on triples of non-identities only raises
