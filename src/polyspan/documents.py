@@ -11,14 +11,14 @@ encoder.  Malformed text raises ParseError with a line and column when
 the JSON layer can supply one; well-formed payloads that break a
 structural law raise InvariantViolation naming the violated clause.
 
-Each fact of a document is checked once.  Categories are hash-consed
-among live values: a category table equal to one that is still alive
-parses to that same ``FinCat``, neither rebuilt nor re-checked, with the
-indices it has cached.  A module is held as its document holds it: the
-value table of sizes and one int table per action.  The action tables
-are checked against the sizes in one pass as they are read, so the
-module's check runs only its identity, composition and interchange
-equations.
+Each fact of a document is checked once, and each table is accepted in
+one pass: the ordered loops run only to name a failure, so the first
+error keeps its clause and text.  Categories are hash-consed among live
+values: a table equal to one still alive parses to that same ``FinCat``,
+unchecked, with its cached indices; a new one is built unchecked once
+``fincat._is_category`` holds.  A module holds its document's value
+table of sizes and one int table per action, typed against the sizes
+as they are read, so its check runs only its law equations.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from __future__ import annotations
 import json
 import weakref
 from importlib import import_module
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import c_make_encoder
 from typing import TYPE_CHECKING
 
+from .errors import InvariantViolation, require
 from .finset import FinSetMap, FinSetObj, Subset
 from .record import Record
 
@@ -37,7 +38,7 @@ from .record import Record
 # _bind when parse first meets a kind of their layer: reading a
 # rel-polynomial never loads the categories.
 if TYPE_CHECKING:
-    from .fincat import FinCat, Functor
+    from .fincat import FinCat, Functor, _is_category
     from .modpoly import ModPolynomial, Profunctor
     from .polyset import IndexedFamily, Polynomial
     from .relpoly import Relation, RelPolynomial
@@ -240,33 +241,38 @@ _CATS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 def _dec_cat(d: object, ctx: str) -> FinCat:
     d = _expect_keys(d, {"objects", "morphisms", "src", "tgt", "ident",
                          "comp"}, ctx)
-    o = _nat(d["objects"], ctx)
-    m = _nat(d["morphisms"], ctx)
-    src, tgt, ident, comp = d["src"], d["tgt"], d["ident"], d["comp"]
-    if (type(comp) is list and _int_tables(comp, -1)
-            and _int_tables([src, tgt, ident], 0)
-            and len(src) == len(tgt) == m and len(ident) == o
-            and max(chain(src, tgt), default=-1) < o
-            and max(ident, default=-1) < m):
+    o, m, src, tgt, ident, comp = (d["objects"], d["morphisms"], d["src"],
+                                   d["tgt"], d["ident"], d["comp"])
+    # One typing pass over the four tables makes the key; ranges are read
+    # only on a miss, since every stored table is lawful.
+    tables = [src, tgt, ident, *comp] if type(comp) is list else [comp]
+    if (type(o) is type(m) is int and {*map(type, tables)} == {list}
+            and {*map(type, chain.from_iterable(tables))} <= {int}
+            and len(src) == len(tgt) == m and len(ident) == o):
         key = (o, m, tuple(src), tuple(tgt), tuple(ident),
                tuple(map(tuple, comp)))
-    else:
-        # one table at a time, as the maps check them, so that the error
-        # raised is the first in document order
-        comp = tuple(_comp_row(row, ctx) for row in _rows(comp, ctx))
-        objects, morphisms = FinSetObj(o), FinSetObj(m)
-        key = (o, m, FinSetMap(morphisms, objects, _ints(src, ctx)).table,
-               FinSetMap(morphisms, objects, _ints(tgt, ctx)).table,
-               FinSetMap(objects, morphisms, _ints(ident, ctx)).table, comp)
-    cat = _CATS.get(key)
-    if cat is None:
-        objects, morphisms = FinSetObj(o), FinSetObj(m)
-        cat = FinCat(objects, morphisms,
-                     FinSetMap._trusted(morphisms, objects, key[2]),
-                     FinSetMap._trusted(morphisms, objects, key[3]),
-                     FinSetMap._trusted(objects, morphisms, key[4]), key[5])
-        _CATS[key] = cat
-    return cat
+        cat = _CATS.get(key)
+        if cat is not None:
+            return cat
+        if (min(chain(src, tgt, ident), default=0) >= 0
+                and max(chain(src, tgt), default=-1) < o
+                and max(ident, default=-1) < m
+                and _is_category(o, m, *key[2:])):
+            objects, morphisms = FinSetObj._trusted(o), FinSetObj._trusted(m)
+            cat = _CATS[key] = FinCat._trusted(
+                objects, morphisms,
+                FinSetMap._trusted(morphisms, objects, key[2]),
+                FinSetMap._trusted(morphisms, objects, key[3]),
+                FinSetMap._trusted(objects, morphisms, key[4]), key[5])
+            return cat
+    # one table at a time, as the maps and FinCat check them, so that the
+    # error raised is the first in document order
+    objects, morphisms = FinSetObj(_nat(o, ctx)), FinSetObj(_nat(m, ctx))
+    comp = tuple(_comp_row(row, ctx) for row in _rows(comp, ctx))
+    return FinCat(objects, morphisms,
+                  FinSetMap(morphisms, objects, _ints(src, ctx)),
+                  FinSetMap(morphisms, objects, _ints(tgt, ctx)),
+                  FinSetMap(objects, morphisms, _ints(ident, ctx)), comp)
 
 
 def _enc_functor_tables(f: Functor) -> dict:
@@ -304,42 +310,43 @@ def _dec_action(rows: list, values: tuple, dom_end: tuple[int, ...],
     """One action table of a module: the map in row r, column i runs from
     ``values[dom_end[r]][i]`` elements to ``values[cod_end[r]][i]``.  Every
     leaf is checked in one pass; when that pass fails, the rows are read
-    one by one, each leaf as a map, so the error raised is the first in
-    row, then column order."""
-    leaves, doms, cods = [], [], []
-    for r, row in enumerate(rows):
+    one by one, so that the first failure in row, then column order raises
+    the clause and text a map of that leaf would."""
+    leaves, doms, cods, typed = [], [], [], False
+    for row, x, y in zip(rows, dom_end, cod_end):
         if type(row) is not list or len(row) != width:
             break
         leaves += row
-        doms += values[dom_end[r]]
-        cods += values[cod_end[r]]
+        doms += values[x]
+        cods += values[y]
     else:
-        if (_int_tables(leaves, 0)
-                and all(len(t) == x and (not t or max(t) < y)
-                        for t, x, y in zip(leaves, doms, cods))):
-            tables = map(tuple, leaves)
-            return tuple(tuple(islice(tables, width)) for _ in rows)
-    out = []
-    for r, row in enumerate(rows):
-        row = _rows(row, ctx)
-        if len(row) != width:
-            raise ParseError(f"{ctx}: {side} row {r} has wrong length")
-        dom, cod = values[dom_end[r]], values[cod_end[r]]
-        out.append(tuple(FinSetMap(FinSetObj(dom[i]), FinSetObj(cod[i]),
-                                   _ints(row[i], ctx)).table
-                         for i in range(width)))
-    return tuple(out)
+        typed = (_int_tables(leaves, 0)
+                 and all(len(t) == x and (not t or max(t) < y)
+                         for t, x, y in zip(leaves, doms, cods)))
+    if not typed:
+        for r, row in enumerate(rows):
+            if len(_rows(row, ctx)) != width:
+                raise ParseError(f"{ctx}: {side} row {r} has wrong length")
+            for t, x, y in zip(row, values[dom_end[r]], values[cod_end[r]]):
+                if len(_ints(t, ctx)) != x:
+                    raise InvariantViolation("map-total", "table length "
+                                             f"{len(t)} != domain size {x}")
+                for i, j in enumerate(t):
+                    require(j < y, "map-range", f"entry {i} -> {j} lands "
+                            f"outside a codomain of size {y}")
+    return tuple(tuple(map(tuple, row)) for row in rows)
 
 
 def _dec_prof_tables(d: object, src: FinCat, tgt: FinCat,
                      ctx: str) -> Profunctor:
     d = _expect_keys(d, {"at", "lact", "ract"}, ctx)
-    at_rows = [_ints(row, ctx) for row in _rows(d["at"], ctx)]
+    rows = _rows(d["at"], ctx)  # in one pass, or row by row to name a failure
+    at = (tuple(map(tuple, rows)) if _int_tables(rows, 0)
+          else tuple(_ints(row, ctx) for row in rows))
     na, nb = src.objects.size, tgt.objects.size
-    if len(at_rows) != nb or any(len(row) != na for row in at_rows):
+    if len(at) != nb or {*map(len, at)} - {na}:
         raise ParseError(f"{ctx}: value table must be indexed by "
                          "target then source objects")
-    at = tuple(at_rows)
     lact_rows = _rows(d["lact"], ctx)
     ract_rows = _rows(d["ract"], ctx)
     if len(lact_rows) != tgt.morphisms.size:
@@ -348,7 +355,7 @@ def _dec_prof_tables(d: object, src: FinCat, tgt: FinCat,
         raise ParseError(f"{ctx}: one ract row per source morphism required")
     # lact[beta][a] restricts at[tgt beta][a] to at[src beta][a], and
     # ract[alpha][b] pushes at[b][src alpha] to at[b][tgt alpha]
-    by_src = tuple(tuple(row[a] for row in at) for a in src.objs)
+    by_src = [*zip(*at)] or [()] * na
     lact = _dec_action(lact_rows, at, tgt.tgt.table, tgt.src.table, na,
                        ctx, "lact")
     ract = _dec_action(ract_rows, by_src, src.src.table, src.tgt.table, nb,
@@ -403,16 +410,17 @@ _CODECS = {
 
 KINDS = tuple(_CODECS)
 
-# The classes that the decoders of each payload layer build; the
-# decoders of modules build their categories too.
+# The classes that the decoders of each payload layer build, and the law
+# predicate of categories; the decoders of modules build their categories
+# too.
 _BUILDS = {
     "finset": (),
     "spans": ("spans.Span",),
     "polyset": ("polyset.IndexedFamily", "polyset.Polynomial"),
     "relpoly": ("relpoly.Relation", "relpoly.RelPolynomial"),
-    "fincat": ("fincat.FinCat", "fincat.Functor"),
-    "modpoly": ("fincat.FinCat", "fincat.Functor", "modpoly.Profunctor",
-                "modpoly.ModPolynomial"),
+    "fincat": ("fincat.FinCat", "fincat.Functor", "fincat._is_category"),
+    "modpoly": ("fincat.FinCat", "fincat.Functor", "fincat._is_category",
+                "modpoly.Profunctor", "modpoly.ModPolynomial"),
 }
 # The payload class of each kind already bound.
 _payload_types: dict[str, type] = {}

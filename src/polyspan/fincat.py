@@ -15,9 +15,9 @@ Conventions used throughout:
     ``hom_position`` and ``lifts`` are lookups;
   - a presheaf is held as a module column is (``modpoly``): a size per
     object and an int table per morphism;
-  - laws of functors, natural transformations and functors into sets
-    (presheaves here, modules in ``modpoly``) are checked on tables, by
-    one typing test, and a message is formatted only when one fails;
+  - laws are checked on tables and accepted in one pass, by one typing
+    test or, for a category, by ``_is_category``; the ordered loops run
+    only to name the first failure, the only code that formats one;
   - every search for natural maps (presheaf isomorphisms here; module
     morphisms, isomorphisms and right liftings in ``modpoly``) is one
     search, ``_natural_maps``, over the elements of both sides laid out
@@ -59,6 +59,8 @@ class FinCat(Record):
                 "ident must map objects to morphisms")
         src, tgt, ident, comp = (self.src.table, self.tgt.table,
                                  self.ident.table, self.comp)
+        if _is_category(o.size, m.size, src, tgt, ident, comp):
+            return
         for x in o.elements:
             i = ident[x]
             if src[i] != x or tgt[i] != x:
@@ -66,13 +68,10 @@ class FinCat(Record):
                                          f"is not an endomorphism at {x}")
         require(len(comp) == m.size, "cat-comp-shape",
                 "composition table needs one row per morphism")
-        for g in m.elements:
-            row = comp[g]
+        for g, (row, sg, tg) in enumerate(zip(comp, src, tgt)):
             require(len(row) == m.size, "cat-comp-shape",
                     "composition table rows must cover all morphisms")
-            sg, tg = src[g], tgt[g]
-            for f in m.elements:
-                c = row[f]
+            for f, c in enumerate(row):
                 if tgt[f] != sg:
                     if c != -1:
                         raise InvariantViolation("cat-comp-partial", "composite defined "
@@ -88,21 +87,13 @@ class FinCat(Record):
                 raise InvariantViolation("cat-unit", f"left unit law fails at morphism {f}")
             if comp[f][ident[src[f]]] != f:
                 raise InvariantViolation("cat-unit", f"right unit law fails at morphism {f}")
-        # with the unit laws holding, a triple with an identity in it is
-        # associative: only triples of non-identities can fail, and the
-        # first one that fails is the first failing triple of all
         ids = set(ident)
-        later = [[g for g in fib if g not in ids] for fib in self.src._fibers]
-        for f in m.elements:
-            if f in ids:
-                continue
-            for g in later[tgt[f]]:
-                gf = comp[g][f]
-                for h in later[tgt[g]]:
-                    row = comp[h]
-                    if row[gf] != comp[row[g]][f]:
-                        raise InvariantViolation("cat-assoc",
-                                                 f"associativity fails on ({h}, {g}, {f})")
+        bad = _unassociative(self.non_identities, [
+            [g for g in fib if g not in ids] for fib in self.src._fibers],
+            tgt, comp)
+        if bad:
+            raise InvariantViolation("cat-assoc",
+                                     f"associativity fails on {bad}")
 
     @property
     def objs(self) -> range:
@@ -152,6 +143,46 @@ class FinCat(Record):
 
     def is_iso(self, f: int) -> bool:
         return self.inverse_of(f) is not None
+
+
+def _is_category(o: int, m: int, src, tgt, ident, comp) -> bool:
+    """Whether tables of ints, src and tgt in range(o) and ident in
+    range(m), pass every check of ``FinCat``, without a message.  Row g
+    holds -1 exactly off the morphisms into src g when ``count`` finds as
+    many -1 as there are such morphisms and none at them, so only the
+    composable pairs are read in Python."""
+    if not (len(comp) == m and [*map(src.__getitem__, ident)]
+            == [*map(tgt.__getitem__, ident)] == [*range(o)]):
+        return False
+    into, later = [[] for _ in ident], [[] for _ in ident]
+    for f, y in enumerate(tgt):
+        into[y].append(f)
+    for g, (row, x, z) in enumerate(zip(comp, src, tgt)):
+        fib, i = into[x], ident[x]
+        if len(row) != m or row.count(-1) != m - len(fib):
+            return False
+        if g != i:
+            later[x].append(g)
+        for f in fib:  # the unit laws, or the boundary of the composite
+            c = row[f]
+            if (c != g if f == i else c != f if g == i else not 0 <= c < m
+                    or src[c] != src[f] or tgt[c] != z):
+                return False
+    return _unassociative(itertools.chain(*later), later, tgt, comp) is None
+
+
+def _unassociative(fs, later, tgt, comp) -> tuple[int, int, int] | None:
+    """The first triple (h, g, f) of non-identities, f from fs, on which
+    associativity fails; ``later[x]`` lists the non-identities out of x.
+    With the unit laws holding, it is the first failing triple of all."""
+    for f in fs:
+        for g in later[tgt[f]]:
+            gf = comp[g][f]
+            for h in later[tgt[g]]:
+                row = comp[h]
+                if row[gf] != comp[row[g]][f]:
+                    return h, g, f
+    return None
 
 
 def _cat(n: int, src, tgt, ident, composite) -> FinCat:
@@ -236,21 +267,21 @@ class Functor(Record):
                 "functor-mmap", "morphism image out of range")
         asrc, atgt, bsrc, btgt = (a.src.table, a.tgt.table, b.src.table,
                                   b.tgt.table)
-        for f in a.mors:
-            mf = mmap[f]
+        for f, mf in enumerate(mmap):
             if bsrc[mf] != omap[asrc[f]] or btgt[mf] != omap[atgt[f]]:
                 raise InvariantViolation("functor-boundary", f"image of "
                                          f"morphism {f} has wrong boundary")
-        bident = b.ident.table
-        for x, i in enumerate(a.ident.table):
+        aident, bident = a.ident.table, b.ident.table
+        for x, i in enumerate(aident):
             if mmap[i] != bident[omap[x]]:
                 raise InvariantViolation("functor-ident",
                                          f"identity at {x} not preserved")
+        # with identities preserved, only pairs of non-identities can fail
         acomp, bcomp, out_of = a.comp, b.comp, a.src.fiber
-        for f in a.mors:
-            mf = mmap[f]
-            for g in out_of(atgt[f]):
-                if mmap[acomp[g][f]] != bcomp[mmap[g]][mf]:
+        for f in a.non_identities:
+            mf, y = mmap[f], atgt[f]
+            for g in out_of(y):
+                if g != aident[y] and mmap[acomp[g][f]] != bcomp[mmap[g]][mf]:
                     raise InvariantViolation(
                         "functor-comp",
                         f"composition not preserved on ({g}, {f})")
@@ -550,7 +581,7 @@ def is_discrete_fibration(p: Functor) -> bool:
     keys = set(zip(p.dom.tgt.table, p.mmap))
     into = p.cod.tgt.fiber
     return (len(keys) == p.dom.morphisms.size
-            == sum(len(into(x)) for x in p.omap))
+            == sum(map(len, map(into, p.omap))))
 
 
 def are_isomorphic_objects(c: FinCat, x: int, y: int) -> bool:

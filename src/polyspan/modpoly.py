@@ -103,49 +103,47 @@ class Profunctor(Record):
     def _check_laws(self) -> None:
         """The identity, composition and interchange equations, for
         actions of the right shape and types (the document decoder checks
-        them so)."""
+        them so).  The identity actions are compared a row at a time, and
+        read cell by cell only to name a failure."""
         a_cat, b_cat = self.src, self.tgt
         lact, ract = self.lact, self.ract
-        ids, right = _Identities(), [ract[i] for i in a_cat.ident.table]
-        for b, i in enumerate(b_cat.ident.table):
-            for a, (t, column) in enumerate(zip(lact[i], right)):
-                if t != ids[len(t)]:
-                    raise InvariantViolation(
-                        "prof-ident", f"left identity action fails at ({b}, {a})")
-                t = column[b]
-                if t != ids[len(t)]:
-                    raise InvariantViolation(
-                        "prof-ident", f"right identity action fails at ({b}, {a})")
+        a_ids, b_ids, ids = a_cat.ident.table, b_cat.ident.table, _Identities()
+        rows = [tuple(map(ids.__getitem__, row)) for row in self.at]
+        right = [*map(ract.__getitem__, a_ids)]
+        if [*map(lact.__getitem__, b_ids)] != rows or right != [*zip(*rows)]:
+            for b, i in enumerate(b_ids):
+                for a, (t, column) in enumerate(zip(lact[i], right)):
+                    if t != ids[len(t)]:
+                        raise InvariantViolation("prof-ident", "left identity "
+                                                 f"action fails at ({b}, {a})")
+                    t = column[b]
+                    if t != ids[len(t)]:
+                        raise InvariantViolation("prof-ident", "right identity "
+                                                 f"action fails at ({b}, {a})")
         # With the identity actions checked, every equation along an
         # identity holds: only pairs of non-identities are computed.
-        for b1 in b_cat.non_identities:
-            b = b_cat.tgt(b1)
+        bsrc, btgt, bcomp = b_cat.src.table, b_cat.tgt.table, b_cat.comp
+        asrc, atgt, acomp = a_cat.src.table, a_cat.tgt.table, a_cat.comp
+        b_non, a_non = b_cat.non_identities, a_cat.non_identities
+        for b1 in b_non:
+            b = btgt[b1]
             for b2 in b_cat.out_of(b):
-                if b2 == b_cat.ident.table[b]:
-                    continue
-                row, l1, l2 = lact[b_cat.comp[b2][b1]], lact[b1], lact[b2]
-                for a in a_cat.objs:
-                    if row[a] != _after(l1[a], l2[a]):
-                        raise InvariantViolation(
-                            "prof-comp",
-                            f"left action not functorial on ({b2}, {b1})")
-        for a1 in a_cat.non_identities:
-            a = a_cat.tgt(a1)
+                if b2 != b_ids[b] and lact[bcomp[b2][b1]] != tuple(
+                        map(_after, lact[b1], lact[b2])):
+                    raise InvariantViolation("prof-comp", "left action not "
+                                             f"functorial on ({b2}, {b1})")
+        for a1 in a_non:
+            a = atgt[a1]
             for a2 in a_cat.out_of(a):
-                if a2 == a_cat.ident.table[a]:
-                    continue
-                row, r1, r2 = ract[a_cat.comp[a2][a1]], ract[a1], ract[a2]
-                for b in b_cat.objs:
-                    if row[b] != _after(r2[b], r1[b]):
-                        raise InvariantViolation(
-                            "prof-comp",
-                            f"right action not functorial on ({a2}, {a1})")
-        for beta in b_cat.non_identities:
-            b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
-            for alpha in a_cat.non_identities:
-                a1, a2 = a_cat.src(alpha), a_cat.tgt(alpha)
-                if (_after(ract[alpha][b1], lact[beta][a1])
-                        != _after(lact[beta][a2], ract[alpha][b2])):
+                if a2 != a_ids[a] and ract[acomp[a2][a1]] != tuple(
+                        map(_after, ract[a2], ract[a1])):
+                    raise InvariantViolation("prof-comp", "right action not "
+                                             f"functorial on ({a2}, {a1})")
+        for beta in b_non:
+            b1, b2, lb = bsrc[beta], btgt[beta], lact[beta]
+            for alpha in a_non:
+                a1, a2, ra = asrc[alpha], atgt[alpha], ract[alpha]
+                if _after(ra[b1], lb[a1]) != _after(lb[a2], ra[b2]):
                     raise InvariantViolation(
                         "prof-interchange",
                         f"actions of {beta} and {alpha} do not commute")

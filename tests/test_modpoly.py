@@ -1017,7 +1017,7 @@ def typed(f, dom, cod):
     """Whether the table of f runs from dom to cod: a module holds the
     tables of its actions, which carry no codomain of their own, so an
     action is typed when its domain is and its values lie in cod."""
-    return f.dom == dom and all(j < cod.size for j in f.table)
+    return f.dom == dom and all(0 <= j < cod.size for j in f.table)
 
 
 def reference_prof_violation(a_cat, b_cat, at, lact, ract):

@@ -13,7 +13,7 @@ import polyspan
 from polyspan import checks, cli
 from polyspan.documents import document, serialize
 from polyspan.finset import FinSetObj
-from polyspan.gen import rand_poly, rand_relpoly
+from polyspan.gen import rand_composable_modpolys, rand_poly, rand_relpoly
 
 # Written into a fresh interpreter's path: at exit it lists the loaded
 # modules next to itself.
@@ -72,6 +72,26 @@ class TestCommandsImportTheirLayerOnly:
         assert proc.returncode == 0, proc.stderr
         assert "polyspan.polyset" in loaded
         assert not loaded & NEVER
+
+    def test_compose_mod(self, tmp_path):
+        """The decoders of categories, functors and modules run in the
+        two layers they build: no span, set, relation, suite or generator
+        layer is loaded."""
+        rng, pair = random.Random(5), None
+        while pair is None:
+            pair = rand_composable_modpolys(rng)
+        paths = []
+        for name, value in zip(("p", "q"), pair):
+            path = tmp_path / f"{name}.json"
+            path.write_text(serialize(document("mod-polynomial", value)))
+            paths.append(str(path))
+        proc, loaded = run_cli(tmp_path, ["compose", "--kind", "mod",
+                                          paths[1], paths[0]])
+        assert proc.returncode == 0, proc.stderr
+        assert {"polyspan.fincat", "polyspan.modpoly"} <= loaded
+        assert not loaded & {"polyspan.spans", "polyspan.polyset",
+                             "polyspan.relpoly", "polyspan.checks",
+                             "polyspan.gen", "dataclasses"}
 
     def test_random(self, tmp_path):
         proc, loaded = run_cli(tmp_path, ["random", "--kind", "relation",
