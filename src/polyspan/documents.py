@@ -15,8 +15,8 @@ Each fact of a document is checked once, and each table is accepted in
 one pass: the ordered loops run only to name a failure, so the first
 error keeps its clause and text.  Categories are hash-consed among live
 values: a table equal to one still alive parses to that same ``FinCat``,
-unchecked, with its cached indices; a new one is built unchecked once
-``fincat._is_category`` holds.  A module holds its document's value
+unchecked, with its cached indices; a new one is typed in one pass, so
+only ``FinCat`` checks its laws.  A module holds its document's value
 table of sizes and one int table per action, typed against the sizes
 as they are read, so its check runs only its law equations.
 """
@@ -30,15 +30,14 @@ from itertools import chain
 from json.encoder import c_make_encoder
 from typing import TYPE_CHECKING
 
-from .errors import InvariantViolation, require
-from .finset import FinSetMap, FinSetObj, Subset
+from .finset import FinSetMap, FinSetObj, Subset, _check_table
 from .record import Record
 
 # The classes a decoder builds are globals of this module, bound by
 # _bind when parse first meets a kind of their layer: reading a
 # rel-polynomial never loads the categories.
 if TYPE_CHECKING:
-    from .fincat import FinCat, Functor, _is_category
+    from .fincat import FinCat, Functor
     from .modpoly import ModPolynomial, Profunctor
     from .polyset import IndexedFamily, Polynomial
     from .relpoly import Relation, RelPolynomial
@@ -243,8 +242,8 @@ def _dec_cat(d: object, ctx: str) -> FinCat:
                          "comp"}, ctx)
     o, m, src, tgt, ident, comp = (d["objects"], d["morphisms"], d["src"],
                                    d["tgt"], d["ident"], d["comp"])
-    # One typing pass over the four tables makes the key; ranges are read
-    # only on a miss, since every stored table is lawful.
+    # One typing pass makes the key; ranges are read only on a miss, and
+    # once they hold only FinCat can fail, as after the ordered typing.
     tables = [src, tgt, ident, *comp] if type(comp) is list else [comp]
     if (type(o) is type(m) is int and {*map(type, tables)} == {list}
             and {*map(type, chain.from_iterable(tables))} <= {int}
@@ -255,11 +254,11 @@ def _dec_cat(d: object, ctx: str) -> FinCat:
         if cat is not None:
             return cat
         if (min(chain(src, tgt, ident), default=0) >= 0
+                and min(chain.from_iterable(comp), default=0) >= -1
                 and max(chain(src, tgt), default=-1) < o
-                and max(ident, default=-1) < m
-                and _is_category(o, m, *key[2:])):
+                and max(ident, default=-1) < m):
             objects, morphisms = FinSetObj._trusted(o), FinSetObj._trusted(m)
-            cat = _CATS[key] = FinCat._trusted(
+            cat = _CATS[key] = FinCat(
                 objects, morphisms,
                 FinSetMap._trusted(morphisms, objects, key[2]),
                 FinSetMap._trusted(morphisms, objects, key[3]),
@@ -328,12 +327,7 @@ def _dec_action(rows: list, values: tuple, dom_end: tuple[int, ...],
             if len(_rows(row, ctx)) != width:
                 raise ParseError(f"{ctx}: {side} row {r} has wrong length")
             for t, x, y in zip(row, values[dom_end[r]], values[cod_end[r]]):
-                if len(_ints(t, ctx)) != x:
-                    raise InvariantViolation("map-total", "table length "
-                                             f"{len(t)} != domain size {x}")
-                for i, j in enumerate(t):
-                    require(j < y, "map-range", f"entry {i} -> {j} lands "
-                            f"outside a codomain of size {y}")
+                _check_table(_ints(t, ctx), x, y)
     return tuple(tuple(map(tuple, row)) for row in rows)
 
 
@@ -410,17 +404,16 @@ _CODECS = {
 
 KINDS = tuple(_CODECS)
 
-# The classes that the decoders of each payload layer build, and the law
-# predicate of categories; the decoders of modules build their categories
-# too.
+# The classes that the decoders of each payload layer build; the
+# decoders of modules build their categories too.
 _BUILDS = {
     "finset": (),
     "spans": ("spans.Span",),
     "polyset": ("polyset.IndexedFamily", "polyset.Polynomial"),
     "relpoly": ("relpoly.Relation", "relpoly.RelPolynomial"),
-    "fincat": ("fincat.FinCat", "fincat.Functor", "fincat._is_category"),
-    "modpoly": ("fincat.FinCat", "fincat.Functor", "fincat._is_category",
-                "modpoly.Profunctor", "modpoly.ModPolynomial"),
+    "fincat": ("fincat.FinCat", "fincat.Functor"),
+    "modpoly": ("fincat.FinCat", "fincat.Functor", "modpoly.Profunctor",
+                "modpoly.ModPolynomial"),
 }
 # The payload class of each kind already bound.
 _payload_types: dict[str, type] = {}

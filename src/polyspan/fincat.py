@@ -16,8 +16,8 @@ Conventions used throughout:
   - a presheaf is held as a module column is (``modpoly``): a size per
     object and an int table per morphism;
   - laws are checked on tables and accepted in one pass, by one typing
-    test or, for a category, by ``_is_category``; the ordered loops run
-    only to name the first failure, the only code that formats one;
+    test or, for a composition row, by one count of its -1 entries; the
+    ordered loops read entry by entry only to name the first failure;
   - every search for natural maps (presheaf isomorphisms here; module
     morphisms, isomorphisms and right liftings in ``modpoly``) is one
     search, ``_natural_maps``, over the elements of both sides laid out
@@ -59,8 +59,6 @@ class FinCat(Record):
                 "ident must map objects to morphisms")
         src, tgt, ident, comp = (self.src.table, self.tgt.table,
                                  self.ident.table, self.comp)
-        if _is_category(o.size, m.size, src, tgt, ident, comp):
-            return
         for x in o.elements:
             i = ident[x]
             if src[i] != x or tgt[i] != x:
@@ -68,15 +66,27 @@ class FinCat(Record):
                                          f"is not an endomorphism at {x}")
         require(len(comp) == m.size, "cat-comp-shape",
                 "composition table needs one row per morphism")
+        into, n = self.tgt._fibers, m.size
         for g, (row, sg, tg) in enumerate(zip(comp, src, tgt)):
-            require(len(row) == m.size, "cat-comp-shape",
+            require(len(row) == n, "cat-comp-shape",
                     "composition table rows must cover all morphisms")
+            # with the composites in place one count settles every -1; the
+            # row is read entry by entry only to name a failure
+            fib = into[sg]
+            if row.count(-1) == n - len(fib):
+                for f in fib:
+                    c = row[f]
+                    if not (type(c) is int and 0 <= c < n
+                            and src[c] == src[f] and tgt[c] == tg):
+                        break
+                else:
+                    continue
             for f, c in enumerate(row):
                 if tgt[f] != sg:
                     if c != -1:
                         raise InvariantViolation("cat-comp-partial", "composite defined "
                                                  f"for non-composable pair ({g}, {f})")
-                elif not 0 <= c < m.size:
+                elif not 0 <= c < n:
                     raise InvariantViolation("cat-comp-total",
                                              f"composable pair ({g}, {f}) has no composite")
                 elif src[c] != src[f] or tgt[c] != tg:
@@ -87,13 +97,19 @@ class FinCat(Record):
                 raise InvariantViolation("cat-unit", f"left unit law fails at morphism {f}")
             if comp[f][ident[src[f]]] != f:
                 raise InvariantViolation("cat-unit", f"right unit law fails at morphism {f}")
+        # with the unit laws holding, a triple with an identity in it is
+        # associative: only triples of non-identities can fail, and the
+        # first one that fails is the first failing triple of all
         ids = set(ident)
-        bad = _unassociative(self.non_identities, [
-            [g for g in fib if g not in ids] for fib in self.src._fibers],
-            tgt, comp)
-        if bad:
-            raise InvariantViolation("cat-assoc",
-                                     f"associativity fails on {bad}")
+        later = [[g for g in fib if g not in ids] for fib in self.src._fibers]
+        for f in self.non_identities:
+            for g in later[tgt[f]]:
+                gf = comp[g][f]
+                for h in later[tgt[g]]:
+                    row = comp[h]
+                    if row[gf] != comp[row[g]][f]:
+                        raise InvariantViolation("cat-assoc",
+                                                 f"associativity fails on ({h}, {g}, {f})")
 
     @property
     def objs(self) -> range:
@@ -143,46 +159,6 @@ class FinCat(Record):
 
     def is_iso(self, f: int) -> bool:
         return self.inverse_of(f) is not None
-
-
-def _is_category(o: int, m: int, src, tgt, ident, comp) -> bool:
-    """Whether tables of ints, src and tgt in range(o) and ident in
-    range(m), pass every check of ``FinCat``, without a message.  Row g
-    holds -1 exactly off the morphisms into src g when ``count`` finds as
-    many -1 as there are such morphisms and none at them, so only the
-    composable pairs are read in Python."""
-    if not (len(comp) == m and [*map(src.__getitem__, ident)]
-            == [*map(tgt.__getitem__, ident)] == [*range(o)]):
-        return False
-    into, later = [[] for _ in ident], [[] for _ in ident]
-    for f, y in enumerate(tgt):
-        into[y].append(f)
-    for g, (row, x, z) in enumerate(zip(comp, src, tgt)):
-        fib, i = into[x], ident[x]
-        if len(row) != m or row.count(-1) != m - len(fib):
-            return False
-        if g != i:
-            later[x].append(g)
-        for f in fib:  # the unit laws, or the boundary of the composite
-            c = row[f]
-            if (c != g if f == i else c != f if g == i else not 0 <= c < m
-                    or src[c] != src[f] or tgt[c] != z):
-                return False
-    return _unassociative(itertools.chain(*later), later, tgt, comp) is None
-
-
-def _unassociative(fs, later, tgt, comp) -> tuple[int, int, int] | None:
-    """The first triple (h, g, f) of non-identities, f from fs, on which
-    associativity fails; ``later[x]`` lists the non-identities out of x.
-    With the unit laws holding, it is the first failing triple of all."""
-    for f in fs:
-        for g in later[tgt[f]]:
-            gf = comp[g][f]
-            for h in later[tgt[g]]:
-                row = comp[h]
-                if row[gf] != comp[row[g]][f]:
-                    return h, g, f
-    return None
 
 
 def _cat(n: int, src, tgt, ident, composite) -> FinCat:

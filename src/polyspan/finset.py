@@ -46,6 +46,19 @@ class FinSetObj(Record):
         return range(self.size)
 
 
+def _check_table(table, dom_size: int, cod_size: int) -> None:
+    """Raise what a map of this table would: ``map-total`` for a length
+    other than dom_size, else ``map-range`` at the first entry outside
+    range(cod_size).  Modules, whose actions are tables, share it."""
+    if len(table) != dom_size:
+        raise InvariantViolation("map-total", f"table length {len(table)} "
+                                 f"!= domain size {dom_size}")
+    if table and not (0 <= min(table) and max(table) < cod_size):
+        for i, j in enumerate(table):
+            require(0 <= j < cod_size, "map-range",
+                    f"entry {i} -> {j} lands outside a codomain of size {cod_size}")
+
+
 class FinSetMap(Record):
     """A function between finite sets, tabulated on every element."""
 
@@ -54,15 +67,7 @@ class FinSetMap(Record):
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.table) != self.dom.size:
-            raise InvariantViolation("map-total", f"table length "
-                                     f"{len(self.table)} != domain size "
-                                     f"{self.dom.size}")
-        if self.table and not (0 <= min(self.table)
-                               and max(self.table) < self.cod.size):
-            for i, j in enumerate(self.table):
-                require(0 <= j < self.cod.size, "map-range",
-                        f"entry {i} -> {j} lands outside a codomain of size {self.cod.size}")
+        _check_table(self.table, self.dom.size, self.cod.size)
 
     def __call__(self, i: int) -> int:
         return self.table[i]

@@ -56,6 +56,7 @@ from .fincat import (
     product_cat,
     terminal_cat,
 )
+from .finset import _check_table
 from .record import Record
 
 
@@ -103,28 +104,25 @@ class Profunctor(Record):
     def _check_laws(self) -> None:
         """The identity, composition and interchange equations, for
         actions of the right shape and types (the document decoder checks
-        them so).  The identity actions are compared a row at a time, and
-        read cell by cell only to name a failure."""
+        them so)."""
         a_cat, b_cat = self.src, self.tgt
         lact, ract = self.lact, self.ract
-        a_ids, b_ids, ids = a_cat.ident.table, b_cat.ident.table, _Identities()
-        rows = [tuple(map(ids.__getitem__, row)) for row in self.at]
-        right = [*map(ract.__getitem__, a_ids)]
-        if [*map(lact.__getitem__, b_ids)] != rows or right != [*zip(*rows)]:
-            for b, i in enumerate(b_ids):
-                for a, (t, column) in enumerate(zip(lact[i], right)):
-                    if t != ids[len(t)]:
-                        raise InvariantViolation("prof-ident", "left identity "
-                                                 f"action fails at ({b}, {a})")
-                    t = column[b]
-                    if t != ids[len(t)]:
-                        raise InvariantViolation("prof-ident", "right identity "
-                                                 f"action fails at ({b}, {a})")
+        ids, right = _Identities(), [ract[i] for i in a_cat.ident.table]
+        for b, i in enumerate(b_cat.ident.table):
+            for a, (t, column) in enumerate(zip(lact[i], right)):
+                if t != ids[len(t)]:
+                    raise InvariantViolation(
+                        "prof-ident", f"left identity action fails at ({b}, {a})")
+                t = column[b]
+                if t != ids[len(t)]:
+                    raise InvariantViolation(
+                        "prof-ident", f"right identity action fails at ({b}, {a})")
         # With the identity actions checked, every equation along an
         # identity holds: only pairs of non-identities are computed.
         bsrc, btgt, bcomp = b_cat.src.table, b_cat.tgt.table, b_cat.comp
         asrc, atgt, acomp = a_cat.src.table, a_cat.tgt.table, a_cat.comp
         b_non, a_non = b_cat.non_identities, a_cat.non_identities
+        b_ids, a_ids = b_cat.ident.table, a_cat.ident.table
         for b1 in b_non:
             b = btgt[b1]
             for b2 in b_cat.out_of(b):
@@ -280,11 +278,7 @@ class ProfMorphism(Record):
                 if len(f) != m.at[b][a]:
                     raise InvariantViolation(
                         "profmor-typing", f"component at ({b}, {a}) mistyped")
-                i, j = next((i, j) for i, j in enumerate(f)
-                            if not 0 <= j < cod)
-                raise InvariantViolation(
-                    "map-range",
-                    f"entry {i} -> {j} lands outside a codomain of size {cod}")
+                _check_table(f, len(f), cod)
         for beta in b_cat.non_identities:
             b1, b2 = b_cat.src(beta), b_cat.tgt(beta)
             for a in a_cat.objs:

@@ -338,17 +338,14 @@ def test_one_builder_per_kind_of_computed_value():
     """Categories are built unchecked only by ``_cat`` (and transposed by
     ``opposite_cat``), modules by ``_built`` and module morphisms by
     ``_coend_map`` and the natural-map search; the document decoder,
-    which checks what it builds, is the other way in: a document's
-    category passes ``fincat._is_category`` before it is built unchecked,
-    and is built checked only to name the law it breaks.  A checked
+    which checks what it builds, is the other way in.  A checked
     category comes only from a caller's tables: a document's or a
     monoid's.  Presheaves are built unchecked by the representables, the
     constant and fiber presheaves, the presheaf of a comprehensive
     factorization, a module's column and a generated sum, and checked only
     when a caller builds one."""
     calls = calls_by_function()
-    assert calls["FinCat._trusted"] == {"fincat._cat", "fincat.opposite_cat",
-                                        "documents._dec_cat"}
+    assert calls["FinCat._trusted"] == {"fincat._cat", "fincat.opposite_cat"}
     assert calls["FinCat"] == {"documents._dec_cat", "fincat.monoid_cat"}
     assert calls["Profunctor._trusted"] == {"modpoly._built",
                                             "documents._dec_prof_tables"}

@@ -5,9 +5,9 @@ that name failures in order.
 Categories, functors and modules are accepted in one pass and checked by
 their ordered loops only to name a failure.  Here each entry of a seeded
 value is set to -1, to every other value in range and to one past the
-range: the law predicate of categories accepts exactly the lawful
-tables, and each checked constructor raises the clause and text of the
-reference check, as the document decoder does of the reference decoder.
+range: each checked constructor accepts exactly the lawful tables and
+raises the clause and text of the reference check, as the document
+decoder does of the reference decoder.
 """
 
 import collections
@@ -18,7 +18,7 @@ import random
 import pytest
 
 from polyspan.documents import document, serialize
-from polyspan.fincat import FinCat, Functor, _is_category, monoid_cat
+from polyspan.fincat import FinCat, Functor, monoid_cat
 from polyspan.finset import FinSetMap, FinSetObj
 from polyspan.gen import rand_fincat, rand_functor, rand_profunctor
 from polyspan.modpoly import Profunctor
@@ -49,16 +49,21 @@ class TestCategories:
     @staticmethod
     def outcomes(c, ident, comp):
         """The outcome of the reference check, which tests every
-        composable triple, that of the checked constructor, and the
-        predicate's verdict."""
+        composable triple, and that of the checked constructor; the
+        document of these tables parses as the reference decoder reads
+        it."""
         o, m = c.objects, c.morphisms
         ident_map = FinSetMap._trusted(o, m, ident)
         want = violation(all_triples_cat_check, FinCat._trusted(
             o, m, c.src, c.tgt, ident_map, comp))
         got = violation(FinCat, o, m, c.src, c.tgt, ident_map, comp)
-        lawful = _is_category(o.size, m.size, c.src.table, c.tgt.table,
-                              ident, comp)
-        return want, got, lawful
+        body = json.loads(serialize(document("fincat", c)))
+        payload = {**body["payload"], "ident": ident, "comp": comp}
+        payload = json.loads(json.dumps(payload))
+        assert (parsed_outcome(body, payload, "fincat")
+                == decode_outcome(REFERENCE_DECODERS["fincat"], payload,
+                                  "fincat"))
+        return want, got
 
     @pytest.mark.parametrize("seed", range(3))
     def test_every_change_of_one_composite(self, seed):
@@ -72,8 +77,8 @@ class TestCategories:
             for i, v in single_changes(flat, m):
                 comp = changed(flat, i, v)
                 comp = tuple(comp[g * m:(g + 1) * m] for g in c.mors)
-                want, got, lawful = self.outcomes(c, c.ident.table, comp)
-                assert got == want and lawful == (want is None), (c, comp)
+                want, got = self.outcomes(c, c.ident.table, comp)
+                assert got == want, (c, comp)
                 seen[want and want[0]] += 1
         assert set(seen) >= {"cat-comp-partial", "cat-comp-total",
                              "cat-comp-typing", "cat-unit", "cat-assoc"}
@@ -87,9 +92,9 @@ class TestCategories:
             ident = c.ident.table
             for x, v in itertools.product(c.objs, c.mors):
                 if v != ident[x]:
-                    want, got, lawful = self.outcomes(
+                    want, got = self.outcomes(
                         c, changed(ident, x, v), c.comp)
-                    assert got == want and lawful == (want is None)
+                    assert got == want
                     seen[want and want[0]] += 1
         assert {"cat-ident-endo", "cat-unit"} <= set(seen)
 
@@ -97,9 +102,61 @@ class TestCategories:
         rng = random.Random(1200)
         for _ in range(40):
             c = rand_fincat(rng)
-            assert _is_category(c.objects.size, c.morphisms.size,
-                                c.src.table, c.tgt.table, c.ident.table,
-                                c.comp)
+            assert self.outcomes(c, c.ident.table, c.comp) == (None, None)
+
+    @pytest.mark.parametrize("odd", ["x", 1.0, None, True])
+    def test_a_monoid_with_an_entry_that_is_no_int(self, odd):
+        """A caller's table may hold anything: with one entry that is no
+        int, alone or after or before a bad int in the table, the checked
+        monoid raises what the reference raises, exception class and
+        text, whichever entry it meets first."""
+        flat = tuple(itertools.chain.from_iterable(Z3.comp))
+        seen = collections.Counter()
+        for i, j, bad in itertools.product(range(9), range(9), (-1, 3)):
+            table = changed(flat, i, odd)
+            if j != i:
+                table = changed(table, j, bad)
+            table = tuple(table[g * 3:(g + 1) * 3] for g in range(3))
+            want = thrown(all_triples_cat_check, FinCat._trusted(
+                Z3.objects, Z3.morphisms, Z3.src, Z3.tgt, Z3.ident, table))
+            assert thrown(monoid_cat, table, 0) == want, table
+            seen[want and want[0]] += 1
+        assert len(seen) >= 2
+
+    @pytest.mark.parametrize("odd", ["x", 1.0, None])
+    def test_an_entry_that_is_no_int_behind_a_bad_one(self, odd):
+        """A caller's row with a non-composable entry set to 0, then a
+        composable entry that is no int, then a composable -1 that keeps
+        the row's count of -1: the checked category names the first bad
+        entry, as the reference does, and does not trip on the second."""
+        rng, cases = random.Random(1250), 0
+        for _ in range(30):
+            c = rand_fincat(rng, max_mors=8)
+            o, m = c.objects, c.morphisms
+            for g, row in enumerate(c.comp):
+                fib = c.tgt.fiber(c.src(g))
+                for f0, (f1, f2) in itertools.product(
+                        c.mors, itertools.combinations(fib, 2)):
+                    if f0 in fib or f0 > f1:
+                        continue
+                    new = changed(changed(changed(row, f0, 0), f1, odd),
+                                  f2, -1)
+                    comp = changed(c.comp, g, new)
+                    want = thrown(all_triples_cat_check, FinCat._trusted(
+                        o, m, c.src, c.tgt, c.ident, comp))
+                    assert thrown(FinCat, o, m, c.src, c.tgt, c.ident,
+                                  comp) == want, comp
+                    cases += 1
+        assert cases >= 10
+
+
+def thrown(build, *args):
+    """The class and text of what build(*args) raises, or None."""
+    try:
+        build(*args)
+    except Exception as e:  # every class is compared, not only ours
+        return type(e), str(e)
+    return None
 
 
 @pytest.mark.parametrize("seed", range(3))
