@@ -15,9 +15,10 @@ Conventions used throughout:
     ``hom_position`` and ``lifts`` are lookups;
   - a presheaf is held as a module column is (``modpoly``): a size per
     object and an int table per morphism;
-  - laws are checked on tables and accepted in one pass, by one typing
-    test or, for a composition row, by one count of its -1 entries; the
-    ordered loops read entry by entry only to name the first failure;
+  - laws of categories, functors, natural transformations and functors
+    into sets (presheaves here, modules in ``modpoly``) are checked on
+    tables in one pass, by one typing test or one ordered loop, and a
+    message is formatted only for the first failure in that order;
   - every search for natural maps (presheaf isomorphisms here; module
     morphisms, isomorphisms and right liftings in ``modpoly``) is one
     search, ``_natural_maps``, over the elements of both sides laid out
@@ -66,27 +67,18 @@ class FinCat(Record):
                                          f"is not an endomorphism at {x}")
         require(len(comp) == m.size, "cat-comp-shape",
                 "composition table needs one row per morphism")
-        into, n = self.tgt._fibers, m.size
-        for g, (row, sg, tg) in enumerate(zip(comp, src, tgt)):
-            require(len(row) == n, "cat-comp-shape",
+        for g in m.elements:
+            row = comp[g]
+            require(len(row) == m.size, "cat-comp-shape",
                     "composition table rows must cover all morphisms")
-            # with the composites in place one count settles every -1; the
-            # row is read entry by entry only to name a failure
-            fib = into[sg]
-            if row.count(-1) == n - len(fib):
-                for f in fib:
-                    c = row[f]
-                    if not (type(c) is int and 0 <= c < n
-                            and src[c] == src[f] and tgt[c] == tg):
-                        break
-                else:
-                    continue
-            for f, c in enumerate(row):
+            sg, tg = src[g], tgt[g]
+            for f in m.elements:
+                c = row[f]
                 if tgt[f] != sg:
                     if c != -1:
                         raise InvariantViolation("cat-comp-partial", "composite defined "
                                                  f"for non-composable pair ({g}, {f})")
-                elif not 0 <= c < n:
+                elif not 0 <= c < m.size:
                     raise InvariantViolation("cat-comp-total",
                                              f"composable pair ({g}, {f}) has no composite")
                 elif src[c] != src[f] or tgt[c] != tg:
@@ -102,7 +94,9 @@ class FinCat(Record):
         # first one that fails is the first failing triple of all
         ids = set(ident)
         later = [[g for g in fib if g not in ids] for fib in self.src._fibers]
-        for f in self.non_identities:
+        for f in m.elements:
+            if f in ids:
+                continue
             for g in later[tgt[f]]:
                 gf = comp[g][f]
                 for h in later[tgt[g]]:

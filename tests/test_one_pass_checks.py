@@ -2,12 +2,14 @@
 functor's morphism map and a module's action tables, against the checks
 that name failures in order.
 
-Categories, functors and modules are accepted in one pass and checked by
-their ordered loops only to name a failure.  Here each entry of a seeded
-value is set to -1, to every other value in range and to one past the
-range: each checked constructor accepts exactly the lawful tables and
-raises the clause and text of the reference check, as the document
-decoder does of the reference decoder.
+The decoder types each table in one pass, functors and modules skip
+the equations along identities, and the module decoder names a bad
+action entry by the shared map check; none of it may change which
+failure is named first.  Here each entry of a seeded value is set to -1,
+to every other value in range and to one past the range: each checked
+constructor accepts exactly the lawful tables and raises the clause and
+text of the reference check, as the document decoder does of the
+reference decoder.
 """
 
 import collections
