@@ -3,11 +3,12 @@ functors over finite sets, relations, and finite categories, with the
 span calculus, right liftings, and fibration machinery underneath.
 
 Importing the package loads none of its layers.  Each exported name is
-looked up in its defining module on every access (PEP 562), so a
-program pays only for the layers it touches, and a name rebound in its
-module is what the package returns."""
+looked up in its loaded module on every access (PEP 562), so a program
+pays only for the layers it touches (imported on first access), and a
+name rebound in its module is what the package returns."""
 
 from importlib import import_module as _import
+from sys import modules as _modules
 
 # Each layer module with the names it exports through the package.
 _EXPORTS = {
@@ -45,7 +46,8 @@ __all__ = sorted(_HOME)
 
 def __getattr__(name: str):
     if name in _HOME:
-        return getattr(_import(f"{__name__}.{_HOME[name]}"), name)
+        module = f"{__name__}.{_HOME[name]}"
+        return getattr(_modules.get(module) or _import(module), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

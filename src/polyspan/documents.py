@@ -6,10 +6,10 @@ Serialization is canonical (sorted keys, two-space indent, one trailing
 newline), so equal documents always produce identical bytes and
 ``parse`` then ``serialize`` reproduces any canonical file exactly.
 The encoders hand over the values' own tables (tuples, written as
-lists), and each table of scalars is written by one call to json's C
-encoder.  Malformed text raises ParseError with a line and column when
-the JSON layer can supply one; well-formed payloads that break a
-structural law raise InvariantViolation naming the violated clause.
+lists): a map's table is joined from cached decimal strings, any other
+table of scalars is one call to json's C encoder.  Bad JSON raises
+ParseError with a line and column when json gives one; well-formed
+payloads that break a structural law raise InvariantViolation.
 
 Each fact of a document is checked once, and each table is accepted in
 one pass: the ordered loops run only to name a failure, so the first
@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import json
 import weakref
+from functools import partial
 from importlib import import_module
 from itertools import chain
 from json.encoder import c_make_encoder
+from operator import methodcaller
 from typing import TYPE_CHECKING
 
 from .finset import FinSetMap, FinSetObj, Subset, _check_table
@@ -126,62 +128,72 @@ def _rows(v: object, ctx: str) -> list:
 
 # -- finite sets and maps ---------------------------------------------------
 
+class _MapTable(tuple):  # a map's table (ints in range(cod))
+    __slots__ = ()
+
+
+def _obj(v: object, ctx: str) -> FinSetObj:
+    return FinSetObj._trusted(_nat(v, ctx))
+
+
+def _dec_table(v: object, dom: FinSetObj, cod: FinSetObj,
+               ctx: str) -> FinSetMap:
+    table = _ints(v, ctx)  # _check_table only names a failure
+    if len(table) != dom.size or table and max(table) >= cod.size:
+        _check_table(table, dom.size, cod.size)
+    return FinSetMap._trusted(dom, cod, table)
+
+
 def _enc_map(f: FinSetMap) -> dict:
-    return {"dom": f.dom.size, "cod": f.cod.size, "table": f.table}
+    return {"dom": f.dom.size, "cod": f.cod.size, "table": _MapTable(f.table)}
 
 
 def _dec_map(d: object, ctx: str) -> FinSetMap:
     d = _expect_keys(d, {"dom", "cod", "table"}, ctx)
-    return FinSetMap(FinSetObj(_nat(d["dom"], ctx)),
-                     FinSetObj(_nat(d["cod"], ctx)),
-                     _ints(d["table"], ctx))
+    dom, cod = _obj(d["dom"], ctx), _obj(d["cod"], ctx)
+    return _dec_table(d["table"], dom, cod, ctx)
 
 
 def _enc_span(s: Span) -> dict:
     return {"left_foot": s.left_foot.size, "right_foot": s.right_foot.size,
-            "apex": s.apex.size, "left_leg": s.left_leg.table,
-            "right_leg": s.right_leg.table}
+            "apex": s.apex.size, "left_leg": _MapTable(s.left_leg.table),
+            "right_leg": _MapTable(s.right_leg.table)}
 
 
 def _dec_span(d: object, ctx: str) -> Span:
     d = _expect_keys(d, {"left_foot", "right_foot", "apex", "left_leg",
                          "right_leg"}, ctx)
-    left = FinSetObj(_nat(d["left_foot"], ctx))
-    right = FinSetObj(_nat(d["right_foot"], ctx))
-    apex = FinSetObj(_nat(d["apex"], ctx))
-    return Span(left, right, apex,
-                FinSetMap(apex, left, _ints(d["left_leg"], ctx)),
-                FinSetMap(apex, right, _ints(d["right_leg"], ctx)))
+    left, right = _obj(d["left_foot"], ctx), _obj(d["right_foot"], ctx)
+    apex = _obj(d["apex"], ctx)
+    return Span._trusted(left, right, apex,
+                         _dec_table(d["left_leg"], apex, left, ctx),
+                         _dec_table(d["right_leg"], apex, right, ctx))
 
 
 def _enc_poly(p: Polynomial) -> dict:
     return {"x": p.X.size, "e": p.E.size, "s": p.S.size, "y": p.Y.size,
-            "m1": p.m1.table, "m2": p.m2.table, "p": p.p.table}
+            "m1": _MapTable(p.m1.table), "m2": _MapTable(p.m2.table),
+            "p": _MapTable(p.p.table)}
 
 
 def _dec_poly(d: object, ctx: str) -> Polynomial:
     d = _expect_keys(d, {"x", "e", "s", "y", "m1", "m2", "p"}, ctx)
-    x = FinSetObj(_nat(d["x"], ctx))
-    e = FinSetObj(_nat(d["e"], ctx))
-    s = FinSetObj(_nat(d["s"], ctx))
-    y = FinSetObj(_nat(d["y"], ctx))
-    return Polynomial(x, e, s, y,
-                      FinSetMap(e, x, _ints(d["m1"], ctx)),
-                      FinSetMap(e, s, _ints(d["m2"], ctx)),
-                      FinSetMap(s, y, _ints(d["p"], ctx)))
+    x, e, s, y = (_obj(d[k], ctx) for k in "xesy")
+    return Polynomial._trusted(x, e, s, y, _dec_table(d["m1"], e, x, ctx),
+                               _dec_table(d["m2"], e, s, ctx),
+                               _dec_table(d["p"], s, y, ctx))
 
 
 def _enc_family(a: IndexedFamily) -> dict:
     return {"base": a.base.size, "total": a.total.size,
-            "proj": a.proj.table}
+            "proj": _MapTable(a.proj.table)}
 
 
 def _dec_family(d: object, ctx: str) -> IndexedFamily:
     d = _expect_keys(d, {"base", "total", "proj"}, ctx)
-    base = FinSetObj(_nat(d["base"], ctx))
-    total = FinSetObj(_nat(d["total"], ctx))
-    return IndexedFamily(base, total,
-                         FinSetMap(total, base, _ints(d["proj"], ctx)))
+    base, total = _obj(d["base"], ctx), _obj(d["total"], ctx)
+    return IndexedFamily._trusted(base, total,
+                                  _dec_table(d["proj"], total, base, ctx))
 
 
 # -- relations --------------------------------------------------------------
@@ -202,8 +214,7 @@ def _enc_rel(r: Relation) -> dict:
 
 def _dec_rel(d: object, ctx: str) -> Relation:
     d = _expect_keys(d, {"src", "tgt", "pairs"}, ctx)
-    return Relation(FinSetObj(_nat(d["src"], ctx)),
-                    FinSetObj(_nat(d["tgt"], ctx)),
+    return Relation(_obj(d["src"], ctx), _obj(d["tgt"], ctx),
                     _pairs(d["pairs"], ctx))
 
 
@@ -214,8 +225,7 @@ def _enc_relpoly(p: RelPolynomial) -> dict:
 
 def _dec_relpoly(d: object, ctx: str) -> RelPolynomial:
     d = _expect_keys(d, {"x", "c", "neat", "lifter"}, ctx)
-    x = FinSetObj(_nat(d["x"], ctx))
-    c = FinSetObj(_nat(d["c"], ctx))
+    x, c = _obj(d["x"], ctx), _obj(d["c"], ctx)
     z = Subset(c, _ints(d["neat"], ctx))
     return RelPolynomial(x, c, z,
                          Relation(x, z.as_object(),
@@ -226,15 +236,18 @@ def _dec_relpoly(d: object, ctx: str) -> RelPolynomial:
 
 def _enc_cat(c: FinCat) -> dict:
     return {"objects": c.objects.size, "morphisms": c.morphisms.size,
-            "src": c.src.table, "tgt": c.tgt.table,
-            "ident": c.ident.table, "comp": c.comp}
+            "src": _MapTable(c.src.table), "tgt": _MapTable(c.tgt.table),
+            "ident": _MapTable(c.ident.table), "comp": c.comp}
 
 
-# Live categories by their int-checked tables (objects, morphisms, src,
-# tgt, ident, comp).  Only tables whose every entry passed ``type(x) is
-# int`` make a key, since True == 1 and 1.0 == 1 hash alike, and a table
-# is stored only once its category passed every check.
-_CATS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    __slots__ = ("drop",)
+
+
+# Live categories by their int-checked tables, each held by a ``_Ref``
+# whose C callback drops its entry while dead.  Keys hold only entries of
+# ``type(x) is int`` (True == 1 and 1.0 == 1 hash alike), stored checked.
+_CATS: dict[tuple, _Ref] = {}
 
 
 def _dec_cat(d: object, ctx: str) -> FinCat:
@@ -250,7 +263,8 @@ def _dec_cat(d: object, ctx: str) -> FinCat:
             and len(src) == len(tgt) == m and len(ident) == o):
         key = (o, m, tuple(src), tuple(tgt), tuple(ident),
                tuple(map(tuple, comp)))
-        cat = _CATS.get(key)
+        ref = _CATS.get(key)
+        cat = ref and ref()
         if cat is not None:
             return cat
         if (min(chain(src, tgt, ident), default=0) >= 0
@@ -258,20 +272,22 @@ def _dec_cat(d: object, ctx: str) -> FinCat:
                 and max(chain(src, tgt), default=-1) < o
                 and max(ident, default=-1) < m):
             objects, morphisms = FinSetObj._trusted(o), FinSetObj._trusted(m)
-            cat = _CATS[key] = FinCat(
+            cat = FinCat(
                 objects, morphisms,
                 FinSetMap._trusted(morphisms, objects, key[2]),
                 FinSetMap._trusted(morphisms, objects, key[3]),
                 FinSetMap._trusted(objects, morphisms, key[4]), key[5])
+            ref = _CATS[key] = _Ref(cat, methodcaller("drop"))
+            ref.drop = partial(weakref._remove_dead_weakref, _CATS, key)
             return cat
     # one table at a time, as the maps and FinCat check them, so that the
     # error raised is the first in document order
-    objects, morphisms = FinSetObj(_nat(o, ctx)), FinSetObj(_nat(m, ctx))
+    objects, morphisms = _obj(o, ctx), _obj(m, ctx)
     comp = tuple(_comp_row(row, ctx) for row in _rows(comp, ctx))
     return FinCat(objects, morphisms,
-                  FinSetMap(morphisms, objects, _ints(src, ctx)),
-                  FinSetMap(morphisms, objects, _ints(tgt, ctx)),
-                  FinSetMap(objects, morphisms, _ints(ident, ctx)), comp)
+                  _dec_table(src, morphisms, objects, ctx),
+                  _dec_table(tgt, morphisms, objects, ctx),
+                  _dec_table(ident, objects, morphisms, ctx), comp)
 
 
 def _enc_functor_tables(f: Functor) -> dict:
@@ -509,21 +525,42 @@ def _int_rows(v: list | tuple, pad: str) -> str | None:
     return sep.join([row] * len(v)) % flat
 
 
+_digits: list[str] = []  # str(i) at each i below its length
+_DIGITS_BOUND = 1 << 16  # the most strings _digits holds
+
+
+def _map_items(table: _MapTable, sep: str) -> str | None:
+    """The entries' texts in ``_digits`` (a bool's is its int's) joined by
+    sep, growing it by at most one string an entry, or else None."""
+    try:
+        return sep.join(map(_digits.__getitem__, table))
+    except TypeError:
+        return None
+    except IndexError:
+        top, known = max(table), len(_digits)
+    if not known <= top < min(_DIGITS_BOUND, known + len(table)):
+        return None
+    _digits[known:] = map(str, range(known, top + 1))
+    return _map_items(table, sep)
+
+
 def _canonical(v: object, pad: str) -> str:
     """``json.dumps(v, sort_keys=True, indent=2)`` for a value of a
     document body (string keys, tuples written as lists) that starts on a
-    line indented by ``pad``.  A list of int rows (a relation's pairs) is
-    one format call (``_int_rows``).  A list whose first item is a scalar
-    is one call to the C encoder of its pad; when that text holds a
-    container (a ``[`` past its start or a ``{``: a container later in the
-    list, or a string holding a bracket), or json has no C encoder, the
-    list is written item by item."""
+    line indented by ``pad``.  A map table is one join (``_map_items``),
+    a list of int rows (a relation's pairs) one format call (``_int_rows``)
+    and a list whose first item is a scalar one call to the C encoder of
+    its pad; when that text holds a container (a ``[`` past its start or a
+    ``{``: a container later in the list, or a string holding a bracket),
+    or json has no C encoder, the list is written item by item."""
     if type(v) is int:
         return str(v)
-    if type(v) is list or type(v) is tuple:
+    if type(v) is list or type(v) is tuple or type(v) is _MapTable:
         if not v:
             return "[]"
         inner = pad + "  "
+        if type(v) is _MapTable and (items := _map_items(v, ",\n" + inner)):
+            return f"[\n{inner}{items}\n{pad}]"
         if type(v[0]) is list or type(v[0]) is tuple:
             rows = _int_rows(v, inner)
             if rows is not None:

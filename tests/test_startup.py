@@ -139,6 +139,22 @@ class TestLazyPackage:
         exec("from polyspan import *", scope)
         assert set(polyspan.__all__) <= scope.keys()
 
+    def test_a_loaded_layer_is_read_without_importing(self, monkeypatch):
+        imported = []
+
+        def spy(name):
+            imported.append(name)
+            return stand_in
+        stand_in = type(sys)("stand_in")
+        stand_in.Relation = object()
+        monkeypatch.setattr(polyspan, "_import", spy)
+        assert polyspan.parse is sys.modules["polyspan.documents"].parse
+        assert imported == []
+        # a layer missing from sys.modules is imported on first access
+        monkeypatch.delitem(sys.modules, "polyspan.relpoly", raising=False)
+        assert polyspan.Relation is stand_in.Relation
+        assert imported == ["polyspan.relpoly"]
+
 
 def test_cli_suite_names_match_the_registry():
     assert sorted(cli._SUITE_NAMES) == sorted(checks.SUITES)
