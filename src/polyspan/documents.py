@@ -13,10 +13,11 @@ payloads that break a structural law raise InvariantViolation.
 
 Each fact of a document is checked once, and each table is accepted in
 one pass: the ordered loops run only to name a failure, so the first
-error keeps its clause and text.  Categories are hash-consed among live
-values: a table equal to one still alive parses to that same ``FinCat``,
-unchecked, with its cached indices; a new one is typed in one pass, so
-only ``FinCat`` checks its laws.  A module holds its document's value
+error keeps its clause and text.  Categories are hash-consed: a table
+equal to one checked before parses to that same ``FinCat``, unchecked,
+with its cached indices (held up to a bound on their entries, which caps
+the memory input can pin); a new one is typed in one pass, so only
+``FinCat`` checks its laws.  A module holds its document's value
 table of sizes and one int table per action, typed against the sizes
 as they are read, so its check runs only its law equations.
 """
@@ -24,12 +25,10 @@ as they are read, so its check runs only its law equations.
 from __future__ import annotations
 
 import json
-import weakref
-from functools import partial
+from _thread import allocate_lock
 from importlib import import_module
 from itertools import chain
 from json.encoder import c_make_encoder
-from operator import methodcaller
 from typing import TYPE_CHECKING
 
 from .finset import FinSetMap, FinSetObj, Subset, _check_table
@@ -240,14 +239,17 @@ def _enc_cat(c: FinCat) -> dict:
             "ident": _MapTable(c.ident.table), "comp": c.comp}
 
 
-class _Ref(weakref.ref):
-    __slots__ = ("drop",)
+class _Interned(dict):  # checked categories by their keys, oldest first
+    held = 0  # the table entries of the keys held
+    lock = allocate_lock()  # two parses may store or evict at once
 
 
-# Live categories by their int-checked tables, each held by a ``_Ref``
-# whose C callback drops its entry while dead.  Keys hold only entries of
-# ``type(x) is int`` (True == 1 and 1.0 == 1 hash alike), stored checked.
-_CATS: dict[tuple, _Ref] = {}
+# Every category that passed its full check, by its int-typed tables (True
+# == 1 and 1.0 == 1 hash alike), until evicted, oldest first, when the
+# entries held (objects + 2 morphisms + morphisms**2 each) pass the bound,
+# which caps the memory that parsed input can pin.
+_CATS = _Interned()
+_CATS_BOUND = 1 << 16  # up to about 6 MB, their indices built
 
 
 def _dec_cat(d: object, ctx: str) -> FinCat:
@@ -263,9 +265,7 @@ def _dec_cat(d: object, ctx: str) -> FinCat:
             and len(src) == len(tgt) == m and len(ident) == o):
         key = (o, m, tuple(src), tuple(tgt), tuple(ident),
                tuple(map(tuple, comp)))
-        ref = _CATS.get(key)
-        cat = ref and ref()
-        if cat is not None:
+        if (cat := _CATS.get(key)) is not None:
             return cat
         if (min(chain(src, tgt, ident), default=0) >= 0
                 and min(chain.from_iterable(comp), default=0) >= -1
@@ -277,8 +277,13 @@ def _dec_cat(d: object, ctx: str) -> FinCat:
                 FinSetMap._trusted(morphisms, objects, key[2]),
                 FinSetMap._trusted(morphisms, objects, key[3]),
                 FinSetMap._trusted(objects, morphisms, key[4]), key[5])
-            ref = _CATS[key] = _Ref(cat, methodcaller("drop"))
-            ref.drop = partial(weakref._remove_dead_weakref, _CATS, key)
+            if (size := o + 2 * m + m * m) <= _CATS_BOUND:
+                with _CATS.lock:
+                    if _CATS.setdefault(key, cat) is cat:
+                        _CATS.held += size
+                    while _CATS.held > _CATS_BOUND:  # the oldest go first
+                        del _CATS[old := next(iter(_CATS))]
+                        _CATS.held -= old[0] + 2 * old[1] + old[1] ** 2
             return cat
     # one table at a time, as the maps and FinCat check them, so that the
     # error raised is the first in document order

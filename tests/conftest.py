@@ -2,7 +2,7 @@
 
 import pytest
 
-from polyspan import checks, modpoly
+from polyspan import checks, documents, modpoly
 from polyspan.record import Record
 
 
@@ -31,6 +31,14 @@ def trusted_values_are_checked(request, monkeypatch):
             value.__post_init__()
             return value
         monkeypatch.setattr(cls, "_trusted", classmethod(checked))
+
+
+@pytest.fixture(autouse=True)
+def fresh_category_table(monkeypatch):
+    """Each test starts with an empty table of checked categories
+    (``documents._CATS``), which otherwise outlives the test that parsed
+    them: a test that compares the checks of parsing sees its own."""
+    monkeypatch.setattr(documents, "_CATS", documents._Interned())
 
 
 @pytest.fixture

@@ -4,8 +4,9 @@ import gc
 import itertools
 import json
 import random
+import sys
+import threading
 import tracemalloc
-import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -800,13 +801,12 @@ def corrupted_payloads(kind):
     """The corrupted documents of one kind: for each of 60 seeded random
     documents, eight corruptions anywhere and, for modules, eight more in
     the value and action tables only.  Yields (document body, payload);
-    each uncorrupted value stays alive while its corruptions are parsed,
-    so its categories are interned."""
+    each uncorrupted document is parsed before its corruptions, so its
+    categories are in the table of checked ones."""
     rng = random.Random(kind)
-    kept = []
     for seed in range(60):
         text = serialize(random_document(kind, seed))
-        kept.append(parse(text))
+        parse(text)
         body = json.loads(text)
         payloads = [corrupt(body["payload"], rng, rng.choice((1, 1, 2)))
                     for _ in range(8)]
@@ -868,10 +868,42 @@ class TestDecodersAgainstReference:
         corpus = list(corrupted_payloads(kind))
         got = [parsed_outcome(body, payload, kind) for body, payload in corpus]
         monkeypatch.setattr(FinCat, "__post_init__", all_triples_cat_check)
+        # an empty table, so that no category checked above answers here
+        monkeypatch.setattr(documents, "_CATS", documents._Interned())
         assert [parsed_outcome(body, payload, kind)
                 for body, payload in corpus] == got
         assert any(outcome[1].startswith("cat-") for outcome in got
                    if outcome[0] is InvariantViolation)
+
+    @pytest.mark.parametrize("kind", CATEGORY_KINDS)
+    def test_a_warm_table_decodes_as_a_cold_one(self, kind, monkeypatch):
+        """With every clean original in the table of checked categories,
+        each corrupted payload parses as with an empty table, and a value
+        holds the payload's own tables: no stored entry answers for a
+        table that differs from it, by a bool or a float entry either."""
+        corpus = list(corrupted_payloads(kind))
+        cat_checks, real = [], FinCat.__post_init__
+        monkeypatch.setattr(FinCat, "__post_init__",
+                            lambda cat: cat_checks.append(cat) or real(cat))
+        cold = []
+        for body, payload in corpus:
+            monkeypatch.setattr(documents, "_CATS", documents._Interned())
+            cold.append(parsed_outcome(body, payload, kind))
+        cold_checks = len(cat_checks)
+        monkeypatch.setattr(documents, "_CATS", documents._Interned())
+        for text in dict.fromkeys(json.dumps(body) for body, _ in corpus):
+            parse(text)
+        cat_checks.clear()
+        for (body, payload), want in zip(corpus, cold):
+            got = parsed_outcome(body, payload, kind)
+            assert got == want, payload
+            if got[0] == "value":  # json tells 1 from true and 1.0
+                assert serialize(document(kind, got[1])) == json.dumps(
+                    {**body, "payload": payload}, sort_keys=True,
+                    indent=2) + "\n"
+        assert {"value", InvariantViolation, ParseError} <= {
+            outcome[0] for outcome in cold}
+        assert len(cat_checks) < cold_checks  # the table answered
 
     def test_a_bool_table_equal_to_a_live_one_is_rejected(self):
         good = {"objects": 2, "morphisms": 2, "src": [0, 1], "tgt": [0, 1],
@@ -887,13 +919,38 @@ class TestDecodersAgainstReference:
                 parse(text)
 
 
+def discrete(n):
+    """The fincat document of the discrete category on n objects, whose
+    tables hold n + 2n + n**2 entries."""
+    ids = list(range(n))
+    return json.dumps({"version": "1", "kind": "fincat", "payload": {
+        "objects": n, "morphisms": n, "src": ids, "tgt": ids, "ident": ids,
+        "comp": [[f if f == g else -1 for f in ids] for g in ids]}})
+
+
+def held_objects(table):
+    """The object counts of the categories in the table, oldest first."""
+    return [key[0] for key in table]
+
+
 class TestInterning:
     @pytest.fixture
     def interned(self, monkeypatch):
-        """A fresh, empty table of live categories."""
-        table = {}
+        """A fresh, empty table of checked categories."""
+        table = documents._Interned()
         monkeypatch.setattr(documents, "_CATS", table)
         return table
+
+    @pytest.fixture
+    def cat_checks(self, monkeypatch):
+        """The number of FinCat checks run so far, in a list."""
+        count, real = [0], FinCat.__post_init__
+
+        def spy(cat):
+            count[0] += 1
+            real(cat)
+        monkeypatch.setattr(FinCat, "__post_init__", spy)
+        return count
 
     @staticmethod
     def composable_pair(seed):
@@ -912,42 +969,103 @@ class TestInterning:
         again = parse(tq).payload
         assert again.X is q.X and again.Y is q.Y and again.S is q.S
 
-    def test_the_table_holds_live_categories_only(self, interned):
-        tq, tp = self.composable_pair(62)
-        q, p = parse(tq).payload, parse(tp).payload
-        assert 0 < len(interned) <= 5
-        bad = {"version": "1", "kind": "fincat",
-               "payload": {"objects": 1, "morphisms": 1, "src": [0],
-                           "tgt": [0], "ident": [0], "comp": [[-1]]}}
-        with pytest.raises(InvariantViolation):
-            parse(json.dumps(bad))  # a table that fails is not stored
-        assert len(interned) <= 5
-        del q, p
-        gc.collect()
-        assert len(interned) == 0
+    def test_the_held_entries_never_pass_the_bound(self, interned,
+                                                   monkeypatch):
+        monkeypatch.setattr(documents, "_CATS_BOUND", 40)
+        texts = [serialize(random_document("fincat", seed))
+                 for seed in range(40)] + [discrete(n) for n in range(7)]
+        random.Random(0).shuffle(texts)
+        sizes = []
+        for text in texts:
+            parse(text)
+            assert interned.held == sum(o + 2 * m + m * m
+                                        for o, m, *_ in interned) <= 40
+            sizes.append(len(interned))
+        assert max(sizes) > 1 and interned.held > 20
 
-    def test_a_dead_reference_drops_only_its_own_entry(self, interned):
-        text = json.dumps({"version": "1", "kind": "fincat",
-                           "payload": TERMINAL})
-        first = parse(text).payload
-        (key, old), = interned.items()
-        # a newer entry under the same key, while the first is alive
-        second = FinCat(first.objects, first.morphisms, first.src,
-                        first.tgt, first.ident, first.comp)
-        newer = interned[key] = weakref.ref(second)
-        del first
-        gc.collect()
-        assert old() is None and interned == {key: newer}
-        assert parse(text).payload is second
-        # a dead entry is replaced on the next miss
-        del second
-        gc.collect()
-        assert newer() is None
-        third = parse(text).payload
-        assert interned[key]() is third
-        del third
-        gc.collect()
-        assert interned == {}
+    def test_the_oldest_entry_goes_first(self, interned, monkeypatch):
+        monkeypatch.setattr(documents, "_CATS_BOUND", 28)
+        for n in (1, 2, 1, 3):  # 4 + 10 + 18 entries: the second 1 is a hit
+            parse(discrete(n))
+        assert held_objects(interned) == [2, 3] and interned.held == 28
+        parse(discrete(1))
+        assert held_objects(interned) == [3, 1] and interned.held == 22
+
+    def test_an_evicted_table_is_checked_again(self, interned, monkeypatch,
+                                               cat_checks):
+        monkeypatch.setattr(documents, "_CATS_BOUND", 28)
+        first = parse(discrete(1)).payload
+        parse(discrete(2))
+        three = parse(discrete(3)).payload
+        assert cat_checks == [3] and held_objects(interned) == [2, 3]
+        again = parse(discrete(1)).payload
+        assert cat_checks == [4] and again == first and again is not first
+        assert parse(discrete(3)).payload is three and cat_checks == [4]
+
+    def test_a_category_larger_than_the_bound_is_not_stored(
+            self, interned, monkeypatch, cat_checks):
+        monkeypatch.setattr(documents, "_CATS_BOUND", 20)
+        parse(discrete(1))
+        parse(discrete(2))
+        for _ in range(2):
+            big = parse(discrete(4)).payload  # 28 entries
+            assert big.morphisms.size == 4
+            assert held_objects(interned) == [1, 2] and interned.held == 14
+        assert cat_checks == [4]
+
+    def test_a_failing_table_is_never_stored(self, interned, cat_checks):
+        payloads = (
+            {**TERMINAL, "comp": [[-1]]},  # typed, fails its laws
+            {**TERMINAL, "src": [1]},  # typed, out of range
+            {**TERMINAL, "ident": [True]})  # not typed
+        for payload in payloads * 2:
+            with pytest.raises((InvariantViolation, ParseError)):
+                parse(json.dumps({"version": "1", "kind": "fincat",
+                                  "payload": payload}))
+            assert interned == {} and interned.held == 0
+        assert cat_checks == [2]  # the failing laws are checked each time
+
+    def test_each_distinct_table_is_checked_once_per_process(
+            self, interned, cat_checks):
+        texts = [text for seed in range(66, 76)
+                 for text in self.composable_pair(seed)]
+        tables = {json.dumps(json.loads(text)["payload"][k], sort_keys=True)
+                  for text in texts for k in "xys"}
+        assert len(tables) < 3 * len(texts)
+        cat_checks[0] = 0  # building the pairs checked their categories
+        for _ in range(2):
+            for text in texts:
+                parse(text)  # and drop it
+            gc.collect()
+            assert cat_checks == [len(tables)] == [len(interned)]
+
+    def test_threads_storing_and_evicting_keep_the_count(self, interned,
+                                                         monkeypatch):
+        monkeypatch.setattr(documents, "_CATS_BOUND", 40)
+        texts = [discrete(n) for n in range(1, 5)] * 50
+        errors = []
+
+        def parse_all(seed):
+            try:
+                for text in random.Random(seed).sample(texts, len(texts)):
+                    parse(text)
+            except Exception as e:  # reported by the main thread
+                errors.append(e)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=parse_all, args=(seed,))
+                       for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert interned.held == sum(o + 2 * m + m * m
+                                    for o, m, *_ in interned) <= 40
 
     @pytest.mark.parametrize("seed", range(63, 66))
     def test_each_distinct_table_is_checked_once(self, interned,
